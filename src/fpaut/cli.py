@@ -14,7 +14,9 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
@@ -23,7 +25,8 @@ from pathlib import Path
 from . import __version__
 from .automorphisms import Automorphism, validate
 from .dynamics import (SearchReport, atoroidal_search, classify_growth,
-                       flare_certify, orbit_lengths, twin_search)
+                       flare_certify, flare_report, graded_key, orbit_lengths,
+                       twin_search)
 from .errors import FpAutError, ParseError
 from .graph_maps import (build_standard_map, check_train_track,
                          constants_report, default_gate_depth, nielsen_search)
@@ -103,22 +106,18 @@ def automorphism_to_dict(phi: Automorphism) -> dict:
 # parallel sharding
 
 def _shard_worker(args):
-    kind, phi, kwargs, shard = args
-    fn = {"atoroidal": atoroidal_search, "twins": twin_search,
-          "flare": flare_certify}[kind]
-    return fn(phi, shard=shard, **kwargs)
+    kind, phi, bounds, shard = args
+    return COMMANDS[kind].search(phi, bounds, shard)
 
 
-def _run_sharded(kind: str, phi: Automorphism, kwargs: dict,
+def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
     if jobs <= 1:
-        fn = {"atoroidal": atoroidal_search, "twins": twin_search,
-              "flare": flare_certify}[kind]
-        return fn(phi, **kwargs)
+        return COMMANDS[kind].search(phi, bounds)
     t0 = time.perf_counter()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_shard_worker,
-                              [(kind, phi, kwargs, (s, jobs))
+                              [(kind, phi, bounds, (s, jobs))
                                for s in range(jobs)]))
     merged = _merge_reports(kind, parts)
     merged.elapsed = time.perf_counter() - t0
@@ -126,33 +125,22 @@ def _run_sharded(kind: str, phi: Automorphism, kwargs: dict,
 
 
 def _merge_reports(kind: str, parts: list[SearchReport]) -> SearchReport:
+    """The serial report, rebuilt from the reports of the shards."""
     tested = sum(p.tested for p in parts)
-    bounds = parts[0].bounds
-    if kind in ("atoroidal", "twins"):
-        found = [p for p in parts if p.verdict == "witness"]
-        if found:
-            best = min(found, key=lambda p: p.witness["index"])
-            best.tested = tested
-            return best
-        rep = parts[0]
-        rep.tested = tested
-        return rep
-    # flare: AND the per-exponent profiles, union the counterexamples
-    n_max = bounds["n_max"]
-    profile = [all(p.profile[n] for p in parts) for n in range(n_max)]
-    counter = sorted({w for p in parts for w in p.counterexamples},
-                     key=lambda w: w.sort_key())
-    for n, ok in enumerate(profile, start=1):
-        if ok:
-            cert = dict(parts[0].certificate or {})
-            cert.update({"exponent": n, "lambda": bounds["lambda_min"]})
-            cert.setdefault("empirical", True)
-            return SearchReport("exhausted", bounds, certificate=cert,
-                                tested=tested, profile=tuple(profile),
-                                notes="empirical evidence, not a proof")
-    return SearchReport("witness", bounds, counterexamples=counter,
-                        tested=tested, profile=tuple(profile),
-                        notes="words failing the flare inequality at n_max")
+    if kind == "flare":
+        # AND the per-exponent profiles; counterexamples in enumeration order
+        profile = tuple(map(all, zip(*(p.profile for p in parts))))
+        counter = sorted((w for p in parts for w in p.counterexamples),
+                         key=graded_key)
+        return flare_report(parts[0].bounds, profile, counter, tested)
+    found = [p for p in parts if p.verdict == "witness"]
+    if not found:
+        parts[0].tested = tested
+        return parts[0]
+    # the serial search stops at the first witness in enumeration order
+    best = min(found, key=lambda p: p.witness["index"])
+    best.tested = best.witness["index"] + 1
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +160,11 @@ def _report_skeleton(cfg: JobConfig, inputs: dict) -> dict:
     }
 
 
-def _search_result(rep: SearchReport) -> dict:
+# Runners return the ``result`` block.  They reach the library through this
+# module's globals at call time, so a rebinding of those names takes effect.
+
+def _search(cfg: JobConfig, phi: Automorphism) -> dict:
+    rep = _run_sharded(cfg.command, phi, cfg.bounds, cfg.jobs)
     out = {"verdict": rep.verdict, "tested": rep.tested}
     if rep.witness is not None:
         out["witness"] = to_jsonable({k: v for k, v in rep.witness.items()
@@ -186,136 +178,177 @@ def _search_result(rep: SearchReport) -> dict:
     return out
 
 
+def _classify(cfg: JobConfig, phi: Automorphism) -> dict:
+    w = parse_word(cfg.element, phi.presentation)
+    data = orbit_lengths(phi, w, cfg.bounds["max_iter"])
+    verdict = classify_growth(data.lengths, classes=data.classes)
+    mass_verdict = classify_growth(data.masses, classes=data.classes)
+    return {
+        "lengths": list(data.lengths),
+        "masses": list(data.masses),
+        "kind": verdict.kind,
+        "heuristic": verdict.heuristic,
+        "rate": to_jsonable(verdict.rate),
+        "degree": verdict.degree,
+        "period": verdict.period,
+        "preperiod": verdict.preperiod,
+        "mass_kind": mass_verdict.kind,
+        "mass_degree": mass_verdict.degree,
+        "diagnostics": to_jsonable(verdict.diagnostics),
+    }
+
+
+def _traintrack(cfg: JobConfig, phi: Automorphism) -> dict:
+    m = build_standard_map(phi)
+    depth = cfg.bounds["depth"] or default_gate_depth(phi.presentation)
+    verdict = check_train_track(m, depth)
+    gates = verdict.gates
+    return {
+        "status": verdict.status,
+        "witness": to_jsonable(verdict.witness),
+        "depth": depth,
+        "base_gate_count": len(gates.gates_at_base()),
+        "base_gates": to_jsonable([sorted(map(list, g))
+                                   for g in gates.gates_at_base()]),
+        "stable": gates.stable,
+    }
+
+
+def _constants(cfg: JobConfig, phi: Automorphism) -> dict:
+    m = build_standard_map(phi)
+    depth = cfg.bounds["depth"] or default_gate_depth(phi.presentation)
+    rep = constants_report(m, depth)
+    return {
+        "growth_rate": to_jsonable(rep.growth.value),
+        "growth_bounds": [to_jsonable(rep.growth.lower),
+                          to_jsonable(rep.growth.upper)],
+        "error_bound": to_jsonable(rep.growth.error_bound),
+        "cancellation": to_jsonable(rep.cancellation),
+        "transversality": to_jsonable(rep.transversality),
+        "critical_constant": to_jsonable(rep.critical_constant),
+        "irreducible": rep.irreducible,
+        "growth_eigenvector": to_jsonable(rep.growth_eigenvector),
+        "lipschitz": to_jsonable(m.lipschitz),
+        "metric": rep.metric,
+        "depth": depth,
+    }
+
+
+def _nielsen(cfg: JobConfig, phi: Automorphism) -> dict:
+    m = build_standard_map(phi)
+    found = nielsen_search(m, cfg.bounds["max_len"], cfg.bounds["max_iter"])
+    return {
+        "witnesses": [{
+            "start": to_jsonable(w.path.start),
+            "steps": to_jsonable(w.path.steps),
+            "exponent": w.exponent,
+            "element": to_jsonable(w.element),
+        } for w in found],
+        "count": len(found),
+    }
+
+
+def _torus_ab(cfg: JobConfig, phi: Automorphism) -> dict:
+    rep = mapping_torus_abelianization(phi)
+    return {
+        "invariant_factors": [str(d) for d in rep.invariant_factors],
+        "torsion": [str(d) for d in rep.torsion],
+        "free_rank": rep.free_rank,
+        "generator_images": to_jsonable(rep.generator_images),
+    }
+
+
+def _conjugacy(cfg: JobConfig, phi: Automorphism,
+               phi2: Automorphism) -> dict:
+    verdict = conjugacy_pipeline(phi, phi2, conj_len=cfg.bounds["conj_len"])
+    return {
+        "status": verdict.status,
+        "witness": to_jsonable(verdict.witness),
+        "invariant": to_jsonable(verdict.invariant),
+        "diagnostics": to_jsonable(verdict.diagnostics),
+    }
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: ``runner(cfg, phi[, phi2])`` returns the ``result``
+    block, ``bounds`` maps each bound flag (``max_len`` is ``--max-len``)
+    to its default, ``inputs`` maps each input required besides ``--aut``
+    to its help.  The search commands share ``_search``, which calls
+    ``search(phi, bounds, shard)`` once per shard."""
+
+    help: str
+    runner: Callable
+    bounds: dict = field(default_factory=dict)
+    inputs: dict = field(default_factory=dict)
+    search: Callable | None = None
+
+
+COMMANDS = {
+    "classify": Command(
+        "growth of one conjugacy class", _classify,
+        {"max_iter": 16},
+        inputs={"element": "word in the text grammar, e.g. 'a1.1^2 x1^-1'"}),
+    "atoroidal": Command(
+        "bounded search for periodic classes", _search,
+        {"max_len": 4, "max_exp": 2, "max_iter": 4},
+        search=lambda phi, b, shard=None: atoroidal_search(
+            phi, b["max_len"], b["max_exp"], b["max_iter"], shard=shard)),
+    "twins": Command(
+        "bounded search for twinned subgroups "
+        "(--max-exp bounds the power of the automorphism)", _search,
+        {"max_exp": 2, "conj_len": 2},
+        search=lambda phi, b, shard=None: twin_search(
+            phi, b["max_exp"], b["conj_len"], shard=shard)),
+    "flare": Command(
+        "empirical flare certification", _search,
+        {"min_len": 2, "max_len": 3, "max_exp": 1, "max_iter": 6,
+         "lambda_min": "1.1"},
+        search=lambda phi, b, shard=None: flare_certify(
+            phi, b["min_len"], b["max_len"], b["max_exp"], b["max_iter"],
+            b["lambda_min"], shard=shard)),
+    "traintrack": Command(
+        "verify the train-track property", _traintrack, {"depth": 0}),
+    "constants": Command(
+        "growth rate, cancellation, critical constant", _constants,
+        {"depth": 0}),
+    "nielsen": Command(
+        "bounded search for Nielsen paths", _nielsen,
+        {"max_len": 2, "max_iter": 2}),
+    "torus-ab": Command("mapping torus abelianization", _torus_ab),
+    "conjugacy": Command(
+        "conjugacy pipeline for two automorphisms", _conjugacy,
+        {"conj_len": 3}, inputs={"aut2": "second automorphism JSON file"}),
+}
+
+
+def exit_code(result: dict, strict: bool) -> int:
+    """1 for a failure-style verdict, 3 for undecided under --strict,
+    else 0."""
+    verdict = result.get("verdict", result.get("status"))
+    if verdict in ("witness", "violated", "distinguished"):
+        return 1
+    return 3 if strict and verdict == "undecided" else 0
+
+
 def run(cfg: JobConfig):
     """Execute one job; returns (exit_code, report dict)."""
-    phi = aut_hash = None
-    if cfg.aut_path:
-        phi, aut_hash = load_automorphism(cfg.aut_path)
-    inputs = {}
-    if cfg.aut_path:
-        inputs["aut"] = {"path": os.path.basename(cfg.aut_path),
-                         "sha256": aut_hash}
+    command = COMMANDS.get(cfg.command)
+    if command is None:
+        raise ValueError(f"unknown command {cfg.command}")
+    inputs, auts = {}, []
+    for label, path in (("aut", cfg.aut_path), ("aut2", cfg.aut2_path)):
+        if path:
+            phi, digest = load_automorphism(path)
+            auts.append(phi)
+            inputs[label] = {"path": os.path.basename(path), "sha256": digest}
     if cfg.element is not None:
         inputs["element"] = cfg.element
     report = _report_skeleton(cfg, inputs)
-    b = cfg.bounds
-    exit_code = 0
-
-    if cfg.command == "classify":
-        w = parse_word(cfg.element, phi.presentation)
-        data = orbit_lengths(phi, w, b["max_iter"])
-        verdict = classify_growth(data.lengths, classes=data.classes)
-        mass_verdict = classify_growth(data.masses, classes=data.classes)
-        report["result"] = {
-            "lengths": list(data.lengths),
-            "masses": list(data.masses),
-            "kind": verdict.kind,
-            "heuristic": verdict.heuristic,
-            "rate": to_jsonable(verdict.rate),
-            "degree": verdict.degree,
-            "period": verdict.period,
-            "preperiod": verdict.preperiod,
-            "mass_kind": mass_verdict.kind,
-            "mass_degree": mass_verdict.degree,
-            "diagnostics": to_jsonable(verdict.diagnostics),
-        }
-    elif cfg.command == "atoroidal":
-        rep = _run_sharded("atoroidal", phi,
-                           {"max_len": b["max_len"], "max_exp": b["max_exp"],
-                            "max_iter": b["max_iter"]}, cfg.jobs)
-        report["result"] = _search_result(rep)
-        exit_code = 1 if rep.verdict == "witness" else 0
-    elif cfg.command == "twins":
-        rep = _run_sharded("twins", phi,
-                           {"max_power": b["max_exp"],
-                            "conj_len": b["conj_len"]}, cfg.jobs)
-        report["result"] = _search_result(rep)
-        exit_code = 1 if rep.verdict == "witness" else 0
-    elif cfg.command == "flare":
-        rep = _run_sharded("flare", phi,
-                           {"min_len": b["min_len"], "max_len": b["max_len"],
-                            "max_exp": b["max_exp"], "n_max": b["max_iter"],
-                            "lambda_min": b["lambda_min"]}, cfg.jobs)
-        report["result"] = _search_result(rep)
-        exit_code = 1 if rep.verdict == "witness" else 0
-    elif cfg.command == "traintrack":
-        m = build_standard_map(phi)
-        depth = b.get("depth") or default_gate_depth(phi.presentation)
-        verdict = check_train_track(m, depth)
-        gates = verdict.gates
-        report["result"] = {
-            "status": verdict.status,
-            "witness": to_jsonable(verdict.witness),
-            "depth": depth,
-            "base_gate_count": len(gates.gates_at_base()),
-            "base_gates": to_jsonable([sorted(map(list, g))
-                                       for g in gates.gates_at_base()]),
-            "stable": gates.stable,
-        }
-        exit_code = 1 if verdict.status == "violated" else 0
-        if verdict.status == "undecided" and cfg.strict:
-            exit_code = 3
-    elif cfg.command == "constants":
-        m = build_standard_map(phi)
-        depth = b.get("depth") or default_gate_depth(phi.presentation)
-        rep = constants_report(m, depth)
-        report["result"] = {
-            "growth_rate": to_jsonable(rep.growth.value),
-            "growth_bounds": [to_jsonable(rep.growth.lower),
-                              to_jsonable(rep.growth.upper)],
-            "error_bound": to_jsonable(rep.growth.error_bound),
-            "cancellation": to_jsonable(rep.cancellation),
-            "transversality": to_jsonable(rep.transversality),
-            "critical_constant": to_jsonable(rep.critical_constant),
-            "irreducible": rep.irreducible,
-            "growth_eigenvector": to_jsonable(rep.growth_eigenvector),
-            "lipschitz": to_jsonable(m.lipschitz),
-            "metric": rep.metric,
-            "depth": depth,
-        }
-    elif cfg.command == "nielsen":
-        m = build_standard_map(phi)
-        found = nielsen_search(m, b["max_len"], b["max_iter"])
-        report["result"] = {
-            "witnesses": [{
-                "start": to_jsonable(w.path.start),
-                "steps": to_jsonable(w.path.steps),
-                "exponent": w.exponent,
-                "element": to_jsonable(w.element),
-            } for w in found],
-            "count": len(found),
-        }
-    elif cfg.command == "torus-ab":
-        rep = mapping_torus_abelianization(phi)
-        report["result"] = {
-            "invariant_factors": [str(d) for d in rep.invariant_factors],
-            "torsion": [str(d) for d in rep.torsion],
-            "free_rank": rep.free_rank,
-            "generator_images": to_jsonable(rep.generator_images),
-        }
-    elif cfg.command == "conjugacy":
-        phi2, aut2_hash = load_automorphism(cfg.aut2_path)
-        report["inputs"]["aut2"] = {"path": os.path.basename(cfg.aut2_path),
-                                    "sha256": aut2_hash}
-        verdict = conjugacy_pipeline(phi, phi2, conj_len=b.get("conj_len", 3))
-        report["result"] = {
-            "status": verdict.status,
-            "witness": to_jsonable(verdict.witness),
-            "invariant": to_jsonable(verdict.invariant),
-            "diagnostics": to_jsonable(verdict.diagnostics),
-        }
-        exit_code = 1 if verdict.status == "distinguished" else 0
-        if verdict.status == "undecided" and cfg.strict:
-            exit_code = 3
-    else:
-        raise ValueError(f"unknown command {cfg.command}")
-
-    if cfg.strict and exit_code == 0 and \
-            report.get("result", {}).get("verdict") == "undecided":
-        exit_code = 3
+    report["result"] = command.runner(cfg, *auts)
     report["canonical_sha256"] = _sha256_bytes(
         canonical_json(report).encode())
-    return exit_code, report
+    return exit_code(report["result"], cfg.strict), report
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +356,7 @@ def run(cfg: JobConfig):
 
 def _cache_dir(cfg: JobConfig) -> Path | None:
     path = cfg.cache_dir or os.environ.get("FPAUT_CACHE")
-    if path is None:
-        return None
-    return Path(path)
+    return None if path is None else Path(path)
 
 
 def _cache_key(cfg: JobConfig) -> str:
@@ -339,27 +370,45 @@ def _cache_key(cfg: JobConfig) -> str:
     return _sha256_bytes(canonical_json(ident).encode())
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file, so readers see no entry or a whole one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def run_with_cache(cfg: JobConfig):
+    """`run` through the cache.  An entry holds the report only; the exit
+    code is derived from it and from this job's --strict."""
     cache = _cache_dir(cfg)
-    if cache is not None:
-        entry = cache / f"{_cache_key(cfg)}.json"
-        if entry.exists():
-            doc = json.loads(entry.read_text())
-            return doc["exit_code"], doc["report"]
+    entry = None if cache is None else cache / f"{_cache_key(cfg)}.json"
+    if entry is not None and entry.exists():
+        report = json.loads(entry.read_text())
+        if "result" in report:  # an entry of an older layout is recomputed
+            return exit_code(report["result"], cfg.strict), report
     t0 = time.perf_counter()
-    exit_code, report = run(cfg)
+    code, report = run(cfg)
     elapsed = time.perf_counter() - t0
-    if cache is not None:
+    if entry is not None:
         cache.mkdir(parents=True, exist_ok=True)
-        entry = cache / f"{_cache_key(cfg)}.json"
-        entry.write_text(canonical_json({"exit_code": exit_code,
-                                         "report": report}))
+        _write_atomic(entry, canonical_json(report))
     report["timing"] = {"seconds": elapsed}
-    return exit_code, report
+    return code, report
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+_BOUND_HELP = {
+    "depth": "gate iteration depth (0 = 2(p+k)+4)",
+    "lambda_min": "decimal string, must be > 1",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -367,91 +416,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact analysis of automorphisms of free products of "
                     "free-abelian groups and free groups")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, aut2=False, element=False):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--aut", required=True, help="automorphism JSON file")
-        if aut2:
-            p.add_argument("--aut2", required=True,
-                           help="second automorphism JSON file")
-        if element:
-            p.add_argument("--element", required=True,
-                           help="word in the text grammar, e.g. 'a1.1^2 x1^-1'")
-        p.add_argument("--jobs", type=int, default=1)
+        for label, text in command.inputs.items():
+            p.add_argument(f"--{label}", required=True, help=text)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (at most the CPU count)")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 on undecided verdicts")
         p.add_argument("--out", help="also write the JSON report here")
         p.add_argument("--cache-dir", help="cache directory "
                                            "(FPAUT_CACHE overrides the default of no cache)")
-
-    p = sub.add_parser("classify", help="growth of one conjugacy class")
-    common(p, element=True)
-    p.add_argument("--max-iter", type=int, default=16)
-
-    p = sub.add_parser("atoroidal", help="bounded search for periodic classes")
-    common(p)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-exp", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=4)
-
-    p = sub.add_parser("twins", help="bounded search for twinned subgroups")
-    common(p)
-    p.add_argument("--max-exp", type=int, default=2,
-                   help="bound on the power of the automorphism")
-    p.add_argument("--conj-len", type=int, default=2)
-
-    p = sub.add_parser("flare", help="empirical flare certification")
-    common(p)
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-exp", type=int, default=1)
-    p.add_argument("--max-iter", type=int, default=6)
-    p.add_argument("--lambda-min", default="1.1",
-                   help="decimal string, must be > 1")
-
-    p = sub.add_parser("traintrack", help="verify the train-track property")
-    common(p)
-    p.add_argument("--depth", type=int, default=0,
-                   help="gate iteration depth (0 = 2(p+k)+4)")
-
-    p = sub.add_parser("constants", help="growth rate, cancellation, critical constant")
-    common(p)
-    p.add_argument("--depth", type=int, default=0)
-
-    p = sub.add_parser("nielsen", help="bounded search for Nielsen paths")
-    common(p)
-    p.add_argument("--max-len", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=2)
-
-    p = sub.add_parser("torus-ab", help="mapping torus abelianization")
-    common(p)
-
-    p = sub.add_parser("conjugacy", help="conjugacy pipeline for two automorphisms")
-    common(p, aut2=True)
-    p.add_argument("--conj-len", type=int, default=3)
+        for key, default in command.bounds.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                           default=default, help=_BOUND_HELP.get(key))
     return top
-
-
-_BOUND_KEYS = ("max_len", "max_exp", "max_iter", "min_len", "conj_len",
-               "depth", "lambda_min")
 
 
 def config_from_args(argv) -> JobConfig:
     ns = _build_parser().parse_args(argv)
-    bounds = {k: getattr(ns, k) for k in _BOUND_KEYS if hasattr(ns, k)}
-    if "lambda_min" in bounds:
-        lam = Fraction(str(bounds["lambda_min"]))
-        if lam <= 1:
-            raise ParseError(0, "--lambda-min must be > 1")
+    bounds = {key: getattr(ns, key) for key in COMMANDS[ns.command].bounds}
     for key, val in bounds.items():
-        if key != "lambda_min" and key != "depth" and val is not None and val < 1:
+        if key == "lambda_min":
+            if Fraction(val) <= 1:
+                raise ParseError(0, "--lambda-min must be > 1")
+        elif key != "depth" and val < 1:
             raise ParseError(0, f"--{key.replace('_', '-')} must be positive")
+    if ns.jobs < 1:
+        raise ParseError(0, "--jobs must be positive")
     return JobConfig(
         command=ns.command,
-        aut_path=getattr(ns, "aut", None),
+        aut_path=ns.aut,
         aut2_path=getattr(ns, "aut2", None),
         element=getattr(ns, "element", None),
         bounds=bounds,
-        jobs=ns.jobs,
+        jobs=min(ns.jobs, os.cpu_count() or 1),
         strict=ns.strict,
         out_path=ns.out,
         cache_dir=ns.cache_dir,
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = config_from_args(argv)
-        exit_code, report = run_with_cache(cfg)
+        code, report = run_with_cache(cfg)
     except (FpAutError, OSError, KeyError, ValueError, json.JSONDecodeError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 2
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     print(text)
     if cfg.out_path:
         Path(cfg.out_path).write_text(text + "\n")
-    return exit_code
+    return code
 
 
 if __name__ == "__main__":

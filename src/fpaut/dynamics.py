@@ -21,8 +21,8 @@ from .automorphisms import (Automorphism, apply, apply_power,
 from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    conjugate_test, cyclic_normal_form, double_coset_rep,
-                    multiply)
+                    _track, conjugate_test, cyclic_normal_form,
+                    double_coset_rep, multiply)
 
 
 def _require_class_preserving(phi: Automorphism):
@@ -59,8 +59,43 @@ def _syllables_of_mass(pres: Presentation, mass: int):
     return out
 
 
-def _track(s):
-    return ("A", s.factor) if isinstance(s, FactorSyllable) else ("X", s.letter)
+def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
+                      min_len: int = 1, cyclic: bool = False):
+    """Normal-form syllable tuples of min_len..max_len syllables, each of
+    exponent mass at most max_exp, in graded order (see `graded_key`).
+
+    With `cyclic` the last and first syllable must lie in different factors
+    as well, so every tuple is cyclically reduced.
+    """
+    per_mass = {m: _syllables_of_mass(pres, m) for m in range(1, max_exp + 1)}
+
+    def rec(acc, m, remaining):
+        pos = len(acc)
+        if pos == m:
+            if remaining == 0 and not (cyclic and m >= 2
+                                       and _track(acc[-1]) == _track(acc[0])):
+                yield tuple(acc)
+            return
+        slots_left = m - pos - 1
+        lo = max(1, remaining - slots_left * max_exp)
+        hi = min(max_exp, remaining - slots_left)
+        for mass in range(lo, hi + 1):
+            for s in per_mass[mass]:
+                if pos and _track(s) == _track(acc[-1]):
+                    continue
+                acc.append(s)
+                yield from rec(acc, m, remaining - mass)
+                acc.pop()
+
+    for m in range(max(1, min_len), max_len + 1):
+        for total in range(m, m * max_exp + 1):
+            yield from rec([], m, total)
+
+
+def graded_key(w: Word):
+    """Sort key of the graded order: syllable count, then total exponent
+    mass, then syllable by syllable (mass, sort key)."""
+    return (len(w), w.mass, tuple((s.mass, s.sort_key()) for s in w.syllables))
 
 
 def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
@@ -71,66 +106,24 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     lexicographically least rotation of its class; ordering is by syllable
     count, then total exponent mass, then lexicographic.
     """
-    per_mass = {m: _syllables_of_mass(pres, m) for m in range(1, max_exp + 1)}
-
-    def build(m, total):
-        # sequences of m syllables of total mass `total`, cyclically reduced
-        def rec(acc, remaining):
-            pos = len(acc)
-            if pos == m:
-                if remaining == 0 and (m < 2 or _track(acc[-1]) != _track(acc[0])):
-                    yield tuple(acc)
-                return
-            slots_left = m - pos - 1
-            lo = max(1, remaining - slots_left * max_exp)
-            hi = min(max_exp, remaining - slots_left)
-            for mass in range(lo, hi + 1):
-                for s in per_mass[mass]:
-                    if pos and _track(s) == _track(acc[-1]):
-                        continue
-                    acc.append(s)
-                    yield from rec(acc, remaining - mass)
-                    acc.pop()
-        yield from rec([], total)
-
-    for m in range(max(1, min_len), max_len + 1):
-        for total in range(m, m * max_exp + 1):
-            for syl in build(m, total):
-                if hyperbolic_only and m == 1 and isinstance(syl[0], FactorSyllable):
-                    continue
-                keys = [s.sort_key() for s in syl]
-                if m > 1:
-                    rots = [keys[r:] + keys[:r] for r in range(m)]
-                    if keys != min(rots):
-                        continue
-                yield Word(pres, syl)
+    for syl in _graded_sequences(pres, max_len, max_exp, min_len, cyclic=True):
+        m = len(syl)
+        if hyperbolic_only and m == 1 and isinstance(syl[0], FactorSyllable):
+            continue
+        keys = [s.sort_key() for s in syl]
+        if m > 1:
+            rots = [keys[r:] + keys[:r] for r in range(m)]
+            if keys != min(rots):
+                continue
+        yield Word(pres, syl)
 
 
 def enumerate_words(pres: Presentation, max_len: int, max_exp: int):
     """All normal-form words with <= max_len syllables, graded; starts with
     the empty word."""
-    per_mass = {m: _syllables_of_mass(pres, m) for m in range(1, max_exp + 1)}
     yield Word(pres)
-    for m in range(1, max_len + 1):
-        for total in range(m, m * max_exp + 1):
-            def rec(acc, remaining):
-                pos = len(acc)
-                if pos == m:
-                    if remaining == 0:
-                        yield tuple(acc)
-                    return
-                slots_left = m - pos - 1
-                lo = max(1, remaining - slots_left * max_exp)
-                hi = min(max_exp, remaining - slots_left)
-                for mass in range(lo, hi + 1):
-                    for s in per_mass[mass]:
-                        if pos and _track(s) == _track(acc[-1]):
-                            continue
-                        acc.append(s)
-                        yield from rec(acc, remaining - mass)
-                        acc.pop()
-            for syl in rec([], total):
-                yield Word(pres, syl)
+    for syl in _graded_sequences(pres, max_len, max_exp):
+        yield Word(pres, syl)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                 "witness", bounds,
                 witness={"factor_i": i, "conj_u": u, "factor_j": j,
                          "conj_v": v, "power": m, "element": g,
-                         "index": (m, idx)},
+                         "index": (m - 1) * len(pairs) + idx},
                 tested=tested, elapsed=time.perf_counter() - t0)
     return SearchReport("exhausted", bounds, tested=tested,
                         elapsed=time.perf_counter() - t0,
@@ -415,21 +408,29 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
                 ok[n] = False
                 if n == n_max:
                     failures_at_nmax.append(g)
-    profile = tuple(ok[1:])
-    for n in range(1, n_max + 1):
-        if ok[n]:
-            cert = {"lambda": str(lam), "exponent": n,
-                    "min_len": min_len, "max_len": max_len, "max_exp": max_exp,
+    return flare_report(bounds, tuple(ok[1:]), failures_at_nmax, tested,
+                        elapsed=time.perf_counter() - t0)
+
+
+def flare_report(bounds: dict, profile: tuple, failures: list, tested: int,
+                 elapsed: float = 0.0) -> SearchReport:
+    """The flare verdict of a per-exponent profile (profile[N-1]: the
+    inequality held for every word at N): a certificate at the least such
+    N, else the words failing at n_max."""
+    for n, ok in enumerate(profile, start=1):
+        if ok:
+            cert = {"lambda": bounds["lambda_min"], "exponent": n,
+                    "min_len": bounds["min_len"], "max_len": bounds["max_len"],
+                    "max_exp": bounds["max_exp"],
                     "metric": "cyclic syllable length",
                     "quantified_over": "enumerated conjugacy classes",
                     "empirical": True}
             return SearchReport("exhausted", bounds, certificate=cert,
-                                tested=tested,
-                                elapsed=time.perf_counter() - t0,
+                                tested=tested, elapsed=elapsed,
                                 notes="empirical evidence, not a proof",
                                 profile=profile)
-    return SearchReport("witness", bounds, counterexamples=failures_at_nmax,
-                        tested=tested, elapsed=time.perf_counter() - t0,
+    return SearchReport("witness", bounds, counterexamples=failures,
+                        tested=tested, elapsed=elapsed,
                         notes="words failing the flare inequality at n_max",
                         profile=profile)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automorphisms import Automorphism, apply_power
+from .dynamics import _vectors_of_mass
 from .errors import (DifferentVertices, EmptyWord, FactorsPermuted,
                      UnknownDirection)
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
@@ -274,11 +275,6 @@ class GraphMap:
             steps.extend(self.image_of_direction_path(step))
         return EdgePath(path.presentation, path.start,
                         reduce_steps(path.presentation, steps))
-
-    def apply_power_to_path(self, n: int, path: EdgePath) -> EdgePath:
-        for _ in range(n):
-            path = self.apply_to_path(path)
-        return path
 
     def edge_directions(self):
         """One direction per edge orbit."""
@@ -664,8 +660,8 @@ class NielsenWitness:
     element: Word
 
 
-def nielsen_search(m: GraphMap, len_bound: int, exp_bound: int,
-                   shard: tuple[int, int] | None = None) -> list[NielsenWitness]:
+def nielsen_search(m: GraphMap, len_bound: int,
+                   exp_bound: int) -> list[NielsenWitness]:
     """Reduced paths with <= len_bound edges and [f^n(path)] = g . path.
 
     Decoration vectors are enumerated with L1 mass <= len_bound; paths
@@ -675,26 +671,13 @@ def nielsen_search(m: GraphMap, len_bound: int, exp_bound: int,
     level before being reported.
     """
     witnesses = []
-    count = 0
     for path in _enumerate_paths(m.presentation, len_bound):
-        count += 1
-        if shard is not None and count % shard[1] != shard[0]:
-            continue
         found = _nielsen_test(m, path, exp_bound)
         if found is not None:
             witnesses.append(found)
     witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
                                   path_key(w.path.steps)))
     return witnesses
-
-
-def _vectors_up_to_mass(dim, bound):
-    if dim == 0:
-        yield ()
-        return
-    for head in range(-bound, bound + 1):
-        for tail in _vectors_up_to_mass(dim - 1, bound - abs(head)):
-            yield (head,) + tail
 
 
 def _enumerate_paths(pres: Presentation, len_bound: int):
@@ -713,7 +696,8 @@ def _enumerate_paths(pres: Presentation, len_bound: int):
             if first_step:
                 yield ("T", i, tuple(0 for _ in range(dim)))
             else:
-                for vec in sorted(_vectors_up_to_mass(dim, len_bound)):
+                for vec in sorted(v for mass in range(len_bound + 1)
+                                  for v in _vectors_of_mass(dim, mass)):
                     yield ("T", i, vec)
 
     def rec(start, steps, at):

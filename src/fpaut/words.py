@@ -311,13 +311,6 @@ def cyclic_syllable_length(w: Word) -> int:
     return len(cyclic_normal_form(w).core)
 
 
-def cyclic_mass(w: Word) -> int:
-    """Total exponent L1 magnitude of the cyclically reduced core."""
-    if not w:
-        return 0
-    return cyclic_normal_form(w).mass
-
-
 def is_hyperbolic(w: Word) -> bool:
     """True when w is not conjugate into any abelian factor.
 

@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
-from fpaut import Presentation, parse_word, render_word
-from fpaut.cli import (canonical_json, config_from_args,
-                       load_automorphism, main, run, run_with_cache)
+from fpaut import (Presentation, atoroidal_search, flare_certify, parse_word,
+                   render_word, twin_search)
+from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
+                       config_from_args, exit_code, load_automorphism, main,
+                       run, run_with_cache)
 from fpaut.errors import IndexOutOfRange, ParseError
 
 FIB = {
@@ -31,6 +34,20 @@ INTRO = {
                        "a2.3": "a2.2"},
 }
 
+MIXED = {
+    "group": {"abelian_factors": [2], "free_rank": 1},
+    "images": {"a1.1": "a1.1", "a1.2": "a1.2", "x1": "a1.1 x1"},
+    "inverse_images": {"a1.1": "a1.1", "a1.2": "a1.2", "x1": "a1.1^-1 x1"},
+}
+
+# fib conjugated by the letter swap: conjugate in Out, but the witness is
+# outside the pipeline's candidate family, so the verdict is undecided
+FIB_SWAPPED = {
+    "group": {"abelian_factors": [], "free_rank": 2},
+    "images": {"x1": "x2", "x2": "x2 x1"},
+    "inverse_images": {"x1": "x1^-1 x2", "x2": "x1"},
+}
+
 
 @pytest.fixture
 def fib_file(tmp_path):
@@ -50,6 +67,20 @@ def twist_file(tmp_path):
 def intro_file(tmp_path):
     path = tmp_path / "intro.json"
     path.write_text(json.dumps(INTRO))
+    return str(path)
+
+
+@pytest.fixture
+def mixed_file(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED))
+    return str(path)
+
+
+@pytest.fixture
+def swapped_file(tmp_path):
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(FIB_SWAPPED))
     return str(path)
 
 
@@ -182,35 +213,157 @@ def test_cache_round_trip(fib_file, tmp_path):
     assert rep1["canonical_sha256"] == rep2["canonical_sha256"]
 
 
+def assert_jobs_match_serial(argv, jobs="2"):
+    code, serial = run(config_from_args(argv))
+    code_j, parallel = run(config_from_args(argv + ["--jobs", jobs]))
+    assert (code_j, parallel["result"]) == (code, serial["result"])
+    assert parallel["canonical_sha256"] == serial["canonical_sha256"]
+
+
 def test_jobs_match_serial(intro_file):
-    argv = ["twins", "--aut", intro_file, "--max-exp", "2", "--conj-len", "2"]
-    _, serial = run(config_from_args(argv))
-    _, parallel = run(config_from_args(argv + ["--jobs", "2"]))
-    assert serial["result"]["witness"] == parallel["result"]["witness"]
+    assert_jobs_match_serial(
+        ["twins", "--aut", intro_file, "--max-exp", "2", "--conj-len", "2"])
 
 
 def test_jobs_match_serial_flare(intro_file):
-    argv = ["flare", "--aut", intro_file, "--min-len", "2", "--max-len", "2",
-            "--max-exp", "1", "--max-iter", "3", "--lambda-min", "1.1"]
-    _, serial = run(config_from_args(argv))
-    _, parallel = run(config_from_args(argv + ["--jobs", "3"]))
-    assert serial["result"]["verdict"] == parallel["result"]["verdict"]
-    assert serial["result"]["counterexamples"] == \
-        parallel["result"]["counterexamples"]
+    assert_jobs_match_serial(
+        ["flare", "--aut", intro_file, "--min-len", "2", "--max-len", "2",
+         "--max-exp", "1", "--max-iter", "3", "--lambda-min", "1.1"], jobs="3")
 
 
-def test_strict_undecided_exit_3(fib_file, tmp_path, capsys):
-    # fib conjugated by the letter swap is conjugate in Out, but the witness
-    # is outside the pipeline's candidate family: an honest undecided
-    doc = {"group": {"abelian_factors": [], "free_rank": 2},
-           "images": {"x1": "x2", "x2": "x2 x1"},
-           "inverse_images": {"x1": "x1^-1 x2", "x2": "x1"}}
-    other = tmp_path / "swapped.json"
-    other.write_text(json.dumps(doc))
+def test_jobs_match_serial_flare_mixed(mixed_file):
+    # shards interleave the counterexamples; the merge restores their
+    # enumeration order
+    assert_jobs_match_serial(
+        ["flare", "--aut", mixed_file, "--min-len", "2", "--max-len", "3",
+         "--max-exp", "2", "--max-iter", "6"])
+
+
+def test_jobs_match_serial_atoroidal(fib_file):
+    # the serial search stops at its first witness; `tested` counts up to it
+    assert_jobs_match_serial(
+        ["atoroidal", "--aut", fib_file, "--max-len", "5", "--max-exp", "3",
+         "--max-iter", "4"])
+
+
+SEARCHES = {"atoroidal": atoroidal_search, "twins": twin_search,
+            "flare": flare_certify}
+
+
+@pytest.mark.parametrize("kind, fixture, args", [
+    ("atoroidal", "intro_anosov", (4, 1, 2)),        # exhausted
+    ("atoroidal", "fibonacci", (4, 1, 2)),           # witness
+    ("twins", "intro_anosov", (2, 2)),               # witness
+    ("twins", "fibonacci", (2, 2)),                  # exhausted
+    ("flare", "intro_anosov", (2, 2, 1, 3, "1.1")),
+    ("flare", "mixed", (2, 3, 2, 6, "1.1")),         # counterexamples not
+                                                     # in Word.sort_key order
+])
+@pytest.mark.parametrize("shards", [2, 3, 5])
+def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
+    # in-process shards, so shard counts above the CPU count are covered
+    phi = request.getfixturevalue(fixture)
+    phi = phi[0] if isinstance(phi, tuple) else phi
+    search = SEARCHES[kind]
+    serial = search(phi, *args)
+    merged = _merge_reports(kind, [search(phi, *args, shard=(s, shards))
+                                   for s in range(shards)])
+    for attr in ("verdict", "witness", "counterexamples", "certificate",
+                 "tested", "notes", "profile"):
+        assert getattr(merged, attr) == getattr(serial, attr), attr
+
+
+def test_strict_undecided_exit_3(fib_file, swapped_file):
     code, report = run(config_from_args(
-        ["conjugacy", "--aut", fib_file, "--aut2", str(other), "--strict"]))
+        ["conjugacy", "--aut", fib_file, "--aut2", swapped_file, "--strict"]))
     assert report["result"]["status"] == "undecided"
     assert code == 3
+
+
+def test_cache_exit_code_follows_strict(fib_file, swapped_file, tmp_path):
+    argv = ["conjugacy", "--aut", fib_file, "--aut2", swapped_file,
+            "--conj-len", "2", "--cache-dir", str(tmp_path / "cache")]
+    strict_code, strict = run_with_cache(config_from_args(argv + ["--strict"]))
+    plain_code, plain = run_with_cache(config_from_args(argv))
+    assert "timing" not in plain  # a cache hit
+    assert (strict_code, plain_code) == (3, 0)
+    assert plain["canonical_sha256"] == strict["canonical_sha256"]
+
+
+def test_cache_entry_holds_report_only(fib_file, tmp_path):
+    cache = tmp_path / "cache"
+    _, report = run_with_cache(config_from_args(
+        ["torus-ab", "--aut", fib_file, "--cache-dir", str(cache)]))
+    entries = list(cache.iterdir())
+    assert len(entries) == 1 and entries[0].suffix == ".json"
+    doc = json.loads(entries[0].read_text())
+    assert "exit_code" not in doc
+    assert doc["canonical_sha256"] == report["canonical_sha256"]
+
+
+# bounds of every command when no bound flag is given
+DEFAULT_BOUNDS = {
+    "classify": {"max_iter": 16},
+    "atoroidal": {"max_len": 4, "max_exp": 2, "max_iter": 4},
+    "twins": {"max_exp": 2, "conj_len": 2},
+    "flare": {"min_len": 2, "max_len": 3, "max_exp": 1, "max_iter": 6,
+              "lambda_min": "1.1"},
+    "traintrack": {"depth": 0},
+    "constants": {"depth": 0},
+    "nielsen": {"max_len": 2, "max_iter": 2},
+    "torus-ab": {},
+    "conjugacy": {"conj_len": 3},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_BOUNDS))
+def test_default_bounds(command):
+    argv = [command, "--aut", "a.json"]
+    if command == "classify":
+        argv += ["--element", "x1"]
+    if command == "conjugacy":
+        argv += ["--aut2", "b.json"]
+    cfg = config_from_args(argv)
+    assert cfg.bounds == DEFAULT_BOUNDS[command]
+    assert (cfg.jobs, cfg.strict) == (1, False)
+
+
+def test_command_table_is_the_cli():
+    assert set(COMMANDS) == set(DEFAULT_BOUNDS)
+
+
+@pytest.mark.parametrize("result, plain, strict", [
+    ({"verdict": "witness"}, 1, 1),
+    ({"verdict": "exhausted"}, 0, 0),
+    ({"verdict": "undecided"}, 0, 3),
+    ({"status": "holds"}, 0, 0),
+    ({"status": "violated"}, 1, 1),
+    ({"status": "undecided"}, 0, 3),
+    ({"status": "conjugate"}, 0, 0),
+    ({"status": "distinguished"}, 1, 1),
+    ({"kind": "exponential"}, 0, 0),   # classify: no verdict
+    ({"count": 0, "witnesses": []}, 0, 0),   # nielsen
+])
+def test_exit_code_rule(result, plain, strict):
+    assert exit_code(result, False) == plain
+    assert exit_code(result, True) == strict
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(fib_file, jobs, capsys):
+    argv = ["atoroidal", "--aut", fib_file, "--jobs", jobs]
+    with pytest.raises(ParseError):
+        config_from_args(argv)
+    assert main(argv) == 2
+    capsys.readouterr()
+
+
+def test_jobs_clamped_to_cpu_count(fib_file):
+    # only parsed: no pool is started
+    cpus = os.cpu_count() or 1
+    cfg = config_from_args(["atoroidal", "--aut", fib_file,
+                            "--jobs", str(cpus + 100)])
+    assert cfg.jobs == cpus
 
 
 def test_main_exit_codes(fib_file, capsys, tmp_path):

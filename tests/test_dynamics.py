@@ -7,7 +7,7 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    enumerate_cyclic_words, flare_certify, invert, multiply,
                    no_twin_implication_check, orbit_lengths, parse_word, power,
                    twin_search)
-from fpaut.dynamics import enumerate_words
+from fpaut.dynamics import enumerate_words, graded_key
 from fpaut.errors import FactorsPermuted, TooShort
 from fpaut.words import FactorSyllable, FreeSyllable, reduce_syllables
 
@@ -43,6 +43,24 @@ def test_enumerate_words_includes_empty(z2z2):
     words = list(enumerate_words(z2z2, 1, 1))
     assert words[0] == Word(z2z2)
     assert len(words) == 1 + 8  # 4 basis vectors +- per factor
+
+
+@pytest.mark.parametrize("ranks, free, max_len, max_exp", [
+    ((2,), 1, 3, 2), ((2, 3), 0, 3, 2), ((), 2, 4, 2)])
+def test_enumerations_in_graded_key_order(ranks, free, max_len, max_exp):
+    pres = Presentation(ranks, free)
+    words = list(enumerate_words(pres, max_len, max_exp))[1:]
+    cyclic = list(enumerate_cyclic_words(pres, max_len, max_exp))
+    for seq in (words, cyclic):
+        keys = [graded_key(w) for w in seq]
+        assert keys == sorted(set(keys))
+    # the cyclic enumeration is the word enumeration filtered to
+    # cyclically reduced, rotation-least, hyperbolic words
+    assert cyclic == [
+        w for w in words
+        if len(cyclic_normal_form(w)) == len(w)
+        and cyclic_normal_form(w).canonical_rotation() == w.syllables
+        and (len(w) > 1 or isinstance(w.syllables[0], FreeSyllable))]
 
 
 # --- orbit growth ------------------------------------------------------------
