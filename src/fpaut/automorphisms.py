@@ -8,6 +8,15 @@ ad_{g_i^-1} o phi on each factor.
 
 Inverting an automorphism given only by images is a nontrivial algorithmic
 problem; requiring the inverse table keeps validation cheap and decidable.
+
+A validated automorphism acts on words syllable by syllable, through data
+built once on first use: a factor syllable a_i^v maps to
+g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
+c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
+phi(x_l).  The inverse side is built the same way from the inverse table.
+The concatenated syllables are reduced once.  Only the two-sided inverse
+check of `validate`, which runs on tables not yet known to be factor
+preserving, expands the tables generator by generator (`_apply_table`).
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from .errors import (FactorsPermuted, NotAnAutomorphism, NotFactorPreserving,
                      PresentationMismatch)
 from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    cyclic_normal_form, multiply, reduce_syllables)
+                    _syllable_power, cyclic_normal_form, multiply,
+                    reduce_syllables)
 from .words import power as word_power
 
 
@@ -37,6 +47,8 @@ def generator_word(pres: Presentation, name: str) -> Word:
 
 
 def _apply_table(table: dict[str, Word], pres: Presentation, w: Word) -> Word:
+    """The word w with every generator replaced by its table entry; the
+    check of raw tables in `validate`, and the tests' reference action."""
     parts = []
     for s in w.syllables:
         if isinstance(s, FreeSyllable):
@@ -78,6 +90,18 @@ class Automorphism:
         return self.factor_matrices[i - 1]
 
     @cached_property
+    def _forward(self):
+        """The action of phi on syllables (see `_side`)."""
+        return _side(self.images, self.presentation, self.factor_permutation,
+                     self.conjugators, self.factor_matrices)
+
+    @cached_property
+    def _backward(self):
+        """The action of phi^-1 on syllables (see `_side`)."""
+        return _side(self.inverse_images, self.presentation,
+                     *_factor_data(self.inverse_images, self.presentation))
+
+    @cached_property
     def abelianized_matrix(self) -> IntegerMatrix:
         """Action on G_ab, basis: factor generators then free letters."""
         pres = self.presentation
@@ -104,23 +128,15 @@ def _strip_trailing(w: Word, factor: int) -> Word:
     return Word(w.presentation, syl)
 
 
-def validate(images: dict[str, Word], inverse_images: dict[str, Word],
-             pres: Presentation) -> Automorphism:
-    """Certify an automorphism of (G, its free factor system).
+def _factor_data(table: dict[str, Word], pres: Presentation):
+    """(sigma, conjugators, matrices) of a table of factor images: the
+    factor permutation, the canonical g_i and the matrices M_i of
+    ad_{g_i^-1} o phi on A_i.
 
     Raises NotFactorPreserving when some factor image is not elliptic in a
-    single target factor with a common conjugator, and NotAnAutomorphism when
-    the two tables are not two-sided inverses on generators.
+    single target factor with a common conjugator, or the factor map is
+    not a rank-preserving permutation.
     """
-    names = pres.generator_names()
-    for table, label in ((images, "images"), (inverse_images, "inverse_images")):
-        missing = set(names) - set(table)
-        if missing:
-            raise NotAnAutomorphism(f"{label} missing generators {sorted(missing)}")
-        for name in names:
-            if table[name].presentation != pres:
-                raise PresentationMismatch(f"{label}[{name}] over a different presentation")
-
     p = pres.num_factors
     sigma = []
     conjugators = []
@@ -131,7 +147,7 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
         conj = None
         columns = []
         for j in range(1, rank + 1):
-            w = images[f"a{i}.{j}"]
+            w = table[f"a{i}.{j}"]
             if not w:
                 raise NotFactorPreserving(f"a{i}.{j} maps to the empty word")
             cyc = cyclic_normal_form(w)
@@ -158,6 +174,27 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
 
     if sorted(sigma) != list(range(1, p + 1)):
         raise NotFactorPreserving(f"factor map {sigma} is not a permutation")
+    return tuple(sigma), tuple(conjugators), tuple(matrices)
+
+
+def validate(images: dict[str, Word], inverse_images: dict[str, Word],
+             pres: Presentation) -> Automorphism:
+    """Certify an automorphism of (G, its free factor system).
+
+    Raises NotFactorPreserving when some factor image is not elliptic in a
+    single target factor with a common conjugator, and NotAnAutomorphism when
+    the two tables are not two-sided inverses on generators.
+    """
+    names = pres.generator_names()
+    for table, label in ((images, "images"), (inverse_images, "inverse_images")):
+        missing = set(names) - set(table)
+        if missing:
+            raise NotAnAutomorphism(f"{label} missing generators {sorted(missing)}")
+        for name in names:
+            if table[name].presentation != pres:
+                raise PresentationMismatch(f"{label}[{name}] over a different presentation")
+
+    sigma, conjugators, matrices = _factor_data(images, pres)
 
     for name in names:
         gen = generator_word(pres, name)
@@ -171,7 +208,51 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
             raise NotFactorPreserving(f"restriction to factor {i} is not invertible")
 
     return Automorphism(pres, dict(images), dict(inverse_images),
-                        tuple(sigma), tuple(conjugators), tuple(matrices))
+                        sigma, conjugators, matrices)
+
+
+def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
+          matrices):
+    """One direction of a validated automorphism, as plain tuples (so an
+    Automorphism that carries it still pickles for the worker pool).
+
+    Per factor i: (g_i syllables, sigma(i), M_i, g_i^-1 syllables).
+    Per letter l: (c_l syllables, core_l, core_l^-1, c_l^-1 syllables) for
+    the cyclic normal form c_l . core_l . c_l^-1 of the image of x_l.
+    """
+    factors = tuple((g.syllables, t, m, g.inverse().syllables)
+                    for t, g, m in zip(sigma, conjugators, matrices))
+    letters = []
+    for l in range(1, pres.free_rank + 1):
+        cyc = cyclic_normal_form(table[f"x{l}"])
+        c = cyc.conjugator
+        letters.append((c.syllables, cyc.core,
+                        tuple(s.inverse() for s in reversed(cyc.core)),
+                        c.inverse().syllables))
+    return factors, tuple(letters)
+
+
+def _act(side, pres: Presentation, w: Word) -> Word:
+    """The image of w under one side built by `_side`."""
+    factors, letters = side
+    raw = []
+    for s in w.syllables:
+        if isinstance(s, FactorSyllable):
+            g, target, m, g_inv = factors[s.factor - 1]
+            raw += g
+            raw.append(FactorSyllable(target, m.apply(s.vector)))
+            raw += g_inv
+        else:
+            c, core, core_inv, c_inv = letters[s.letter - 1]
+            e = s.exponent
+            raw += c
+            if len(core) == 1:
+                raw.append(_syllable_power(core[0], e))
+            else:
+                # the core is cyclically reduced: core^e is core repeated
+                raw += core * e if e > 0 else core_inv * -e
+            raw += c_inv
+    return reduce_syllables(raw, pres)
 
 
 def identity_automorphism(pres: Presentation) -> Automorphism:
@@ -192,22 +273,26 @@ def ad(g: Word, pres: Presentation | None = None) -> Automorphism:
     return validate(images, inverse_images, pres)
 
 
-def apply(phi: Automorphism, w: Word) -> Word:
+def _check_presentation(phi: Automorphism, w: Word) -> None:
     if w.presentation != phi.presentation:
         raise PresentationMismatch("word over a different presentation")
-    return _apply_table(phi.images, phi.presentation, w)
+
+
+def apply(phi: Automorphism, w: Word) -> Word:
+    _check_presentation(phi, w)
+    return _act(phi._forward, phi.presentation, w)
 
 
 def apply_inverse(phi: Automorphism, w: Word) -> Word:
-    if w.presentation != phi.presentation:
-        raise PresentationMismatch("word over a different presentation")
-    return _apply_table(phi.inverse_images, phi.presentation, w)
+    _check_presentation(phi, w)
+    return _act(phi._backward, phi.presentation, w)
 
 
 def apply_power(phi: Automorphism, n: int, w: Word) -> Word:
-    table = phi.images if n >= 0 else phi.inverse_images
+    _check_presentation(phi, w)
+    side = phi._forward if n >= 0 else phi._backward
     for _ in range(abs(n)):
-        w = _apply_table(table, phi.presentation, w)
+        w = _act(side, phi.presentation, w)
     return w
 
 
@@ -220,10 +305,9 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     if phi.presentation != psi.presentation:
         raise PresentationMismatch("automorphisms over different presentations")
     pres = phi.presentation
-    images = {name: _apply_table(phi.images, pres, psi.images[name])
+    images = {name: _act(phi._forward, pres, psi.images[name])
               for name in pres.generator_names()}
-    inverse_images = {name: _apply_table(psi.inverse_images, pres,
-                                         phi.inverse_images[name])
+    inverse_images = {name: _act(psi._backward, pres, phi.inverse_images[name])
                       for name in pres.generator_names()}
     return validate(images, inverse_images, pres)
 

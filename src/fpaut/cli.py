@@ -4,7 +4,7 @@ Reports are canonical: keys sorted, numbers rendered canonically, words
 rendered in the text grammar so witnesses can be replayed as inputs.  The
 timing block is excluded from the canonical hash, everything else is
 byte-reproducible.  Expensive searches are cached by (input hashes,
-command, bounds, tool version).
+command, bounds, tool version, digest of the package sources).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -359,9 +360,21 @@ def _cache_dir(cfg: JobConfig) -> Path | None:
     return None if path is None else Path(path)
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """Digest of the fpaut package sources, so that an entry written by other
+    code is never replayed; computed once per process, on first use."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0")
+        h.update(_sha256_bytes(path.read_bytes()).encode())
+    return h.hexdigest()
+
+
 def _cache_key(cfg: JobConfig) -> str:
     ident = {"command": cfg.command, "bounds": to_jsonable(cfg.bounds),
-             "version": __version__, "jobs_invariant": True}
+             "version": __version__, "source": _source_digest(),
+             "jobs_invariant": True}
     for label, p in (("aut", cfg.aut_path), ("aut2", cfg.aut2_path)):
         if p:
             ident[label] = _sha256_bytes(Path(p).read_bytes())
@@ -389,8 +402,7 @@ def run_with_cache(cfg: JobConfig):
     entry = None if cache is None else cache / f"{_cache_key(cfg)}.json"
     if entry is not None and entry.exists():
         report = json.loads(entry.read_text())
-        if "result" in report:  # an entry of an older layout is recomputed
-            return exit_code(report["result"], cfg.strict), report
+        return exit_code(report["result"], cfg.strict), report
     t0 = time.perf_counter()
     code, report = run(cfg)
     elapsed = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     _track, conjugate_test, cyclic_normal_form,
-                    double_coset_rep, multiply)
+                    double_coset_rep, least_rotation, multiply)
 
 
 def _require_class_preserving(phi: Automorphism):
@@ -110,11 +110,8 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
         m = len(syl)
         if hyperbolic_only and m == 1 and isinstance(syl[0], FactorSyllable):
             continue
-        keys = [s.sort_key() for s in syl]
-        if m > 1:
-            rots = [keys[r:] + keys[:r] for r in range(m)]
-            if keys != min(rots):
-                continue
+        if m > 1 and least_rotation([s.sort_key() for s in syl]) != 0:
+            continue
         yield Word(pres, syl)
 
 

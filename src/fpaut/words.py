@@ -136,6 +136,13 @@ def _merge(a: Syllable, b: Syllable) -> Syllable | None:
     return None if e == 0 else FreeSyllable(a.letter, e)
 
 
+def _syllable_power(s: Syllable, n: int) -> Syllable:
+    """s**n as one syllable of the same track (trivial when n == 0)."""
+    if isinstance(s, FactorSyllable):
+        return FactorSyllable(s.factor, tuple(n * c for c in s.vector))
+    return FreeSyllable(s.letter, n * s.exponent)
+
+
 def _is_zero(s: Syllable) -> bool:
     if isinstance(s, FactorSyllable):
         return not any(s.vector)
@@ -191,15 +198,36 @@ class CyclicWord:
     def mass(self) -> int:
         return sum(s.mass for s in self.core)
 
-    def rotations(self) -> list[tuple[Syllable, ...]]:
-        n = len(self.core)
-        return [self.core[r:] + self.core[:r] for r in range(n)]
-
     def canonical_rotation(self) -> tuple[Syllable, ...]:
         """Lexicographically least rotation; a conjugacy-class invariant."""
-        if not self.core:
-            return ()
-        return min(self.rotations(), key=lambda c: [s.sort_key() for s in c])
+        r = least_rotation([s.sort_key() for s in self.core])
+        return self.core[r:] + self.core[:r]
+
+
+def least_rotation(keys: Sequence) -> int:
+    """Least start index of the lexicographically least rotation of keys.
+
+    Booth's algorithm (Booth 1980): a failure function over keys + keys
+    gives the answer in O(n) comparisons, against O(n^2) for the minimum
+    over all rotations.
+    """
+    s = list(keys) * 2
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def _check_syllable(s: Syllable, pres: Presentation) -> None:
@@ -264,12 +292,7 @@ def power(u: Word, n: int) -> Word:
     cyc = cyclic_normal_form(u)
     core = cyc.core
     if len(core) == 1:
-        s = core[0]
-        if isinstance(s, FactorSyllable):
-            big: Syllable = FactorSyllable(s.factor, tuple(n * c for c in s.vector))
-        else:
-            big = FreeSyllable(s.letter, n * s.exponent)
-        mid = Word(u.presentation, (big,))
+        mid = Word(u.presentation, (_syllable_power(core[0], n),))
     else:
         # cyclically reduced: concatenation needs no interior reduction
         mid = Word(u.presentation, core * n)
@@ -283,21 +306,24 @@ def cyclic_normal_form(w: Word) -> CyclicWord:
     """
     if not w:
         raise EmptyWord("cyclic normal form of the empty word")
-    syl = list(w.syllables)
+    syl = w.syllables
+    lo, hi = 0, len(syl) - 1
     conj: list[Syllable] = []
-    while len(syl) >= 2 and _track(syl[0]) == _track(syl[-1]):
-        merged = _merge(syl[-1], syl[0])
+    while hi > lo and _track(syl[lo]) == _track(syl[hi]):
+        merged = _merge(syl[hi], syl[lo])
         if merged is None:
             # exact cancellation: w = first . core . first^-1
-            conj.append(syl[0])
-            syl = syl[1:-1]
+            conj.append(syl[lo])
+            lo, hi = lo + 1, hi - 1
         else:
             # wrap merge: rotate the last syllable to the front;
             # w = last^-1 . (merged core) . last
-            conj.append(syl[-1].inverse())
-            syl = [merged] + syl[1:-1]
+            conj.append(syl[hi].inverse())
+            core = (merged,) + syl[lo + 1:hi]
             break  # first and last now lie in different factors
-    return CyclicWord(w.presentation, tuple(syl),
+    else:
+        core = syl[lo:hi + 1]
+    return CyclicWord(w.presentation, core,
                       reduce_syllables(conj, w.presentation))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from fpaut import (Presentation, atoroidal_search, flare_certify, parse_word,
                    render_word, twin_search)
+from fpaut import cli
 from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
                        config_from_args, exit_code, load_automorphism, main,
                        run, run_with_cache)
@@ -299,6 +300,14 @@ def test_cache_entry_holds_report_only(fib_file, tmp_path):
     doc = json.loads(entries[0].read_text())
     assert "exit_code" not in doc
     assert doc["canonical_sha256"] == report["canonical_sha256"]
+
+
+def test_cache_key_follows_source_digest(fib_file, monkeypatch):
+    cfg = config_from_args(["torus-ab", "--aut", fib_file])
+    key = cli._cache_key(cfg)
+    assert cli._cache_key(cfg) == key
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cli._cache_key(cfg) != key
 
 
 # bounds of every command when no bound flag is given

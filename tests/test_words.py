@@ -7,7 +7,8 @@ from fpaut import (Presentation, Word, conjugate_test, cyclic_normal_form,
                    is_hyperbolic, multiply, parse_word, reduce_syllables,
                    render_word, syllable_length)
 from fpaut.errors import EmptyWord, IndexOutOfRange, PresentationMismatch
-from fpaut.words import FactorSyllable, FreeSyllable, power
+from fpaut.words import (FactorSyllable, FreeSyllable, least_rotation,
+                         power)
 
 from conftest import random_word
 
@@ -103,6 +104,19 @@ def test_cyclic_conjugator_witness():
         c = cyclic_normal_form(word)
         assert multiply(multiply(c.conjugator, Word(PRES, c.core)),
                         invert(c.conjugator)) == word
+
+
+def test_cyclic_long_conjugator(rng):
+    # a conjugator of many syllables is stripped whole, ending in a wrap merge
+    core = w("x1 a1.1 x2")
+    for _ in range(20):
+        c = random_word(PRES, rng, max_syllables=40)
+        word = multiply(multiply(c, core), invert(c))
+        cyc = cyclic_normal_form(word)
+        assert multiply(multiply(cyc.conjugator, Word(PRES, cyc.core)),
+                        invert(cyc.conjugator)) == word
+        assert conjugate_test(Word(PRES, cyc.core), core)
+        assert len(cyc) == 3
 
 
 def test_cyclic_empty_raises():
@@ -237,3 +251,29 @@ def test_render_parse_round_trip(rng):
     for _ in range(300):
         word = random_word(PRES, rng)
         assert parse_word(render_word(word), PRES) == word
+
+
+def _least_rotation_brute(keys):
+    rots = [keys[r:] + keys[:r] for r in range(len(keys))]
+    return rots.index(min(rots)) if keys else 0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2), max_size=9), st.integers(1, 4))
+def test_least_rotation_matches_brute_force(base, reps):
+    # repeated bases give periodic lists, whose least rotation starts at
+    # several indices; the least one is returned
+    keys = base * reps
+    assert least_rotation(keys) == _least_rotation_brute(keys)
+
+
+@given(words, st.integers(1, 3))
+def test_canonical_rotation_matches_brute_force(word, reps):
+    if not word:
+        return
+    c = cyclic_normal_form(word)
+    if len(c) >= 2:  # a power of a cyclically reduced core, so periodic
+        c = cyclic_normal_form(Word(PRES, c.core * reps))
+    keys = [s.sort_key() for s in c.core]
+    r = _least_rotation_brute(keys)
+    assert c.canonical_rotation() == c.core[r:] + c.core[:r]
