@@ -6,9 +6,10 @@ flare certificates, and the abelianization conjugacy pipeline."""
 __version__ = "0.1.0"
 
 from .words import (CyclicWord, FactorSyllable, FreeSyllable, Presentation,
-                    Syllable, Word, conjugate_test, cyclic_normal_form,
-                    cyclic_syllable_length, double_coset_rep, invert,
-                    is_hyperbolic, multiply, reduce_syllables, syllable_length)
+                    Syllable, Word, conjugacy_key, conjugate_test,
+                    cyclic_normal_form, cyclic_syllable_length,
+                    double_coset_rep, invert, is_hyperbolic, multiply,
+                    reduce_syllables, syllable_length)
 from .parsing import parse_word, render_word
 from .automorphisms import (Automorphism, ad, apply, apply_power,
                             check_central_condition, compose,

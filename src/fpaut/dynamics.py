@@ -9,6 +9,7 @@ side first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import time
@@ -21,7 +22,7 @@ from .automorphisms import (Automorphism, apply, apply_power,
 from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    _track, conjugate_test, cyclic_normal_form,
+                    conjugacy_key, conjugate_test, cyclic_normal_form,
                     double_coset_rep, least_rotation, multiply)
 
 
@@ -65,31 +66,76 @@ def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
     exponent mass at most max_exp, in graded order (see `graded_key`).
 
     With `cyclic` the last and first syllable must lie in different factors
-    as well, so every tuple is cyclically reduced.
-    """
-    per_mass = {m: _syllables_of_mass(pres, m) for m in range(1, max_exp + 1)}
+    as well, so every tuple is cyclically reduced, and no syllable whose sort
+    key is below the first syllable's is placed after it: the rotation
+    starting there would be smaller, so such a tuple is never its own least
+    rotation.  Ties with the first syllable are left to the caller's
+    `least_rotation` filter.
 
-    def rec(acc, m, remaining):
-        pos = len(acc)
-        if pos == m:
-            if remaining == 0 and not (cyclic and m >= 2
-                                       and _track(acc[-1]) == _track(acc[0])):
-                yield tuple(acc)
-            return
-        slots_left = m - pos - 1
-        lo = max(1, remaining - slots_left * max_exp)
-        hi = min(max_exp, remaining - slots_left)
-        for mass in range(lo, hi + 1):
-            for s in per_mass[mass]:
-                if pos and _track(s) == _track(acc[-1]):
-                    continue
-                acc.append(s)
-                yield from rec(acc, m, remaining - mass)
-                acc.pop()
+    One generator frame walks the positions with an explicit stack of
+    candidate iterators; the last position is filled by a flat loop over the
+    syllables of exactly the mass left.  A candidate is a tuple (syllable,
+    track id, rank, mass), the rank being its place in sort-key order, so the
+    inner loops compare ints.
+    """
+    nf = pres.num_factors
+    per_mass = [[]] + [_syllables_of_mass(pres, mass)
+                       for mass in range(1, max_exp + 1)]
+    rank = {s: r for r, s in enumerate(
+        sorted((s for syls in per_mass for s in syls),
+               key=lambda s: s.sort_key()))}
+    cands = [tuple((s, s.factor if isinstance(s, FactorSyllable)
+                    else nf + s.letter, rank[s], mass)
+                   for s in syls)
+             for mass, syls in enumerate(per_mass)]
+    # spans[lo][hi]: the candidates of mass lo..hi, by mass then sort key
+    spans = [[sum(cands[lo:hi + 1], ()) for hi in range(max_exp + 1)]
+             for lo in range(max_exp + 1)]
 
     for m in range(max(1, min_len), max_len + 1):
+        if m == 1:
+            for total in range(1, max_exp + 1):
+                for s in per_mass[total]:
+                    yield (s,)
+            continue
         for total in range(m, m * max_exp + 1):
-            yield from rec([], m, total)
+            # positions 0..m-2 on the stack, len(its) == len(chosen) + 1
+            its = [iter(spans[max(1, total - (m - 1) * max_exp)]
+                        [min(max_exp, total - (m - 1))])]
+            rems = [total]
+            chosen = []
+            while its:
+                pos = len(chosen)
+                if pos:
+                    prev_t = chosen[-1][1]
+                    t0, r0 = chosen[0][1], chosen[0][2]
+                for cand in its[-1]:
+                    s, t, r, mass = cand
+                    if pos and (t == prev_t or (cyclic and r < r0)):
+                        continue
+                    break
+                else:
+                    its.pop()
+                    rems.pop()
+                    if chosen:
+                        chosen.pop()
+                    continue
+                rem = rems[-1] - mass
+                if pos < m - 2:
+                    slots_left = m - pos - 2
+                    chosen.append(cand)
+                    rems.append(rem)
+                    its.append(iter(spans[max(1, rem - slots_left * max_exp)]
+                                    [min(max_exp, rem - slots_left)]))
+                    continue
+                # last position: every syllable of mass exactly `rem`
+                if not pos:
+                    t0, r0 = t, r
+                head = tuple(c[0] for c in chosen) + (s,)
+                for s2, t2, r2, _ in cands[rem]:
+                    if t2 == t or (cyclic and (t2 == t0 or r2 < r0)):
+                        continue
+                    yield head + (s2,)
 
 
 def graded_key(w: Word):
@@ -254,10 +300,12 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
         if shard is not None and idx % shard[1] != shard[0]:
             continue
         tested += 1
+        key = conjugacy_key(g)
         w = g
         for n in range(1, max_iter + 1):
             w = apply(phi, w)
-            if conjugate_test(w, g):
+            cyc = cyclic_normal_form(w)
+            if len(cyc) == len(key) and cyc.canonical_rotation() == key:
                 assert conjugate_test(apply_power(phi, n, g), g)
                 return SearchReport("witness", bounds,
                                     witness={"element": g, "exponent": n,
@@ -299,12 +347,13 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     pres = phi.presentation
     bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": max_exp}
     descr = _subgroup_descriptors(pres, conj_len, max_exp)
-    pairs = [(a, b) for ai, a in enumerate(descr) for b in descr[ai + 1:]]
+    n_pairs = len(descr) * (len(descr) - 1) // 2
     tested = 0
     phi_m = None
     for m in range(1, max_power + 1):
         phi_m = phi if m == 1 else power(phi, m)
-        for idx, ((u, i), (v, j)) in enumerate(pairs):
+        for idx, ((u, i), (v, j)) in enumerate(
+                itertools.combinations(descr, 2)):
             if shard is not None and idx % shard[1] != shard[0]:
                 continue
             tested += 1
@@ -321,7 +370,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                 "witness", bounds,
                 witness={"factor_i": i, "conj_u": u, "factor_j": j,
                          "conj_v": v, "power": m, "element": g,
-                         "index": (m - 1) * len(pairs) + idx},
+                         "index": (m - 1) * n_pairs + idx},
                 tested=tested, elapsed=time.perf_counter() - t0)
     return SearchReport("exhausted", bounds, tested=tested,
                         elapsed=time.perf_counter() - t0,

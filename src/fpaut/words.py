@@ -352,27 +352,24 @@ def is_hyperbolic(w: Word) -> bool:
     return isinstance(cyc.core[0], FreeSyllable)
 
 
-def conjugate_test(u: Word, v: Word) -> bool:
-    """Decide conjugacy in the free product.
+def conjugacy_key(w: Word) -> tuple[Syllable, ...]:
+    """A complete conjugacy invariant: the canonical rotation of the cyclic
+    core, or () for the empty word.
 
-    Hyperbolic elements are conjugate iff their cyclic forms agree up to
-    rotation; elliptic elements iff they are the same factor element (the
-    factors are abelian).  An elliptic element is never conjugate to a
-    hyperbolic one.
+    An elliptic core is one factor syllable and a hyperbolic core is either
+    two or more syllables or one free syllable, so the keys of the two kinds
+    never collide; within each kind, conjugate elements have the same core
+    up to rotation (the factors are abelian).
     """
+    if not w:
+        return ()
+    return cyclic_normal_form(w).canonical_rotation()
+
+
+def conjugate_test(u: Word, v: Word) -> bool:
+    """Decide conjugacy in the free product by comparing `conjugacy_key`s."""
     _same_presentation(u, v)
-    if not u or not v:
-        return len(u) == len(v)
-    cu, cv = cyclic_normal_form(u), cyclic_normal_form(v)
-    hu = len(cu) >= 2 or isinstance(cu.core[0], FreeSyllable)
-    hv = len(cv) >= 2 or isinstance(cv.core[0], FreeSyllable)
-    if hu != hv:
-        return False
-    if not hu:
-        return cu.core == cv.core
-    if len(cu) != len(cv):
-        return False
-    return cu.canonical_rotation() == cv.canonical_rotation()
+    return conjugacy_key(u) == conjugacy_key(v)
 
 
 def double_coset_rep(i: int, w: Word, j: int) -> Word:

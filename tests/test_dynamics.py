@@ -1,15 +1,19 @@
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    classify_growth, conjugate_test, cyclic_normal_form,
                    enumerate_cyclic_words, flare_certify, invert, multiply,
                    no_twin_implication_check, orbit_lengths, parse_word, power,
                    twin_search)
-from fpaut.dynamics import enumerate_words, graded_key
+from fpaut import dynamics
+from fpaut.dynamics import _syllables_of_mass, enumerate_words, graded_key
 from fpaut.errors import FactorsPermuted, TooShort
-from fpaut.words import FactorSyllable, FreeSyllable, reduce_syllables
+from fpaut.words import FactorSyllable, FreeSyllable, _track, reduce_syllables
 
 from conftest import make_aut, random_word
 
@@ -61,6 +65,82 @@ def test_enumerations_in_graded_key_order(ranks, free, max_len, max_exp):
         if len(cyclic_normal_form(w)) == len(w)
         and cyclic_normal_form(w).canonical_rotation() == w.syllables
         and (len(w) > 1 or isinstance(w.syllables[0], FreeSyllable))]
+
+
+def _brute_sequences(pres, max_len, max_exp, min_len=1, cyclic=False):
+    """Every syllable tuple from itertools.product, filtered to normal form
+    (and with `cyclic` to cyclically reduced, brute-force least rotations),
+    sorted by graded_key."""
+    syls = [s for mass in range(1, max_exp + 1)
+            for s in _syllables_of_mass(pres, mass)]
+    out = []
+    for m in range(max(1, min_len), max_len + 1):
+        for seq in itertools.product(syls, repeat=m):
+            if any(_track(a) == _track(b) for a, b in zip(seq, seq[1:])):
+                continue
+            if cyclic and m >= 2:
+                keys = [s.sort_key() for s in seq]
+                if _track(seq[-1]) == _track(seq[0]) or \
+                        keys != min(keys[r:] + keys[:r] for r in range(m)):
+                    continue
+            out.append(Word(pres, seq))
+    return sorted(out, key=graded_key)
+
+
+def _check_against_brute_force(pres, max_len, max_exp):
+    assert list(enumerate_words(pres, max_len, max_exp)) == \
+        [Word(pres)] + _brute_sequences(pres, max_len, max_exp)
+    for min_len in (1, 2):
+        ref = _brute_sequences(pres, max_len, max_exp, min_len, cyclic=True)
+        assert list(enumerate_cyclic_words(
+            pres, max_len, max_exp, min_len=min_len,
+            hyperbolic_only=False)) == ref
+        assert list(enumerate_cyclic_words(
+            pres, max_len, max_exp, min_len=min_len)) == [
+            w for w in ref
+            if len(w) > 1 or isinstance(w.syllables[0], FreeSyllable)]
+
+
+@st.composite
+def small_bounds(draw):
+    """A presentation with factor ranks <= 3 and free rank <= 3, and
+    bounds small enough for the brute force."""
+    ranks = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    free = draw(st.integers(0 if ranks else 1, 3))
+    pres = Presentation(ranks, free)
+    max_exp = draw(st.integers(1, 2))
+    n_syls = sum(len(_syllables_of_mass(pres, e)) for e in range(1, max_exp + 1))
+    max_len = 1
+    while max_len < 4 and n_syls ** (max_len + 1) <= 20_000:
+        max_len += 1
+    return pres, draw(st.integers(1, max_len)), max_exp
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bounds())
+def test_enumerators_match_brute_force(bounds):
+    _check_against_brute_force(*bounds)
+
+
+# four syllables, so a later syllable can tie with the first one
+@pytest.mark.parametrize("ranks, free, max_len, max_exp", [
+    ((), 2, 4, 2), ((1,), 2, 4, 1), ((2, 2), 0, 4, 1), ((1, 1, 1), 0, 4, 2)])
+def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
+                                                   max_exp):
+    _check_against_brute_force(Presentation(ranks, free), max_len, max_exp)
+
+
+def test_rotation_filter_sees_few_rejected_tuples(tribonacci, monkeypatch):
+    # the enumerator only builds tuples whose first syllable has the least
+    # sort key, so the least-rotation filter runs on few more tuples than
+    # it keeps (about 4.8 times as many before that prune)
+    calls = []
+    real = dynamics.least_rotation
+    monkeypatch.setattr(dynamics, "least_rotation",
+                        lambda keys: calls.append(1) or real(keys))
+    n = sum(1 for _ in enumerate_cyclic_words(tribonacci.presentation, 5, 2))
+    assert n == 7508
+    assert len(calls) <= 1.25 * n
 
 
 # --- orbit growth ------------------------------------------------------------
@@ -212,6 +292,24 @@ def test_twins_skip_equal_subgroups(z2z2, identity_z2z2):
 
 def test_twins_free_group_has_none(fibonacci):
     assert twin_search(fibonacci, 2, 2).verdict == "exhausted"
+
+
+def test_twin_pairs_are_not_materialised(mixed):
+    # the witness comes at the third of 514,605 pairs; building the pair
+    # list first took about 30 MB
+    phi, pres = mixed
+    tracemalloc.start()
+    try:
+        rep = twin_search(phi, 6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert (rep.verdict, rep.tested) == ("witness", 3)
+    w = rep.witness
+    assert (w["power"], w["factor_i"], w["factor_j"], w["index"]) == (1, 1, 1, 2)
+    assert w["conj_u"] == Word(pres) and w["element"] == Word(pres)
+    assert w["conj_v"] == parse_word("x1^-1", pres)
 
 
 # --- flare certification -----------------------------------------------------

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpaut import (Presentation, Word, conjugate_test, cyclic_normal_form,
-                   cyclic_syllable_length, double_coset_rep, invert,
-                   is_hyperbolic, multiply, parse_word, reduce_syllables,
-                   render_word, syllable_length)
+from fpaut import (Presentation, Word, conjugacy_key, conjugate_test,
+                   cyclic_normal_form, cyclic_syllable_length,
+                   double_coset_rep, invert, is_hyperbolic, multiply,
+                   parse_word, reduce_syllables, render_word, syllable_length)
 from fpaut.errors import EmptyWord, IndexOutOfRange, PresentationMismatch
 from fpaut.words import (FactorSyllable, FreeSyllable, least_rotation,
                          power)
@@ -182,6 +182,47 @@ def test_word_power_matches_repeated_multiplication():
 
 
 # --- randomized / property-based invariants ---------------------------------
+
+
+def _conjugate_test_reference(u, v):
+    """The case analysis conjugate_test made before it compared keys."""
+    if not u or not v:
+        return len(u) == len(v)
+    cu, cv = cyclic_normal_form(u), cyclic_normal_form(v)
+    hu = len(cu) >= 2 or isinstance(cu.core[0], FreeSyllable)
+    hv = len(cv) >= 2 or isinstance(cv.core[0], FreeSyllable)
+    if hu != hv:
+        return False
+    if not hu:
+        return cu.core == cv.core
+    if len(cu) != len(cv):
+        return False
+    return cu.canonical_rotation() == cv.canonical_rotation()
+
+
+def test_conjugate_test_matches_reference(rng):
+    seen = set()
+    for _ in range(600):
+        u = random_word(PRES, rng, max_syllables=4, max_exp=1)
+        c = random_word(PRES, rng, max_syllables=3, max_exp=1)
+        # a conjugate of u, a conjugate of a neighbour of u, and a random word
+        near = multiply(u, random_word(PRES, rng, max_syllables=1, max_exp=1))
+        for v in (multiply(multiply(c, u), c.inverse()),
+                  multiply(multiply(c, near), c.inverse()),
+                  random_word(PRES, rng, max_syllables=4, max_exp=1)):
+            expected = _conjugate_test_reference(u, v)
+            seen.add(expected)
+            assert conjugate_test(u, v) == expected
+            assert (conjugacy_key(u) == conjugacy_key(v)) == expected
+    assert seen == {True, False}
+
+
+def test_conjugacy_key_separates_elliptic_from_hyperbolic():
+    assert conjugacy_key(Word(PRES)) == ()
+    assert conjugacy_key(w("x1 a1.1 x1^-1")) == (FactorSyllable(1, (1, 0)),)
+    assert conjugacy_key(w("a2.1 x2^3 a2.1^-1")) == (FreeSyllable(2, 3),)
+    assert conjugacy_key(w("a2.1 a1.1")) == conjugacy_key(w("a1.1 a2.1"))
+
 
 syllables = st.one_of(
     st.tuples(st.integers(1, 2), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
