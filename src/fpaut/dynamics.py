@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .automorphisms import (Automorphism, apply, apply_power,
-                            check_central_condition, power)
+                            check_central_condition, compose)
 from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
@@ -351,7 +351,8 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     tested = 0
     phi_m = None
     for m in range(1, max_power + 1):
-        phi_m = phi if m == 1 else power(phi, m)
+        # phi^m = phi^(m-1) o phi, the composition order of `power`
+        phi_m = phi if m == 1 else compose(phi_m, phi)
         for idx, ((u, i), (v, j)) in enumerate(
                 itertools.combinations(descr, 2)):
             if shard is not None and idx % shard[1] != shard[0]:
@@ -381,13 +382,6 @@ def _leading_factor_part(w: Word, i: int):
     syl = w.syllables
     if syl and isinstance(syl[0], FactorSyllable) and syl[0].factor == i:
         return Word(w.presentation, (syl[0],))
-    return Word(w.presentation)
-
-
-def _trailing_factor_part(w: Word, j: int):
-    syl = w.syllables
-    if syl and isinstance(syl[-1], FactorSyllable) and syl[-1].factor == j:
-        return Word(w.presentation, (syl[-1],))
     return Word(w.presentation)
 
 

@@ -15,6 +15,12 @@ Directions at the base vertex are the finitely many ("x", l, s) and
 Step tuples double as directions.  Translating a path does not change its
 steps, so step-sequence equality decides equality of path orbits (up to a
 shift of the first decoration when the path starts at a factor vertex).
+
+Every path operation is defined once, on step tuples (``reduce_steps``,
+``_reverse_steps``, ``GraphMap.image_steps``, ``StandardGraph.length``),
+and internal computations stay on steps.  ``EdgePath`` checks that its
+steps chain from its start; it is built only at the public boundary, where
+a path comes from outside or is reported as a witness.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ class StandardGraph:
 
     def edge_length(self, edge) -> Fraction:
         return self.lengths.get(edge, Fraction(1))
+
+    def length(self, steps) -> Fraction:
+        return sum((self.edge_length(step_edge(s)) for s in steps), Fraction(0))
 
     def base_directions(self) -> list:
         p, k = self.presentation.num_factors, self.presentation.free_rank
@@ -119,7 +128,10 @@ def _degenerate(a, b):
 
 @dataclass(frozen=True)
 class EdgePath:
-    """A reduced tree path anchored at the canonical lift of its start."""
+    """A tree path anchored at the canonical lift of its start.
+
+    The constructor checks that the steps chain and that decorations have
+    their factor's rank; it does not reduce them (see ``is_reduced``)."""
 
     presentation: Presentation
     start: object  # BASE or ("factor", i)
@@ -148,8 +160,7 @@ class EdgePath:
         return reduce_syllables(syl, self.presentation)
 
     def length(self, graph: StandardGraph) -> Fraction:
-        return sum((graph.edge_length(step_edge(s)) for s in self.steps),
-                   Fraction(0))
+        return graph.length(self.steps)
 
     def is_reduced(self) -> bool:
         return all(not _degenerate(a, b) for a, b in zip(self.steps, self.steps[1:]))
@@ -179,40 +190,33 @@ def reduce_steps(pres: Presentation, steps) -> tuple:
     return tuple(out)
 
 
-def reverse_path(path: EdgePath) -> EdgePath:
-    """The same tree path run backwards, anchored at its end vertex.
+def _reverse_steps(pres: Presentation, steps) -> tuple:
+    """The steps of the same tree path run backwards, reduced.
 
     An original arrival ("t", i) is left along the inverse of the decoration
     that followed it (0 when the path ended there).
     """
-    pres = path.presentation
-    fwd = path.steps
     out = []
-    for pos in range(len(fwd) - 1, -1, -1):
-        step = fwd[pos]
+    for pos in range(len(steps) - 1, -1, -1):
+        step = steps[pos]
         if step[0] == "x":
             out.append(("x", step[1], -step[2]))
         elif step[0] == "T":
             out.append(("t", step[1]))
         else:
             i = step[1]
-            if pos + 1 < len(fwd):
-                vec = fwd[pos + 1][2]
+            if pos + 1 < len(steps):
+                vec = steps[pos + 1][2]
             else:
                 vec = tuple(0 for _ in range(pres.factor_rank(i)))
             out.append(("T", i, tuple(-x for x in vec)))
-    return EdgePath(pres, path.end_vertex(), reduce_steps(pres, tuple(out)))
+    return reduce_steps(pres, out)
 
 
-def normalize_start(path: EdgePath) -> EdgePath:
-    """Translate so a factor-anchored path leaves with decoration 0."""
-    if path.start == BASE or not path.steps:
-        return path
-    first = path.steps[0]
-    if not any(first[2]):
-        return path
-    shifted = (("T", first[1], tuple(0 for _ in first[2])),) + path.steps[1:]
-    return EdgePath(path.presentation, path.start, shifted)
+def reverse_path(path: EdgePath) -> EdgePath:
+    """The same tree path run backwards, anchored at its end vertex."""
+    return EdgePath(path.presentation, path.end_vertex(),
+                    _reverse_steps(path.presentation, path.steps))
 
 
 def path_from_word(pres: Presentation, w: Word) -> EdgePath:
@@ -268,13 +272,17 @@ class GraphMap:
             return ("T", i, self.automorphism.factor_matrix(i).apply(tuple(vec)))
         return self.base_images[d][0]
 
+    def image_steps(self, steps) -> tuple:
+        """The steps of f(path), reduced, from the canonical start lift."""
+        out = []
+        for step in steps:
+            out.extend(self.image_of_direction_path(step))
+        return reduce_steps(self.presentation, out)
+
     def apply_to_path(self, path: EdgePath) -> EdgePath:
         """f(path), reduced, anchored at the canonical start lift."""
-        steps = []
-        for step in path.steps:
-            steps.extend(self.image_of_direction_path(step))
         return EdgePath(path.presentation, path.start,
-                        reduce_steps(path.presentation, steps))
+                        self.image_steps(path.steps))
 
     def edge_directions(self):
         """One direction per edge orbit."""
@@ -287,9 +295,7 @@ class GraphMap:
     def lipschitz(self) -> Fraction:
         best = Fraction(0)
         for d in self.edge_directions():
-            img = self.image_of_direction_path(d)
-            ln = sum((self.graph.edge_length(step_edge(s)) for s in img),
-                     Fraction(0))
+            ln = self.graph.length(self.image_of_direction_path(d))
             best = max(best, ln / self.graph.edge_length(step_edge(d)))
         return best
 
@@ -537,21 +543,14 @@ def _junction_cancellation(m: GraphMap, d1, d2, cap: int = 48) -> Fraction:
     """
     pres = m.presentation
     graph = m.graph
-
-    def as_path(steps, start):
-        return EdgePath(pres, start, tuple(steps))
-
     x = [d1]
     y = [d2]
-    start1, start2 = step_source(d1), step_source(d2)
     best = Fraction(-1)
     for _ in range(cap):
-        fx = m.apply_to_path(as_path(x, start1))
-        fy = m.apply_to_path(as_path(y, start2))
-        joint = reduce_steps(pres, reverse_path(fx).steps + fy.steps)
-        lx, ly = fx.length(graph), fy.length(graph)
-        lj = sum((graph.edge_length(step_edge(s)) for s in joint), Fraction(0))
-        canc = (lx + ly - lj) / 2
+        fx, fy = m.image_steps(x), m.image_steps(y)
+        joint = reduce_steps(pres, _reverse_steps(pres, fx) + fy)
+        lx, ly = graph.length(fx), graph.length(fy)
+        canc = (lx + ly - graph.length(joint)) / 2
         if canc <= best:
             return max(best, Fraction(0))  # the extension did not help
         best = canc
@@ -562,16 +561,11 @@ def _junction_cancellation(m: GraphMap, d1, d2, cap: int = 48) -> Fraction:
             grown = _extend_overlap_side(m, x, joint[0] if joint else None)
         else:
             # f(y) is swallowed; the needed step is the reverse of joint[-1]
-            needed = _reverse_single_step(pres, joint[-1]) if joint else None
+            needed = _reverse_steps(pres, joint[-1:])[0] if joint else None
             grown = _extend_overlap_side(m, y, needed)
         if not grown:
             return best
     return best
-
-
-def _reverse_single_step(pres, step):
-    src = step_source(step)
-    return reverse_path(EdgePath(pres, src, (step,))).steps[0]
 
 
 def _extend_overlap_side(m: GraphMap, side, needed) -> bool:
@@ -671,8 +665,8 @@ def nielsen_search(m: GraphMap, len_bound: int,
     level before being reported.
     """
     witnesses = []
-    for path in _enumerate_paths(m.presentation, len_bound):
-        found = _nielsen_test(m, path, exp_bound)
+    for start, steps in _enumerate_paths(m.presentation, len_bound):
+        found = _nielsen_test(m, start, steps, exp_bound)
         if found is not None:
             witnesses.append(found)
     witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
@@ -681,6 +675,12 @@ def nielsen_search(m: GraphMap, len_bound: int,
 
 
 def _enumerate_paths(pres: Presentation, len_bound: int):
+    """(start, steps) of the reduced paths with 1..len_bound steps.
+
+    A factor start leaves with decoration 0, later decorations have L1 mass
+    <= len_bound, and of a path and its reverse (first decoration set to 0)
+    only the smaller in (vertex_key, path_key) order is yielded.
+    """
     starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
 
     def extensions(at, first_step):
@@ -702,11 +702,12 @@ def _enumerate_paths(pres: Presentation, len_bound: int):
 
     def rec(start, steps, at):
         if steps:
-            path = EdgePath(pres, start, tuple(steps))
-            rev = normalize_start(reverse_path(path))
-            if (vertex_key(path.start), path_key(path.steps)) <= \
-                    (vertex_key(rev.start), path_key(rev.steps)):
-                yield path
+            # a path ending at a factor vertex arrives along ("t", i), so
+            # its reverse already leaves with decoration 0
+            rev = _reverse_steps(pres, steps)
+            if (vertex_key(start), path_key(steps)) <= \
+                    (vertex_key(at), path_key(rev)):
+                yield start, tuple(steps)
         if len(steps) == len_bound:
             return
         for step in extensions(at, not steps):
@@ -730,27 +731,27 @@ def conjugator_power(phi: Automorphism, i: int, n: int) -> Word:
     return g
 
 
-def _nielsen_test(m: GraphMap, path: EdgePath, exp_bound: int):
+def _nielsen_test(m: GraphMap, start, steps: tuple, exp_bound: int):
     phi = m.automorphism
     pres = m.presentation
-    image = path
+    image = steps
     for n in range(1, exp_bound + 1):
-        image = m.apply_to_path(image)
+        image = m.image_steps(image)
         g = None
-        if path.start == BASE:
-            if image.steps == path.steps:
+        if start == BASE:
+            if image == steps:
                 g = Word(pres)
         else:
-            i = path.start[1]
-            if (len(image.steps) == len(path.steps) and image.steps
-                    and image.steps[0][0] == "T"
-                    and image.steps[1:] == path.steps[1:]):
-                h = tuple(a - b for a, b in zip(image.steps[0][2], path.steps[0][2]))
+            i = start[1]
+            if (len(image) == len(steps) and image and image[0][0] == "T"
+                    and image[1:] == steps[1:]):
+                h = tuple(a - b for a, b in zip(image[0][2], steps[0][2]))
                 shift = Word(pres, (FactorSyllable(i, h),)) if any(h) else Word(pres)
                 g = multiply(conjugator_power(phi, i, n), shift)
         if g is None:
             continue
         # independent word-level verification of [f^n(p)] = g . p
+        path = EdgePath(pres, start, steps)
         w = path.word()
         lhs = apply_power(phi, n, w)
         end = path.end_vertex()

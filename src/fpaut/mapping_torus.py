@@ -570,11 +570,12 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
             if emitted > 300:
                 break
 
+    phi2_inv = inverse(phi2)
     tested = 0
     for psi in candidates():
         tested += 1
         chi = compose(compose(psi, phi1), inverse(psi))
-        theta = compose(inverse(phi2), chi)
+        theta = compose(phi2_inv, chi)
         c = _inner_witness(theta)
         if c is None:
             continue

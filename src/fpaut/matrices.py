@@ -60,9 +60,6 @@ class IntegerMatrix:
         return IntegerMatrix(tuple(tuple(c * x for x in row)
                                    for row in self.entries))
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(zip(*self.entries)))
-
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} cols")

@@ -1,17 +1,20 @@
 """The action of a validated automorphism on words, against the table
-reference `_apply_table`, on random automorphisms built from elementary
-moves: GL_n(Z) elementary matrices on one factor, partial conjugation of a
-factor, Nielsen moves on letters, and swaps of factors or letters."""
+reference `_apply_table` and against the path action of its standard map,
+on random automorphisms built from elementary moves: GL_n(Z) elementary
+matrices on one factor, partial conjugation of a factor, Nielsen moves on
+letters, and swaps of factors or letters."""
 
 from collections import Counter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpaut import (Presentation, apply, apply_power, compose,
-                   reduce_syllables, validate)
+from fpaut import (Presentation, apply, apply_power, build_standard_map,
+                   compose, reduce_syllables, validate)
 from fpaut import automorphisms, words
 from fpaut.automorphisms import _apply_table, apply_inverse, generator_word
+from fpaut.graph_maps import path_from_word, spell
 from fpaut.words import FactorSyllable, FreeSyllable
 
 from conftest import random_word
@@ -181,6 +184,35 @@ def test_compose_matches_table_composition(data):
             psi.inverse_images, pres, phi.inverse_images[name])
     w = data.draw(words_of(pres))
     assert apply(both, w) == apply(phi, apply(psi, w))
+
+
+def _assert_word_action_is_path_action(phi, m, w):
+    image = m.apply_to_path(path_from_word(phi.presentation, w))
+    assert image.steps == spell(apply(phi, w))
+    assert image.word() == apply(phi, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_word_action_matches_path_action(data):
+    pres = data.draw(presentations)
+    phi = data.draw(automorphisms_of(pres))
+    assume(phi.preserves_factor_classes)
+    m = build_standard_map(phi)
+    for w in data.draw(st.lists(words_of(pres), min_size=1, max_size=5)):
+        _assert_word_action_is_path_action(phi, m, w)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "intro_anosov", "toral_twist",
+                                  "mixed"])
+def test_word_action_matches_path_action_on_fixtures(request, rng, name):
+    phi = request.getfixturevalue(name)
+    if name == "mixed":
+        phi = phi[0]
+    m = build_standard_map(phi)
+    for _ in range(300):
+        _assert_word_action_is_path_action(
+            phi, m, random_word(phi.presentation, rng))
 
 
 def test_action_is_built_on_first_use_not_in_validate(tribonacci):

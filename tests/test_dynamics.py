@@ -294,6 +294,21 @@ def test_twins_free_group_has_none(fibonacci):
     assert twin_search(fibonacci, 2, 2).verdict == "exhausted"
 
 
+def test_twin_search_builds_each_power_from_the_last(monkeypatch, fibonacci):
+    # phi^m = phi^(m-1) o phi: one compose per power after the first
+    from fpaut import automorphisms
+    calls = []
+    original = automorphisms.compose
+
+    def counting(phi, psi):
+        calls.append((phi, psi))
+        return original(phi, psi)
+    monkeypatch.setattr(automorphisms, "compose", counting)
+    monkeypatch.setattr(dynamics, "compose", counting)
+    assert twin_search(fibonacci, 5, 1).verdict == "exhausted"
+    assert len(calls) == 4
+
+
 def test_twin_pairs_are_not_materialised(mixed):
     # the witness comes at the third of 514,605 pairs; building the pair
     # list first took about 30 MB

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,12 @@ from fpaut import (EdgePath, Presentation, angle,
                    gate_structure, identity_automorphism, is_legal_path,
                    is_theta_straight, legality_ratio, nielsen_search,
                    parse_word, render_word, transition_matrix)
+from fpaut.cli import COMMANDS, JobConfig, canonical_json
 from fpaut.errors import DifferentVertices, FactorsPermuted, UnknownDirection
-from fpaut.graph_maps import (BASE, factor_vertex, normalize_start,
-                              path_from_word, reduce_steps, reverse_path,
-                              spell)
+from fpaut.graph_maps import (BASE, _degenerate, _enumerate_paths,
+                              factor_vertex, path_from_word, path_key,
+                              reduce_steps, reverse_path, spell, step_source,
+                              step_target, vertex_key)
 from fpaut.matrices import IntegerMatrix
 
 from conftest import make_aut, random_word
@@ -286,8 +290,118 @@ def test_theta_straight(z2z2, free2):
     assert is_theta_straight(free_path, 0)
 
 
-def test_normalize_start(z2z2):
-    path = EdgePath(z2z2, factor_vertex(1), (("T", 1, (2, 1)), ("t", 2)))
-    norm = normalize_start(path)
-    assert norm.steps[0] == ("T", 1, (0, 0))
-    assert norm.steps[1:] == path.steps[1:]
+def _brute_force_paths(pres, len_bound):
+    """_enumerate_paths by filtering every step sequence, in the same order."""
+    starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
+    alphabet = [("t", i) for i in range(1, pres.num_factors + 1)]
+    for l in range(1, pres.free_rank + 1):
+        alphabet += [("x", l, 1), ("x", l, -1)]
+    for i in range(1, pres.num_factors + 1):
+        vecs = itertools.product(range(-len_bound, len_bound + 1),
+                                 repeat=pres.factor_rank(i))
+        alphabet += [("T", i, v) for v in vecs
+                     if sum(map(abs, v)) <= len_bound]
+
+    def chains(start, steps):
+        at = start
+        for step in steps:
+            if step_source(step) != at:
+                return False
+            at = step_target(step)
+        return True
+
+    def rank(step):  # the order in which the enumerator tries steps
+        if step[0] == "t":
+            return (0, step[1])
+        if step[0] == "x":
+            return (1, step[1], -step[2])
+        return (2, step[1], step[2])
+
+    found = []
+    for start in starts:
+        for n in range(1, len_bound + 1):
+            for steps in itertools.product(alphabet, repeat=n):
+                if not chains(start, steps):
+                    continue
+                if start != BASE and any(steps[0][2]):
+                    continue
+                if any(_degenerate(a, b) for a, b in zip(steps, steps[1:])):
+                    continue
+                rev = reverse_path(EdgePath(pres, start, steps))
+                rev_steps = rev.steps
+                if rev.start != BASE:
+                    first = rev_steps[0]
+                    rev_steps = (("T", first[1], (0,) * len(first[2])),) \
+                        + rev_steps[1:]
+                if (vertex_key(start), path_key(steps)) <= \
+                        (vertex_key(rev.start), path_key(rev_steps)):
+                    found.append((start, steps))
+    found.sort(key=lambda p: (starts.index(p[0]), tuple(map(rank, p[1]))))
+    return found
+
+
+@pytest.mark.parametrize("ranks, free_rank, len_bound", [
+    ((), 2, 4), ((), 3, 3), ((2,), 1, 3), ((2, 2), 0, 3), ((2, 3), 0, 2)],
+    ids=["free2", "free3", "z2_free1", "z2z2", "z2z3"])
+def test_enumerate_paths_matches_brute_force(ranks, free_rank, len_bound):
+    pres = Presentation(ranks, free_rank)
+    got = list(_enumerate_paths(pres, len_bound))
+    assert got == _brute_force_paths(pres, len_bound)
+
+
+# sha256 of the canonical ``result`` block of each command, pinned before the
+# path layer moved to step tuples; the reports must not change
+RESULT_DIGESTS = {
+    "nielsen-fib": "3afecd31e25b4ca39771c35f7ad519693d461de315c6843f4958afb4a730f8f4",
+    "nielsen-trib": "3afecd31e25b4ca39771c35f7ad519693d461de315c6843f4958afb4a730f8f4",
+    "nielsen-intro": "797fd7a27c01f2a9bcf74ca42a11b53448594842f37ff5219946e67b14163959",
+    "nielsen-twist": "cfaf598fa7fa1962a0bd560a287cb7e4f667031287c8c34d8a29f2db080eda92",
+    "nielsen-mixed": "daa4b6ec5cca4efe8709f3f1024658a3bb70747c3f1b000bc93aaa62ad7cfe8c",
+    "nielsen-intro-4-2": "797fd7a27c01f2a9bcf74ca42a11b53448594842f37ff5219946e67b14163959",
+    "nielsen-trib-6-4": "3afecd31e25b4ca39771c35f7ad519693d461de315c6843f4958afb4a730f8f4",
+    "nielsen-twist-4-3": "b365e13489ec4a980545c99689ecfac0f583d1d909fc1fff7f38ddcda6681d52",
+    "constants-fib": "96de3ca782273be8309021cc836c0f5fd75e76bd29c03da150905427342bec46",
+    "constants-trib": "2f218718dcc16089b0318272ed72fd8160251fa55ad82387ae83d55e918b0e07",
+    "constants-intro": "175c5e25d4789e556cd14bef93c93d70151152b797ec1009c61d7e05261d233c",
+    "constants-twist": "98de40a0748d69189b8cad109d5946240e2b567fea5f78eb3253ee2a1e4b951f",
+    "constants-mixed": "98de40a0748d69189b8cad109d5946240e2b567fea5f78eb3253ee2a1e4b951f",
+    "traintrack-fib": "89a2490110aac481fe08113d0e2e2498c01714486513cefc9c1078ffc684c55f",
+    "traintrack-trib": "21792c8eddc13cacd9fc35213c70085348c5f5a3d6160b4b5345f394e458485d",
+    "traintrack-intro": "cc22f40f98a952adae1f2786a9c52fbd35dd7519b84c8cfe80caaaee37fde51a",
+    "traintrack-twist": "a2a99c5d6b21f72954bdb6cdaa35c5b321bddc7033c4a32a8d800b883f05d667",
+    "traintrack-mixed": "0468a6b86d01429c27d933814eb0fdb1bae5c79a837bce368f21f96361fe7299",
+}
+
+FIXTURES = {"fib": "fibonacci", "trib": "tribonacci", "intro": "intro_anosov",
+            "twist": "toral_twist", "mixed": "mixed"}
+
+
+@pytest.mark.parametrize("job", sorted(RESULT_DIGESTS))
+def test_path_layer_reports_are_pinned(request, job):
+    command, name, *bounds = job.split("-")
+    phi = request.getfixturevalue(FIXTURES[name])
+    if name == "mixed":
+        phi = phi[0]
+    overrides = dict(zip(("max_len", "max_iter"), map(int, bounds)))
+    cfg = JobConfig(command, bounds={**COMMANDS[command].bounds, **overrides})
+    result = COMMANDS[command].runner(cfg, phi)
+    digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    assert digest == RESULT_DIGESTS[job]
+
+
+def test_nielsen_search_builds_paths_only_for_witnesses(monkeypatch,
+                                                        tribonacci):
+    m = build_standard_map(tribonacci)
+    built = []
+    check = EdgePath.__post_init__
+
+    def counting(path):
+        built.append(path)
+        check(path)
+    monkeypatch.setattr(EdgePath, "__post_init__", counting)
+    found = nielsen_search(m, 6, 4)
+    assert len(built) <= len(found) + 16
+    # the counter sees the public constructors, so the guard is not vacuous
+    reverse_path(path_from_word(tribonacci.presentation,
+                                parse_word("x1 x2", tribonacci.presentation)))
+    assert len(built) >= 2

@@ -212,3 +212,23 @@ def test_pipeline_factor_substitution(z2z2, toral_twist):
     phi2 = compose(compose(swap, toral_twist), inverse(swap))
     v = conjugacy_pipeline(toral_twist, phi2)
     assert v.status == "conjugate"
+
+
+def test_pipeline_inverts_phi2_once(monkeypatch, fibonacci, free2):
+    # fib against fib conjugated by the letter swap: every candidate is
+    # tried, and phi2^-1 is computed once for all of them
+    from fpaut import mapping_torus
+    swapped = make_aut(free2, {"x1": "x2", "x2": "x2 x1"},
+                       {"x1": "x1^-1 x2", "x2": "x1"})
+    calls = []
+    original = mapping_torus.inverse
+
+    def counting(phi):
+        calls.append(phi)
+        return original(phi)
+    monkeypatch.setattr(mapping_torus, "inverse", counting)
+    v = conjugacy_pipeline(fibonacci, swapped)
+    tested = v.diagnostics["candidates_tested"]
+    assert v.status == "undecided" and tested > 100
+    assert sum(phi is swapped for phi in calls) == 1
+    assert len(calls) == tested + 1
