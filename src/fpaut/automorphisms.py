@@ -1,10 +1,12 @@
 """Validated automorphisms of a free product of abelian factors.
 
-An automorphism is handed over as a pair of tables (images and inverse
-images of every generator).  Validation certifies the two-sided inverse,
+An automorphism from outside (the CLI, a caller's own tables) is handed
+over as a pair of tables (images and inverse images of every generator)
+and goes through `validate`.  Validation certifies the two-sided inverse,
 extracts the factor permutation and the canonical conjugators g_i with
-phi(A_i) = g_i A_{sigma(i)} g_i^-1, and records the integer matrix of
-ad_{g_i^-1} o phi on each factor.
+phi(A_i) = g_i A_{sigma(i)} g_i^-1, records the integer matrix of
+ad_{g_i^-1} o phi on each factor, and checks that every matrix is
+unimodular.
 
 Inverting an automorphism given only by images is a nontrivial algorithmic
 problem; requiring the inverse table keeps validation cheap and decidable.
@@ -14,9 +16,16 @@ built once on first use: a factor syllable a_i^v maps to
 g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
 c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
 phi(x_l).  The inverse side is built the same way from the inverse table.
-The concatenated syllables are reduced once.  Only the two-sided inverse
-check of `validate`, which runs on tables not yet known to be factor
-preserving, expands the tables generator by generator (`_apply_table`).
+The concatenated syllables are reduced once.
+
+`compose`, `inverse`, `power`, `ad` and `identity_automorphism` build their
+tables from automorphisms that are already validated (or from a conjugator),
+so the two tables are inverse by construction.  They go through the private
+`_trusted` constructor instead of `validate`: it reads (sigma, g_i, M_i) off
+the new images with the same `_factor_data` and runs neither the inverse
+check nor the determinant check.  Only the inverse check of `validate`
+expands tables generator by generator (`_apply_table`).  `power` multiplies
+by repeated squaring.
 """
 
 from __future__ import annotations
@@ -62,7 +71,8 @@ def _apply_table(table: dict[str, Word], pres: Presentation, w: Word) -> Word:
 
 @dataclass(eq=False)
 class Automorphism:
-    """Immutable after validation; construct through :func:`validate`."""
+    """Immutable after validation; construct through :func:`validate`
+    (or, for tables inverse by construction, the private `_trusted`)."""
 
     presentation: Presentation
     images: dict[str, Word]
@@ -207,8 +217,19 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
         if abs(determinant(m)) != 1:
             raise NotFactorPreserving(f"restriction to factor {i} is not invertible")
 
-    return Automorphism(pres, dict(images), dict(inverse_images),
-                        sigma, conjugators, matrices)
+    return _trusted(images, inverse_images, pres,
+                    (sigma, conjugators, matrices))
+
+
+def _trusted(images: dict[str, Word], inverse_images: dict[str, Word],
+             pres: Presentation, data=None) -> Automorphism:
+    """An Automorphism from tables that are two-sided inverses by
+    construction: (sigma, g_i, M_i) come from `_factor_data` of the images
+    (or `data`, when the caller already has it), with no inverse check and
+    no determinant check."""
+    sigma, conjugators, matrices = data or _factor_data(images, pres)
+    return Automorphism(pres, dict(images), dict(inverse_images), sigma,
+                        conjugators, matrices)
 
 
 def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
@@ -257,7 +278,7 @@ def _act(side, pres: Presentation, w: Word) -> Word:
 
 def identity_automorphism(pres: Presentation) -> Automorphism:
     table = {name: generator_word(pres, name) for name in pres.generator_names()}
-    return validate(table, dict(table), pres)
+    return _trusted(table, table, pres)
 
 
 def ad(g: Word, pres: Presentation | None = None) -> Automorphism:
@@ -270,7 +291,7 @@ def ad(g: Word, pres: Presentation | None = None) -> Automorphism:
         s = generator_word(pres, name)
         images[name] = multiply(multiply(g, s), gi)
         inverse_images[name] = multiply(multiply(gi, s), g)
-    return validate(images, inverse_images, pres)
+    return _trusted(images, inverse_images, pres)
 
 
 def _check_presentation(phi: Automorphism, w: Word) -> None:
@@ -297,7 +318,7 @@ def apply_power(phi: Automorphism, n: int, w: Word) -> Word:
 
 
 def inverse(phi: Automorphism) -> Automorphism:
-    return validate(phi.inverse_images, phi.images, phi.presentation)
+    return _trusted(phi.inverse_images, phi.images, phi.presentation)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
@@ -309,17 +330,23 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
               for name in pres.generator_names()}
     inverse_images = {name: _act(psi._backward, pres, phi.inverse_images[name])
                       for name in pres.generator_names()}
-    return validate(images, inverse_images, pres)
+    return _trusted(images, inverse_images, pres)
 
 
 def power(phi: Automorphism, n: int) -> Automorphism:
+    """phi^n by repeated squaring: at most 2 floor(log2 |n|) compositions."""
     if n == 0:
         return identity_automorphism(phi.presentation)
-    base = phi if n > 0 else inverse(phi)
-    out = base
-    for _ in range(abs(n) - 1):
-        out = compose(out, base)
-    return out
+    square = phi if n > 0 else inverse(phi)
+    n = abs(n)
+    out = None
+    while True:
+        if n & 1:
+            out = square if out is None else compose(out, square)
+        n >>= 1
+        if not n:
+            return out
+        square = compose(square, square)
 
 
 def is_toral(phi: Automorphism) -> tuple[bool, tuple[Word, ...]]:

@@ -351,7 +351,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     tested = 0
     phi_m = None
     for m in range(1, max_power + 1):
-        # phi^m = phi^(m-1) o phi, the composition order of `power`
+        # one composition per power; `power` would square from scratch
         phi_m = phi if m == 1 else compose(phi_m, phi)
         for idx, ((u, i), (v, j)) in enumerate(
                 itertools.combinations(descr, 2)):

@@ -21,6 +21,15 @@ Every path operation is defined once, on step tuples (``reduce_steps``,
 and internal computations stay on steps.  ``EdgePath`` checks that its
 steps chain from its start; it is built only at the public boundary, where
 a path comes from outside or is reported as a witness.
+
+Reduction is a left-to-right stream (``_feed``) whose state is the reduced
+steps so far plus a *pending* decoration: a cancelled excursion
+(T_i a)(t_i) at the end leaves the translation a, which is folded into
+the next departure from factor vertex i.  ``nielsen_search`` keeps this
+state for f^1..f^N of every prefix of its depth-first search, so a child
+path costs one junction join per n with the cached image f^n of its last
+step; the pending decoration must be kept, not dropped, for the joins to
+give the images of whole paths.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .automorphisms import Automorphism, apply_power
 from .dynamics import _vectors_of_mass
@@ -173,8 +183,19 @@ def reduce_steps(pres: Presentation, steps) -> tuple:
     next departure from that factor vertex.
     """
     out = []
-    pending = None  # (factor, vector) translation awaiting the next departure
-    for step in steps:
+    _feed(out, None, steps)
+    return tuple(out)
+
+
+def _feed(out: list, pending, steps, reduced: bool = False):
+    """Continue the reduction of `out` (reduced, with `pending`, the
+    (factor, vector) translation awaiting the next departure, or None) by
+    `steps`; returns the new pending.
+
+    With ``reduced`` the steps are known to be reduced: once one of them
+    survives, the rest cannot cancel and are appended as they are.
+    """
+    for k, step in enumerate(steps):
         if pending is not None:
             i, vec = pending
             pending = None
@@ -187,30 +208,51 @@ def reduce_steps(pres: Presentation, steps) -> tuple:
                 pending = (prev[1], prev[2])
         else:
             out.append(step)
-    return tuple(out)
+            if reduced:
+                out.extend(steps[k + 1:])
+                return None
+    return pending
 
 
-def _reverse_steps(pres: Presentation, steps) -> tuple:
-    """The steps of the same tree path run backwards, reduced.
+def _pending_steps(pending) -> tuple:
+    """The cancelled excursion (T_i a)(t_i) that a pending (i, a) stands for."""
+    if pending is None:
+        return ()
+    i, vec = pending
+    return (("T", i, vec), ("t", i))
+
+
+def _join(state, block):
+    """The reduction state of a reduced state followed by a reduced block,
+    both (steps, pending): cancel at the junction, then append the rest."""
+    out = list(state[0])
+    pending = _feed(out, state[1], block[0], reduced=True)
+    if block[1] is not None:
+        pending = _feed(out, pending, _pending_steps(block[1]))
+    return out, pending
+
+
+def _back_step(pres: Presentation, steps, pos):
+    """steps[pos] run backwards.
 
     An original arrival ("t", i) is left along the inverse of the decoration
     that followed it (0 when the path ended there).
     """
-    out = []
-    for pos in range(len(steps) - 1, -1, -1):
-        step = steps[pos]
-        if step[0] == "x":
-            out.append(("x", step[1], -step[2]))
-        elif step[0] == "T":
-            out.append(("t", step[1]))
-        else:
-            i = step[1]
-            if pos + 1 < len(steps):
-                vec = steps[pos + 1][2]
-            else:
-                vec = tuple(0 for _ in range(pres.factor_rank(i)))
-            out.append(("T", i, tuple(-x for x in vec)))
-    return reduce_steps(pres, out)
+    step = steps[pos]
+    if step[0] == "x":
+        return ("x", step[1], -step[2])
+    if step[0] == "T":
+        return ("t", step[1])
+    i = step[1]
+    if pos + 1 < len(steps):
+        return ("T", i, tuple(-x for x in steps[pos + 1][2]))
+    return ("T", i, (0,) * pres.factor_rank(i))
+
+
+def _reverse_steps(pres: Presentation, steps) -> tuple:
+    """The steps of the same tree path run backwards, reduced."""
+    return reduce_steps(pres, [_back_step(pres, steps, pos)
+                               for pos in range(len(steps) - 1, -1, -1)])
 
 
 def reverse_path(path: EdgePath) -> EdgePath:
@@ -256,13 +298,19 @@ class GraphMap:
     def presentation(self) -> Presentation:
         return self.automorphism.presentation
 
+    @cached_property
+    def _factor_images(self) -> tuple:
+        """Per factor i: (M_i, the steps of g_i^-1), computed once."""
+        phi = self.automorphism
+        return tuple((phi.factor_matrix(i), spell(phi.conjugator(i).inverse()))
+                     for i in range(1, self.presentation.num_factors + 1))
+
     def image_of_direction_path(self, d) -> tuple:
         """Image path (as steps) of the edge sitting at direction d."""
         if d[0] == "T":
             _, i, vec = d
-            m = self.automorphism.factor_matrix(i)
-            gi_inv = self.automorphism.conjugator(i).inverse()
-            return (("T", i, m.apply(tuple(vec))),) + spell(gi_inv)
+            m, tail = self._factor_images[i - 1]
+            return (("T", i, m.apply(tuple(vec))),) + tail
         return self.base_images[d]
 
     def direction_map(self, d):
@@ -274,10 +322,17 @@ class GraphMap:
 
     def image_steps(self, steps) -> tuple:
         """The steps of f(path), reduced, from the canonical start lift."""
-        out = []
+        return self.image_state(steps)[0]
+
+    def image_state(self, steps) -> tuple:
+        """(reduced steps, pending) of f(steps): the reduction state, with
+        the translation a final cancelled excursion leaves (see `_feed`)."""
+        raw = []
         for step in steps:
-            out.extend(self.image_of_direction_path(step))
-        return reduce_steps(self.presentation, out)
+            raw.extend(self.image_of_direction_path(step))
+        out = []
+        pending = _feed(out, None, raw)
+        return tuple(out), pending
 
     def apply_to_path(self, path: EdgePath) -> EdgePath:
         """f(path), reduced, anchored at the canonical start lift."""
@@ -663,12 +718,40 @@ def nielsen_search(m: GraphMap, len_bound: int,
     translates realise every other choice), and a path is skipped when its
     reverse was already enumerated.  Every witness is re-verified at word
     level before being reported.
+
+    Tightening commutes with f, so [f^n(p.e)] = [[f^n(p)] . [f^n(e)]].  The
+    search keeps, per depth, the reduction state (steps, pending) of
+    f^1..f^N of the current prefix; a child's states are the junction joins
+    of its parent's with the images f^n(e) of its last step, which are
+    computed once per distinct step.
     """
+    blocks = {}  # step -> [state of f^n(step) for n = 1..exp_bound]
+
+    def images_of(step):
+        got = blocks.get(step)
+        if got is None:
+            got = []
+            seq = (step,)
+            for _ in range(exp_bound):
+                state = m.image_state(seq)
+                got.append(state)
+                seq = state[0] + _pending_steps(state[1])
+            blocks[step] = got
+        return got
+
+    states = [[((), None)] * exp_bound]  # states[d]: prefix of d steps
     witnesses = []
-    for start, steps in _enumerate_paths(m.presentation, len_bound):
-        found = _nielsen_test(m, start, steps, exp_bound)
-        if found is not None:
-            witnesses.append(found)
+    for start, steps, canonical in _path_nodes(m.presentation, len_bound):
+        depth = len(steps)
+        if not canonical and depth == len_bound:
+            continue  # a leaf that is not tested needs no images
+        del states[depth:]
+        state = [_join(s, b) for s, b in zip(states[-1], images_of(steps[-1]))]
+        states.append(state)
+        if canonical:
+            found = _nielsen_test(m, start, steps, [out for out, _ in state])
+            if found is not None:
+                witnesses.append(found)
     witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
                                   path_key(w.path.steps)))
     return witnesses
@@ -681,44 +764,68 @@ def _enumerate_paths(pres: Presentation, len_bound: int):
     <= len_bound, and of a path and its reverse (first decoration set to 0)
     only the smaller in (vertex_key, path_key) order is yielded.
     """
+    for start, steps, canonical in _path_nodes(pres, len_bound):
+        if canonical:
+            yield start, tuple(steps)
+
+
+def _path_nodes(pres: Presentation, len_bound: int):
+    """(start, steps, canonical) for every reduced path with 1..len_bound
+    steps, in depth-first preorder; ``steps`` is the search's own list, so
+    it must be read before the next node is asked for.  ``canonical`` tells
+    whether the path is yielded by `_enumerate_paths`."""
     starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
+    base_steps = [("t", i) for i in range(1, pres.num_factors + 1)]
+    for l in range(1, pres.free_rank + 1):
+        base_steps += [("x", l, 1), ("x", l, -1)]
+    factor_steps = {}  # i -> (first departures, later departures)
+    for i in range(1, pres.num_factors + 1):
+        dim = pres.factor_rank(i)
+        factor_steps[i] = (
+            [("T", i, (0,) * dim)],
+            [("T", i, vec) for vec in sorted(
+                v for mass in range(len_bound + 1)
+                for v in _vectors_of_mass(dim, mass))])
 
-    def extensions(at, first_step):
-        if at == BASE:
-            for i in range(1, pres.num_factors + 1):
-                yield ("t", i)
-            for l in range(1, pres.free_rank + 1):
-                yield ("x", l, 1)
-                yield ("x", l, -1)
-        else:
-            i = at[1]
-            dim = pres.factor_rank(i)
-            if first_step:
-                yield ("T", i, tuple(0 for _ in range(dim)))
-            else:
-                for vec in sorted(v for mass in range(len_bound + 1)
-                                  for v in _vectors_of_mass(dim, mass)):
-                    yield ("T", i, vec)
-
-    def rec(start, steps, at):
-        if steps:
-            # a path ending at a factor vertex arrives along ("t", i), so
-            # its reverse already leaves with decoration 0
-            rev = _reverse_steps(pres, steps)
-            if (vertex_key(start), path_key(steps)) <= \
-                    (vertex_key(at), path_key(rev)):
-                yield start, tuple(steps)
-        if len(steps) == len_bound:
-            return
-        for step in extensions(at, not steps):
+    for start in starts:
+        steps = []
+        stack = [iter(base_steps if start == BASE else factor_steps[start[1]][0])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if steps:
+                    steps.pop()
+                continue
             if steps and _degenerate(steps[-1], step):
                 continue
             steps.append(step)
-            yield from rec(start, steps, step_target(step))
-            steps.pop()
+            at = step_target(step)
+            yield start, steps, _precedes_reverse(pres, start, steps, at)
+            if len(steps) == len_bound:
+                steps.pop()
+            else:
+                stack.append(iter(base_steps if at == BASE
+                                  else factor_steps[at[1]][1]))
 
-    for start in starts:
-        yield from rec(start, [], start)
+
+def _precedes_reverse(pres: Presentation, start, steps, end) -> bool:
+    """Is (start, steps) <= (end, reverse) in (vertex_key, path_key) order?
+
+    The reverse of a reduced path is reduced, so its k-th step is
+    steps[-1-k] run backwards, and the keys are compared lazily, from both
+    ends, up to the first difference.  A path ending at a factor vertex
+    arrives along ("t", i), so its reverse leaves with decoration 0.
+    """
+    if start != end:
+        return vertex_key(start) < vertex_key(end)
+    last = len(steps) - 1
+    for k in range(last + 1):
+        a = step_key(steps[k])
+        b = step_key(_back_step(pres, steps, last - k))
+        if a != b:
+            return a < b
+    return True
 
 
 def conjugator_power(phi: Automorphism, i: int, n: int) -> Word:
@@ -731,12 +838,13 @@ def conjugator_power(phi: Automorphism, i: int, n: int) -> Word:
     return g
 
 
-def _nielsen_test(m: GraphMap, start, steps: tuple, exp_bound: int):
+def _nielsen_test(m: GraphMap, start, steps, images):
+    """The first n with [f^n(path)] = g . path, as a re-verified witness;
+    ``images[n-1]`` holds the reduced steps of f^n(path), a list like
+    ``steps`` (the two are compared with ``==``)."""
     phi = m.automorphism
     pres = m.presentation
-    image = steps
-    for n in range(1, exp_bound + 1):
-        image = m.image_steps(image)
+    for n, image in enumerate(images, start=1):
         g = None
         if start == BASE:
             if image == steps:
@@ -751,7 +859,7 @@ def _nielsen_test(m: GraphMap, start, steps: tuple, exp_bound: int):
         if g is None:
             continue
         # independent word-level verification of [f^n(p)] = g . p
-        path = EdgePath(pres, start, steps)
+        path = EdgePath(pres, start, tuple(steps))
         w = path.word()
         lhs = apply_power(phi, n, w)
         end = path.end_vertex()

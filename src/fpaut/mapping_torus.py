@@ -414,6 +414,9 @@ def _inner_witness(theta: Automorphism) -> Word | None:
         elif (len(syl) == 3 and isinstance(syl[0], FactorSyllable)
               and syl[0].factor == 1 and isinstance(syl[1], FreeSyllable)):
             candidates.append(multiply(g1, Word(pres, (syl[0],))))
+    elif p == 1:
+        # G = A_1 is abelian: every inner automorphism is the identity
+        candidates.append(theta.conjugator(1))
     elif p == 0:
         img = theta.images["x1"]
         cyc = cyclic_normal_form(img)

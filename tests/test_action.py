@@ -2,8 +2,11 @@
 reference `_apply_table` and against the path action of its standard map,
 on random automorphisms built from elementary moves: GL_n(Z) elementary
 matrices on one factor, partial conjugation of a factor, Nielsen moves on
-letters, and swaps of factors or letters."""
+letters, and swaps of factors or letters.  The same generator checks the
+automorphisms that `compose`, `inverse`, `power` and `ad` build without
+re-validation against `validate`."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -11,9 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpaut import (Presentation, apply, apply_power, build_standard_map,
-                   compose, reduce_syllables, validate)
+                   compose, identity_automorphism, inverse, power,
+                   reduce_syllables, validate)
 from fpaut import automorphisms, words
-from fpaut.automorphisms import _apply_table, apply_inverse, generator_word
+from fpaut.automorphisms import (_apply_table, ad, apply_inverse,
+                                 generator_word)
 from fpaut.graph_maps import path_from_word, spell
 from fpaut.words import FactorSyllable, FreeSyllable
 
@@ -257,3 +262,73 @@ def test_apply_calls_neither_power_nor_cyclic_normal_form(
     _apply_table(fibonacci.images, fibonacci.presentation,
                  generator_word(fibonacci.presentation, "x1"))
     assert counts["power"] > 0
+
+
+def _assert_matches_validate(phi):
+    """The data of an automorphism built without re-validation equal what
+    the full `validate` extracts from the same tables, and it accepts them."""
+    checked = validate(phi.images, phi.inverse_images, phi.presentation)
+    assert checked == phi
+    assert checked.factor_permutation == phi.factor_permutation
+    assert checked.conjugators == phi.conjugators
+    assert checked.factor_matrices == phi.factor_matrices
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trusted_algebra_matches_validate(data):
+    pres = data.draw(presentations)
+    phi = data.draw(automorphisms_of(pres, max_moves=3))
+    psi = data.draw(automorphisms_of(pres, max_moves=3))
+    n = data.draw(st.integers(-4, 5))
+    c = data.draw(words_of(pres))
+    _assert_matches_validate(compose(phi, psi))
+    _assert_matches_validate(inverse(phi))
+    _assert_matches_validate(power(phi, n))
+    _assert_matches_validate(ad(c, pres))
+    _assert_matches_validate(identity_automorphism(pres))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_power_is_repeated_composition(data):
+    pres = data.draw(presentations)
+    phi = data.draw(automorphisms_of(pres, max_moves=3))
+    n = data.draw(st.integers(1, 6))
+    out = phi
+    for _ in range(n - 1):
+        out = compose(out, phi)
+    assert power(phi, n) == out
+    assert power(phi, -n) == inverse(out)
+    assert power(phi, 0) == identity_automorphism(pres)
+
+
+def test_algebra_skips_the_inverse_check(monkeypatch, fibonacci, tribonacci,
+                                         intro_anosov, toral_twist, mixed):
+    counts = Counter()
+
+    def counting(name):
+        f = getattr(automorphisms, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(automorphisms, name, wrapper)
+
+    counting("_apply_table")
+    counting("compose")
+    for phi in (fibonacci, tribonacci, intro_anosov, toral_twist, mixed[0]):
+        pres = phi.presentation
+        for n in range(1, 13):
+            counts["compose"] = 0
+            power(phi, n)
+            assert counts["compose"] <= 2 * math.ceil(math.log2(n))
+        power(phi, -5)
+        inverse(compose(phi, phi))
+        ad(generator_word(pres, pres.generator_names()[-1]), pres)
+        identity_automorphism(pres)
+    assert counts["_apply_table"] == 0
+    # the counter sees the check of outside tables, so the guard is not vacuous
+    validate(fibonacci.images, fibonacci.inverse_images,
+             fibonacci.presentation)
+    assert counts["_apply_table"] > 0

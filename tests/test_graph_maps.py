@@ -12,7 +12,8 @@ from fpaut import (EdgePath, Presentation, angle,
                    parse_word, render_word, transition_matrix)
 from fpaut.cli import COMMANDS, JobConfig, canonical_json
 from fpaut.errors import DifferentVertices, FactorsPermuted, UnknownDirection
-from fpaut.graph_maps import (BASE, _degenerate, _enumerate_paths,
+from fpaut import graph_maps
+from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _enumerate_paths,
                               factor_vertex, path_from_word, path_key,
                               reduce_steps, reverse_path, spell, step_source,
                               step_target, vertex_key)
@@ -405,3 +406,83 @@ def test_nielsen_search_builds_paths_only_for_witnesses(monkeypatch,
     reverse_path(path_from_word(tribonacci.presentation,
                                 parse_word("x1 x2", tribonacci.presentation)))
     assert len(built) >= 2
+
+
+@pytest.fixture(scope="module")
+def involution():
+    # Z^2 * F_1: A_1 -> x1 A_1 x1^-1, x1 -> a1.1 x1^-1.  f^2 of the edge
+    # toward the factor vertex ends in a cancelled excursion, so the image
+    # of that one step leaves a pending decoration for the next one.
+    pres = Presentation((2,), 1)
+    table = {"a1.1": "x1 a1.1 x1^-1", "a1.2": "x1 a1.2 x1^-1",
+             "x1": "a1.1 x1^-1"}
+    return make_aut(pres, table, table)
+
+
+def _tested_nodes(monkeypatch, m, len_bound, exp_bound):
+    """(start, steps, images) of every path that `nielsen_search` tests."""
+    seen = []
+    test = graph_maps._nielsen_test
+
+    def spy(m_, start, steps, images):
+        seen.append((start, tuple(steps), [tuple(i) for i in images]))
+        return test(m_, start, steps, images)
+    monkeypatch.setattr(graph_maps, "_nielsen_test", spy)
+    nielsen_search(m, len_bound, exp_bound)
+    return seen
+
+
+@pytest.mark.parametrize("name, len_bound, exp_bound", [
+    ("involution", 4, 3), ("mixed", 4, 3), ("toral_twist", 4, 3),
+    ("intro_anosov", 3, 3), ("fibonacci", 5, 3)])
+def test_nielsen_images_equal_images_from_scratch(monkeypatch, request, name,
+                                                 len_bound, exp_bound):
+    phi = request.getfixturevalue(name)
+    if name == "mixed":
+        phi = phi[0]
+    m = build_standard_map(phi)
+    seen = _tested_nodes(monkeypatch, m, len_bound, exp_bound)
+    assert [(start, steps) for start, steps, _ in seen] == \
+        list(_enumerate_paths(phi.presentation, len_bound))
+    for start, steps, images in seen:
+        image = steps
+        for n in range(exp_bound):
+            image = m.image_steps(image)
+            assert images[n] == image, (start, steps, n + 1)
+
+
+def test_involution_image_of_one_step_keeps_its_pending(involution):
+    m = build_standard_map(involution)
+    once = m.image_state((("t", 1),))
+    assert once == ((("x", 1, 1), ("t", 1)), None)
+    assert m.image_state(once[0]) == ((("t", 1),), (1, (1, 0)))
+
+
+def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
+    m = build_standard_map(tribonacci)
+    calls = []
+    for name in ("image_state", "image_steps"):
+        method = getattr(GraphMap, name)
+
+        def counting(self, steps, method=method, name=name):
+            calls.append(name)
+            return method(self, steps)
+        monkeypatch.setattr(GraphMap, name, counting)
+    reverse = graph_maps._reverse_steps
+
+    def counting_reverse(pres, steps):
+        calls.append("reverse")
+        return reverse(pres, steps)
+    monkeypatch.setattr(graph_maps, "_reverse_steps", counting_reverse)
+    nielsen_search(m, 6, 4)
+    distinct = {step for _, steps in _enumerate_paths(m.presentation, 6)
+                for step in steps}
+    assert "reverse" not in calls
+    assert len(calls) <= len(distinct) * 4
+    # the counters see both methods and the reversal, so the guard is not
+    # vacuous
+    del calls[:]
+    m.image_steps((("x", 1, 1),))
+    reverse_path(path_from_word(tribonacci.presentation,
+                                parse_word("x1 x2", tribonacci.presentation)))
+    assert calls == ["image_steps", "image_state", "reverse"]

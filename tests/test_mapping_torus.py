@@ -10,6 +10,7 @@ from fpaut import (BlockOrbitInstance, OrbitConstraint, Presentation,
                    mapping_torus_abelianization, parse_word)
 from fpaut.automorphisms import ad
 from fpaut.errors import DimensionMismatch, PresentationMismatch
+from fpaut.mapping_torus import _inner_witness
 from fpaut.matrices import IntegerMatrix, determinant
 
 from conftest import make_aut, random_word
@@ -232,3 +233,28 @@ def test_pipeline_inverts_phi2_once(monkeypatch, fibonacci, free2):
     assert v.status == "undecided" and tested > 100
     assert sum(phi is swapped for phi in calls) == 1
     assert len(calls) == tested + 1
+
+
+def test_pipeline_identity_of_abelian_group_is_conjugate():
+    # G = Z^2: one factor, no letters; every inner automorphism is trivial
+    pres = Presentation((2,), 0)
+    phi = identity_automorphism(pres)
+    v = conjugacy_pipeline(phi, phi)
+    assert v.status == "conjugate"
+    assert not v.witness["inner"]
+    assert v.diagnostics["candidates_tested"] == 1
+
+
+@pytest.mark.parametrize("ranks, free_rank", [
+    ((), 2), ((), 3), ((2, 3), 0), ((2, 2), 0), ((2,), 1),
+    ((2,), 0), ((3,), 0), ((), 1), ((1,), 0)],
+    ids=["fib", "trib", "intro", "twist", "mixed", "z2", "z3", "z", "z1"])
+def test_inner_witness_recovers_every_inner_automorphism(ranks, free_rank):
+    pres = Presentation(ranks, free_rank)
+    rng = random.Random(1901)
+    for _ in range(40):
+        c = random_word(pres, rng)
+        theta = ad(c, pres)
+        found = _inner_witness(theta)
+        assert found is not None, c
+        assert ad(found, pres) == theta
