@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .automorphisms import (Automorphism, apply, apply_power,
-                            check_central_condition, compose)
+                            check_central_condition, compose, power)
 from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,

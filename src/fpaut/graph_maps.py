@@ -44,7 +44,7 @@ from .dynamics import _vectors_of_mass
 from .errors import (DifferentVertices, EmptyWord, FactorsPermuted,
                      UnknownDirection)
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
-                       pf_growth_rate)
+                       pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     multiply, reduce_syllables)
 
@@ -392,6 +392,14 @@ def transition_matrix(m: GraphMap) -> IntegerMatrix:
     return IntegerMatrix(tuple(rows))
 
 
+def _iterate(mat: IntegerMatrix, vec, times: int) -> tuple:
+    """mat^times applied to vec, by repeated application."""
+    v = tuple(vec)
+    for _ in range(times):
+        v = mat.apply(v)
+    return v
+
+
 @dataclass(frozen=True)
 class GateStructure:
     """Partition of the encountered directions into gates.
@@ -414,13 +422,6 @@ class GateStructure:
     def gates_at_base(self):
         return self.base_gates
 
-    def _factor_key(self, i, vec, extra=0):
-        m = self.factor_matrices[i]
-        v = tuple(vec)
-        for _ in range(self.depth + extra):
-            v = m.apply(v)
-        return v
-
     def knows(self, d) -> bool:
         if d[0] == "T":
             return d[1] in self.factor_encountered and \
@@ -436,7 +437,9 @@ class GateStructure:
         if d1[0] != d2[0] or (d1[0] == "T" and d1[1] != d2[1]):
             return False
         if d1[0] == "T":
-            return self._factor_key(d1[1], d1[2]) == self._factor_key(d2[1], d2[2])
+            mat = self.factor_matrices[d1[1]]
+            return (_iterate(mat, d1[2], self.depth)
+                    == _iterate(mat, d2[2], self.depth))
         return self.base_key[d1] == self.base_key[d2]
 
     def is_legal(self, turn) -> bool:
@@ -485,14 +488,10 @@ def gate_structure(m: GraphMap, depth: int) -> GateStructure:
     if stable:
         for i, vecs in encountered.items():
             mat = matrices[i]
-
-            def deep(v, extra):
-                for _ in range(depth + extra):
-                    v = mat.apply(v)
-                return v
-
             for v1, v2 in itertools.combinations(sorted(vecs), 2):
-                if (deep(v1, 0) == deep(v2, 0)) != (deep(v1, 1) == deep(v2, 1)):
+                if ((_iterate(mat, v1, depth) == _iterate(mat, v2, depth))
+                        != (_iterate(mat, v1, depth + 1)
+                            == _iterate(mat, v2, depth + 1))):
                     stable = False
                     break
             if not stable:
@@ -633,7 +632,6 @@ def _extend_overlap_side(m: GraphMap, side, needed) -> bool:
     if needed[0] == "T":
         i = needed[1]
         if at == factor_vertex(i):
-            from .matrices import solve_integer
             c = solve_integer(m.automorphism.factor_matrix(i), tuple(needed[2]))
             if c is not None:
                 candidates.append(("T", i, tuple(c)))

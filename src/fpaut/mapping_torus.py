@@ -20,8 +20,9 @@ from .automorphisms import (Automorphism, ad, compose, generator_word,
 from .dynamics import enumerate_words
 from .errors import (DimensionMismatch, FactorsPermuted, PresentationMismatch)
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
-                       invariant_factors, matrix_inverse_unimodular,
-                       smith_normal_form, solve_integer)
+                       invariant_factors, kernel_basis,
+                       matrix_inverse_unimodular, smith_normal_form,
+                       solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     cyclic_normal_form, multiply)
 
@@ -78,7 +79,12 @@ def mapping_torus_abelianization(phi: Automorphism) -> AbelianizationReport:
 
 @dataclass(frozen=True)
 class OrbitConstraint:
-    """rho(vector) must equal ``target`` or lie in target + lattice(gens)."""
+    """rho(vector) must equal ``target`` or lie in target + lattice(gens).
+
+    The lattice generators are whole (n+m)-vectors, so one coefficient
+    vector lambda spans the coset in both blocks at once:
+    rho(vector) - target = sum_t lambda_t gens[t].
+    """
 
     vector: tuple
     target: tuple
@@ -127,68 +133,18 @@ def _split(vec, n):
     return tuple(vec[:n]), tuple(vec[n:])
 
 
-def _transvection_to_content(v2):
-    """Unimodular P with P v2 = (content, 0, ..., 0)."""
-    m = len(v2)
-    p = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = list(v2)
+def _unimodular_taking(v2, w2) -> IntegerMatrix:
+    """Some U in GL_m(Z) with U v2 = w2, given content(v2) = content(w2).
 
-    def rowop(dst, src, c):
-        v[dst] += c * v[src]
-        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
-
-    def rowswap(i, j):
-        v[i], v[j] = v[j], v[i]
-        p[i], p[j] = p[j], p[i]
-
-    while sum(1 for x in v if x) > 1:
-        nz = sorted((abs(x), i) for i, x in enumerate(v) if x)
-        _, pivot = nz[0]
-        for i in range(m):
-            if i != pivot and v[i]:
-                rowop(i, pivot, -(v[i] // v[pivot]))
-        if sum(1 for x in v if x) > 1:
-            continue
-    for i, x in enumerate(v):
-        if x:
-            if i != 0:
-                rowswap(0, i)
-            break
-    if v[0] < 0:
-        p[0] = [-x for x in p[0]]
-        v[0] = -v[0]
-    return IntegerMatrix(tuple(tuple(r) for r in p))
-
-
-def _unimodular_taking(v2, w2) -> IntegerMatrix | None:
-    """Some U in GL_m(Z) with U v2 = w2 (exists iff contents agree)."""
-    if content(v2) != content(w2):
-        return None
-    if not any(v2):
-        return IntegerMatrix.identity(len(v2)) if not any(w2) else None
-    p = _transvection_to_content(v2)
-    q = _transvection_to_content(w2)
-    u = matrix_inverse_unimodular(q) * p
-    if u.apply(tuple(v2)) != tuple(w2):
+    The Smith transform of a column takes it to (content, 0, ..., 0), so
+    U = U_w^-1 U_v carries v2 onto w2.
+    """
+    uv, dv, _ = smith_normal_form(IntegerMatrix(tuple((x,) for x in v2)))
+    uw, dw, _ = smith_normal_form(IntegerMatrix(tuple((x,) for x in w2)))
+    u = matrix_inverse_unimodular(uw) * uv
+    if dv != dw or u.apply(tuple(v2)) != tuple(w2):
         raise AssertionError("unimodular transport failed verification")
     return u
-
-
-def _solve_b_rows(n, m, v2_cols, deltas):
-    """B with B v2^(s) = delta^(s) for all s, or None.
-
-    ``v2_cols``: list of the v2 vectors; ``deltas``: list of target vectors
-    (length n each).  Row r of B solves  row . v2^(s) = delta^(s)[r].
-    """
-    mat = IntegerMatrix(tuple(tuple(col) for col in v2_cols))  # s x m
-    rows = []
-    for r in range(n):
-        rhs = tuple(d[r] for d in deltas)
-        sol = solve_integer(mat, rhs)
-        if sol is None:
-            return None
-        rows.append(tuple(sol))
-    return IntegerMatrix(tuple(rows)) if n else IntegerMatrix.zero(0, m)
 
 
 def _enumerate_unimodular(m, bound, budget=400_000):
@@ -222,13 +178,17 @@ def _check_constraints(inst: BlockOrbitInstance, rho: IntegerMatrix) -> bool:
 def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitVerdict:
     """Decide rho(v) = w (or coset membership) for block matrices [[I,B],[0,U]].
 
-    A single exact constraint is decided exactly: U v2 = w2 is solvable iff
-    content(v2) = content(w2), and B v2 = w1 - v1 iff v2 = 0 forces w1 = v1,
-    else content(v2) divides every entry of w1 - v1.  Several exact
-    constraints are decided exactly when the v2's form an invertible square
-    system; remaining cases run a bounded search over U with entries up to
-    ``search_bound`` and report ``undecided`` past the budget.  Witnesses
-    are re-verified by multiplication before being returned.
+    A coset constraint asks rho(v) - w = sum_t lambda_t gen_t for one integer
+    coefficient vector lambda spanning the whole (n+m)-vector: the top and
+    bottom blocks share it.  Exact constraints are first screened by
+    necessary conditions: U v2 = w2 needs content(v2) = content(w2), and
+    B v2 = w1 - v1 needs w1 = v1 when v2 = 0, else content(v2) dividing
+    every entry of w1 - v1.  The candidates for U are then the transport
+    for a single exact constraint, mw mv^-1 when the exact v2's form an
+    invertible square system, and otherwise every U with entries up to
+    ``search_bound`` (``undecided`` past the budget).  Each candidate solves
+    one joint integer system for (B, lambda); witnesses are re-verified by
+    multiplication before being returned.
     """
     n, m = inst.n, inst.m
     if not inst.constraints:
@@ -252,21 +212,12 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
                 return OrbitVerdict("no_solution", reason=(
                     "content(v2) must divide every entry of w1 - v1"))
 
-    if len(exact) == len(inst.constraints) == 1:
-        c = inst.constraints[0]
-        v1, v2 = _split(c.vector, n)
-        w1, w2 = _split(c.target, n)
-        u = _unimodular_taking(v2, w2)
-        b = _solve_b_rows(n, m, [v2], [tuple(a - b_ for a, b_ in zip(w1, v1))])
-        if u is None or b is None:
-            return OrbitVerdict("no_solution", reason="transport failed")
-        rho = block_matrix(n, m, b, u)
-        if not _check_constraints(inst, rho):
-            raise AssertionError("orbit witness failed re-verification")
-        return OrbitVerdict("witness", rho)
-
     candidates = None
-    if len(exact) == len(inst.constraints):
+    if len(exact) == len(inst.constraints) == 1:
+        c = exact[0]
+        candidates = [_unimodular_taking(_split(c.vector, n)[1],
+                                         _split(c.target, n)[1])]
+    elif len(exact) == len(inst.constraints):
         v2s = [_split(c.vector, n)[1] for c in exact]
         w2s = [_split(c.target, n)[1] for c in exact]
         mv = IntegerMatrix(tuple(zip(*v2s)))   # m x s
@@ -279,7 +230,6 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
             if abs(determinant(candidates[0])) != 1:
                 return OrbitVerdict("no_solution",
                                     reason="unique linear solution is not unimodular")
-
     if candidates is None:
         candidates = _enumerate_unimodular(m, search_bound)
         if candidates is None:
@@ -287,23 +237,8 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
                                 reason="search budget exceeded for this block size")
 
     for u in candidates:
-        ok_u = True
-        for c in inst.constraints:
-            _, v2 = _split(c.vector, n)
-            _, w2 = _split(c.target, n)
-            got = u.apply(v2)
-            if c.exact:
-                if got != w2:
-                    ok_u = False
-                    break
-            else:
-                lat2 = [_split(g, n)[1] for g in c.lattice]
-                diff = tuple(a - b for a, b in zip(got, w2))
-                latm = IntegerMatrix(tuple(zip(*lat2))) if lat2 else IntegerMatrix.zero(m, 0)
-                if solve_integer(latm, diff) is None:
-                    ok_u = False
-                    break
-        if not ok_u:
+        if any(u.apply(_split(c.vector, n)[1]) != _split(c.target, n)[1]
+               for c in exact):
             continue
         b = _solve_joint_b(inst, u)
         if b is None:
@@ -317,32 +252,34 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
 
 
 def _solve_joint_b(inst: BlockOrbitInstance, u: IntegerMatrix):
-    """Solve the top-row system for B (with coset slack) given U.
+    """B with every constraint satisfied by [[I, B], [0, U]], or None.
 
     Unknowns: the n*m entries of B and one lattice coefficient per
-    generator of each coset constraint; one joint integer linear system.
+    generator of each coset constraint, shared by the constraint's n top
+    rows (v1 + B v2) and m bottom rows (U v2); one joint integer linear
+    system.  The bottom rows of exact constraints are left out: the caller
+    has checked U v2 = w2.
     """
     n, m = inst.n, inst.m
     lat_offsets = []
     total_lambda = 0
     for c in inst.constraints:
         lat_offsets.append(total_lambda)
-        if not c.exact:
-            total_lambda += len(c.lattice)
+        total_lambda += len(c.lattice)
     unknowns = n * m + total_lambda
     rows, rhs = [], []
     for ci, c in enumerate(inst.constraints):
         v1, v2 = _split(c.vector, n)
-        w1, _ = _split(c.target, n)
-        for r in range(n):
+        top = tuple(w - v for w, v in zip(c.target[:n], v1))
+        bottom = tuple(w - x for w, x in zip(c.target[n:], u.apply(v2)))
+        for r in range(n if c.exact else n + m):
             row = [0] * unknowns
-            for col in range(m):
-                row[r * m + col] = v2[col]
-            if not c.exact:
-                for t, gen in enumerate(c.lattice):
-                    row[n * m + lat_offsets[ci] + t] = -gen[r]
+            if r < n:
+                row[r * m:(r + 1) * m] = v2
+            for t, gen in enumerate(c.lattice):
+                row[n * m + lat_offsets[ci] + t] = -gen[r]
             rows.append(tuple(row))
-            rhs.append(w1[r] - v1[r])
+            rhs.append(top[r] if r < n else bottom[r - n])
     if not rows:
         return IntegerMatrix.zero(n, m)
     sol = solve_integer(IntegerMatrix(tuple(rows)), tuple(rhs))
@@ -456,13 +393,7 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
                 row[r * n + t] += m1[t, c]
                 row[t * n + c] -= m2[r, t]
             rows.append(tuple(row))
-    op = IntegerMatrix(tuple(rows))
-    u, d, v = smith_normal_form(op)
-    basis = []
-    for r in range(v.ncols):
-        if r >= min(d.nrows, d.ncols) or d[r, r] == 0:
-            col = v.apply(tuple(1 if c == r else 0 for c in range(v.ncols)))
-            basis.append(col)
+    basis = kernel_basis(IntegerMatrix(tuple(rows)))
     out = []
     seen = set()
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),

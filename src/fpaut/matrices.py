@@ -147,57 +147,8 @@ class _Snf:
         self.a[i] = [-x for x in self.a[i]]
         self.u[i] = [-x for x in self.u[i]]
 
-    def _pivot(self, t):
-        best = None
-        for i in range(t, self.nr):
-            for j in range(t, self.nc):
-                x = abs(self.a[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
-    def reduce(self):
-        t = 0
-        while True:
-            p = self._pivot(t)
-            if p is None:
-                break
-            _, pi, pj = p
-            self.swap_rows(t, pi)
-            self.swap_cols(t, pj)
-            dirty = False
-            for i in range(t + 1, self.nr):
-                if self.a[i][t]:
-                    q = self.a[i][t] // self.a[t][t]
-                    self.add_row(t, i, -q)
-                    if self.a[i][t]:
-                        dirty = True
-            for j in range(t + 1, self.nc):
-                if self.a[t][j]:
-                    q = self.a[t][j] // self.a[t][t]
-                    self.add_col(t, j, -q)
-                    if self.a[t][j]:
-                        dirty = True
-            if dirty:
-                continue  # a smaller pivot appeared below/right; redo block
-            if self.a[t][t] < 0:
-                self.negate_row(t)
-            t += 1
-        # enforce the divisibility chain d1 | d2 | ...
-        r = min(self.nr, self.nc)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r - 1):
-                di, dj = self.a[i][i], self.a[i + 1][i + 1]
-                if dj % (di if di else 1) != 0 or (di == 0 and dj != 0):
-                    # fold d_{i+1} into the d_i slot and re-reduce the 2x2
-                    self.add_col(i + 1, i, 1)
-                    self._rediagonalize(i)
-                    changed = True
-
-    def _rediagonalize(self, t):
-        """Clear the (t..t+1) block after a chain-fixing column add."""
+    def _diagonalize(self, t):
+        """Clear rows and columns from t on, smallest nonzero entry first."""
         while True:
             p = None
             for i in range(t, self.nr):
@@ -221,10 +172,25 @@ class _Snf:
                     self.add_col(t, j, -(self.a[t][j] // self.a[t][t]))
                     if self.a[t][j]:
                         done = False
-            if done:
+            if done:  # else a smaller pivot appeared below/right; redo block
                 if self.a[t][t] < 0:
                     self.negate_row(t)
                 t += 1
+
+    def reduce(self):
+        self._diagonalize(0)
+        # enforce the divisibility chain d1 | d2 | ...
+        r = min(self.nr, self.nc)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(r - 1):
+                di, dj = self.a[i][i], self.a[i + 1][i + 1]
+                if dj % (di if di else 1) != 0 or (di == 0 and dj != 0):
+                    # fold d_{i+1} into the d_i slot and re-reduce from i
+                    self.add_col(i + 1, i, 1)
+                    self._diagonalize(i)
+                    changed = True
 
 
 def smith_normal_form(m: IntegerMatrix):
@@ -333,16 +299,19 @@ def char_poly(m: IntegerMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
+    """A basis of the integer kernel of M: the columns of V (U M V = D) at
+    the zero or missing diagonal entries of D, in column order."""
+    _, d, v = smith_normal_form(m)
+    r = min(d.nrows, d.ncols)
+    return [tuple(row[c] for row in v.entries)
+            for c in range(v.ncols) if c >= r or d[c, c] == 0]
+
+
 def kernel_vector(m: IntegerMatrix):
     """A nonzero integer vector in the kernel of M, or None."""
-    u, d, v = smith_normal_form(m)
-    for r in range(min(d.nrows, d.ncols)):
-        if d[r, r] == 0:
-            return v.apply(tuple(1 if c == r else 0 for c in range(v.ncols)))
-    if d.ncols > d.nrows:
-        r = d.nrows
-        return v.apply(tuple(1 if c == r else 0 for c in range(v.ncols)))
-    return None
+    basis = kernel_basis(m)
+    return basis[0] if basis else None
 
 
 def is_irreducible_matrix(m: IntegerMatrix) -> bool:

@@ -397,6 +397,15 @@ def test_implication_consistent_on_tribonacci(tribonacci):
     assert rep.status == "consistent"
 
 
+def test_implication_builds_class_from_twin_witness(toral_twist):
+    # bounds too small for the atoroidal search to see the twist's fixed
+    # class, so the twin witness is turned into an explicit class via phi^m
+    rep = no_twin_implication_check(toral_twist, max_len=1, max_exp=1,
+                                    max_iter=1, max_power=1, conj_len=1)
+    assert rep.status == "witness-beyond-bounds"
+    assert rep.constructed_power == 1
+
+
 # --- brute-force oracles (raw unreduced enumeration) -------------------------
 
 def raw_small_words(pres, max_len):

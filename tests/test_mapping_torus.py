@@ -144,25 +144,56 @@ def test_orbit_coset_target():
     assert got[1] == 1  # bottom part exact; top absorbed by the lattice
 
 
+def _orbit_1x1_instances():
+    """Exact constraints with entries in -3..3, then coset constraints with
+    one nonzero lattice generator and entries in -2..2."""
+    for v1, v2, w1, w2 in itertools.product(range(-3, 4), repeat=4):
+        yield (v1, v2), (w1, w2), ()
+    gens = [g for g in itertools.product(range(-2, 3), repeat=2) if any(g)]
+    for v1, v2, w1, w2 in itertools.product(range(-2, 3), repeat=4):
+        for g in gens:
+            yield (v1, v2), (w1, w2), (g,)
+
+
+def _in_lattice_1(diff, lattice):
+    """diff = lam * g for an integer lam (g the only generator), or diff = 0."""
+    if not lattice:
+        return not any(diff)
+    g = lattice[0]
+    k = next(i for i, x in enumerate(g) if x)
+    return diff[k] % g[k] == 0 and \
+        all(d == diff[k] // g[k] * x for d, x in zip(diff, g))
+
+
 def test_orbit_exhaustive_1x1_against_brute_force():
-    rng = range(-3, 4)
-    for v1, v2, w1, w2 in itertools.product(rng, repeat=4):
-        inst = BlockOrbitInstance(1, 1, (OrbitConstraint((v1, v2), (w1, w2)),))
+    for (v1, v2), (w1, w2), lattice in _orbit_1x1_instances():
+        inst = BlockOrbitInstance(1, 1, (OrbitConstraint((v1, v2), (w1, w2),
+                                                         lattice),))
         got = block_orbit_solve(inst)
+        # rho(v) - w = lam * g with rho = [[1, b], [0, u]], bounded
+        (g1, g2), = lattice or ((0, 0),)
         brute = None
         for u in (1, -1):
-            for b in range(-20, 21):
-                if (v1 + b * v2, u * v2) == (w1, w2):
-                    brute = (u, b)
+            for lam in (range(-10, 11) if lattice else (0,)):
+                if u * v2 - w2 != lam * g2:
+                    continue
+                for b in range(-20, 21):
+                    if v1 + b * v2 - w1 == lam * g1:
+                        brute = (u, b, lam)
+                        break
+                if brute:
                     break
             if brute:
                 break
-        assert got.status in ("witness", "no_solution")
+        assert got.status in ("witness", "no_solution", "undecided")
         if got.status == "witness":
-            assert brute is not None
-            assert got.matrix.apply((v1, v2)) == (w1, w2)
+            got_w = got.matrix.apply((v1, v2))
+            assert _in_lattice_1((got_w[0] - w1, got_w[1] - w2), lattice)
         else:
-            assert brute is None
+            assert brute is None, (inst, got)
+        if not lattice:
+            assert (got.status == "witness") == (brute is not None)
+            assert got.status != "undecided"
 
 
 # --- conjugacy pipeline -------------------------------------------------------

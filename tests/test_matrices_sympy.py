@@ -1,7 +1,7 @@
 """sympy as an independent oracle for the exact integer linear algebra:
-Smith normal form, invariant factors, determinant and characteristic
-polynomial on seeded random small integer matrices, including rank-deficient
-ones."""
+Smith normal form, invariant factors, integer kernel bases, determinant and
+characteristic polynomial on seeded random small integer matrices, including
+rank-deficient ones."""
 
 import random
 
@@ -11,7 +11,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
 from fpaut.matrices import (IntegerMatrix, char_poly, determinant,  # noqa: E402
-                            invariant_factors, smith_normal_form)
+                            invariant_factors, kernel_basis, kernel_vector,
+                            smith_normal_form)
 
 
 def _random_rows(rng, nrows, ncols, bound=6):
@@ -28,11 +29,16 @@ def _pair(rows):
     return IntegerMatrix(tuple(map(tuple, rows))), sympy.Matrix(rows)
 
 
-def test_smith_form_matches_sympy():
+def _seeded_rectangular_pairs():
     rng = random.Random(7)
     for _ in range(200):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        ours, theirs = _pair(_random_rows(rng, nrows, ncols))
+        yield _pair(_random_rows(rng, nrows, ncols))
+
+
+def test_smith_form_matches_sympy():
+    for ours, theirs in _seeded_rectangular_pairs():
+        nrows, ncols = ours.nrows, ours.ncols
         _, d, _ = smith_normal_form(ours)
         reference = sympy_snf(theirs, domain=sympy.ZZ)
         # sympy normalises signs differently; the diagonal is unique up to units
@@ -40,6 +46,18 @@ def test_smith_form_matches_sympy():
                          for i in range(min(nrows, ncols)))
         assert d.diagonal() == expected
         assert invariant_factors(ours) == expected
+
+
+def test_kernel_basis_matches_sympy():
+    for ours, theirs in _seeded_rectangular_pairs():
+        basis = kernel_basis(ours)
+        assert len(basis) == ours.ncols - theirs.rank()
+        for vec in basis:
+            assert not any(ours.apply(vec))
+        if basis:
+            span = sympy.Matrix.hstack(*(sympy.Matrix(v) for v in basis))
+            assert span.rank() == len(theirs.nullspace())
+        assert kernel_vector(ours) == (basis[0] if basis else None)
 
 
 def test_determinant_and_char_poly_match_sympy():
