@@ -33,11 +33,6 @@ class ZeroMatrix(FpAutError):
     """Spectral data of the zero matrix was requested."""
 
 
-class UnknownDirection(FpAutError):
-    """A turn involves a direction outside the encountered set of a gate
-    structure; recompute the gates at a larger depth."""
-
-
 class DifferentVertices(FpAutError):
     """Angle requested between directions not based at the same non-free
     vertex."""

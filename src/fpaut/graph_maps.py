@@ -41,8 +41,7 @@ from functools import cached_property
 
 from .automorphisms import Automorphism, apply_power
 from .dynamics import _vectors_of_mass
-from .errors import (DifferentVertices, EmptyWord, FactorsPermuted,
-                     UnknownDirection)
+from .errors import DifferentVertices, EmptyWord, FactorsPermuted
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
                        pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
@@ -392,54 +391,33 @@ def transition_matrix(m: GraphMap) -> IntegerMatrix:
     return IntegerMatrix(tuple(rows))
 
 
-def _iterate(mat: IntegerMatrix, vec, times: int) -> tuple:
-    """mat^times applied to vec, by repeated application."""
-    v = tuple(vec)
-    for _ in range(times):
-        v = mat.apply(v)
-    return v
-
-
 @dataclass(frozen=True)
 class GateStructure:
-    """Partition of the encountered directions into gates.
+    """Partition of the directions into gates.
 
-    Two directions share a gate iff their images under the direction map
-    coincide within ``depth`` iterations; the map is deterministic, so this
-    is a single comparison of the depth-fold images.  At factor vertices the
-    direction map is the factor matrix acting on decorations, compared
-    exactly.  ``stable`` records whether the partition agrees with the one
-    at depth+1 on the same encountered set.
+    At the base vertex two directions share a gate iff their images under
+    ``depth`` iterations of the direction map coincide (``base_key``); a
+    ``"t"`` and an ``"x"`` direction are never in one gate.  At factor
+    vertex i the direction map is the unimodular factor matrix M_i acting on
+    decorations, hence injective, so two directions there share a gate only
+    when they are equal.  ``stable`` records whether the base partition
+    agrees with the one at depth+1.
     """
 
     depth: int
     base_gates: tuple            # tuple of frozensets of base directions
     base_key: dict               # base direction -> image at iteration `depth`
-    factor_encountered: dict     # i -> frozenset of decoration vectors
-    factor_matrices: dict        # i -> IntegerMatrix
     stable: bool
 
     def gates_at_base(self):
         return self.base_gates
 
-    def knows(self, d) -> bool:
-        if d[0] == "T":
-            return d[1] in self.factor_encountered and \
-                tuple(d[2]) in self.factor_encountered[d[1]]
-        return d in self.base_key
-
     def same_gate(self, d1, d2) -> bool:
         """The turn (d1, d2) is illegal iff the directions share a gate."""
-        for d in (d1, d2):
-            if not self.knows(d):
-                raise UnknownDirection(
-                    f"direction {d} not encountered at depth {self.depth}")
         if d1[0] != d2[0] or (d1[0] == "T" and d1[1] != d2[1]):
             return False
         if d1[0] == "T":
-            mat = self.factor_matrices[d1[1]]
-            return (_iterate(mat, d1[2], self.depth)
-                    == _iterate(mat, d2[2], self.depth))
+            return tuple(d1[2]) == tuple(d2[2])
         return self.base_key[d1] == self.base_key[d2]
 
     def is_legal(self, turn) -> bool:
@@ -448,58 +426,28 @@ class GateStructure:
 
 
 def gate_structure(m: GraphMap, depth: int) -> GateStructure:
-    """Gates induced by iterating the direction map ``depth`` times."""
+    """Base gates induced by iterating the direction map ``depth`` times.
+
+    Factor-vertex gates are singletons (see :class:`GateStructure`).  The
+    key at depth+1 is the direction map of the key at ``depth``, so the
+    depth+1 partition is coarser and the two agree iff the direction map
+    keeps the gate keys distinct.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    pres = m.presentation
-    base_dirs = m.graph.base_directions()
-
-    def key_at(d, it):
+    base_key = {}
+    for d in m.graph.base_directions():
         v = d
-        for _ in range(it):
+        for _ in range(depth):
             v = m.direction_map(v)
-        return v
-
-    base_key = {d: key_at(d, depth) for d in base_dirs}
+        base_key[d] = v
     groups = {}
-    for d in base_dirs:
-        groups.setdefault(base_key[d], []).append(d)
+    for d, key in base_key.items():
+        groups.setdefault(key, []).append(d)
     base_gates = tuple(sorted((frozenset(g) for g in groups.values()),
                               key=lambda g: sorted(map(step_key, g))))
-
-    encountered = {i: {tuple(0 for _ in range(pres.factor_rank(i)))}
-                   for i in range(1, pres.num_factors + 1)}
-    for d in base_dirs:
-        for step in m.image_of_direction_path(d):
-            if step[0] == "T":
-                encountered[step[1]].add(tuple(step[2]))
-    matrices = {i: m.automorphism.factor_matrix(i)
-                for i in range(1, pres.num_factors + 1)}
-    for i, vecs in encountered.items():
-        mat = matrices[i]
-        frontier = set(vecs)
-        for _ in range(depth):
-            frontier = {mat.apply(v) for v in frontier}
-            vecs |= frontier
-
-    next_key = {d: key_at(d, depth + 1) for d in base_dirs}
-    stable = all((base_key[d1] == base_key[d2]) == (next_key[d1] == next_key[d2])
-                 for d1, d2 in itertools.combinations(base_dirs, 2))
-    if stable:
-        for i, vecs in encountered.items():
-            mat = matrices[i]
-            for v1, v2 in itertools.combinations(sorted(vecs), 2):
-                if ((_iterate(mat, v1, depth) == _iterate(mat, v2, depth))
-                        != (_iterate(mat, v1, depth + 1)
-                            == _iterate(mat, v2, depth + 1))):
-                    stable = False
-                    break
-            if not stable:
-                break
-
-    return GateStructure(depth, base_gates, base_key,
-                         {i: frozenset(v) for i, v in encountered.items()},
-                         matrices, stable)
+    stable = len(groups) == len({m.direction_map(k) for k in groups})
+    return GateStructure(depth, base_gates, base_key, stable)
 
 
 def default_gate_depth(pres: Presentation) -> int:
@@ -542,11 +490,14 @@ class TrainTrackVerdict:
 
 
 def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
-    """Verify the two train-track conditions on the encountered directions.
+    """Verify the two train-track conditions.
 
     Edge images must be legal paths and legal turns must map to legal turns.
-    A collision that first appears at the depth horizon cannot be told apart
-    from noise, so an unstable gate partition yields ``undecided``.
+    A turn at a factor vertex is legal iff its two decorations differ, and
+    the injective factor matrix keeps them distinct, so only base turns can
+    collapse.  A collision that first appears at the depth horizon cannot be
+    told apart from noise, so an unstable base partition yields
+    ``undecided``.
     """
     gates = gate_structure(m, depth)
     pres = m.presentation
@@ -570,15 +521,6 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
             if gates.same_gate(m.direction_map(d1), m.direction_map(d2)):
                 status = "undecided" if not gates.stable else "violated"
                 return TrainTrackVerdict(status, ("legal turn collapsed", (d1, d2)), gates)
-    for i, vecs in gates.factor_encountered.items():
-        for v1, v2 in itertools.combinations(sorted(vecs), 2):
-            a, b = ("T", i, v1), ("T", i, v2)
-            if not gates.same_gate(a, b):
-                da, db = m.direction_map(a), m.direction_map(b)
-                if gates.knows(da) and gates.knows(db) and gates.same_gate(da, db):
-                    status = "undecided" if not gates.stable else "violated"
-                    return TrainTrackVerdict(status, ("legal turn collapsed", (a, b)), gates)
-
     if not gates.stable:
         return TrainTrackVerdict("undecided", ("horizon", None), gates)
     return TrainTrackVerdict("holds", None, gates)
@@ -651,20 +593,17 @@ def bounded_cancellation_constant(m: GraphMap, depth: int) -> Fraction:
     """Upper bound for the cancellation of one application of f.
 
     The first edges of a cancelling pair of image paths coincide, so only
-    junctions whose directions share a gate contribute; each such junction
-    is followed exactly with :func:`_junction_cancellation`.  For train
-    track maps this equals the common-prefix bound over same-gate pairs.
+    junctions whose directions share a gate contribute.  Gates at factor
+    vertices are singletons, so these are the pairs within one base gate;
+    each is followed exactly with :func:`_junction_cancellation`.  For
+    train track maps this equals the common-prefix bound over same-gate
+    pairs.
     """
     gates = gate_structure(m, depth)
     best = Fraction(0)
     for gate in gates.gates_at_base():
         for d1, d2 in itertools.combinations(sorted(gate, key=step_key), 2):
             best = max(best, _junction_cancellation(m, d1, d2))
-    for i, vecs in gates.factor_encountered.items():
-        for v1, v2 in itertools.combinations(sorted(vecs), 2):
-            if gates.same_gate(("T", i, v1), ("T", i, v2)):
-                best = max(best, _junction_cancellation(
-                    m, ("T", i, v1), ("T", i, v2)))
     return best
 
 

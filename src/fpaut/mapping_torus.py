@@ -188,7 +188,9 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
     invertible square system, and otherwise every U with entries up to
     ``search_bound`` (``undecided`` past the budget).  Each candidate solves
     one joint integer system for (B, lambda); witnesses are re-verified by
-    multiplication before being returned.
+    multiplication before being returned.  When the candidates are every
+    possible U -- the forced U of a square system, or all of GL_1(Z) = {+-1}
+    for m = 1 -- a failed search is ``no_solution``, else ``undecided``.
     """
     n, m = inst.n, inst.m
     if not inst.constraints:
@@ -212,7 +214,7 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
                 return OrbitVerdict("no_solution", reason=(
                     "content(v2) must divide every entry of w1 - v1"))
 
-    candidates = None
+    candidates, complete = None, False
     if len(exact) == len(inst.constraints) == 1:
         c = exact[0]
         candidates = [_unimodular_taking(_split(c.vector, n)[1],
@@ -226,7 +228,7 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
             return OrbitVerdict("no_solution",
                                 reason="column lattices have different Smith data")
         if len(v2s) == m and abs(determinant(mv)) == 1:
-            candidates = [mw * matrix_inverse_unimodular(mv)]
+            candidates, complete = [mw * matrix_inverse_unimodular(mv)], True
             if abs(determinant(candidates[0])) != 1:
                 return OrbitVerdict("no_solution",
                                     reason="unique linear solution is not unimodular")
@@ -235,6 +237,7 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
         if candidates is None:
             return OrbitVerdict("undecided",
                                 reason="search budget exceeded for this block size")
+        complete = m == 1 and search_bound >= 1
 
     for u in candidates:
         if any(u.apply(_split(c.vector, n)[1]) != _split(c.target, n)[1]
@@ -247,6 +250,9 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
         if not _check_constraints(inst, rho):
             raise AssertionError("orbit witness failed re-verification")
         return OrbitVerdict("witness", rho)
+    if complete:
+        return OrbitVerdict("no_solution",
+                            reason="no possible U admits a solution for B")
     return OrbitVerdict("undecided",
                         reason="no witness within the bounded search")
 

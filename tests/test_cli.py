@@ -49,6 +49,21 @@ FIB_SWAPPED = {
     "inverse_images": {"x1": "x1^-1 x2", "x2": "x1"},
 }
 
+# Z^2 * Z^2 * Z^2 with A_1 conjugated by (a2.1 a3.1)^-1: a train track map
+# whose edge images at factor vertex 1 pass decorations, such as (1, 0) at
+# A_2, that appear in no edge image at the base vertex
+def _conjugated_first_factor():
+    ident = {f"a{i}.{j}": f"a{i}.{j}" for i in (1, 2, 3) for j in (1, 2)}
+    images, inverse = dict(ident), dict(ident)
+    for j in (1, 2):
+        images[f"a1.{j}"] = f"a3.1^-1 a2.1^-1 a1.{j} a2.1 a3.1"
+        inverse[f"a1.{j}"] = f"a2.1 a3.1 a1.{j} a3.1^-1 a2.1^-1"
+    return {"group": {"abelian_factors": [2, 2, 2], "free_rank": 0},
+            "images": images, "inverse_images": inverse}
+
+
+CONJUGATED = _conjugated_first_factor()
+
 
 @pytest.fixture
 def fib_file(tmp_path):
@@ -148,6 +163,15 @@ def test_run_traintrack(fib_file, twist_file):
     code, report = run(config_from_args(["traintrack", "--aut", twist_file]))
     assert code == 1
     assert report["result"]["status"] == "violated"
+
+
+def test_traintrack_exact_factor_gates(tmp_path, capsys):
+    path = tmp_path / "conjugated.json"
+    path.write_text(json.dumps(CONJUGATED))
+    assert main(["traintrack", "--aut", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["status"] == "holds"
+    assert report["result"]["stable"]
 
 
 def test_run_constants(fib_file):

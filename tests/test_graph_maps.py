@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpaut import (EdgePath, Presentation, angle,
                    bounded_cancellation_constant, build_standard_map,
@@ -11,7 +13,7 @@ from fpaut import (EdgePath, Presentation, angle,
                    is_theta_straight, legality_ratio, nielsen_search,
                    parse_word, render_word, transition_matrix)
 from fpaut.cli import COMMANDS, JobConfig, canonical_json
-from fpaut.errors import DifferentVertices, FactorsPermuted, UnknownDirection
+from fpaut.errors import DifferentVertices, FactorsPermuted
 from fpaut import graph_maps
 from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _enumerate_paths,
                               factor_vertex, path_from_word, path_key,
@@ -20,6 +22,7 @@ from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _enumerate_paths,
 from fpaut.matrices import IntegerMatrix
 
 from conftest import make_aut, random_word
+from test_action import PRESENTATIONS, automorphisms_of
 
 
 @pytest.fixture(scope="module")
@@ -189,12 +192,24 @@ def test_legality_and_ratio(fib_map, free2):
     assert is_legal_path(mixed, gates)
 
 
-def test_unknown_direction(twist_map, z2z2):
-    gates = gate_structure(twist_map, 2)
-    stray = EdgePath(z2z2, BASE,
-                     (("t", 1), ("T", 1, (40, 40)), ("t", 1), ("T", 1, (1, 1))))
-    with pytest.raises(UnknownDirection):
-        is_legal_path(stray, gates)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_factor_gates_are_exact(data):
+    # M_i is unimodular, so two directions at factor vertex i share a gate
+    # only when their decorations are equal, at any depth and any decoration
+    pres = data.draw(st.sampled_from(
+        PRESENTATIONS + (Presentation((2, 2, 2), 0),)))
+    phi = data.draw(automorphisms_of(pres))
+    assume(phi.preserves_factor_classes)
+    m = build_standard_map(phi)
+    depth = graph_maps.default_gate_depth(pres)
+    gates = check_train_track(m, depth).gates
+    assert bounded_cancellation_constant(m, depth) >= 0
+    for i in range(1, pres.num_factors + 1):
+        vec = st.tuples(*[st.integers(-50, 50)] * pres.factor_rank(i))
+        v = data.draw(vec)
+        w = v if data.draw(st.booleans()) else data.draw(vec)
+        assert gates.same_gate(("T", i, v), ("T", i, w)) == (v == w)
 
 
 def test_bounded_cancellation(fib_map, twist_map, z2z2):

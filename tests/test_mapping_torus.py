@@ -191,9 +191,10 @@ def test_orbit_exhaustive_1x1_against_brute_force():
             assert _in_lattice_1((got_w[0] - w1, got_w[1] - w2), lattice)
         else:
             assert brute is None, (inst, got)
+        # the candidates are all of GL_1(Z), so no instance stays open
+        assert got.status != "undecided", (inst, got)
         if not lattice:
             assert (got.status == "witness") == (brute is not None)
-            assert got.status != "undecided"
 
 
 # --- conjugacy pipeline -------------------------------------------------------
