@@ -16,7 +16,10 @@ built once on first use: a factor syllable a_i^v maps to
 g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
 c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
 phi(x_l).  The inverse side is built the same way from the inverse table.
-The concatenated syllables are reduced once.
+`_act` checks the factor or letter index of each input syllable once and
+joins the syllable's block, which is already reduced, onto the output
+(`words._join`): syllables merge or cancel only at the junctions, and the
+output is never re-reduced or re-checked.
 
 `compose`, `inverse`, `power`, `ad` and `identity_automorphism` build their
 tables from automorphisms that are already validated (or from a conjugator),
@@ -33,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (FactorsPermuted, NotAnAutomorphism, NotFactorPreserving,
-                     PresentationMismatch)
+from .errors import (FactorsPermuted, IndexOutOfRange, NotAnAutomorphism,
+                     NotFactorPreserving, PresentationMismatch)
 from .matrices import IntegerMatrix, determinant
-from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
+from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _join,
                     _syllable_power, cyclic_normal_form, multiply,
                     reduce_syllables)
 from .words import power as word_power
@@ -254,26 +257,38 @@ def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
 
 
 def _act(side, pres: Presentation, w: Word) -> Word:
-    """The image of w under one side built by `_side`."""
+    """The image of w under one side built by `_side`.
+
+    Each input syllable's factor or letter index is checked, and the
+    syllable's block (already reduced) is joined onto the output; the output
+    is never reduced or checked again.  A zero input syllable maps to 1.
+    """
     factors, letters = side
-    raw = []
+    out = []
     for s in w.syllables:
         if isinstance(s, FactorSyllable):
+            if not 1 <= s.factor <= len(factors):
+                raise IndexOutOfRange(
+                    f"factor index {s.factor} not in 1..{len(factors)}")
+            if not any(s.vector):
+                continue
             g, target, m, g_inv = factors[s.factor - 1]
-            raw += g
-            raw.append(FactorSyllable(target, m.apply(s.vector)))
-            raw += g_inv
+            block = (*g, FactorSyllable(target, m.apply(s.vector)), *g_inv)
         else:
-            c, core, core_inv, c_inv = letters[s.letter - 1]
+            if not 1 <= s.letter <= len(letters):
+                raise IndexOutOfRange(
+                    f"free letter index {s.letter} not in 1..{len(letters)}")
             e = s.exponent
-            raw += c
+            if not e:
+                continue
+            c, core, core_inv, c_inv = letters[s.letter - 1]
             if len(core) == 1:
-                raw.append(_syllable_power(core[0], e))
+                block = (*c, _syllable_power(core[0], e), *c_inv)
             else:
                 # the core is cyclically reduced: core^e is core repeated
-                raw += core * e if e > 0 else core_inv * -e
-            raw += c_inv
-    return reduce_syllables(raw, pres)
+                block = (*c, *(core * e if e > 0 else core_inv * -e), *c_inv)
+        _join(out, block)
+    return Word(pres, tuple(out))
 
 
 def identity_automorphism(pres: Presentation) -> Automorphism:

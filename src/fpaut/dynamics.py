@@ -22,8 +22,8 @@ from .automorphisms import (Automorphism, apply, apply_power,
 from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    conjugacy_key, conjugate_test, cyclic_normal_form,
-                    double_coset_rep, least_rotation, multiply)
+                    conjugate_test, cyclic_normal_form, double_coset_rep,
+                    least_rotation, multiply)
 
 
 def _require_class_preserving(phi: Automorphism):
@@ -300,7 +300,8 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
         if shard is not None and idx % shard[1] != shard[0]:
             continue
         tested += 1
-        key = conjugacy_key(g)
+        # g is in cyclic normal form and is its own least rotation
+        key = g.syllables
         w = g
         for n in range(1, max_iter + 1):
             w = apply(phi, w)

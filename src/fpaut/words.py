@@ -240,27 +240,40 @@ def _check_syllable(s: Syllable, pres: Presentation) -> None:
         pres.check_letter(s.letter)
 
 
-def reduce_syllables(raw: Iterable[Syllable], pres: Presentation) -> Word:
-    """Normal form of an arbitrary syllable sequence.
+def _join(out: list[Syllable], syllables: Iterable[Syllable]) -> None:
+    """Append syllables to the normal-form stack `out`, reducing as they go.
 
-    Adjacent same-factor syllables merge by exponent addition, trivial
-    syllables drop, and merging cascades; zero syllables are permitted in the
-    raw input.
+    A syllable on the same factor or letter as the top of the stack merges
+    into it; when the two cancel the top is popped, so the next syllable
+    meets the one below (the cascade).  Nothing is checked: every syllable
+    must be nontrivial and valid for the presentation of `out`.
     """
-    stack: list[Syllable] = []
+    for s in syllables:
+        if out:
+            t = out[-1]
+            if type(t) is type(s) and (
+                    t.factor == s.factor if type(s) is FactorSyllable
+                    else t.letter == s.letter):
+                s = _merge(out.pop(), s)
+                if s is None:
+                    continue
+        out.append(s)
+
+
+def reduce_syllables(raw: Iterable[Syllable], pres: Presentation) -> Word:
+    """Normal form of an arbitrary syllable sequence; the checked entry
+    point of the word layer.
+
+    Every syllable is checked against the presentation and zero syllables
+    are dropped; then adjacent same-factor syllables merge by exponent
+    addition, trivial results drop, and merging cascades (`_join`).
+    """
+    raw = list(raw)
     for s in raw:
         _check_syllable(s, pres)
-        if _is_zero(s):
-            continue
-        while stack and _track(stack[-1]) == _track(s):
-            merged = _merge(stack.pop(), s)
-            if merged is None:
-                s = None
-                break
-            s = merged
-        if s is not None:
-            stack.append(s)
-    return Word(pres, tuple(stack))
+    out: list[Syllable] = []
+    _join(out, [s for s in raw if not _is_zero(s)])
+    return Word(pres, tuple(out))
 
 
 def word(pres: Presentation, *raw: Syllable) -> Word:
@@ -323,8 +336,9 @@ def cyclic_normal_form(w: Word) -> CyclicWord:
             break  # first and last now lie in different factors
     else:
         core = syl[lo:hi + 1]
-    return CyclicWord(w.presentation, core,
-                      reduce_syllables(conj, w.presentation))
+    # conj is syl[:lo], then perhaps syl[hi]^-1, which lies on the track of
+    # syl[lo] and so not on that of syl[lo - 1]: already in normal form
+    return CyclicWord(w.presentation, core, Word(w.presentation, tuple(conj)))
 
 
 def syllable_length(w: Word) -> int:

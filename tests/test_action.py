@@ -136,7 +136,8 @@ def automorphisms_of(draw, pres, max_moves=4):
     return validate(images, inverse, pres)
 
 
-def words_of(pres, max_syllables=5, max_exp=3):
+def raw_syllables(pres, max_syllables=5, max_exp=3):
+    """Raw syllable lists over pres, zero syllables included."""
     syllable = []
     if pres.num_factors:
         syllable.append(st.integers(1, pres.num_factors).flatmap(
@@ -146,7 +147,11 @@ def words_of(pres, max_syllables=5, max_exp=3):
     if pres.free_rank:
         syllable.append(st.builds(FreeSyllable, st.integers(1, pres.free_rank),
                                   st.integers(-max_exp, max_exp)))
-    return st.lists(st.one_of(*syllable), max_size=max_syllables).map(
+    return st.lists(st.one_of(*syllable), max_size=max_syllables)
+
+
+def words_of(pres, max_syllables=5, max_exp=3):
+    return raw_syllables(pres, max_syllables, max_exp).map(
         lambda raw: reduce_syllables(raw, pres))
 
 
@@ -189,6 +194,37 @@ def test_compose_matches_table_composition(data):
             psi.inverse_images, pres, phi.inverse_images[name])
     w = data.draw(words_of(pres))
     assert apply(both, w) == apply(phi, apply(psi, w))
+
+
+def _act_by_reduction(side, pres, w):
+    """The action as it was before blocks were joined: the blocks of all
+    syllables concatenated, then the whole list reduced once."""
+    factors, letters = side
+    raw = []
+    for s in w.syllables:
+        if isinstance(s, FactorSyllable):
+            g, target, m, g_inv = factors[s.factor - 1]
+            raw += [*g, FactorSyllable(target, m.apply(s.vector)), *g_inv]
+        else:
+            c, core, core_inv, c_inv = letters[s.letter - 1]
+            e = s.exponent
+            if len(core) == 1:
+                body = [words._syllable_power(core[0], e)]
+            else:
+                body = core * e if e > 0 else core_inv * -e
+            raw += [*c, *body, *c_inv]
+    return reduce_syllables(raw, pres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_joined_blocks_equal_one_reduction(data):
+    pres = data.draw(presentations)
+    phi = data.draw(automorphisms_of(pres))
+    for w in data.draw(st.lists(words_of(pres), min_size=1, max_size=4)):
+        for side in (phi._forward, phi._backward):
+            assert automorphisms._act(side, pres, w) == \
+                _act_by_reduction(side, pres, w)
 
 
 def _assert_word_action_is_path_action(phi, m, w):
