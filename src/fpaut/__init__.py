@@ -18,14 +18,14 @@ from .automorphisms import (Automorphism, ad, apply, apply_power,
 from .matrices import (IntegerMatrix, char_poly, determinant,
                        invariant_factors, is_irreducible_matrix,
                        pf_growth_rate, smith_normal_form)
-from .graph_maps import (EdgePath, GateStructure, GraphMap, StandardGraph,
-                         angle, bounded_cancellation_constant,
+from .graph_maps import (EdgePath, GateStructure, GraphMap, angle,
+                         bounded_cancellation_constant,
                          build_standard_map, check_train_track,
                          constants_report, count_illegal_turns,
                          gate_structure, is_legal_path, is_theta_straight,
                          legality_ratio, nielsen_search, transition_matrix)
 from .dynamics import (GrowthVerdict, OrbitData, SearchReport,
-                       atoroidal_search, classify_growth, classify_orbit,
+                       atoroidal_search, classify_growth,
                        enumerate_cyclic_words, flare_certify,
                        no_twin_implication_check, orbit_lengths, twin_search)
 from .mapping_torus import (AbelianizationReport, BlockOrbitInstance,

@@ -259,9 +259,10 @@ def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
 def _act(side, pres: Presentation, w: Word) -> Word:
     """The image of w under one side built by `_side`.
 
-    Each input syllable's factor or letter index is checked, and the
-    syllable's block (already reduced) is joined onto the output; the output
-    is never reduced or checked again.  A zero input syllable maps to 1.
+    Each input syllable's factor or letter index and vector length are
+    checked, and the syllable's block (already reduced) is joined onto the
+    output; the output is never reduced or checked again.  A zero input
+    syllable maps to 1.
     """
     factors, letters = side
     out = []
@@ -270,9 +271,13 @@ def _act(side, pres: Presentation, w: Word) -> Word:
             if not 1 <= s.factor <= len(factors):
                 raise IndexOutOfRange(
                     f"factor index {s.factor} not in 1..{len(factors)}")
+            g, target, m, g_inv = factors[s.factor - 1]
+            if len(s.vector) != m.ncols:
+                raise IndexOutOfRange(
+                    f"vector of length {len(s.vector)} in factor {s.factor} "
+                    f"of rank {m.ncols}")
             if not any(s.vector):
                 continue
-            g, target, m, g_inv = factors[s.factor - 1]
             block = (*g, FactorSyllable(target, m.apply(s.vector)), *g_inv)
         else:
             if not 1 <= s.letter <= len(letters):

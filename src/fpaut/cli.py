@@ -115,14 +115,11 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
     if jobs <= 1:
         return COMMANDS[kind].search(phi, bounds)
-    t0 = time.perf_counter()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_shard_worker,
                               [(kind, phi, bounds, (s, jobs))
                                for s in range(jobs)]))
-    merged = _merge_reports(kind, parts)
-    merged.elapsed = time.perf_counter() - t0
-    return merged
+    return _merge_reports(kind, parts)
 
 
 def _merge_reports(kind: str, parts: list[SearchReport]) -> SearchReport:
@@ -225,7 +222,7 @@ def _constants(cfg: JobConfig, phi: Automorphism) -> dict:
                           to_jsonable(rep.growth.upper)],
         "error_bound": to_jsonable(rep.growth.error_bound),
         "cancellation": to_jsonable(rep.cancellation),
-        "transversality": to_jsonable(rep.transversality),
+        "transversality": "1",  # unit edge lengths
         "critical_constant": to_jsonable(rep.critical_constant),
         "irreducible": rep.irreducible,
         "growth_eigenvector": to_jsonable(rep.growth_eigenvector),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +23,10 @@ from .matrices import IntegerMatrix, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     conjugate_test, cyclic_normal_form, double_coset_rep,
                     least_rotation, multiply)
+
+# least r^2 of the log-linear fit for `classify_growth` to call a tail
+# exponential
+R2_EXPONENTIAL = 0.999
 
 
 def _require_class_preserving(phi: Automorphism):
@@ -217,7 +220,7 @@ def _fit(xs, ys):
     return slope, intercept, r2
 
 
-def classify_growth(seq, classes=None, r2_threshold: float = 0.999) -> GrowthVerdict:
+def classify_growth(seq, classes=None) -> GrowthVerdict:
     """Classify an orbit length sequence.
 
     Bounded growth is detected exactly through repetition of the conjugacy
@@ -242,7 +245,7 @@ def classify_growth(seq, classes=None, r2_threshold: float = 0.999) -> GrowthVer
     increasing = all(b > a for a, b in zip(tail, tail[1:]))
     slope, _, r2 = _fit(xs, logs)
     diagnostics = {"log_slope": slope, "log_r2": r2}
-    if increasing and r2 >= r2_threshold and slope > 0:
+    if increasing and r2 >= R2_EXPONENTIAL and slope > 0:
         return GrowthVerdict("exponential", True, seq, rate=math.exp(slope),
                              diagnostics=diagnostics)
     loglog_x = [math.log(n) for n in xs]
@@ -250,13 +253,6 @@ def classify_growth(seq, classes=None, r2_threshold: float = 0.999) -> GrowthVer
     diagnostics.update({"loglog_slope": ll_slope, "loglog_r2": ll_r2})
     return GrowthVerdict("polynomial", True, seq,
                          degree=max(0, round(ll_slope)), diagnostics=diagnostics)
-
-
-def classify_orbit(phi: Automorphism, g: Word, n_max: int = 16,
-                   use_mass: bool = False) -> GrowthVerdict:
-    data = orbit_lengths(phi, g, n_max)
-    seq = data.masses if use_mass else data.lengths
-    return classify_growth(seq, classes=data.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,6 @@ class SearchReport:
     counterexamples: list = field(default_factory=list)
     certificate: dict | None = None
     tested: int = 0
-    elapsed: float = 0.0
     notes: str = ""
     profile: tuple | None = None  # flare: per-exponent all-words verdicts
 
@@ -292,7 +287,6 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     stated bounds, nothing more.
     """
     _require_class_preserving(phi)
-    t0 = time.perf_counter()
     bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
     tested = 0
     for idx, g in enumerate(enumerate_cyclic_words(phi.presentation,
@@ -311,10 +305,8 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                 return SearchReport("witness", bounds,
                                     witness={"element": g, "exponent": n,
                                              "index": idx},
-                                    tested=tested,
-                                    elapsed=time.perf_counter() - t0)
+                                    tested=tested)
     return SearchReport("exhausted", bounds, tested=tested,
-                        elapsed=time.perf_counter() - t0,
                         notes="atoroidal up to the stated bounds")
 
 
@@ -332,9 +324,10 @@ def _subgroup_descriptors(pres: Presentation, conj_len: int, max_exp: int):
 
 
 def twin_search(phi: Automorphism, max_power: int, conj_len: int,
-                max_exp: int | None = None,
                 shard: tuple[int, int] | None = None) -> SearchReport:
-    """Search for subgroups H = uA_iu^-1, K = vA_jv^-1 twinned by phi^m.
+    """Search for subgroups H = uA_iu^-1, K = vA_jv^-1 twinned by phi^m,
+    m <= max_power, over the words u, v of at most conj_len syllables, each
+    of exponent mass at most conj_len.
 
     They are twinned iff c = g_i^{(m)-1} phi^m(u^-1 v) g_j^{(m)} lies in the
     double coset A_i (u^-1 v) A_j, which the canonical double-coset
@@ -343,11 +336,9 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     re-verified on factor generators.
     """
     _require_class_preserving(phi)
-    t0 = time.perf_counter()
-    max_exp = conj_len if max_exp is None else max_exp
     pres = phi.presentation
-    bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": max_exp}
-    descr = _subgroup_descriptors(pres, conj_len, max_exp)
+    bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": conj_len}
+    descr = _subgroup_descriptors(pres, conj_len, conj_len)
     n_pairs = len(descr) * (len(descr) - 1) // 2
     tested = 0
     phi_m = None
@@ -373,9 +364,8 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                 witness={"factor_i": i, "conj_u": u, "factor_j": j,
                          "conj_v": v, "power": m, "element": g,
                          "index": (m - 1) * n_pairs + idx},
-                tested=tested, elapsed=time.perf_counter() - t0)
+                tested=tested)
     return SearchReport("exhausted", bounds, tested=tested,
-                        elapsed=time.perf_counter() - t0,
                         notes="no twinned pair up to the stated bounds")
 
 
@@ -409,8 +399,7 @@ def _verify_twin(phi_m, i: int, u: Word, g: Word):
         vec = tuple(1 if s == r else 0 for s in range(1, pres.factor_rank(i) + 1))
         x = multiply(multiply(u, Word(pres, (FactorSyllable(i, vec),))), u.inverse())
         y = multiply(multiply(gu.inverse(), apply(phi_m, x)), gu)
-        if not (len(y) == 1 and isinstance(y.syllables[0], FactorSyllable)
-                and y.syllables[0].factor == i):
+        if double_coset_rep(i, y, i):  # y is not in A_i
             raise AssertionError("twin witness failed re-verification")
 
 
@@ -428,7 +417,6 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     lam = Fraction(str(lambda_min))
     if lam <= 1:
         raise ValueError("lambda_min must be > 1")
-    t0 = time.perf_counter()
     bounds = {"min_len": min_len, "max_len": max_len, "max_exp": max_exp,
               "n_max": n_max, "lambda_min": str(lam)}
     ok = [True] * (n_max + 1)  # ok[N]: inequality holds for all words at N
@@ -449,12 +437,11 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
                 ok[n] = False
                 if n == n_max:
                     failures_at_nmax.append(g)
-    return flare_report(bounds, tuple(ok[1:]), failures_at_nmax, tested,
-                        elapsed=time.perf_counter() - t0)
+    return flare_report(bounds, tuple(ok[1:]), failures_at_nmax, tested)
 
 
-def flare_report(bounds: dict, profile: tuple, failures: list, tested: int,
-                 elapsed: float = 0.0) -> SearchReport:
+def flare_report(bounds: dict, profile: tuple, failures: list,
+                 tested: int) -> SearchReport:
     """The flare verdict of a per-exponent profile (profile[N-1]: the
     inequality held for every word at N): a certificate at the least such
     N, else the words failing at n_max."""
@@ -467,11 +454,11 @@ def flare_report(bounds: dict, profile: tuple, failures: list, tested: int,
                     "quantified_over": "enumerated conjugacy classes",
                     "empirical": True}
             return SearchReport("exhausted", bounds, certificate=cert,
-                                tested=tested, elapsed=elapsed,
+                                tested=tested,
                                 notes="empirical evidence, not a proof",
                                 profile=profile)
     return SearchReport("witness", bounds, counterexamples=failures,
-                        tested=tested, elapsed=elapsed,
+                        tested=tested,
                         notes="words failing the flare inequality at n_max",
                         profile=profile)
 

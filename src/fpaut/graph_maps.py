@@ -11,16 +11,18 @@ anchored at the canonical lift of their start vertex as step sequences:
                    decorated by vec (an element of A_i = Z^{n_i})
 
 Directions at the base vertex are the finitely many ("x", l, s) and
-("t", i); directions at the factor vertex i are the pairs ("T", i, vec).
-Step tuples double as directions.  Translating a path does not change its
-steps, so step-sequence equality decides equality of path orbits (up to a
-shift of the first decoration when the path starts at a factor vertex).
+("t", i), listed once by ``base_directions``; directions at the factor
+vertex i are the pairs ("T", i, vec).  Step tuples double as directions.
+Translating a path does not change its steps, so step-sequence equality
+decides equality of path orbits (up to a shift of the first decoration
+when the path starts at a factor vertex).  Every edge has length 1, so the
+length of a path is its number of steps.
 
 Every path operation is defined once, on step tuples (``reduce_steps``,
-``_reverse_steps``, ``GraphMap.image_steps``, ``StandardGraph.length``),
-and internal computations stay on steps.  ``EdgePath`` checks that its
-steps chain from its start; it is built only at the public boundary, where
-a path comes from outside or is reported as a witness.
+``_reverse_steps``, ``GraphMap.image_steps``), and internal computations
+stay on steps.  ``EdgePath`` checks that its steps chain from its start;
+it is built only at the public boundary, where a path comes from outside
+or is reported as a witness.
 
 Reduction is a left-to-right stream (``_feed``) whose state is the reduced
 steps so far plus a *pending* decoration: a cancelled excursion
@@ -35,7 +37,7 @@ give the images of whole paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,7 +47,7 @@ from .errors import DifferentVertices, EmptyWord, FactorsPermuted
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
                        pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    multiply, reduce_syllables)
+                    double_coset_rep, multiply, reduce_syllables)
 
 BASE = "base"
 
@@ -54,30 +56,13 @@ def factor_vertex(i: int):
     return ("factor", i)
 
 
-@dataclass(frozen=True)
-class StandardGraph:
-    """The star graph of groups underlying a presentation."""
-
-    presentation: Presentation
-    lengths: dict = field(default_factory=dict)  # edge name -> Fraction
-
-    def edges(self) -> list:
-        p, k = self.presentation.num_factors, self.presentation.free_rank
-        return [("t", i) for i in range(1, p + 1)] + \
-               [("x", l) for l in range(1, k + 1)]
-
-    def edge_length(self, edge) -> Fraction:
-        return self.lengths.get(edge, Fraction(1))
-
-    def length(self, steps) -> Fraction:
-        return sum((self.edge_length(step_edge(s)) for s in steps), Fraction(0))
-
-    def base_directions(self) -> list:
-        p, k = self.presentation.num_factors, self.presentation.free_rank
-        dirs = [("t", i) for i in range(1, p + 1)]
-        for l in range(1, k + 1):
-            dirs += [("x", l, 1), ("x", l, -1)]
-        return dirs
+def base_directions(pres: Presentation) -> list:
+    """The directions at the base vertex: each ("t", i), then each loop in
+    both orientations."""
+    dirs = [("t", i) for i in range(1, pres.num_factors + 1)]
+    for l in range(1, pres.free_rank + 1):
+        dirs += [("x", l, 1), ("x", l, -1)]
+    return dirs
 
 
 def step_edge(step):
@@ -167,9 +152,6 @@ class EdgePath:
             elif step[0] == "T":
                 syl.append(FactorSyllable(step[1], step[2]))
         return reduce_syllables(syl, self.presentation)
-
-    def length(self, graph: StandardGraph) -> Fraction:
-        return graph.length(self.steps)
 
     def is_reduced(self) -> bool:
         return all(not _degenerate(a, b) for a, b in zip(self.steps, self.steps[1:]))
@@ -290,7 +272,6 @@ class GraphMap:
     """
 
     automorphism: Automorphism
-    graph: StandardGraph
     base_images: dict  # base direction -> step tuple
 
     @property
@@ -314,10 +295,7 @@ class GraphMap:
 
     def direction_map(self, d):
         """First direction of the image path (the derivative at vertices)."""
-        if d[0] == "T":
-            _, i, vec = d
-            return ("T", i, self.automorphism.factor_matrix(i).apply(tuple(vec)))
-        return self.base_images[d][0]
+        return self.image_of_direction_path(d)[0]
 
     def image_steps(self, steps) -> tuple:
         """The steps of f(path), reduced, from the canonical start lift."""
@@ -338,24 +316,14 @@ class GraphMap:
         return EdgePath(path.presentation, path.start,
                         self.image_steps(path.steps))
 
-    def edge_directions(self):
-        """One direction per edge orbit."""
-        p = self.presentation.num_factors
-        k = self.presentation.free_rank
-        return [("t", i) for i in range(1, p + 1)] + \
-               [("x", l, 1) for l in range(1, k + 1)]
-
     @property
     def lipschitz(self) -> Fraction:
-        best = Fraction(0)
-        for d in self.edge_directions():
-            ln = self.graph.length(self.image_of_direction_path(d))
-            best = max(best, ln / self.graph.edge_length(step_edge(d)))
-        return best
+        """The longest edge image (an edge and its reverse have images of
+        equal length)."""
+        return Fraction(max(map(len, self.base_images.values()), default=0))
 
 
-def build_standard_map(phi: Automorphism,
-                       lengths: dict | None = None) -> GraphMap:
+def build_standard_map(phi: Automorphism) -> GraphMap:
     """Edge images read off the generator images and the conjugators g_i.
 
     The loop for x_l maps to the path spelled by phi(x_l); the edge toward
@@ -364,7 +332,6 @@ def build_standard_map(phi: Automorphism,
     if not phi.preserves_factor_classes:
         raise FactorsPermuted("standard map needs the identity factor permutation")
     pres = phi.presentation
-    graph = StandardGraph(pres, dict(lengths or {}))
     images = {}
     for i in range(1, pres.num_factors + 1):
         images[("t", i)] = spell(phi.conjugator(i)) + (("t", i),)
@@ -375,16 +342,18 @@ def build_standard_map(phi: Automorphism,
     for d, img in images.items():
         if reduce_steps(pres, img) != img:
             raise AssertionError(f"image of {d} is not reduced")
-    return GraphMap(phi, graph, images)
+    return GraphMap(phi, images)
 
 
 def transition_matrix(m: GraphMap) -> IntegerMatrix:
-    """Occurrence counts of edge orbits in edge images (orientation-blind)."""
-    edges = m.graph.edges()
-    index = {e: r for r, e in enumerate(edges)}
+    """Occurrence counts of edge orbits in edge images (orientation-blind);
+    rows and columns t_1..t_p, x_1..x_k."""
+    dirs = [d for d in base_directions(m.presentation)
+            if d[0] == "t" or d[2] == 1]  # one per edge orbit
+    index = {step_edge(d): r for r, d in enumerate(dirs)}
     rows = []
-    for d in m.edge_directions():
-        row = [0] * len(edges)
+    for d in dirs:
+        row = [0] * len(dirs)
         for step in m.image_of_direction_path(d):
             row[index[step_edge(step)]] += 1
         rows.append(tuple(row))
@@ -436,7 +405,7 @@ def gate_structure(m: GraphMap, depth: int) -> GateStructure:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     base_key = {}
-    for d in m.graph.base_directions():
+    for d in base_directions(m.presentation):
         v = d
         for _ in range(depth):
             v = m.direction_map(v)
@@ -462,24 +431,17 @@ def count_illegal_turns(path: EdgePath, gates: GateStructure) -> int:
     return sum(1 for t in path_turns(path) if not gates.is_legal(t))
 
 
-def legality_ratio(path: EdgePath, c, gates: GateStructure,
-                   graph: StandardGraph | None = None) -> Fraction:
+def legality_ratio(path: EdgePath, c, gates: GateStructure) -> Fraction:
     """Fraction of the length carried by maximal legal segments longer than c."""
-    graph = graph or StandardGraph(path.presentation)
     if not path.steps:
         raise EmptyWord("legality ratio of an empty path")
-    total = path.length(graph)
-    runs = []
-    run_len = graph.edge_length(step_edge(path.steps[0]))
-    for turn, step in zip(path_turns(path), path.steps[1:]):
+    runs = [1]
+    for turn in path_turns(path):
         if gates.is_legal(turn):
-            run_len += graph.edge_length(step_edge(step))
+            runs[-1] += 1
         else:
-            runs.append(run_len)
-            run_len = graph.edge_length(step_edge(step))
-    runs.append(run_len)
-    good = sum((r for r in runs if r > c), Fraction(0))
-    return good / total
+            runs.append(1)
+    return Fraction(sum(r for r in runs if r > c), len(path.steps))
 
 
 @dataclass(frozen=True)
@@ -502,7 +464,7 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
     gates = gate_structure(m, depth)
     pres = m.presentation
 
-    probe_dirs = list(m.graph.base_directions())
+    probe_dirs = base_directions(pres)
     probe_dirs += [("T", i, tuple(0 for _ in range(pres.factor_rank(i))))
                    for i in range(1, pres.num_factors + 1)]
     for d in probe_dirs:
@@ -515,8 +477,7 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
                     return TrainTrackVerdict("undecided", ("horizon", turn), gates)
                 return TrainTrackVerdict("violated", ("illegal image turn", turn), gates)
 
-    base_dirs = m.graph.base_directions()
-    for d1, d2 in itertools.combinations(base_dirs, 2):
+    for d1, d2 in itertools.combinations(base_directions(pres), 2):
         if not gates.same_gate(d1, d2):
             if gates.same_gate(m.direction_map(d1), m.direction_map(d2)):
                 status = "undecided" if not gates.stable else "violated"
@@ -538,15 +499,14 @@ def _junction_cancellation(m: GraphMap, d1, d2, cap: int = 48) -> Fraction:
     misses on non-train-track maps.
     """
     pres = m.presentation
-    graph = m.graph
     x = [d1]
     y = [d2]
     best = Fraction(-1)
     for _ in range(cap):
         fx, fy = m.image_steps(x), m.image_steps(y)
         joint = reduce_steps(pres, _reverse_steps(pres, fx) + fy)
-        lx, ly = graph.length(fx), graph.length(fy)
-        canc = (lx + ly - graph.length(joint)) / 2
+        lx, ly = len(fx), len(fy)
+        canc = Fraction(lx + ly - len(joint), 2)
         if canc <= best:
             return max(best, Fraction(0))  # the extension did not help
         best = canc
@@ -579,7 +539,7 @@ def _extend_overlap_side(m: GraphMap, side, needed) -> bool:
                 candidates.append(("T", i, tuple(c)))
     else:
         if at == step_source(needed):
-            for d in m.graph.base_directions():
+            for d in base_directions(m.presentation):
                 if m.direction_map(d) == needed:
                     candidates.append(d)
     for step in candidates:
@@ -611,31 +571,29 @@ def bounded_cancellation_constant(m: GraphMap, depth: int) -> Fraction:
 class ConstantsReport:
     """Growth, cancellation and the critical constant of a standard map.
 
-    ``critical_constant`` is 2*C_f / (lambda/A - 1), defined only when the
-    rigorous lower bound on lambda exceeds the transversality constant A.
-    ``metric`` records the conventions all lengths are measured in.
+    ``critical_constant`` is 2*C_f / (lambda - 1), defined only when the
+    rigorous lower bound on lambda exceeds 1 (the transversality constant
+    of the unit-length standard graph).  ``metric`` records the conventions
+    all lengths are measured in.
     """
 
     growth: SpectralRadius
     cancellation: Fraction
-    transversality: Fraction
     critical_constant: float | None
     irreducible: bool
     growth_eigenvector: tuple
     metric: str = "syllable length; L1 norm on factor exponents"
 
 
-def constants_report(m: GraphMap, depth: int,
-                     transversality=Fraction(1)) -> ConstantsReport:
-    transversality = Fraction(transversality)
+def constants_report(m: GraphMap, depth: int) -> ConstantsReport:
     t = transition_matrix(m)
     growth = pf_growth_rate(t)
     cf = bounded_cancellation_constant(m, depth)
     critical = None
-    if growth.lower > transversality:
+    if growth.lower > 1:
         lam = (growth.lower + growth.upper) / 2
-        critical = float(2 * cf / (lam / transversality - 1))
-    return ConstantsReport(growth, cf, transversality, critical,
+        critical = float(2 * cf / (lam - 1))
+    return ConstantsReport(growth, cf, critical,
                            is_irreducible_matrix(t), growth.eigenvector)
 
 
@@ -712,9 +670,7 @@ def _path_nodes(pres: Presentation, len_bound: int):
     it must be read before the next node is asked for.  ``canonical`` tells
     whether the path is yielded by `_enumerate_paths`."""
     starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
-    base_steps = [("t", i) for i in range(1, pres.num_factors + 1)]
-    for l in range(1, pres.free_rank + 1):
-        base_steps += [("x", l, 1), ("x", l, -1)]
+    base_steps = base_directions(pres)
     factor_steps = {}  # i -> (first departures, later departures)
     for i in range(1, pres.num_factors + 1):
         dim = pres.factor_rank(i)
@@ -803,11 +759,9 @@ def _nielsen_test(m: GraphMap, start, steps, images):
         if end != BASE:
             lhs = multiply(lhs, conjugator_power(phi, end[1], n))
         diff = multiply(multiply(g, w).inverse(), lhs)
-        ok = (not diff) if end == BASE else (
-            not diff or (len(diff) == 1
-                         and isinstance(diff.syllables[0], FactorSyllable)
-                         and diff.syllables[0].factor == end[1]))
-        if not ok:
+        # diff must be 1, or lie in A_i when the path ends at factor vertex i
+        rest = diff if end == BASE else double_coset_rep(end[1], diff, end[1])
+        if rest:
             raise AssertionError(
                 f"nielsen witness failed word re-verification: {path}")
         return NielsenWitness(path, n, g)

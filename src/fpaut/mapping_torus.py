@@ -11,19 +11,19 @@ cannot settle is ``undecided``.
 from __future__ import annotations
 
 import itertools
-import time
 import warnings
 from dataclasses import dataclass, field
 
-from .automorphisms import (Automorphism, ad, compose, generator_word,
-                            identity_automorphism, inverse, is_toral, validate)
+from .automorphisms import (Automorphism, _trusted, ad, compose,
+                            generator_word, identity_automorphism, inverse,
+                            is_toral)
 from .dynamics import enumerate_words
 from .errors import (DimensionMismatch, FactorsPermuted, PresentationMismatch)
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
                        invariant_factors, kernel_basis,
                        matrix_inverse_unimodular, smith_normal_form,
                        solve_integer)
-from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
+from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _track,
                     cyclic_normal_form, multiply)
 
 
@@ -304,7 +304,6 @@ class ConjugacyVerdict:
     witness: dict | None = None
     invariant: dict | None = None
     diagnostics: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
 
 def _abelian_invariants(phi: Automorphism) -> dict:
@@ -321,62 +320,34 @@ def _abelian_invariants(phi: Automorphism) -> dict:
 
 
 def _inner_witness(theta: Automorphism) -> Word | None:
-    """c with theta = ad_c, or None; always re-verified on all generators."""
+    """c with theta = ad_c, or None; always re-verified on all generators.
+
+    Any such c is b a for a base b read off theta and some a on one track
+    T: b = g_1 and T = A_1 when G has a factor, otherwise theta(x1) must be
+    b x1 b^-1 and T = <x1>.  For the first generator y off T,
+    b^-1 theta(y) b = a y a^-1, so a is its leading syllable when that lies
+    on T, and 1 otherwise.  Without such a y, G is Z^n or Z and c = b.
+    """
     pres = theta.presentation
-    p, k = pres.num_factors, pres.free_rank
-
-    def verify(c: Word) -> bool:
-        ci = c.inverse()
-        return all(theta.images[name] ==
-                   multiply(multiply(c, generator_word(pres, name)), ci)
-                   for name in pres.generator_names())
-
-    candidates: list[Word] = []
-    if p >= 2:
-        w = multiply(theta.conjugator(1).inverse(), theta.conjugator(2))
-        # c = g1 a = g2 b needs a b^-1 = g1^-1 g2 with a in A_1, b in A_2
-        syl = w.syllables
-        a: Word | None = None
-        if not syl:
-            a = Word(pres)
-        elif len(syl) == 1 and isinstance(syl[0], FactorSyllable) \
-                and syl[0].factor in (1, 2):
-            a = Word(pres, syl) if syl[0].factor == 1 else Word(pres)
-        elif (len(syl) == 2 and isinstance(syl[0], FactorSyllable)
-              and isinstance(syl[1], FactorSyllable)
-              and syl[0].factor == 1 and syl[1].factor == 2):
-            a = Word(pres, (syl[0],))
-        if a is not None:
-            candidates.append(multiply(theta.conjugator(1), a))
-    elif p == 1 and k >= 1:
-        g1 = theta.conjugator(1)
-        t = multiply(multiply(g1.inverse(), theta.images["x1"]), g1)
-        syl = t.syllables
-        if len(syl) == 1 and isinstance(syl[0], FreeSyllable):
-            candidates.append(g1)
-        elif (len(syl) == 3 and isinstance(syl[0], FactorSyllable)
-              and syl[0].factor == 1 and isinstance(syl[1], FreeSyllable)):
-            candidates.append(multiply(g1, Word(pres, (syl[0],))))
-    elif p == 1:
-        # G = A_1 is abelian: every inner automorphism is the identity
-        candidates.append(theta.conjugator(1))
-    elif p == 0:
-        img = theta.images["x1"]
-        cyc = cyclic_normal_form(img)
-        if len(cyc.core) == 1 and cyc.core[0] == FreeSyllable(1, 1):
-            c0 = cyc.conjugator
-            if k == 1:
-                candidates.append(c0)
-            else:
-                # adjust by the centraliser of x1: c = c0 x1^s
-                d = multiply(multiply(c0.inverse(), theta.images["x2"]), c0)
-                sy = d.syllables
-                if sy and isinstance(sy[0], FreeSyllable) and sy[0].letter == 1:
-                    candidates.append(multiply(c0, Word(pres, (sy[0],))))
-                candidates.append(c0)
-    for c in candidates:
-        if verify(c):
-            return c
+    if pres.num_factors:
+        base, track = theta.conjugator(1), ("A", 1)
+    else:
+        cyc = cyclic_normal_form(theta.images["x1"])
+        if cyc.core != (FreeSyllable(1, 1),):
+            return None
+        base, track = cyc.conjugator, ("X", 1)
+    gens = {name: generator_word(pres, name) for name in pres.generator_names()}
+    c = base
+    y = next((name for name, g in gens.items()
+              if _track(g.syllables[0]) != track), None)
+    if y is not None:
+        lead = multiply(multiply(base.inverse(), theta.images[y]), base).syllables
+        if lead and _track(lead[0]) == track:
+            c = multiply(base, Word(pres, lead[:1]))
+    ci = c.inverse()
+    if all(theta.images[name] == multiply(multiply(c, g), ci)
+           for name, g in gens.items()):
+        return c
     return None
 
 
@@ -423,7 +394,8 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
 def _substitution_automorphism(pres: Presentation,
                                mats: dict[int, IntegerMatrix]) -> Automorphism:
     """Automorphism acting by the given matrix on each factor, identity on
-    the free letters."""
+    the free letters; the tables come from S and S^-1, so they are inverse
+    by construction."""
     images, inv_images = {}, {}
     for i in range(1, pres.num_factors + 1):
         s = mats.get(i, IntegerMatrix.identity(pres.factor_rank(i)))
@@ -438,25 +410,24 @@ def _substitution_automorphism(pres: Presentation,
     for l in range(1, pres.free_rank + 1):
         images[f"x{l}"] = generator_word(pres, f"x{l}")
         inv_images[f"x{l}"] = generator_word(pres, f"x{l}")
-    return validate(images, inv_images, pres)
+    return _trusted(images, inv_images, pres)
 
 
 def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
-                       conj_len: int = 3,
-                       extra_candidates: tuple = ()) -> ConjugacyVerdict:
+                       conj_len: int = 3) -> ConjugacyVerdict:
     """Decide conjugacy in Out(G) at desk scale.
 
     First compares abelianization invariants (mapping-torus invariant
     factors, characteristic polynomial, Smith data of Phi_ab - cI for small
     c): any mismatch is a sound ``distinguished``.  Then searches witnesses
-    psi among factor-basis substitutions commuting with the abelianized
-    data (plus any caller-supplied candidates), testing whether
-    psi o phi1 o psi^-1 equals phi2 up to an inner automorphism recovered by
-    coset matching.  Everything else is ``undecided``: the general decision
-    procedure needs machinery (isomorphism problem for toral relatively
-    hyperbolic groups, JSJ) far beyond desk scale.
+    psi -- the identity, the factor-basis substitutions commuting with the
+    abelianized data, then ad(w) for words w of at most ``conj_len``
+    syllables -- testing whether psi o phi1 o psi^-1 equals phi2 up to an
+    inner automorphism, recovered by `_inner_witness`.  Everything else is
+    ``undecided``: the general decision procedure needs machinery
+    (isomorphism problem for toral relatively hyperbolic groups, JSJ) far
+    beyond desk scale.
     """
-    t0 = time.perf_counter()
     if phi1.presentation != phi2.presentation:
         raise PresentationMismatch("pipeline needs a common presentation")
     pres = phi1.presentation
@@ -481,11 +452,10 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
                 "distinguished",
                 invariant={"name": key, "value_1": fresh1[key],
                            "value_2": fresh2[key]},
-                diagnostics=diagnostics, elapsed=time.perf_counter() - t0)
+                diagnostics=diagnostics)
 
     def candidates():
         yield identity_automorphism(pres)
-        yield from extra_candidates
         per_factor = {}
         feasible = True
         for i in range(1, pres.num_factors + 1):
@@ -527,9 +497,7 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
         return ConjugacyVerdict(
             "conjugate",
             witness={"psi_images": dict(psi.images), "inner": c},
-            diagnostics={**diagnostics, "candidates_tested": tested},
-            elapsed=time.perf_counter() - t0)
+            diagnostics={**diagnostics, "candidates_tested": tested})
 
     diagnostics["candidates_tested"] = tested
-    return ConjugacyVerdict("undecided", diagnostics=diagnostics,
-                            elapsed=time.perf_counter() - t0)
+    return ConjugacyVerdict("undecided", diagnostics=diagnostics)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import warnings
@@ -6,12 +7,14 @@ import pytest
 
 from fpaut import (BlockOrbitInstance, OrbitConstraint, Presentation,
                    abelianized_action, block_orbit_solve, compose,
-                   conjugacy_pipeline, identity_automorphism,
-                   mapping_torus_abelianization, parse_word)
-from fpaut.automorphisms import ad
+                   conjugacy_pipeline, identity_automorphism, inverse,
+                   mapping_torus_abelianization, parse_word, power, validate)
+from fpaut.automorphisms import ad, generator_word
+from fpaut.cli import COMMANDS, JobConfig, canonical_json
 from fpaut.errors import DimensionMismatch, PresentationMismatch
 from fpaut.mapping_torus import _inner_witness
 from fpaut.matrices import IntegerMatrix, determinant
+from fpaut.words import FactorSyllable, Word
 
 from conftest import make_aut, random_word
 
@@ -241,7 +244,6 @@ def test_pipeline_factor_substitution(z2z2, toral_twist):
                      "a2.1": "a2.2", "a2.2": "a2.1"},
                     {"a1.1": "a1.1", "a1.2": "a1.2",
                      "a2.1": "a2.2", "a2.2": "a2.1"})
-    from fpaut import inverse
     phi2 = compose(compose(swap, toral_twist), inverse(swap))
     v = conjugacy_pipeline(toral_twist, phi2)
     assert v.status == "conjugate"
@@ -277,10 +279,15 @@ def test_pipeline_identity_of_abelian_group_is_conjugate():
     assert v.diagnostics["candidates_tested"] == 1
 
 
-@pytest.mark.parametrize("ranks, free_rank", [
+# the five fixture presentations, and the abelian groups Z^2, Z^3, Z (one
+# letter) and Z^1 (one factor)
+INNER_PRESENTATIONS = pytest.mark.parametrize("ranks, free_rank", [
     ((), 2), ((), 3), ((2, 3), 0), ((2, 2), 0), ((2,), 1),
     ((2,), 0), ((3,), 0), ((), 1), ((1,), 0)],
     ids=["fib", "trib", "intro", "twist", "mixed", "z2", "z3", "z", "z1"])
+
+
+@INNER_PRESENTATIONS
 def test_inner_witness_recovers_every_inner_automorphism(ranks, free_rank):
     pres = Presentation(ranks, free_rank)
     rng = random.Random(1901)
@@ -290,3 +297,155 @@ def test_inner_witness_recovers_every_inner_automorphism(ranks, free_rank):
         found = _inner_witness(theta)
         assert found is not None, c
         assert ad(found, pres) == theta
+
+
+# --- pinned reports of the mapping-torus commands -----------------------------
+
+def _transvection(pres, factor, row, col, sign):
+    """a_factor.col -> a_factor.col a_factor.row^sign, identity elsewhere."""
+    images = {n: generator_word(pres, n) for n in pres.generator_names()}
+    inverse_images = dict(images)
+    rank = pres.factor_rank(factor)
+    for table, s in ((images, sign), (inverse_images, -sign)):
+        vec = [1 if r == col else 0 for r in range(rank)]
+        vec[row] += s
+        table[f"a{factor}.{col + 1}"] = Word(pres, (FactorSyllable(factor, tuple(vec)),))
+    return validate(images, inverse_images, pres)
+
+
+def _conjugate_by(psi, phi):
+    return compose(compose(psi, phi), inverse(psi))
+
+
+def _letter_swap(pres):
+    return make_aut(pres, {"x1": "x2", "x2": "x1"}, {"x1": "x2", "x2": "x1"})
+
+
+FIXTURES = {"fib": "fibonacci", "trib": "tribonacci", "intro": "intro_anosov",
+            "twist": "toral_twist", "mixed": "mixed"}
+
+# the second automorphism of each conjugacy job, built from the first
+PARTNERS = {
+    "fibsw": lambda phi: _conjugate_by(_letter_swap(phi.presentation), phi),
+    "fib2": lambda phi: power(phi, 2),
+    "intro_sub": lambda phi: _conjugate_by(
+        _transvection(phi.presentation, 1, 0, 1, 1), phi),
+    "intro_tv": lambda phi: _conjugate_by(
+        _transvection(phi.presentation, 2, 0, 2, -1), phi),
+    "twist_tv": lambda phi: _conjugate_by(
+        _transvection(phi.presentation, 1, 1, 0, 1), phi),
+}
+
+# sha256 of the canonical ``result`` block of each job, pinned before the
+# standard graph and the inner-automorphism rule were simplified
+RESULT_DIGESTS = {
+    "conjugacy fib fibsw 2":
+        "86fc5d2d22fcdff2c2cd579bccbf32c5aa3208945b545225f79d1d25d631f19b",
+    "conjugacy intro intro_sub 3":
+        "57a4659d27d60b12fb63456373990b47ac9dddc51f0894077d895481eb796591",
+    "conjugacy fib fib2 3":
+        "3eac60bb36eab3873c0096be6ddac2a696f3bbd0d6717031e894566231020906",
+    "conjugacy intro intro_tv 3":
+        "c6d6206e91b1e9fd732ca696aa961d633c2c2d632c2a2befcd6005d8d9450a35",
+    "conjugacy twist twist_tv 3":
+        "0819d89cfa5baa615b36fb2a6e99ed1cb1ce502f31a721af386dfc8b1c96ed32",
+    "torus-ab fib":
+        "f1aa7aa451494952422b26f9f7dcb32966b1c6fc88f823a21b6fecd6514c5eab",
+    "torus-ab trib":
+        "e58d20cbdcb5762cba969434cd4d7653f74d6609255e55ac1da74ccdd6ebfeb2",
+    "torus-ab intro":
+        "ccd591bf303777ce3ed50694a9e3dae87ea107fef200c769a344f3d2d70aed4a",
+    "torus-ab twist":
+        "0cbdb53f5de8dd816b52d516e6bb5f3f059e5d981741c5c65ea51a949acb17ea",
+    "torus-ab mixed":
+        "3d12a07486b7c261c3ff4d3f5d7a2f06a6bcc3767f5120ae4e2e6091c62a9eb7",
+}
+
+
+@pytest.mark.parametrize("job", sorted(RESULT_DIGESTS))
+def test_mapping_torus_reports_are_pinned(request, job):
+    command, name, *rest = job.split()
+    phi = request.getfixturevalue(FIXTURES[name])
+    if name == "mixed":
+        phi = phi[0]
+    if command == "conjugacy":
+        partner, conj_len = rest
+        cfg = JobConfig(command, bounds={"conj_len": int(conj_len)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = COMMANDS[command].runner(cfg, phi, PARTNERS[partner](phi))
+    else:
+        result = COMMANDS[command].runner(JobConfig(command), phi)
+    digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    assert digest == RESULT_DIGESTS[job]
+
+
+def _outer_moves(pres):
+    """Automorphisms acting nontrivially on the abelianization: a
+    transvection or a sign flip on a factor, a letter swap, Fibonacci or a
+    sign flip on the letters."""
+    names = pres.generator_names()
+    moves = []
+    for i, rank in enumerate(pres.abelian_ranks, start=1):
+        if rank >= 2:
+            moves.append(_transvection(pres, i, 1, 0, 1))
+        flip = {n: generator_word(pres, n) for n in names}
+        flip[f"a{i}.1"] = generator_word(pres, f"a{i}.1").inverse()
+        moves.append(validate(flip, flip, pres))
+    if pres.free_rank:
+        flip = {n: generator_word(pres, n) for n in names}
+        last = f"x{pres.free_rank}"  # fixes x1 when there are two or more letters
+        flip[last] = generator_word(pres, last).inverse()
+        moves.append(validate(flip, flip, pres))
+    if pres.free_rank >= 2:
+        ident = {n: n for n in names if n not in ("x1", "x2")}
+        moves.append(make_aut(pres, {**ident, "x1": "x2", "x2": "x1"},
+                              {**ident, "x1": "x2", "x2": "x1"}))
+        moves.append(make_aut(pres, {**ident, "x1": "x1 x2", "x2": "x1"},
+                              {**ident, "x1": "x2", "x2": "x2^-1 x1"}))
+    return moves
+
+
+@INNER_PRESENTATIONS
+def test_inner_witness_rejects_outer_automorphisms(ranks, free_rank):
+    # ad(c) o psi is not inner when psi moves the abelianization
+    pres = Presentation(ranks, free_rank)
+    rng = random.Random(1060)
+    moves = _outer_moves(pres)
+    assert moves
+    for psi in moves:
+        assert psi.abelianized_matrix != IntegerMatrix.identity(
+            len(pres.generator_names()))
+        for _ in range(10):
+            theta = compose(ad(random_word(pres, rng), pres), psi)
+            assert _inner_witness(theta) is None
+
+
+@pytest.mark.parametrize("name, partner", [
+    ("intro", "intro_sub"), ("intro", "intro_tv"), ("intro", None),
+    ("twist", "twist_tv"), ("twist", None)])
+def test_substitutions_match_validate(request, monkeypatch, name, partner):
+    # the pipeline builds its substitutions without the raw-table inverse
+    # check; the full `validate` extracts the same data from the same tables
+    from fpaut import mapping_torus
+    from test_action import _assert_matches_validate
+    phi = request.getfixturevalue(FIXTURES[name])
+    phi2 = PARTNERS[partner](phi) if partner else phi
+    pres = phi.presentation
+    built = []
+    original = mapping_torus._substitution_automorphism
+
+    def recording(pres, mats):
+        built.append(original(pres, mats))
+        return built[-1]
+    monkeypatch.setattr(mapping_torus, "_substitution_automorphism", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        conjugacy_pipeline(phi, phi2)
+    per_factor = [mapping_torus._factor_substitution_candidates(phi, phi2, i)
+                  for i in range(1, pres.num_factors + 1)]
+    for mats in itertools.islice(itertools.product(*per_factor), 200):
+        recording(pres, dict(enumerate(mats, start=1)))
+    assert len(built) > 1
+    for psi in built:
+        _assert_matches_validate(psi)

@@ -132,6 +132,8 @@ def test_cyclic_conjugator_on_cancelling_words(text, conjugator):
     (Presentation((2,), 2), FreeSyllable(3, -1)),
     (Presentation((2,), 2), FactorSyllable(2, (1, 0))),
     (Presentation((), 2), FactorSyllable(1, (1,))),
+    (Presentation((2,), 2), FactorSyllable(1, (1, 0, 0))),
+    (Presentation((2,), 2), FactorSyllable(1, (0, 0, 0))),
 ])
 def test_action_rejects_bad_indices(pres, bad):
     phi = identity_automorphism(pres)
