@@ -15,14 +15,15 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .automorphisms import (Automorphism, apply, apply_power,
                             check_central_condition, compose, power)
 from .errors import FactorsPermuted, TooShort
-from .matrices import IntegerMatrix, kernel_vector
+from .matrices import IntegerMatrix, determinant, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     conjugate_test, cyclic_normal_form, double_coset_rep,
-                    least_rotation, multiply)
+                    multiply)
 
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
@@ -69,11 +70,13 @@ def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
     exponent mass at most max_exp, in graded order (see `graded_key`).
 
     With `cyclic` the last and first syllable must lie in different factors
-    as well, so every tuple is cyclically reduced, and no syllable whose sort
-    key is below the first syllable's is placed after it: the rotation
-    starting there would be smaller, so such a tuple is never its own least
-    rotation.  Ties with the first syllable are left to the caller's
-    `least_rotation` filter.
+    as well, so every tuple is cyclically reduced, and only tuples that are
+    their own least rotation are yielded.  No syllable whose rank is below
+    the first syllable's is placed after it: the rotation starting there
+    would be smaller.  So a rotation can be smaller only where a later
+    syllable ties with the first; those tuples alone go to
+    `_is_least_rotation`.  A tie needs a syllable between two others, as
+    the neighbours of the first syllable lie in other factors.
 
     One generator frame walks the positions with an explicit stack of
     candidate iterators; the last position is filled by a flat loop over the
@@ -135,10 +138,24 @@ def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
                 if not pos:
                     t0, r0 = t, r
                 head = tuple(c[0] for c in chosen) + (s,)
+                tie = False
+                if cyclic and pos >= 2:
+                    ranks = tuple(c[2] for c in chosen) + (r,)
+                    tie = r0 in ranks[2:]
                 for s2, t2, r2, _ in cands[rem]:
                     if t2 == t or (cyclic and (t2 == t0 or r2 < r0)):
                         continue
+                    if tie and not _is_least_rotation(ranks + (r2,)):
+                        continue
                     yield head + (s2,)
+
+
+def _is_least_rotation(ranks: tuple) -> bool:
+    """No rotation of the rank tuple is below it.  Only a rotation that
+    starts at a rank equal to the first can be (see `_graded_sequences`)."""
+    r0 = ranks[0]
+    return all(ranks[k:] + ranks[:k] >= ranks
+               for k in range(2, len(ranks) - 1) if ranks[k] == r0)
 
 
 def graded_key(w: Word):
@@ -156,10 +173,8 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     count, then total exponent mass, then lexicographic.
     """
     for syl in _graded_sequences(pres, max_len, max_exp, min_len, cyclic=True):
-        m = len(syl)
-        if hyperbolic_only and m == 1 and isinstance(syl[0], FactorSyllable):
-            continue
-        if m > 1 and least_rotation([s.sort_key() for s in syl]) != 0:
+        if hyperbolic_only and len(syl) == 1 and \
+                isinstance(syl[0], FactorSyllable):
             continue
         yield Word(pres, syl)
 
@@ -278,6 +293,52 @@ class SearchReport:
     profile: tuple | None = None  # flare: per-exponent all-words verdicts
 
 
+def _abelian_prefilter(phi: Automorphism, max_iter: int):
+    """A test that a class g can be fixed by some phi^n, n <= max_iter, in
+    the abelianization: A^n v = v, for A the `abelianized_matrix` and v the
+    image of g in G_ab.  Conjugate elements have one image in G_ab, so a
+    class failing the test is fixed by no such phi^n.
+
+    Only max_iter/2 < n <= max_iter are tried: A^n v = v implies
+    A^(2n) v = v.  When every A^n - I tried is nonsingular, only v = 0
+    passes.
+    """
+    pres = phi.presentation
+    a = phi.abelianized_matrix
+    dim = a.nrows
+    eye = IntegerMatrix.identity(dim)
+    a_n = eye
+    diffs = []  # A^n - I for the n tried
+    for n in range(1, max_iter + 1):
+        a_n = a_n * a
+        if 2 * n > max_iter:
+            diffs.append(a_n - eye)
+    only_zero = all(determinant(d) for d in diffs)
+    row_sets = [tuple(row for row in d.entries if any(row)) for d in diffs]
+    # coordinates as in `abelianized_matrix`: factor generators, then letters
+    offsets = tuple(itertools.accumulate(pres.abelian_ranks, initial=0))
+    letters = offsets[-1] - 1
+
+    def may_be_periodic(g: Word) -> bool:
+        v = [0] * dim
+        for s in g.syllables:
+            if isinstance(s, FreeSyllable):
+                v[letters + s.letter] += s.exponent
+            else:
+                for j, e in enumerate(s.vector, offsets[s.factor - 1]):
+                    v[j] += e
+        if only_zero:
+            return not any(v)
+        for rows in row_sets:
+            for row in rows:
+                if sum(map(mul, row, v)):
+                    break
+            else:
+                return True
+        return False
+    return may_be_periodic
+
+
 def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                      max_iter: int,
                      shard: tuple[int, int] | None = None) -> SearchReport:
@@ -288,12 +349,15 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     """
     _require_class_preserving(phi)
     bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
+    may_be_periodic = _abelian_prefilter(phi, max_iter)
     tested = 0
     for idx, g in enumerate(enumerate_cyclic_words(phi.presentation,
                                                    max_len, max_exp)):
         if shard is not None and idx % shard[1] != shard[0]:
             continue
         tested += 1
+        if not may_be_periodic(g):
+            continue
         # g is in cyclic normal form and is its own least rotation
         key = g.syllables
         w = g

@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
@@ -13,9 +13,12 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
 from fpaut import dynamics
 from fpaut.dynamics import _syllables_of_mass, enumerate_words, graded_key
 from fpaut.errors import FactorsPermuted, TooShort
+from fpaut.matrices import IntegerMatrix, determinant
 from fpaut.words import FactorSyllable, FreeSyllable, _track, reduce_syllables
 
 from conftest import make_aut, random_word
+from test_action import PRESENTATIONS as ACTION_PRESENTATIONS
+from test_action import automorphisms_of
 
 
 # --- enumeration -------------------------------------------------------------
@@ -130,17 +133,18 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
     _check_against_brute_force(Presentation(ranks, free), max_len, max_exp)
 
 
-def test_rotation_filter_sees_few_rejected_tuples(tribonacci, monkeypatch):
-    # the enumerator only builds tuples whose first syllable has the least
-    # sort key, so the least-rotation filter runs on few more tuples than
-    # it keeps (about 4.8 times as many before that prune)
+def test_rotation_check_runs_only_on_ties(tribonacci, monkeypatch):
+    # the enumerator builds only tuples whose first syllable has the least
+    # rank, so rotations are compared only on the tuples where a later rank
+    # ties with the first: 2,368 of them on trib 5/2, where 7,508 are kept
     calls = []
-    real = dynamics.least_rotation
-    monkeypatch.setattr(dynamics, "least_rotation",
-                        lambda keys: calls.append(1) or real(keys))
+    real = dynamics._is_least_rotation
+    monkeypatch.setattr(dynamics, "_is_least_rotation",
+                        lambda ranks: calls.append(ranks) or real(ranks))
     n = sum(1 for _ in enumerate_cyclic_words(tribonacci.presentation, 5, 2))
     assert n == 7508
-    assert len(calls) <= 1.25 * n
+    assert all(ranks[0] in ranks[2:-1] for ranks in calls)
+    assert 0 < len(calls) <= 2368
 
 
 # --- orbit growth ------------------------------------------------------------
@@ -454,6 +458,68 @@ def test_atoroidal_matches_brute_force(fixture_name, request):
     if rep.verdict == "witness":
         assert cyclic_normal_form(rep.witness["element"]).canonical_rotation() \
             in oracle
+
+
+def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=None):
+    """The search without the abelian prefilter: every class is imaged
+    under phi, phi^2, ... at word level."""
+    tested = 0
+    for idx, g in enumerate(enumerate_cyclic_words(phi.presentation,
+                                                   max_len, max_exp)):
+        if shard is not None and idx % shard[1] != shard[0]:
+            continue
+        tested += 1
+        w = g
+        for n in range(1, max_iter + 1):
+            w = apply(phi, w)
+            if conjugate_test(w, g):
+                return "witness", {"element": g, "exponent": n,
+                                   "index": idx}, tested
+    return "exhausted", None, tested
+
+
+def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=None):
+    rep = atoroidal_search(phi, max_len, max_exp, max_iter, shard=shard)
+    assert (rep.verdict, rep.witness, rep.tested) == \
+        reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prefiltered_search_matches_reference(data):
+    pres = data.draw(st.sampled_from(ACTION_PRESENTATIONS))
+    phi = data.draw(automorphisms_of(pres))
+    assume(phi.preserves_factor_classes)
+    shards = data.draw(st.integers(1, 2))
+    _assert_matches_reference(phi, data.draw(st.integers(1, 3)),
+                              data.draw(st.integers(1, 2)),
+                              data.draw(st.integers(1, 4)),
+                              (data.draw(st.integers(0, shards - 1)), shards))
+
+
+def test_abelian_prefilter_with_eigenvalue_1(toral_twist, mixed):
+    # on twist A = I, so every class passes the prefilter; on mixed A has
+    # eigenvalue 1 without being I, so A^n - I has a nonzero kernel and
+    # the prefilter keeps some classes but not all
+    assert toral_twist.abelianized_matrix == IntegerMatrix.identity(4)
+    a = mixed[0].abelianized_matrix
+    assert a != IntegerMatrix.identity(3)
+    assert determinant(a - IntegerMatrix.identity(3)) == 0
+    twist_kept, mixed_kept = (
+        [passes(g) for g in enumerate_cyclic_words(phi.presentation, 4, 1)]
+        for phi in (toral_twist, mixed[0])
+        for passes in [dynamics._abelian_prefilter(phi, 2)])
+    assert all(twist_kept)
+    assert any(mixed_kept) and not all(mixed_kept)
+
+
+@pytest.mark.parametrize("max_len, max_exp, max_iter", [
+    (2, 1, 1), (3, 2, 2), (4, 1, 3), (4, 2, 4)])
+def test_prefiltered_search_matches_reference_with_eigenvalue_1(
+        toral_twist, mixed, max_len, max_exp, max_iter):
+    for phi in (toral_twist, mixed[0]):
+        _assert_matches_reference(phi, max_len, max_exp, max_iter)
+        _assert_matches_reference(phi, max_len, max_exp, max_iter, (1, 2))
 
 
 def brute_force_twin_check(phi, m, i, j, u, v, g):

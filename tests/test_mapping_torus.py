@@ -203,9 +203,13 @@ def test_orbit_exhaustive_1x1_against_brute_force():
 # --- conjugacy pipeline -------------------------------------------------------
 
 def test_pipeline_equal_inputs(toral_twist):
+    pres = toral_twist.presentation
     v = conjugacy_pipeline(toral_twist, toral_twist)
     assert v.status == "conjugate"
-    assert not v.witness["inner"] or v.witness["inner"]  # witness present
+    # psi is the identity and theta = phi^-1 phi is inner by 1
+    assert v.witness["inner"] == Word(pres)
+    assert v.witness["psi_images"] == {
+        name: generator_word(pres, name) for name in pres.generator_names()}
 
 
 def test_pipeline_inner_twist(toral_twist, z2z2):

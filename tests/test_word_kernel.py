@@ -184,9 +184,56 @@ def test_atoroidal_search_neither_checks_nor_re_reduces(monkeypatch,
     assert counts["_check_syllable"] == counts["reduce_syllables"] == 1
 
 
+def _classes_fixed_in_abelianization(phi, max_len, max_exp, max_iter):
+    """The enumerated classes g with A^n v = v for some n <= max_iter, v
+    the exponent sums of g over the generators (factor generators, then
+    letters) and A the abelianized matrix."""
+    pres = phi.presentation
+    a = phi.abelianized_matrix
+    index = {name: r for r, name in enumerate(pres.generator_names())}
+    powers = [a]
+    for _ in range(max_iter - 1):
+        powers.append(powers[-1] * a)
+    count = 0
+    for g in enumerate_cyclic_words(pres, max_len, max_exp):
+        v = [0] * len(index)
+        for s in g.syllables:
+            if isinstance(s, FreeSyllable):
+                v[index[f"x{s.letter}"]] += s.exponent
+            else:
+                for j, e in enumerate(s.vector, start=1):
+                    v[index[f"a{s.factor}.{j}"]] += e
+        count += any(a_n.apply(tuple(v)) == tuple(v) for a_n in powers)
+    return count
+
+
+@pytest.mark.parametrize("fixture, bounds, tested, passing, acts", [
+    ("tribonacci", (5, 2, 1), 7508, 24, 24),
+    ("intro_anosov", (3, 3, 1), 1488, 0, 0),
+    ("tribonacci", (6, 2, 2), 52660, 316, 632),
+    ("intro_anosov", (4, 2, 4), 41904, 144, 576)])
+def test_atoroidal_search_images_only_classes_fixed_in_abelianization(
+        request, monkeypatch, fixture, bounds, tested, passing, acts):
+    # phi^n(g) ~ g forces A^n v = v, so only those classes reach the action
+    phi = request.getfixturevalue(fixture)
+    calls = Counter()
+    real = automorphisms._act
+
+    def counting(side, pres, w):
+        calls["forward" if side is phi._forward else "other"] += 1
+        return real(side, pres, w)
+    monkeypatch.setattr(automorphisms, "_act", counting)
+    rep = atoroidal_search(phi, *bounds)
+    assert (rep.verdict, rep.tested) == ("exhausted", tested)
+    assert _classes_fixed_in_abelianization(phi, *bounds) == passing
+    assert calls["other"] == 0
+    assert calls["forward"] == acts <= passing * bounds[2]
+
+
 # ---------------------------------------------------------------------------
-# pinned reports of the word-layer commands: default bounds, and the bounds
-# of the benchmark's `search` and `orbit` job lists
+# pinned reports of the word-layer commands: default bounds, the bounds of
+# the benchmark's `search` and `orbit` job lists, and two large exhausted
+# searches (pinned before the abelian prefilter of `atoroidal_search`)
 
 RESULT_DIGESTS = {
     "atoroidal fib":
@@ -225,6 +272,10 @@ RESULT_DIGESTS = {
         "b14b4da741002993530523ef615b133f71be099ec23a4beba9da890821bfc812",
     "atoroidal fib --max-len 5 --max-exp 3 --max-iter 4":
         "89c19aa0c450c3dbf93c2cd26a869dc97cca9159d7431d93c51f806daccd4aab",
+    "atoroidal intro --max-len 4 --max-exp 2 --max-iter 4":
+        "7a70c8ec28a349310e5ced7fe23595e54d9e0abd899be260691f6e53ad063d19",
+    "atoroidal trib --max-len 6 --max-exp 2 --max-iter 2":
+        "a220a92d90846ce3913132306615a1fb52d603e0145f24a0fdf4a836cbd70dfd",
     "twins intro --max-exp 2 --conj-len 2":
         "3eb4deb6e2b755ea39f2d47ad39064c1343d3bdab8d2f3bbcc186b92ffc48b12",
     "classify fib --element x1 --max-iter 15":
