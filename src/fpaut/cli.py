@@ -452,6 +452,8 @@ def config_from_args(argv) -> JobConfig:
                 raise ParseError(0, "--lambda-min must be > 1")
         elif key != "depth" and val < 1:
             raise ParseError(0, f"--{key.replace('_', '-')} must be positive")
+    if "min_len" in bounds and bounds["min_len"] > bounds["max_len"]:
+        raise ParseError(0, "--min-len must not exceed --max-len")
     if ns.jobs < 1:
         raise ParseError(0, "--jobs must be positive")
     return JobConfig(

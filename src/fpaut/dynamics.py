@@ -481,6 +481,8 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     lam = Fraction(str(lambda_min))
     if lam <= 1:
         raise ValueError("lambda_min must be > 1")
+    if min_len > max_len:
+        raise ValueError("min_len must not exceed max_len: no class to test")
     bounds = {"min_len": min_len, "max_len": max_len, "max_exp": max_exp,
               "n_max": n_max, "lambda_min": str(lam)}
     ok = [True] * (n_max + 1)  # ok[N]: inequality holds for all words at N

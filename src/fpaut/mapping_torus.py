@@ -419,11 +419,13 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
 
     First compares abelianization invariants (mapping-torus invariant
     factors, characteristic polynomial, Smith data of Phi_ab - cI for small
-    c): any mismatch is a sound ``distinguished``.  Then searches witnesses
-    psi -- the identity, the factor-basis substitutions commuting with the
-    abelianized data, then ad(w) for words w of at most ``conj_len``
-    syllables -- testing whether psi o phi1 o psi^-1 equals phi2 up to an
-    inner automorphism, recovered by `_inner_witness`.  Everything else is
+    c): any mismatch is a sound ``distinguished``.  Then tries witnesses
+    psi -- the identity, then the factor-basis substitutions commuting with
+    the abelianized data -- testing whether psi o phi1 o psi^-1 equals phi2
+    up to an inner automorphism, recovered by `_inner_witness`.  The inner
+    candidates ad(w), for nonempty words w of at most ``conj_len``
+    syllables (at most 301 of them), are decided by the identity test and
+    only counted in ``candidates_tested``.  Everything else is
     ``undecided``: the general decision procedure needs machinery
     (isomorphism problem for toral relatively hyperbolic groups, JSJ) far
     beyond desk scale.
@@ -471,14 +473,6 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
                 if count >= 1000:
                     break
                 yield _substitution_automorphism(pres, dict(enumerate(mats, start=1)))
-        emitted = 0
-        for w in enumerate_words(pres, conj_len, 2):
-            if not w:
-                continue
-            yield ad(w, pres)
-            emitted += 1
-            if emitted > 300:
-                break
 
     phi2_inv = inverse(phi2)
     tested = 0
@@ -499,5 +493,12 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
             witness={"psi_images": dict(psi.images), "inner": c},
             diagnostics={**diagnostics, "candidates_tested": tested})
 
+    # The inner candidates psi = ad(w) need no composition: psi phi1 psi^-1
+    # = ad(w phi1(w)^-1) o phi1, so phi2^-1 psi phi1 psi^-1 is inner exactly
+    # when phi2^-1 phi1 is.  The identity candidate has failed and
+    # `_inner_witness` is complete, so every ad(w) fails too; they are
+    # counted as tested, the nonempty words of the enumeration, at most 301.
+    tested += sum(1 for _ in itertools.islice(
+        enumerate_words(pres, conj_len, 2), 1, 302))
     diagnostics["candidates_tested"] = tested
     return ConjugacyVerdict("undecided", diagnostics=diagnostics)

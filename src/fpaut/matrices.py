@@ -272,31 +272,27 @@ def matrix_inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:
 def char_poly(m: IntegerMatrix) -> tuple[int, ...]:
     """Coefficients of det(xI - M), leading coefficient first, exactly.
 
-    Faddeev-LeVerrier over the rationals; the result is integral.
+    Faddeev-LeVerrier on integers: M_k = A M_{k-1} + c_{k-1} I has integer
+    entries and c_k = -tr(A M_k)/k is an integer, so the division is exact.
+    A M_k is kept for the next step, one matrix product per step.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(0)] * n for _ in range(n)]
+    a = m.entries
+    coeffs = [1]
+    am = [[0] * n for _ in range(n)]  # A M_0
     for k in range(1, n + 1):
-        # M_k = A * M_{k-1} + c_{k-1} I ;  c_k = -tr(A M_k)/k
-        am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
         for i in range(n):
             am[i][i] += coeffs[-1]
-        mk = am
-        prod = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
-        trace = sum(prod[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        cols = list(zip(*am))  # M_k, by columns
+        am = [[sum(x * y for x, y in zip(row, col)) for col in cols]
+              for row in a]
+        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        if r:
             raise AssertionError("characteristic polynomial not integral")
-        out.append(int(c))
-    return tuple(out)
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:

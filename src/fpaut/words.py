@@ -8,7 +8,9 @@ same letter.  All values are immutable and all operations are pure, so
 everything here is safe to share between threads.
 
 >>> pres = Presentation((2, 2), 0)
->>> w = reduce_syllables([fs(1, (1, 0)), fs(2, (0, 1)), fs(2, (0, -1)), fs(1, (2, 0))], pres)
+>>> raw = [FactorSyllable(1, (1, 0)), FactorSyllable(2, (0, 1)),
+...        FactorSyllable(2, (0, -1)), FactorSyllable(1, (2, 0))]
+>>> w = reduce_syllables(raw, pres)
 >>> w.syllables
 (FactorSyllable(factor=1, vector=(3, 0)),)
 """
@@ -109,15 +111,6 @@ class FreeSyllable:
 
 
 Syllable = Union[FactorSyllable, FreeSyllable]
-
-
-def fs(i: int, vector: Sequence[int]) -> FactorSyllable:
-    """Shorthand constructor used heavily in tests."""
-    return FactorSyllable(i, tuple(vector))
-
-
-def xs(l: int, e: int) -> FreeSyllable:
-    return FreeSyllable(l, e)
 
 
 def _track(s: Syllable):
@@ -274,10 +267,6 @@ def reduce_syllables(raw: Iterable[Syllable], pres: Presentation) -> Word:
     out: list[Syllable] = []
     _join(out, [s for s in raw if not _is_zero(s)])
     return Word(pres, tuple(out))
-
-
-def word(pres: Presentation, *raw: Syllable) -> Word:
-    return reduce_syllables(raw, pres)
 
 
 def _same_presentation(u: Word, v: Word) -> None:

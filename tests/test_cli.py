@@ -413,6 +413,15 @@ def test_main_rejects_bad_lambda(fib_file, capsys):
     capsys.readouterr()
 
 
+def test_flare_min_len_above_max_len_rejected(mixed_file, capsys):
+    # an empty length range would certify over no class at all
+    argv = ["flare", "--aut", mixed_file, "--min-len", "5", "--max-len", "3"]
+    with pytest.raises(ParseError):
+        config_from_args(argv)
+    assert main(argv) == 2
+    assert "--min-len" in capsys.readouterr().err
+
+
 def test_out_file(fib_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["torus-ab", "--aut", fib_file, "--out", str(out)]) == 0

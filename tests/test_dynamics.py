@@ -375,6 +375,11 @@ def test_flare_rejects_bad_lambda(identity_z2z2):
         flare_certify(identity_z2z2, 2, 2, 1, 2, "1.0")
 
 
+def test_flare_rejects_empty_length_range(mixed):
+    with pytest.raises(ValueError):
+        flare_certify(mixed[0], 5, 3, 1, 2, "1.1")
+
+
 # --- implication check -------------------------------------------------------
 
 def test_implication_vacuous_on_twist(toral_twist):

@@ -2,21 +2,28 @@ import hashlib
 import itertools
 import random
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpaut import (BlockOrbitInstance, OrbitConstraint, Presentation,
                    abelianized_action, block_orbit_solve, compose,
                    conjugacy_pipeline, identity_automorphism, inverse,
                    mapping_torus_abelianization, parse_word, power, validate)
-from fpaut.automorphisms import ad, generator_word
+from fpaut.automorphisms import ad, generator_word, is_toral
 from fpaut.cli import COMMANDS, JobConfig, canonical_json
+from fpaut.dynamics import enumerate_words
 from fpaut.errors import DimensionMismatch, PresentationMismatch
-from fpaut.mapping_torus import _inner_witness
+from fpaut.mapping_torus import (ConjugacyVerdict, _abelian_invariants,
+                                 _factor_substitution_candidates,
+                                 _inner_witness, _substitution_automorphism)
 from fpaut.matrices import IntegerMatrix, determinant
 from fpaut.words import FactorSyllable, Word
 
 from conftest import make_aut, random_word
+from test_action import automorphisms_of
 
 
 def test_abelianized_action(fibonacci, toral_twist, identity_z2z2):
@@ -254,8 +261,9 @@ def test_pipeline_factor_substitution(z2z2, toral_twist):
 
 
 def test_pipeline_inverts_phi2_once(monkeypatch, fibonacci, free2):
-    # fib against fib conjugated by the letter swap: every candidate is
-    # tried, and phi2^-1 is computed once for all of them
+    # fib against fib conjugated by the letter swap: phi2^-1 is computed
+    # once; the identity is the only candidate composed (there is no
+    # factor to substitute, and the inner candidates are only counted)
     from fpaut import mapping_torus
     swapped = make_aut(free2, {"x1": "x2", "x2": "x2 x1"},
                        {"x1": "x1^-1 x2", "x2": "x1"})
@@ -270,7 +278,8 @@ def test_pipeline_inverts_phi2_once(monkeypatch, fibonacci, free2):
     tested = v.diagnostics["candidates_tested"]
     assert v.status == "undecided" and tested > 100
     assert sum(phi is swapped for phi in calls) == 1
-    assert len(calls) == tested + 1
+    composed = 1
+    assert len(calls) == composed + 1
 
 
 def test_pipeline_identity_of_abelian_group_is_conjugate():
@@ -281,6 +290,110 @@ def test_pipeline_identity_of_abelian_group_is_conjugate():
     assert v.status == "conjugate"
     assert not v.witness["inner"]
     assert v.diagnostics["candidates_tested"] == 1
+
+
+def _composing_reference(phi1, phi2, conj_len):
+    """The pipeline with every candidate composed, the inner candidates
+    ad(w) included: the reference for the ones the pipeline only counts."""
+    pres = phi1.presentation
+    diagnostics = {"both_toral": is_toral(phi1)[0] and is_toral(phi2)[0]}
+    inv1, inv2 = _abelian_invariants(phi1), _abelian_invariants(phi2)
+    for key in inv1:
+        if inv1[key] != inv2[key]:
+            return ConjugacyVerdict(
+                "distinguished", invariant={"name": key, "value_1": inv1[key],
+                                            "value_2": inv2[key]},
+                diagnostics=diagnostics)
+
+    def candidates():
+        yield identity_automorphism(pres)
+        per_factor = [_factor_substitution_candidates(phi1, phi2, i)
+                      for i in range(1, pres.num_factors + 1)]
+        if per_factor and all(per_factor):
+            for mats in itertools.islice(itertools.product(*per_factor), 1000):
+                yield _substitution_automorphism(
+                    pres, dict(enumerate(mats, start=1)))
+        emitted = 0
+        for w in enumerate_words(pres, conj_len, 2):
+            if not w:
+                continue
+            yield ad(w, pres)
+            emitted += 1
+            if emitted > 300:
+                break
+
+    phi2_inv = inverse(phi2)
+    for tested, psi in enumerate(candidates(), start=1):
+        chi = compose(compose(psi, phi1), inverse(psi))
+        c = _inner_witness(compose(phi2_inv, chi))
+        if c is not None:
+            return ConjugacyVerdict(
+                "conjugate", witness={"psi_images": dict(psi.images), "inner": c},
+                diagnostics={**diagnostics, "candidates_tested": tested})
+    return ConjugacyVerdict(
+        "undecided", diagnostics={**diagnostics, "candidates_tested": tested})
+
+
+# at most one rank-2 factor: two of them can reach the 1,000 substitution
+# combinations, each composed by both sides at about 1 ms
+REFERENCE_PRESENTATIONS = (Presentation((), 2), Presentation((), 3),
+                           Presentation((2,), 1), Presentation((1, 2), 2),
+                           Presentation((3,), 0))
+
+
+def test_pipeline_matches_composing_reference(tribonacci):
+    # random pairs, independent and psi phi psi^-1, at conj_len 1 and 2:
+    # counting the inner candidates gives the verdict, witness, invariant
+    # and diagnostics of composing every one of them
+    seen = Counter()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        pres = data.draw(st.sampled_from(REFERENCE_PRESENTATIONS))
+        phi1 = data.draw(automorphisms_of(pres, max_moves=3))
+        assume(phi1.preserves_factor_classes)
+        other = data.draw(automorphisms_of(pres, max_moves=3))
+        if data.draw(st.booleans()):
+            phi2 = compose(compose(other, phi1), inverse(other))
+        else:
+            assume(other.preserves_factor_classes)
+            phi2 = other
+        for conj_len in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = conjugacy_pipeline(phi1, phi2, conj_len)
+            assert got == _composing_reference(phi1, phi2, conj_len)
+            seen[got.status] += 1
+
+    check()
+    assert seen["undecided"] and seen["conjugate"] and seen["distinguished"], seen
+    # trib against trib with x1 and x2 swapped, at conj_len 3: of its 876
+    # nonempty words the count stops at the cap of 301
+    tribsw = _conjugate_by(_letter_swap(tribonacci.presentation), tribonacci)
+    got = conjugacy_pipeline(tribonacci, tribsw, 3)
+    assert got.diagnostics["candidates_tested"] == 1 + 301
+    assert got == _composing_reference(tribonacci, tribsw, 3)
+
+
+def test_pipeline_composes_only_the_identity_on_fib(monkeypatch, fibonacci):
+    # fib against fibsw is undecided; of its 169 candidates (41 at
+    # conj_len 2) only the identity is composed, in 3 compose calls
+    from fpaut import mapping_torus
+    fibsw = PARTNERS["fibsw"](fibonacci)
+    calls = []
+    original = mapping_torus.compose
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(mapping_torus, "compose", counting)
+    for conj_len, tested in ((3, 169), (2, 41)):
+        calls.clear()
+        v = conjugacy_pipeline(fibonacci, fibsw, conj_len)
+        assert v.status == "undecided"
+        assert v.diagnostics["candidates_tested"] == tested
+        assert len(calls) <= 3
 
 
 # the five fixture presentations, and the abelian groups Z^2, Z^3, Z (one
@@ -322,7 +435,9 @@ def _conjugate_by(psi, phi):
 
 
 def _letter_swap(pres):
-    return make_aut(pres, {"x1": "x2", "x2": "x1"}, {"x1": "x2", "x2": "x1"})
+    swap = {name: name for name in pres.generator_names()}
+    swap.update(x1="x2", x2="x1")
+    return make_aut(pres, swap, swap)
 
 
 FIXTURES = {"fib": "fibonacci", "trib": "tribonacci", "intro": "intro_anosov",
