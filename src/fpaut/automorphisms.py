@@ -40,8 +40,8 @@ from .errors import (FactorsPermuted, IndexOutOfRange, NotAnAutomorphism,
                      NotFactorPreserving, PresentationMismatch)
 from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _join,
-                    _syllable_power, cyclic_normal_form, multiply,
-                    reduce_syllables)
+                    _syllable_power, abelianize, cyclic_normal_form,
+                    multiply, reduce_syllables)
 from .words import power as word_power
 
 
@@ -116,22 +116,11 @@ class Automorphism:
 
     @cached_property
     def abelianized_matrix(self) -> IntegerMatrix:
-        """Action on G_ab, basis: factor generators then free letters."""
-        pres = self.presentation
-        names = pres.generator_names()
-        index = {name: r for r, name in enumerate(names)}
-        n = len(names)
-        cols = []
-        for name in names:
-            col = [0] * n
-            for s in self.images[name].syllables:
-                if isinstance(s, FreeSyllable):
-                    col[index[f"x{s.letter}"]] += s.exponent
-                else:
-                    for j, e in enumerate(s.vector, start=1):
-                        col[index[f"a{s.factor}.{j}"]] += e
-            cols.append(col)
-        return IntegerMatrix(tuple(zip(*cols)))
+        """Action on G_ab in the basis of `words.abelianize`: column r is
+        the image of generator r."""
+        return IntegerMatrix(tuple(zip(*(
+            abelianize(self.images[name])
+            for name in self.presentation.generator_names()))))
 
 
 def _strip_trailing(w: Word, factor: int) -> Word:

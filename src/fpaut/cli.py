@@ -205,9 +205,9 @@ def _traintrack(cfg: JobConfig, phi: Automorphism) -> dict:
         "status": verdict.status,
         "witness": to_jsonable(verdict.witness),
         "depth": depth,
-        "base_gate_count": len(gates.gates_at_base()),
+        "base_gate_count": len(gates.base_gates),
         "base_gates": to_jsonable([sorted(map(list, g))
-                                   for g in gates.gates_at_base()]),
+                                   for g in gates.base_gates]),
         "stable": gates.stable,
     }
 
@@ -370,8 +370,7 @@ def _source_digest() -> str:
 
 def _cache_key(cfg: JobConfig) -> str:
     ident = {"command": cfg.command, "bounds": to_jsonable(cfg.bounds),
-             "version": __version__, "source": _source_digest(),
-             "jobs_invariant": True}
+             "version": __version__, "source": _source_digest()}
     for label, p in (("aut", cfg.aut_path), ("aut2", cfg.aut2_path)):
         if p:
             ident[label] = _sha256_bytes(Path(p).read_bytes())

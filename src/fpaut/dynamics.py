@@ -22,8 +22,8 @@ from .automorphisms import (Automorphism, apply, apply_power,
 from .errors import FactorsPermuted, TooShort
 from .matrices import IntegerMatrix, determinant, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    conjugate_test, cyclic_normal_form, double_coset_rep,
-                    multiply)
+                    abelianize, conjugate_test, cyclic_normal_form,
+                    double_coset_rep, multiply)
 
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
@@ -165,16 +165,17 @@ def graded_key(w: Word):
 
 
 def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
-                           min_len: int = 1, hyperbolic_only: bool = True):
-    """Cyclically reduced conjugacy-class representatives, graded.
+                           min_len: int = 1):
+    """Cyclically reduced hyperbolic conjugacy-class representatives, graded.
 
     Yields Words whose syllable tuple is in cyclic normal form and is the
     lexicographically least rotation of its class; ordering is by syllable
-    count, then total exponent mass, then lexicographic.
+    count, then total exponent mass, then lexicographic.  The elliptic
+    classes, one factor syllable each, are left out; a free syllable acts
+    loxodromically on its loop edge, so it counts as hyperbolic.
     """
     for syl in _graded_sequences(pres, max_len, max_exp, min_len, cyclic=True):
-        if hyperbolic_only and len(syl) == 1 and \
-                isinstance(syl[0], FactorSyllable):
+        if len(syl) == 1 and isinstance(syl[0], FactorSyllable):
             continue
         yield Word(pres, syl)
 
@@ -218,7 +219,6 @@ def orbit_lengths(phi: Automorphism, g: Word, n_max: int) -> OrbitData:
 class GrowthVerdict:
     kind: str                 # "bounded" | "polynomial" | "exponential"
     heuristic: bool
-    data: tuple
     rate: float | None = None
     degree: int | None = None
     preperiod: int | None = None
@@ -250,8 +250,8 @@ def classify_growth(seq, classes=None) -> GrowthVerdict:
         seen = {}
         for n, cls in enumerate(classes):
             if cls in seen:
-                return GrowthVerdict("bounded", False, seq,
-                                     preperiod=seen[cls], period=n - seen[cls])
+                return GrowthVerdict("bounded", False, preperiod=seen[cls],
+                                     period=n - seen[cls])
             seen[cls] = n
     half = len(seq) // 2
     xs = list(range(half, len(seq)))
@@ -261,13 +261,13 @@ def classify_growth(seq, classes=None) -> GrowthVerdict:
     slope, _, r2 = _fit(xs, logs)
     diagnostics = {"log_slope": slope, "log_r2": r2}
     if increasing and r2 >= R2_EXPONENTIAL and slope > 0:
-        return GrowthVerdict("exponential", True, seq, rate=math.exp(slope),
+        return GrowthVerdict("exponential", True, rate=math.exp(slope),
                              diagnostics=diagnostics)
     loglog_x = [math.log(n) for n in xs]
     ll_slope, _, ll_r2 = _fit(loglog_x, logs)
     diagnostics.update({"loglog_slope": ll_slope, "loglog_r2": ll_r2})
-    return GrowthVerdict("polynomial", True, seq,
-                         degree=max(0, round(ll_slope)), diagnostics=diagnostics)
+    return GrowthVerdict("polynomial", True, degree=max(0, round(ll_slope)),
+                         diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +295,17 @@ class SearchReport:
 
 def _abelian_prefilter(phi: Automorphism, max_iter: int):
     """A test that a class g can be fixed by some phi^n, n <= max_iter, in
-    the abelianization: A^n v = v, for A the `abelianized_matrix` and v the
-    image of g in G_ab.  Conjugate elements have one image in G_ab, so a
-    class failing the test is fixed by no such phi^n.
+    the abelianization: A^n v = v, for A the `abelianized_matrix` and
+    v = `abelianize(g)`, the image of g in G_ab.  Conjugate elements have
+    one image in G_ab, so a class failing the test is fixed by no such
+    phi^n.
 
     Only max_iter/2 < n <= max_iter are tried: A^n v = v implies
     A^(2n) v = v.  When every A^n - I tried is nonsingular, only v = 0
     passes.
     """
-    pres = phi.presentation
     a = phi.abelianized_matrix
-    dim = a.nrows
-    eye = IntegerMatrix.identity(dim)
+    eye = IntegerMatrix.identity(a.nrows)
     a_n = eye
     diffs = []  # A^n - I for the n tried
     for n in range(1, max_iter + 1):
@@ -315,18 +314,9 @@ def _abelian_prefilter(phi: Automorphism, max_iter: int):
             diffs.append(a_n - eye)
     only_zero = all(determinant(d) for d in diffs)
     row_sets = [tuple(row for row in d.entries if any(row)) for d in diffs]
-    # coordinates as in `abelianized_matrix`: factor generators, then letters
-    offsets = tuple(itertools.accumulate(pres.abelian_ranks, initial=0))
-    letters = offsets[-1] - 1
 
     def may_be_periodic(g: Word) -> bool:
-        v = [0] * dim
-        for s in g.syllables:
-            if isinstance(s, FreeSyllable):
-                v[letters + s.letter] += s.exponent
-            else:
-                for j, e in enumerate(s.vector, offsets[s.factor - 1]):
-                    v[j] += e
+        v = abelianize(g)
         if only_zero:
             return not any(v)
         for rows in row_sets:

@@ -33,11 +33,6 @@ class ZeroMatrix(FpAutError):
     """Spectral data of the zero matrix was requested."""
 
 
-class DifferentVertices(FpAutError):
-    """Angle requested between directions not based at the same non-free
-    vertex."""
-
-
 class TooShort(FpAutError):
     """Growth classification needs a longer orbit sequence."""
 

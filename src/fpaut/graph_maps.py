@@ -43,13 +43,17 @@ from functools import cached_property
 
 from .automorphisms import Automorphism, apply_power
 from .dynamics import _vectors_of_mass
-from .errors import DifferentVertices, EmptyWord, FactorsPermuted
+from .errors import FactorsPermuted
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
                        pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     double_coset_rep, multiply, reduce_syllables)
 
 BASE = "base"
+
+# most rounds of side extension `_junction_cancellation` follows at one
+# junction
+JUNCTION_EXTENSIONS = 48
 
 
 def factor_vertex(i: int):
@@ -125,7 +129,7 @@ class EdgePath:
     """A tree path anchored at the canonical lift of its start.
 
     The constructor checks that the steps chain and that decorations have
-    their factor's rank; it does not reduce them (see ``is_reduced``)."""
+    their factor's rank; it does not reduce them."""
 
     presentation: Presentation
     start: object  # BASE or ("factor", i)
@@ -152,9 +156,6 @@ class EdgePath:
             elif step[0] == "T":
                 syl.append(FactorSyllable(step[1], step[2]))
         return reduce_syllables(syl, self.presentation)
-
-    def is_reduced(self) -> bool:
-        return all(not _degenerate(a, b) for a, b in zip(self.steps, self.steps[1:]))
 
 
 def reduce_steps(pres: Presentation, steps) -> tuple:
@@ -236,22 +237,9 @@ def _reverse_steps(pres: Presentation, steps) -> tuple:
                                for pos in range(len(steps) - 1, -1, -1)])
 
 
-def reverse_path(path: EdgePath) -> EdgePath:
-    """The same tree path run backwards, anchored at its end vertex."""
-    return EdgePath(path.presentation, path.end_vertex(),
-                    _reverse_steps(path.presentation, path.steps))
-
-
-def path_from_word(pres: Presentation, w: Word) -> EdgePath:
-    return EdgePath(pres, BASE, spell(w))
-
-
-def path_turns(path: EdgePath):
-    """(vertex, direction back along the arrival, departing direction)."""
-    return _turns_of_steps(path.steps)
-
-
 def _turns_of_steps(steps):
+    """(vertex, direction back along the arrival, departing direction) of
+    each turn."""
     out = []
     for a, b in zip(steps, steps[1:]):
         v = step_target(a)
@@ -365,21 +353,17 @@ class GateStructure:
     """Partition of the directions into gates.
 
     At the base vertex two directions share a gate iff their images under
-    ``depth`` iterations of the direction map coincide (``base_key``); a
-    ``"t"`` and an ``"x"`` direction are never in one gate.  At factor
+    the iterated direction map coincide (``base_key``); a ``"t"`` and an
+    ``"x"`` direction are never in one gate.  At factor
     vertex i the direction map is the unimodular factor matrix M_i acting on
     decorations, hence injective, so two directions there share a gate only
     when they are equal.  ``stable`` records whether the base partition
-    agrees with the one at depth+1.
+    agrees with the one a further iteration gives.
     """
 
-    depth: int
     base_gates: tuple            # tuple of frozensets of base directions
-    base_key: dict               # base direction -> image at iteration `depth`
+    base_key: dict               # base direction -> its iterated image
     stable: bool
-
-    def gates_at_base(self):
-        return self.base_gates
 
     def same_gate(self, d1, d2) -> bool:
         """The turn (d1, d2) is illegal iff the directions share a gate."""
@@ -416,32 +400,11 @@ def gate_structure(m: GraphMap, depth: int) -> GateStructure:
     base_gates = tuple(sorted((frozenset(g) for g in groups.values()),
                               key=lambda g: sorted(map(step_key, g))))
     stable = len(groups) == len({m.direction_map(k) for k in groups})
-    return GateStructure(depth, base_gates, base_key, stable)
+    return GateStructure(base_gates, base_key, stable)
 
 
 def default_gate_depth(pres: Presentation) -> int:
     return 2 * (pres.num_factors + pres.free_rank) + 4
-
-
-def is_legal_path(path: EdgePath, gates: GateStructure) -> bool:
-    return all(gates.is_legal(t) for t in path_turns(path))
-
-
-def count_illegal_turns(path: EdgePath, gates: GateStructure) -> int:
-    return sum(1 for t in path_turns(path) if not gates.is_legal(t))
-
-
-def legality_ratio(path: EdgePath, c, gates: GateStructure) -> Fraction:
-    """Fraction of the length carried by maximal legal segments longer than c."""
-    if not path.steps:
-        raise EmptyWord("legality ratio of an empty path")
-    runs = [1]
-    for turn in path_turns(path):
-        if gates.is_legal(turn):
-            runs[-1] += 1
-        else:
-            runs.append(1)
-    return Fraction(sum(r for r in runs if r > c), len(path.steps))
 
 
 @dataclass(frozen=True)
@@ -487,7 +450,7 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
     return TrainTrackVerdict("holds", None, gates)
 
 
-def _junction_cancellation(m: GraphMap, d1, d2, cap: int = 48) -> Fraction:
+def _junction_cancellation(m: GraphMap, d1, d2) -> Fraction:
     """Exact cancellation opened by one application of f at a junction.
 
     d1 and d2 are the two directions of a reduced junction turn.  Starting
@@ -496,13 +459,14 @@ def _junction_cancellation(m: GraphMap, d1, d2, cap: int = 48) -> Fraction:
     factor vertex the needed decoration is pinned by the factor matrix)
     until the images diverge.  This follows cancellation that cascades
     through decoration merges, which a plain common-prefix comparison
-    misses on non-train-track maps.
+    misses on non-train-track maps.  At most ``JUNCTION_EXTENSIONS`` rounds
+    are followed.
     """
     pres = m.presentation
     x = [d1]
     y = [d2]
     best = Fraction(-1)
-    for _ in range(cap):
+    for _ in range(JUNCTION_EXTENSIONS):
         fx, fy = m.image_steps(x), m.image_steps(y)
         joint = reduce_steps(pres, _reverse_steps(pres, fx) + fy)
         lx, ly = len(fx), len(fy)
@@ -561,7 +525,7 @@ def bounded_cancellation_constant(m: GraphMap, depth: int) -> Fraction:
     """
     gates = gate_structure(m, depth)
     best = Fraction(0)
-    for gate in gates.gates_at_base():
+    for gate in gates.base_gates:
         for d1, d2 in itertools.combinations(sorted(gate, key=step_key), 2):
             best = max(best, _junction_cancellation(m, d1, d2))
     return best
@@ -766,20 +730,3 @@ def _nielsen_test(m: GraphMap, start, steps, images):
                 f"nielsen witness failed word re-verification: {path}")
         return NielsenWitness(path, n, g)
     return None
-
-
-def angle(d1, d2) -> int:
-    """L1 distance of the decorations of two directions at one factor vertex."""
-    if d1[0] != "T" or d2[0] != "T":
-        raise DifferentVertices("angles are defined at non-free vertices only")
-    if d1[1] != d2[1]:
-        raise DifferentVertices(f"directions at factors {d1[1]} and {d2[1]}")
-    return sum(abs(a - b) for a, b in zip(d1[2], d2[2]))
-
-
-def is_theta_straight(path: EdgePath, theta: int) -> bool:
-    """All interior angles at non-free vertices are at most theta."""
-    for v, d1, d2 in path_turns(path):
-        if v != BASE and angle(d1, d2) > theta:
-            return False
-    return True

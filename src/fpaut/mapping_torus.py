@@ -26,6 +26,17 @@ from .matrices import (IntegerMatrix, char_poly, content, determinant,
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _track,
                     cyclic_normal_form, multiply)
 
+# `block_orbit_solve` tries every U in GL_m(Z) with entries of absolute value
+# at most UNIMODULAR_ENTRY_BOUND, unless that is more than UNIMODULAR_BUDGET
+# matrices
+UNIMODULAR_ENTRY_BOUND = 4
+UNIMODULAR_BUDGET = 400_000
+# `_factor_substitution_candidates` combines kernel vectors with coefficients
+# of absolute value at most SUBSTITUTION_COEFF_BOUND and keeps at most
+# SUBSTITUTION_CAP unimodular results per factor
+SUBSTITUTION_COEFF_BOUND = 2
+SUBSTITUTION_CAP = 40
+
 
 def abelianized_action(phi: Automorphism) -> IntegerMatrix:
     """Matrix of phi on G_ab = Z^(n_1+...+n_p) (+) Z^k.
@@ -52,13 +63,12 @@ class AbelianizationReport:
     torsion: tuple
     free_rank: int
     generator_images: dict
-    basis_change: tuple  # (U, V) with U (Phi_ab - I) V = D
 
 
 def mapping_torus_abelianization(phi: Automorphism) -> AbelianizationReport:
     a = phi.abelianized_matrix
     n = a.nrows
-    u, d, v = smith_normal_form(a - IntegerMatrix.identity(n))
+    u, d, _ = smith_normal_form(a - IntegerMatrix.identity(n))
     diag = d.diagonal()
     factors = diag + (0,)
     torsion = tuple(x for x in diag if x >= 2)
@@ -71,7 +81,7 @@ def mapping_torus_abelianization(phi: Automorphism) -> AbelianizationReport:
                      for s, c in enumerate(col))
         images[name] = norm + (0,)
     images["t"] = tuple(0 for _ in range(n)) + (1,)
-    return AbelianizationReport(factors, torsion, free_rank, images, (u, v))
+    return AbelianizationReport(factors, torsion, free_rank, images)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +157,12 @@ def _unimodular_taking(v2, w2) -> IntegerMatrix:
     return u
 
 
-def _enumerate_unimodular(m, bound, budget=400_000):
-    """All of GL_m(Z) with entries bounded by ``bound``, within budget."""
+def _enumerate_unimodular(m):
+    """All of GL_m(Z) with entries bounded by ``UNIMODULAR_ENTRY_BOUND``, or
+    None when there are more than ``UNIMODULAR_BUDGET`` matrices to try."""
+    bound = UNIMODULAR_ENTRY_BOUND
     cells = m * m
-    if (2 * bound + 1) ** cells > budget:
+    if (2 * bound + 1) ** cells > UNIMODULAR_BUDGET:
         return None
     out = []
     for flat in itertools.product(range(-bound, bound + 1), repeat=cells):
@@ -175,7 +187,7 @@ def _check_constraints(inst: BlockOrbitInstance, rho: IntegerMatrix) -> bool:
     return True
 
 
-def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitVerdict:
+def block_orbit_solve(inst: BlockOrbitInstance) -> OrbitVerdict:
     """Decide rho(v) = w (or coset membership) for block matrices [[I,B],[0,U]].
 
     A coset constraint asks rho(v) - w = sum_t lambda_t gen_t for one integer
@@ -186,11 +198,12 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
     every entry of w1 - v1.  The candidates for U are then the transport
     for a single exact constraint, mw mv^-1 when the exact v2's form an
     invertible square system, and otherwise every U with entries up to
-    ``search_bound`` (``undecided`` past the budget).  Each candidate solves
-    one joint integer system for (B, lambda); witnesses are re-verified by
-    multiplication before being returned.  When the candidates are every
-    possible U -- the forced U of a square system, or all of GL_1(Z) = {+-1}
-    for m = 1 -- a failed search is ``no_solution``, else ``undecided``.
+    ``UNIMODULAR_ENTRY_BOUND`` (``undecided`` past the budget).  Each
+    candidate solves one joint integer system for (B, lambda); witnesses
+    are re-verified by multiplication before being returned.  When the
+    candidates are every possible U -- the forced U of a square system, or
+    all of GL_1(Z) = {+-1} for m = 1 -- a failed search is
+    ``no_solution``, else ``undecided``.
     """
     n, m = inst.n, inst.m
     if not inst.constraints:
@@ -233,11 +246,11 @@ def block_orbit_solve(inst: BlockOrbitInstance, search_bound: int = 4) -> OrbitV
                 return OrbitVerdict("no_solution",
                                     reason="unique linear solution is not unimodular")
     if candidates is None:
-        candidates = _enumerate_unimodular(m, search_bound)
+        candidates = _enumerate_unimodular(m)
         if candidates is None:
             return OrbitVerdict("undecided",
                                 reason="search budget exceeded for this block size")
-        complete = m == 1 and search_bound >= 1
+        complete = m == 1  # GL_1(Z) = {+-1}, within the entry bound
 
     for u in candidates:
         if any(u.apply(_split(c.vector, n)[1]) != _split(c.target, n)[1]
@@ -352,12 +365,13 @@ def _inner_witness(theta: Automorphism) -> Word | None:
 
 
 def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
-                                    i: int, coeff_bound: int = 2,
-                                    cap: int = 40) -> list[IntegerMatrix]:
+                                    i: int) -> list[IntegerMatrix]:
     """Unimodular S with S M1_i = M2_i S, from the integer solution lattice.
 
-    The commuting equation is linear in S; small combinations of a kernel
-    basis of the Sylvester operator are filtered for unimodularity.
+    The commuting equation is linear in S; the combinations of a kernel
+    basis of the Sylvester operator with coefficients of absolute value at
+    most ``SUBSTITUTION_COEFF_BOUND`` are filtered for unimodularity, and
+    the first ``SUBSTITUTION_CAP`` that pass are returned.
     """
     m1, m2 = phi1.factor_matrix(i), phi2.factor_matrix(i)
     n = m1.nrows
@@ -373,7 +387,8 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
     basis = kernel_basis(IntegerMatrix(tuple(rows)))
     out = []
     seen = set()
-    for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),
+    bound = SUBSTITUTION_COEFF_BOUND
+    for coeffs in itertools.product(range(-bound, bound + 1),
                                     repeat=len(basis)):
         flat = [0] * (n * n)
         for cf, vec in zip(coeffs, basis):
@@ -386,7 +401,7 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
         seen.add(key)
         if abs(determinant(s)) == 1 and s * m1 == m2 * s:
             out.append(s)
-            if len(out) >= cap:
+            if len(out) >= SUBSTITUTION_CAP:
                 break
     return out
 

@@ -12,6 +12,11 @@ from math import gcd
 
 from .errors import DimensionMismatch, ZeroMatrix
 
+# width at which `pf_growth_rate` stops narrowing its bracket, and the most
+# power-iteration steps it takes
+PF_TOLERANCE = Fraction(1, 10**12)
+PF_MAX_ITERATIONS = 10_000
+
 
 @dataclass(frozen=True)
 class IntegerMatrix:
@@ -343,7 +348,6 @@ class SpectralRadius:
     value: float
     lower: Fraction
     upper: Fraction
-    iterations: int
     eigenvector: tuple[float, ...]
 
     @property
@@ -351,14 +355,15 @@ class SpectralRadius:
         return float(self.upper - self.lower) / 2.0
 
 
-def pf_growth_rate(m: IntegerMatrix, tol: Fraction = Fraction(1, 10**12),
-                   max_iter: int = 10_000) -> SpectralRadius:
+def pf_growth_rate(m: IntegerMatrix) -> SpectralRadius:
     """Spectral radius of a nonnegative integer matrix.
 
     Power iteration on M + I (the shift keeps iterates positive and kills
     periodicity) with Collatz-Wielandt bracketing: for any positive x,
     min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i, so the returned interval
-    is rigorous whatever the convergence behaviour.
+    is rigorous whatever the convergence behaviour.  The iteration stops
+    once the bracket is at most ``PF_TOLERANCE`` wide, or after
+    ``PF_MAX_ITERATIONS`` steps.
     """
     n = m.nrows
     if n != m.ncols:
@@ -370,13 +375,12 @@ def pf_growth_rate(m: IntegerMatrix, tol: Fraction = Fraction(1, 10**12),
     shifted = m + IntegerMatrix.identity(n)
     x = tuple(1 for _ in range(n))
     lo, hi = Fraction(0), None
-    iterations = 0
     checkpoint_width = None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PF_MAX_ITERATIONS + 1):
         y = shifted.apply(x)
         quots = [Fraction(yi, xi) for yi, xi in zip(y, x)]
         lo, hi = min(quots), max(quots)
-        if hi - lo <= tol:
+        if hi - lo <= PF_TOLERANCE:
             x = y
             break
         if iterations % 64 == 0:
@@ -394,4 +398,4 @@ def pf_growth_rate(m: IntegerMatrix, tol: Fraction = Fraction(1, 10**12),
     vec = tuple(float(Fraction(xi, total)) for xi in x)
     lower, upper = lo - 1, hi - 1
     mid = (lower + upper) / 2
-    return SpectralRadius(float(mid), lower, upper, iterations, vec)
+    return SpectralRadius(float(mid), lower, upper, vec)

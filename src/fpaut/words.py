@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptyWord, IndexOutOfRange, PresentationMismatch
@@ -49,10 +50,13 @@ class Presentation:
     def num_factors(self) -> int:
         return len(self.abelian_ranks)
 
-    @property
-    def scott_complexity(self) -> tuple[int, int]:
-        """(free rank, number of factors)."""
-        return (self.free_rank, self.num_factors)
+    @cached_property
+    def _abelian_layout(self) -> tuple:
+        """(offsets, letters, rank) of G_ab for `abelianize`: where each
+        factor's coordinates start, the coordinate of x1 minus one, and the
+        rank of G_ab."""
+        offsets = tuple(itertools.accumulate(self.abelian_ranks, initial=0))
+        return offsets, offsets[-1] - 1, offsets[-1] + self.free_rank
 
     def factor_rank(self, i: int) -> int:
         if not 1 <= i <= self.num_factors:
@@ -154,9 +158,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
 
     def inverse(self) -> "Word":
         return Word(self.presentation,
@@ -281,10 +282,6 @@ def multiply(u: Word, v: Word) -> Word:
                             u.presentation)
 
 
-def invert(u: Word) -> Word:
-    return u.inverse()
-
-
 def power(u: Word, n: int) -> Word:
     """u**n, computed through the cyclic form so large n stays cheap."""
     if n == 0 or not u:
@@ -330,29 +327,18 @@ def cyclic_normal_form(w: Word) -> CyclicWord:
     return CyclicWord(w.presentation, core, Word(w.presentation, tuple(conj)))
 
 
-def syllable_length(w: Word) -> int:
-    return len(w.syllables)
-
-
-def cyclic_syllable_length(w: Word) -> int:
-    if not w:
-        return 0
-    return len(cyclic_normal_form(w).core)
-
-
-def is_hyperbolic(w: Word) -> bool:
-    """True when w is not conjugate into any abelian factor.
-
-    Free-letter powers act loxodromically on the loop edge, so a length-1
-    cyclic form still counts as hyperbolic when its syllable is free.  The
-    empty word is elliptic by convention.
-    """
-    if not w:
-        return False
-    cyc = cyclic_normal_form(w)
-    if len(cyc) >= 2:
-        return True
-    return isinstance(cyc.core[0], FreeSyllable)
+def abelianize(w: Word) -> list[int]:
+    """The image of w in G_ab = Z^(n_1+...+n_p) (+) Z^k: its exponent sums
+    in the basis a1.1, ..., ap.np, x1, ..., xk of `generator_names`."""
+    offsets, letters, rank = w.presentation._abelian_layout
+    v = [0] * rank
+    for s in w.syllables:
+        if type(s) is FreeSyllable:
+            v[letters + s.letter] += s.exponent
+        else:
+            for j, e in enumerate(s.vector, offsets[s.factor - 1]):
+                v[j] += e
+    return v
 
 
 def conjugacy_key(w: Word) -> tuple[Syllable, ...]:

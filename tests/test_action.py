@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpaut import (Presentation, apply, apply_power, build_standard_map,
-                   compose, identity_automorphism, inverse, power,
-                   reduce_syllables, validate)
+from fpaut import (EdgePath, Presentation, apply, apply_power,
+                   build_standard_map, compose, identity_automorphism,
+                   inverse, multiply, power, reduce_syllables, validate)
 from fpaut import automorphisms, words
 from fpaut.automorphisms import (_apply_table, ad, apply_inverse,
                                  generator_word)
-from fpaut.graph_maps import path_from_word, spell
+from fpaut.graph_maps import BASE, spell
 from fpaut.words import FactorSyllable, FreeSyllable
 
 from conftest import random_word
@@ -89,8 +89,8 @@ def elementary_moves(draw, pres):
             g = g.inverse()
         for j in range(1, pres.factor_rank(i) + 1):
             a = generator_word(pres, f"a{i}.{j}")
-            images[f"a{i}.{j}"] = g * a * g.inverse()
-            inverse[f"a{i}.{j}"] = g.inverse() * a * g
+            images[f"a{i}.{j}"] = multiply(multiply(g, a), g.inverse())
+            inverse[f"a{i}.{j}"] = multiply(multiply(g.inverse(), a), g)
     elif kind == "nielsen":
         # x_l -> x_l y (or y x_l) for a generator y other than x_l
         l = draw(st.integers(1, k))
@@ -102,9 +102,11 @@ def elementary_moves(draw, pres):
             y = y.inverse()
         x = generator_word(pres, f"x{l}")
         if draw(st.booleans()):
-            images[f"x{l}"], inverse[f"x{l}"] = x * y, x * y.inverse()
+            images[f"x{l}"] = multiply(x, y)
+            inverse[f"x{l}"] = multiply(x, y.inverse())
         else:
-            images[f"x{l}"], inverse[f"x{l}"] = y * x, y.inverse() * x
+            images[f"x{l}"] = multiply(y, x)
+            inverse[f"x{l}"] = multiply(y.inverse(), x)
     elif kind == "invert_letter":
         l = draw(st.integers(1, k))
         images[f"x{l}"] = inverse[f"x{l}"] = _letter_word(pres, l, -1)
@@ -228,7 +230,7 @@ def test_joined_blocks_equal_one_reduction(data):
 
 
 def _assert_word_action_is_path_action(phi, m, w):
-    image = m.apply_to_path(path_from_word(phi.presentation, w))
+    image = m.apply_to_path(EdgePath(phi.presentation, BASE, spell(w)))
     assert image.steps == spell(apply(phi, w))
     assert image.word() == apply(phi, w)
 

@@ -1,24 +1,21 @@
 import hashlib
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpaut import (EdgePath, Presentation, angle,
-                   bounded_cancellation_constant, build_standard_map,
-                   check_train_track, constants_report, count_illegal_turns,
-                   gate_structure, identity_automorphism, is_legal_path,
-                   is_theta_straight, legality_ratio, nielsen_search,
+from fpaut import (EdgePath, Presentation, bounded_cancellation_constant,
+                   build_standard_map, check_train_track, constants_report,
+                   gate_structure, identity_automorphism, nielsen_search,
                    parse_word, render_word, transition_matrix)
 from fpaut.cli import COMMANDS, JobConfig, canonical_json
-from fpaut.errors import DifferentVertices, FactorsPermuted
+from fpaut.errors import FactorsPermuted
 from fpaut import graph_maps
 from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _enumerate_paths,
-                              factor_vertex, path_from_word, path_key,
-                              reduce_steps, reverse_path, spell, step_source,
-                              step_target, vertex_key)
+                              _reverse_steps, factor_vertex, path_key,
+                              reduce_steps, spell, step_source, step_target,
+                              vertex_key)
 from fpaut.matrices import IntegerMatrix
 
 from conftest import make_aut, random_word
@@ -64,9 +61,8 @@ def test_spell_and_reduce(z2z2):
     w = parse_word("a1.1 a2.1 a1.1^-1", z2z2)
     steps = spell(w)
     assert len(steps) == 6
-    path = EdgePath(z2z2, BASE, steps)
-    assert path.is_reduced()
-    assert path.word() == w
+    assert reduce_steps(z2z2, steps) == steps
+    assert EdgePath(z2z2, BASE, steps).word() == w
     assert reduce_steps(z2z2, spell(w) + spell(w.inverse())) == ()
 
 
@@ -84,12 +80,12 @@ def test_reverse_path_round_trip(z2z2, rng):
         w = random_word(z2z2, rng)
         if not w:
             continue
-        path = path_from_word(z2z2, w)
-        rev = reverse_path(path)
-        assert rev.word() == w.inverse()
-        assert reduce_steps(z2z2, path.steps + rev.steps) == ()
-        again = reverse_path(rev)
-        assert again.steps == path.steps
+        steps = spell(w)
+        rev = _reverse_steps(z2z2, steps)
+        assert reduce_steps(z2z2, rev) == rev
+        assert EdgePath(z2z2, step_target(steps[-1]), rev).word() == w.inverse()
+        assert reduce_steps(z2z2, steps + rev) == ()
+        assert _reverse_steps(z2z2, rev) == steps
 
 
 def test_transition_matrices(fib_map, twist_map, z2z2):
@@ -109,7 +105,7 @@ def test_transition_substitution_count(free2):
 def test_gates_fibonacci(fib_map):
     gates = gate_structure(fib_map, 4)
     assert gates.stable
-    got = sorted(sorted(g) for g in gates.gates_at_base())
+    got = sorted(sorted(g) for g in gates.base_gates)
     assert got == [[("x", 1, -1)], [("x", 1, 1), ("x", 2, 1)], [("x", 2, -1)]]
     assert fib_map.direction_map(("x", 2, 1)) == ("x", 1, 1)
     assert fib_map.direction_map(("x", 1, -1)) == ("x", 2, -1)
@@ -119,7 +115,7 @@ def test_gates_fibonacci(fib_map):
 def test_gates_identity_all_singletons(z2z2):
     m = build_standard_map(identity_automorphism(z2z2))
     gates = gate_structure(m, 3)
-    assert all(len(g) == 1 for g in gates.gates_at_base())
+    assert all(len(g) == 1 for g in gates.base_gates)
 
 
 def test_gate_depth_monotone(fib_map):
@@ -127,7 +123,7 @@ def test_gate_depth_monotone(fib_map):
     for d in (1, 2, 3):
         g1 = gate_structure(fib_map, d)
         g2 = gate_structure(fib_map, d + 1)
-        for gate in g1.gates_at_base():
+        for gate in g1.base_gates:
             for a in gate:
                 for b in gate:
                     assert g2.same_gate(a, b)
@@ -171,27 +167,6 @@ def test_train_track_violated(free2):
     assert cancelled
 
 
-def test_legality_and_ratio(fib_map, free2):
-    gates = gate_structure(fib_map, 4)
-    image = EdgePath(free2, BASE, fib_map.base_images[("x", 1, 1)])
-    assert is_legal_path(image, gates)
-    assert count_illegal_turns(image, gates) == 0
-    assert legality_ratio(image, Fraction(1), gates) == 1
-    assert legality_ratio(image, Fraction(2), gates) == 0
-
-    single = EdgePath(free2, BASE, (("x", 1, 1),))
-    assert is_legal_path(single, gates)
-    assert legality_ratio(single, Fraction(0), gates) == 1
-    assert legality_ratio(single, Fraction(1), gates) == 0
-
-    backtrack = EdgePath(free2, BASE, (("x", 1, 1), ("x", 1, -1)))
-    assert not is_legal_path(backtrack, gates)
-    assert count_illegal_turns(backtrack, gates) == 1
-    # x then y^-1: directions in distinct gates
-    mixed = EdgePath(free2, BASE, (("x", 1, 1), ("x", 2, -1)))
-    assert is_legal_path(mixed, gates)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_factor_gates_are_exact(data):
@@ -223,7 +198,7 @@ def test_cancellation_bound_on_random_concatenations(fib_map, free2, rng):
     cf = bounded_cancellation_constant(fib_map, 4)
     for _ in range(200):
         w = random_word(free2, rng, max_syllables=8)
-        path = path_from_word(free2, w)
+        path = EdgePath(free2, BASE, spell(w))
         if len(path.steps) < 2:
             continue
         cut = rng.randrange(1, len(path.steps))
@@ -287,25 +262,6 @@ def test_nielsen_none_for_anosov_loops(intro_anosov):
         assert all(step[0] != "T" or not any(step[2]) for step in w.path.steps)
 
 
-def test_angles(z2z2):
-    assert angle(("T", 1, (1, 0)), ("T", 1, (1, 0))) == 0
-    assert angle(("T", 1, (1, 0)), ("T", 1, (0, 1))) == 2
-    with pytest.raises(DifferentVertices):
-        angle(("T", 1, (1, 0)), ("T", 2, (1, 0)))
-    with pytest.raises(DifferentVertices):
-        angle(("t", 1), ("t", 2))
-
-
-def test_theta_straight(z2z2, free2):
-    path = EdgePath(z2z2, BASE,
-                    (("t", 1), ("T", 1, (3, 0)), ("t", 2), ("T", 2, (0, 1))))
-    assert is_theta_straight(path, 3)
-    assert not is_theta_straight(path, 2)
-    # paths without non-free vertices are theta-straight for any theta
-    free_path = EdgePath(free2, BASE, (("x", 1, 1), ("x", 2, 1)))
-    assert is_theta_straight(free_path, 0)
-
-
 def _brute_force_paths(pres, len_bound):
     """_enumerate_paths by filtering every step sequence, in the same order."""
     starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
@@ -343,14 +299,14 @@ def _brute_force_paths(pres, len_bound):
                     continue
                 if any(_degenerate(a, b) for a, b in zip(steps, steps[1:])):
                     continue
-                rev = reverse_path(EdgePath(pres, start, steps))
-                rev_steps = rev.steps
-                if rev.start != BASE:
+                end = EdgePath(pres, start, steps).end_vertex()
+                rev_steps = _reverse_steps(pres, steps)
+                if end != BASE:
                     first = rev_steps[0]
                     rev_steps = (("T", first[1], (0,) * len(first[2])),) \
                         + rev_steps[1:]
                 if (vertex_key(start), path_key(steps)) <= \
-                        (vertex_key(rev.start), path_key(rev_steps)):
+                        (vertex_key(end), path_key(rev_steps)):
                     found.append((start, steps))
     found.sort(key=lambda p: (starts.index(p[0]), tuple(map(rank, p[1]))))
     return found
@@ -417,10 +373,11 @@ def test_nielsen_search_builds_paths_only_for_witnesses(monkeypatch,
     monkeypatch.setattr(EdgePath, "__post_init__", counting)
     found = nielsen_search(m, 6, 4)
     assert len(built) <= len(found) + 16
-    # the counter sees the public constructors, so the guard is not vacuous
-    reverse_path(path_from_word(tribonacci.presentation,
-                                parse_word("x1 x2", tribonacci.presentation)))
-    assert len(built) >= 2
+    # the counter sees the public constructor, so the guard is not vacuous
+    before = len(built)
+    pres = tribonacci.presentation
+    EdgePath(pres, BASE, spell(parse_word("x1 x2", pres)))
+    assert len(built) == before + 1
 
 
 @pytest.fixture(scope="module")
@@ -498,6 +455,6 @@ def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
     # vacuous
     del calls[:]
     m.image_steps((("x", 1, 1),))
-    reverse_path(path_from_word(tribonacci.presentation,
-                                parse_word("x1 x2", tribonacci.presentation)))
+    graph_maps._reverse_steps(
+        m.presentation, spell(parse_word("x1 x2", m.presentation)))
     assert calls == ["image_steps", "image_state", "reverse"]

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, apply, apply_power, conjugacy_key,
-                   cyclic_normal_form, identity_automorphism, parse_word,
-                   reduce_syllables)
+                   cyclic_normal_form, identity_automorphism, multiply,
+                   parse_word, reduce_syllables)
 from fpaut import automorphisms, dynamics, words
 from fpaut.automorphisms import apply_inverse
 from fpaut.cli import COMMANDS, JobConfig, canonical_json
@@ -102,7 +102,7 @@ def test_cyclic_conjugator_is_in_normal_form(data):
     u = reduce_syllables(data.draw(raw_syllables(pres, max_syllables=8)), pres)
     c = reduce_syllables(data.draw(raw_syllables(pres, max_syllables=4)), pres)
     # c u c^-1 strips c by exact cancellations, then may wrap-merge inside u
-    for w in (u, c * u * c.inverse()):
+    for w in (u, multiply(multiply(c, u), c.inverse())):
         if w:
             _assert_conjugator_in_normal_form(w)
 

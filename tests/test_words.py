@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, conjugacy_key, conjugate_test,
-                   cyclic_normal_form, cyclic_syllable_length,
-                   double_coset_rep, invert, is_hyperbolic, multiply,
-                   parse_word, reduce_syllables, render_word, syllable_length)
+                   cyclic_normal_form, double_coset_rep,
+                   enumerate_cyclic_words, multiply, parse_word,
+                   reduce_syllables, render_word)
 from fpaut.errors import EmptyWord, IndexOutOfRange, PresentationMismatch
 from fpaut.words import (FactorSyllable, FreeSyllable, least_rotation,
                          power)
@@ -20,8 +20,6 @@ def w(text, pres=PRES):
 
 
 def test_presentation_invariants():
-    assert Presentation((2, 3), 1).scott_complexity == (1, 2)
-    assert Presentation((), 2).scott_complexity == (2, 0)
     with pytest.raises(ValueError):
         Presentation((), 0)
     with pytest.raises(ValueError):
@@ -67,11 +65,11 @@ def test_multiply_merges():
 
 def test_multiply_inverse_is_identity():
     u = w("a1.1 x1^2 a2.2^-1")
-    assert not multiply(u, invert(u))
+    assert not multiply(u, u.inverse())
 
 
 def test_invert_reverses():
-    assert render_word(invert(w("a1.1 x1^2"))) == "x1^-2 a1.1^-1"
+    assert render_word(w("a1.1 x1^2").inverse()) == "x1^-2 a1.1^-1"
 
 
 def test_multiply_presentation_mismatch():
@@ -103,7 +101,7 @@ def test_cyclic_conjugator_witness():
         word = w(text)
         c = cyclic_normal_form(word)
         assert multiply(multiply(c.conjugator, Word(PRES, c.core)),
-                        invert(c.conjugator)) == word
+                        c.conjugator.inverse()) == word
 
 
 def test_cyclic_long_conjugator(rng):
@@ -111,10 +109,10 @@ def test_cyclic_long_conjugator(rng):
     core = w("x1 a1.1 x2")
     for _ in range(20):
         c = random_word(PRES, rng, max_syllables=40)
-        word = multiply(multiply(c, core), invert(c))
+        word = multiply(multiply(c, core), c.inverse())
         cyc = cyclic_normal_form(word)
         assert multiply(multiply(cyc.conjugator, Word(PRES, cyc.core)),
-                        invert(cyc.conjugator)) == word
+                        cyc.conjugator.inverse()) == word
         assert conjugate_test(Word(PRES, cyc.core), core)
         assert len(cyc) == 3
 
@@ -125,10 +123,14 @@ def test_cyclic_empty_raises():
 
 
 def test_is_hyperbolic():
-    assert not is_hyperbolic(w("a1.1^5 a1.2^3"))
-    assert is_hyperbolic(w("a1.1 a2.1"))
-    assert is_hyperbolic(w("x1^7"))  # loxodromic on the loop edge
-    assert not is_hyperbolic(Word(PRES))
+    # the class enumeration keeps exactly the hyperbolic classes
+    def enumerated(word, max_exp):
+        key = conjugacy_key(word)
+        return any(g.syllables == key for g in enumerate_cyclic_words(
+            PRES, len(key), max_exp, min_len=len(key)))
+    assert not enumerated(w("a1.1^5 a1.2^3"), 8)
+    assert enumerated(w("a1.1 a2.1"), 1)
+    assert enumerated(w("x1^7"), 7)  # loxodromic on the loop edge
 
 
 def test_conjugacy_rotation():
@@ -150,17 +152,17 @@ def test_conjugacy_empty():
 
 
 def test_lengths():
-    assert syllable_length(Word(PRES)) == 0
+    assert len(Word(PRES)) == 0
     word = w("a1.1 a2.1 a1.1^-1")
-    assert syllable_length(word) == 3
-    assert cyclic_syllable_length(word) == 1
+    assert len(word) == 3
+    assert len(cyclic_normal_form(word)) == 1
     # wrap-around same-factor syllables merge in the cyclic form
     word = w("a1.1 x1 a1.1^2")
-    assert syllable_length(word) == 3
-    assert cyclic_syllable_length(word) == 2
+    assert len(word) == 3
+    assert len(cyclic_normal_form(word)) == 2
     word = w("a1.1 x1 a2.1")
-    assert syllable_length(word) == 3
-    assert cyclic_syllable_length(word) == 3
+    assert len(word) == 3
+    assert len(cyclic_normal_form(word)) == 3
 
 
 def test_double_coset_rep():
@@ -178,7 +180,7 @@ def test_word_power_matches_repeated_multiplication():
     for n in range(5):
         assert power(word, n) == acc
         acc = multiply(acc, word)
-    assert power(word, -3) == invert(power(word, 3))
+    assert power(word, -3) == power(word, 3).inverse()
 
 
 # --- randomized / property-based invariants ---------------------------------
@@ -254,14 +256,14 @@ def test_associativity(u, v, z):
 
 @given(words, words)
 def test_subadditivity(u, v):
-    assert syllable_length(multiply(u, v)) <= syllable_length(u) + syllable_length(v)
+    assert len(multiply(u, v)) <= len(u) + len(v)
 
 
 @given(words, words)
 def test_conjugation_preserves_class(g, word):
-    conj = multiply(multiply(g, word), invert(g))
+    conj = multiply(multiply(g, word), g.inverse())
     assert conjugate_test(word, conj)
-    assert cyclic_syllable_length(conj) == cyclic_syllable_length(word)
+    assert len(conjugacy_key(conj)) == len(conjugacy_key(word))
 
 
 @given(words)
