@@ -82,6 +82,36 @@ def mixed():
 
 
 @pytest.fixture(scope="session")
+def toral_p():
+    # fixture P: a toral automorphism of Z^2 * Z^2 * F_1 (p = 2, k = 1),
+    # atoroidal and twin-free up to small bounds; g_1 = a2.2 and
+    # g_2 = x1^-1 a2.2 a1.2^-1
+    return make_aut(
+        Presentation((2, 2), 1),
+        {"a1.1": "a2.2 a1.1 a2.2^-1", "a1.2": "a2.2 a1.2 a2.2^-1",
+         "a2.1": "x1^-1 a2.2 a1.2^-1 a2.1 a1.2 a2.2^-1 x1",
+         "a2.2": "x1^-1 a2.2 a1.2^-1 a2.2 a1.2 a2.2^-1 x1",
+         "x1": "a2.2 a1.2 a2.2^-1 x1"},
+        {"a1.1": "x1 a2.2^-1 x1^-1 a1.1 x1 a2.2 x1^-1",
+         "a1.2": "x1 a2.2^-1 x1^-1 a1.2 x1 a2.2 x1^-1",
+         "a2.1": "x1 a2.1 x1^-1", "a2.2": "x1 a2.2 x1^-1",
+         "x1": "a1.2^-1 x1"})
+
+
+@pytest.fixture(scope="session")
+def toral_q():
+    # fixture Q: a toral automorphism of Z * Z * F_1, a smaller one of the
+    # kind of P; g_1 = 1 and g_2 = a2.1 x1 a2.1^-1 a1.1^-1
+    return make_aut(
+        Presentation((1, 1), 1),
+        {"a1.1": "a1.1",
+         "a2.1": "a2.1 x1 a2.1^-1 a1.1^-1 a2.1 a1.1 a2.1 x1^-1 a2.1^-1",
+         "x1": "a2.1 x1 a2.1^-1 a1.1^-1"},
+        {"a1.1": "a1.1", "a2.1": "x1^-1 a2.1 x1",
+         "x1": "x1^-1 a2.1^-1 x1^2 a1.1 x1^-1 a2.1 x1"})
+
+
+@pytest.fixture(scope="session")
 def identity_z2z2(z2z2):
     from fpaut import identity_automorphism
     return identity_automorphism(z2z2)

@@ -26,6 +26,16 @@ def test_toral_twist_extraction(toral_twist):
     assert render_word(witnesses[1]) == "a1.1"
 
 
+@pytest.mark.parametrize("fixture, conjugators", [
+    ("toral_p", ["a2.2", "x1^-1 a2.2 a1.2^-1"]),
+    ("toral_q", ["", "a2.1 x1 a2.1^-1 a1.1^-1"])])
+def test_fixtures_p_and_q_are_toral(request, fixture, conjugators):
+    # `validate` (through make_aut) accepts both tables
+    toral, witnesses = is_toral(request.getfixturevalue(fixture))
+    assert toral
+    assert [render_word(g) for g in witnesses] == conjugators
+
+
 def test_factor_swap_flagged():
     pres = Presentation((2, 2), 0)
     images = {"a1.1": "a2.1", "a1.2": "a2.2", "a2.1": "a1.1", "a2.2": "a1.2"}

@@ -345,7 +345,8 @@ RESULT_DIGESTS = {
 }
 
 FIXTURES = {"fib": "fibonacci", "trib": "tribonacci", "intro": "intro_anosov",
-            "twist": "toral_twist", "mixed": "mixed"}
+            "twist": "toral_twist", "mixed": "mixed", "P": "toral_p",
+            "Q": "toral_q"}
 
 
 @pytest.mark.parametrize("job", sorted(RESULT_DIGESTS))

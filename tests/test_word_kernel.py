@@ -232,8 +232,10 @@ def test_atoroidal_search_images_only_classes_fixed_in_abelianization(
 
 # ---------------------------------------------------------------------------
 # pinned reports of the word-layer commands: default bounds, the bounds of
-# the benchmark's `search` and `orbit` job lists, and two large exhausted
-# searches (pinned before the abelian prefilter of `atoroidal_search`)
+# the benchmark's `search` and `orbit` job lists, two large exhausted
+# searches (pinned before the abelian prefilter of `atoroidal_search`), and
+# exhausted searches on fixture Q (pinned before the head rule of
+# `twin_search`)
 
 RESULT_DIGESTS = {
     "atoroidal fib":
@@ -278,6 +280,12 @@ RESULT_DIGESTS = {
         "a220a92d90846ce3913132306615a1fb52d603e0145f24a0fdf4a836cbd70dfd",
     "twins intro --max-exp 2 --conj-len 2":
         "3eb4deb6e2b755ea39f2d47ad39064c1343d3bdab8d2f3bbcc186b92ffc48b12",
+    "twins Q --max-exp 1 --conj-len 2":
+        "6e61a712ce1eb3324b195262507f9d33d234b61aad0e0e00af3813118e579cdf",
+    "twins Q --max-exp 2 --conj-len 2":
+        "815e3797e061b851397add59d692f86d28eaa1fb1482df6a24f76170b343fa8c",
+    "atoroidal Q --max-len 4 --max-exp 2 --max-iter 2":
+        "2fbd6da2d218b7337fadff0f5b71a6d2d776a4f021ab23dc29655bf0152dc6da",
     "classify fib --element x1 --max-iter 15":
         "9101018da248d38811e3407ed49e4614df06cf7fd2895b965167ebc312a037b3",
     "classify fib --element 'x1 x2^-1' --max-iter 16":
