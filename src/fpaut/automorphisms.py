@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (FactorsPermuted, IndexOutOfRange, NotAnAutomorphism,
-                     NotFactorPreserving, PresentationMismatch)
+                     NotFactorPreserving)
 from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _join,
                     _syllable_power, abelianize, cyclic_normal_form,
-                    multiply, reduce_syllables)
+                    multiply, reduce_syllables, require_same_presentation)
 from .words import power as word_power
 
 
@@ -193,8 +193,7 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
         if missing:
             raise NotAnAutomorphism(f"{label} missing generators {sorted(missing)}")
         for name in names:
-            if table[name].presentation != pres:
-                raise PresentationMismatch(f"{label}[{name}] over a different presentation")
+            require_same_presentation(table[name].presentation, pres)
 
     sigma, conjugators, matrices = _factor_data(images, pres)
 
@@ -303,23 +302,18 @@ def ad(g: Word, pres: Presentation | None = None) -> Automorphism:
     return _trusted(images, inverse_images, pres)
 
 
-def _check_presentation(phi: Automorphism, w: Word) -> None:
-    if w.presentation != phi.presentation:
-        raise PresentationMismatch("word over a different presentation")
-
-
 def apply(phi: Automorphism, w: Word) -> Word:
-    _check_presentation(phi, w)
+    require_same_presentation(phi.presentation, w.presentation)
     return _act(phi._forward, phi.presentation, w)
 
 
 def apply_inverse(phi: Automorphism, w: Word) -> Word:
-    _check_presentation(phi, w)
+    require_same_presentation(phi.presentation, w.presentation)
     return _act(phi._backward, phi.presentation, w)
 
 
 def apply_power(phi: Automorphism, n: int, w: Word) -> Word:
-    _check_presentation(phi, w)
+    require_same_presentation(phi.presentation, w.presentation)
     side = phi._forward if n >= 0 else phi._backward
     for _ in range(abs(n)):
         w = _act(side, phi.presentation, w)
@@ -332,8 +326,7 @@ def inverse(phi: Automorphism) -> Automorphism:
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """(phi o psi): applies psi first."""
-    if phi.presentation != psi.presentation:
-        raise PresentationMismatch("automorphisms over different presentations")
+    require_same_presentation(phi.presentation, psi.presentation)
     pres = phi.presentation
     images = {name: _act(phi._forward, pres, psi.images[name])
               for name in pres.generator_names()}
@@ -358,13 +351,25 @@ def power(phi: Automorphism, n: int) -> Automorphism:
         square = compose(square, square)
 
 
+def require_class_preserving(phi: Automorphism) -> None:
+    """The one check that phi maps each A_i to a conjugate of itself."""
+    if not phi.preserves_factor_classes:
+        raise FactorsPermuted("needs the identity factor permutation; "
+                              "take a power of the automorphism first")
+
+
+def conjugator_step(phi: Automorphism, i: int, h: Word) -> Word:
+    """h' = phi(h) g_i, so phi(h A_i h^-1) = h' A_i h'^-1 when phi preserves
+    factor classes; m steps from h = 1 give a conjugator of phi^m(A_i)."""
+    return multiply(apply(phi, h), phi.conjugator(i))
+
+
 def is_toral(phi: Automorphism) -> tuple[bool, tuple[Word, ...]]:
     """Whether each factor restriction is the identity up to conjugation.
 
     Returns the verdict together with the conjugator witnesses g_i.
     """
-    if not phi.preserves_factor_classes:
-        raise FactorsPermuted("torality needs the identity factor permutation")
+    require_class_preserving(phi)
     n = phi.presentation.num_factors
     toral = all(phi.factor_matrix(i) == IntegerMatrix.identity(phi.presentation.factor_rank(i))
                 for i in range(1, n + 1))
@@ -377,8 +382,7 @@ def check_central_condition(phi: Automorphism) -> dict[int, bool]:
     A nontrivial fixed vector gives a central element of the factor mapping
     torus A_i x| Z; the test is det(M_i - I) == 0 over the integers.
     """
-    if not phi.preserves_factor_classes:
-        raise FactorsPermuted("central condition needs the identity factor permutation")
+    require_class_preserving(phi)
     out = {}
     for i in range(1, phi.presentation.num_factors + 1):
         m = phi.factor_matrix(i)

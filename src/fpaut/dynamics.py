@@ -14,12 +14,13 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 from .automorphisms import (Automorphism, apply, apply_power,
-                            check_central_condition, compose, power)
-from .errors import FactorsPermuted, TooShort
+                            check_central_condition, conjugator_step,
+                            generator_word, require_class_preserving)
+from .errors import TooShort
 from .matrices import IntegerMatrix, determinant, kernel_vector
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     abelianize, conjugate_test, cyclic_normal_form,
@@ -28,12 +29,6 @@ from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
 R2_EXPONENTIAL = 0.999
-
-
-def _require_class_preserving(phi: Automorphism):
-    if not phi.preserves_factor_classes:
-        raise FactorsPermuted("dynamics need the identity factor permutation; "
-                              "take a power of the automorphism first")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +196,7 @@ class OrbitData:
 
 
 def orbit_lengths(phi: Automorphism, g: Word, n_max: int) -> OrbitData:
-    _require_class_preserving(phi)
+    require_class_preserving(phi)
     if not g:
         raise ValueError("orbit of the empty word")
     lengths, masses, classes = [], [], []
@@ -337,7 +332,7 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
     stated bounds, nothing more.
     """
-    _require_class_preserving(phi)
+    require_class_preserving(phi)
     bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
     may_be_periodic = _abelian_prefilter(phi, max_iter)
     tested = 0
@@ -383,36 +378,52 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     m <= max_power, over the words u, v of at most conj_len syllables, each
     of exponent mass at most conj_len.
 
-    They are twinned iff c = g_i^{(m)-1} phi^m(u^-1 v) g_j^{(m)} lies in the
-    double coset A_i (u^-1 v) A_j, which the canonical double-coset
-    representative decides exactly.  The common conjugating element g is
-    rebuilt from the coset data and both conjugation equations are
-    re-verified on factor generators.
+    Each descriptor (u, i) has heads h_0 = u, h_m = phi(h_{m-1}) g_i
+    (`conjugator_step`) with phi^m(uA_iu^-1) = h_m A_i h_m^-1, computed on
+    first use, so a search that stops early images few of them.  A g with
+    gHg^-1 = phi^m(H) and gKg^-1 = phi^m(K) lies in h_m A_i u^-1 and in
+    h'_m A_j v^-1, so one exists iff c = h_m^-1 h'_m lies in A_i (u^-1 v) A_j,
+    which the canonical double-coset representative decides exactly, for
+    any choice of heads (h_m b, b in A_i, is one too).  Then g = h_m a u^-1,
+    a the leading A_i syllable of c over that of u^-1 v.  g is unique: these
+    are cosets of phi^m(H) and phi^m(K), distinct conjugates that meet
+    trivially, so they share at most one element.  Both conjugation
+    equations of g are re-verified on factor generators.
     """
-    _require_class_preserving(phi)
-    pres = phi.presentation
+    require_class_preserving(phi)
     bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": conj_len}
-    descr = _subgroup_descriptors(pres, conj_len, conj_len)
+    descr = _subgroup_descriptors(phi.presentation, conj_len, conj_len)
     n_pairs = len(descr) * (len(descr) - 1) // 2
+    heads = [(0, u) for u, _ in descr]  # (m, h_m), for the last m reached
+
+    def head(k: int, m: int) -> Word:
+        n, h = heads[k]
+        if n < m:
+            for _ in range(m - n):
+                h = conjugator_step(phi, descr[k][1], h)
+            heads[k] = m, h
+        return h
+
     tested = 0
-    phi_m = None
     for m in range(1, max_power + 1):
-        # one composition per power; `power` would square from scratch
-        phi_m = phi if m == 1 else compose(phi_m, phi)
-        for idx, ((u, i), (v, j)) in enumerate(
-                itertools.combinations(descr, 2)):
+        first = None
+        for idx, ((k, (u, i)), (l, (v, j))) in enumerate(
+                itertools.combinations(enumerate(descr), 2)):
             if shard is not None and idx % shard[1] != shard[0]:
                 continue
             tested += 1
-            gi = phi_m.conjugator(i)
-            gj = phi_m.conjugator(j)
-            w = multiply(u.inverse(), v)
-            c = multiply(multiply(gi.inverse(), apply(phi_m, w)), gj)
+            if k != first:  # pairs come grouped by their first descriptor
+                first, u_inv, h = k, u.inverse(), head(k, m)
+                h_inv = h.inverse()
+            w = multiply(u_inv, v)
+            c = multiply(h_inv, head(l, m))
             if double_coset_rep(i, c, j) != double_coset_rep(i, w, j):
                 continue
-            g = _twin_witness_element(phi_m, i, j, u, v, c, w)
-            _verify_twin(phi_m, i, u, g)
-            _verify_twin(phi_m, j, v, g)
+            a = multiply(_leading_factor_part(c, i),
+                         _leading_factor_part(w, i).inverse())
+            g = multiply(multiply(h, a), u_inv)
+            _verify_twin(phi, m, i, u, g)
+            _verify_twin(phi, m, j, v, g)
             return SearchReport(
                 "witness", bounds,
                 witness={"factor_i": i, "conj_u": u, "factor_j": j,
@@ -430,29 +441,15 @@ def _leading_factor_part(w: Word, i: int):
     return Word(w.presentation)
 
 
-def _twin_witness_element(phi_m, i, j, u, v, c, w) -> Word:
-    """g with phi^m(uA_iu^-1) = g . uA_iu^-1 . g^-1 and likewise for (v, j).
-
-    From c = a1 r b1 and w = a2 r b2 (r the double coset representative),
-    a = a1 a2^-1 solves c A_j  meets  a w A_j, and
-    g = phi^m(u) g_i^{(m)} a u^-1.
-    """
-    a1 = _leading_factor_part(c, i)
-    a2 = _leading_factor_part(w, i)
-    a = multiply(a1, a2.inverse())
-    return multiply(
-        multiply(multiply(apply(phi_m, u), phi_m.conjugator(i)), a),
-        u.inverse())
-
-
-def _verify_twin(phi_m, i: int, u: Word, g: Word):
-    """Check phi^m(u a u^-1) lies in (gu) A_i (gu)^-1 for all generators a."""
-    pres = phi_m.presentation
+def _verify_twin(phi: Automorphism, m: int, i: int, u: Word, g: Word):
+    """Check phi^m(u a u^-1) lies in (gu) A_i (gu)^-1 for the generators a
+    of A_i, by applying phi m times: independent of the heads."""
+    pres = phi.presentation
     gu = multiply(g, u)
     for r in range(1, pres.factor_rank(i) + 1):
-        vec = tuple(1 if s == r else 0 for s in range(1, pres.factor_rank(i) + 1))
-        x = multiply(multiply(u, Word(pres, (FactorSyllable(i, vec),))), u.inverse())
-        y = multiply(multiply(gu.inverse(), apply(phi_m, x)), gu)
+        x = multiply(multiply(u, generator_word(pres, f"a{i}.{r}")),
+                     u.inverse())
+        y = multiply(multiply(gu.inverse(), apply_power(phi, m, x)), gu)
         if double_coset_rep(i, y, i):  # y is not in A_i
             raise AssertionError("twin witness failed re-verification")
 
@@ -467,7 +464,7 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     certificate is empirical evidence, not a proof.  Lengths are cyclic
     syllable lengths (the recorded |.|_H convention).
     """
-    _require_class_preserving(phi)
+    require_class_preserving(phi)
     lam = Fraction(str(lambda_min))
     if lam <= 1:
         raise ValueError("lambda_min must be > 1")
@@ -558,9 +555,9 @@ def no_twin_implication_check(phi: Automorphism, max_len: int = 3,
     m, i, j = wit["power"], wit["factor_i"], wit["factor_j"]
     u, v = wit["conj_u"], wit["conj_v"]
     pres = phi.presentation
-    phi_m = power(phi, m)
-    x = _fixed_vector(phi_m.factor_matrix(i))
-    y = _fixed_vector(phi_m.factor_matrix(j))
+    # up to conjugation, phi^m acts on A_i by M_i^m
+    x = _fixed_vector(reduce(mul, [phi.factor_matrix(i)] * m))
+    y = _fixed_vector(reduce(mul, [phi.factor_matrix(j)] * m))
     if x is None or y is None:
         return ImplicationReport(central, ator, twins, "violated")
     h = multiply(

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .automorphisms import Automorphism, apply_power
+from .automorphisms import (Automorphism, apply_power, conjugator_step,
+                            require_class_preserving)
 from .dynamics import _vectors_of_mass
-from .errors import FactorsPermuted
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
                        pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
@@ -317,8 +317,7 @@ def build_standard_map(phi: Automorphism) -> GraphMap:
     The loop for x_l maps to the path spelled by phi(x_l); the edge toward
     factor vertex i maps to the path spelled by g_i followed by that edge.
     """
-    if not phi.preserves_factor_classes:
-        raise FactorsPermuted("standard map needs the identity factor permutation")
+    require_class_preserving(phi)
     pres = phi.presentation
     images = {}
     for i in range(1, pres.num_factors + 1):
@@ -685,22 +684,20 @@ def _precedes_reverse(pres: Presentation, start, steps, end) -> bool:
     return True
 
 
-def conjugator_power(phi: Automorphism, i: int, n: int) -> Word:
-    """g with phi^n(A_i) = g A_i g^-1 (identity factor permutation)."""
-    from .automorphisms import apply as aut_apply
-    g = Word(phi.presentation)
-    gi = phi.conjugator(i)
-    for _ in range(n):
-        g = multiply(aut_apply(phi, g), gi)
-    return g
-
-
 def _nielsen_test(m: GraphMap, start, steps, images):
     """The first n with [f^n(path)] = g . path, as a re-verified witness;
     ``images[n-1]`` holds the reduced steps of f^n(path), a list like
     ``steps`` (the two are compared with ``==``)."""
     phi = m.automorphism
     pres = m.presentation
+
+    def conjugator(i, n):
+        # g with phi^n(A_i) = g A_i g^-1
+        g = Word(pres)
+        for _ in range(n):
+            g = conjugator_step(phi, i, g)
+        return g
+
     for n, image in enumerate(images, start=1):
         g = None
         if start == BASE:
@@ -712,7 +709,7 @@ def _nielsen_test(m: GraphMap, start, steps, images):
                     and image[1:] == steps[1:]):
                 h = tuple(a - b for a, b in zip(image[0][2], steps[0][2]))
                 shift = Word(pres, (FactorSyllable(i, h),)) if any(h) else Word(pres)
-                g = multiply(conjugator_power(phi, i, n), shift)
+                g = multiply(conjugator(i, n), shift)
         if g is None:
             continue
         # independent word-level verification of [f^n(p)] = g . p
@@ -721,7 +718,7 @@ def _nielsen_test(m: GraphMap, start, steps, images):
         lhs = apply_power(phi, n, w)
         end = path.end_vertex()
         if end != BASE:
-            lhs = multiply(lhs, conjugator_power(phi, end[1], n))
+            lhs = multiply(lhs, conjugator(end[1], n))
         diff = multiply(multiply(g, w).inverse(), lhs)
         # diff must be 1, or lie in A_i when the path ends at factor vertex i
         rest = diff if end == BASE else double_coset_rep(end[1], diff, end[1])

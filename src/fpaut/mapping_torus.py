@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 from .automorphisms import (Automorphism, _trusted, ad, compose,
                             generator_word, identity_automorphism, inverse,
-                            is_toral)
+                            is_toral, require_class_preserving)
 from .dynamics import enumerate_words
-from .errors import (DimensionMismatch, FactorsPermuted, PresentationMismatch)
+from .errors import DimensionMismatch
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
                        invariant_factors, kernel_basis,
                        matrix_inverse_unimodular, smith_normal_form,
                        solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _track,
-                    cyclic_normal_form, multiply)
+                    cyclic_normal_form, multiply, require_same_presentation)
 
 # `block_orbit_solve` tries every U in GL_m(Z) with entries of absolute value
 # at most UNIMODULAR_ENTRY_BOUND, unless that is more than UNIMODULAR_BUDGET
@@ -445,12 +445,10 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
     (isomorphism problem for toral relatively hyperbolic groups, JSJ) far
     beyond desk scale.
     """
-    if phi1.presentation != phi2.presentation:
-        raise PresentationMismatch("pipeline needs a common presentation")
+    require_same_presentation(phi1.presentation, phi2.presentation)
     pres = phi1.presentation
-    for phi in (phi1, phi2):
-        if not phi.preserves_factor_classes:
-            raise FactorsPermuted("pipeline needs identity factor permutations")
+    require_class_preserving(phi1)
+    require_class_preserving(phi2)
     diagnostics = {}
     if any(n < 2 for n in pres.abelian_ranks):
         warnings.warn("cyclic factors present: invariant comparisons remain "

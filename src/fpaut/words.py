@@ -270,14 +270,14 @@ def reduce_syllables(raw: Iterable[Syllable], pres: Presentation) -> Word:
     return Word(pres, tuple(out))
 
 
-def _same_presentation(u: Word, v: Word) -> None:
-    if u.presentation != v.presentation:
-        raise PresentationMismatch(
-            f"{u.presentation} vs {v.presentation}")
+def require_same_presentation(p: Presentation, q: Presentation) -> None:
+    """The one presentation check of the package."""
+    if p != q:
+        raise PresentationMismatch(f"{p} vs {q}")
 
 
 def multiply(u: Word, v: Word) -> Word:
-    _same_presentation(u, v)
+    require_same_presentation(u.presentation, v.presentation)
     return reduce_syllables(itertools.chain(u.syllables, v.syllables),
                             u.presentation)
 
@@ -357,7 +357,7 @@ def conjugacy_key(w: Word) -> tuple[Syllable, ...]:
 
 def conjugate_test(u: Word, v: Word) -> bool:
     """Decide conjugacy in the free product by comparing `conjugacy_key`s."""
-    _same_presentation(u, v)
+    require_same_presentation(u.presentation, v.presentation)
     return conjugacy_key(u) == conjugacy_key(v)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,10 +12,12 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    no_twin_implication_check, orbit_lengths, parse_word, power,
                    twin_search)
 from fpaut import dynamics
+from fpaut.cli import _merge_reports
 from fpaut.dynamics import _syllables_of_mass, enumerate_words, graded_key
 from fpaut.errors import FactorsPermuted, TooShort
 from fpaut.matrices import IntegerMatrix, determinant
-from fpaut.words import FactorSyllable, FreeSyllable, _track, reduce_syllables
+from fpaut.words import (FactorSyllable, FreeSyllable, _track, double_coset_rep,
+                         reduce_syllables)
 
 from conftest import make_aut, random_word
 from test_action import PRESENTATIONS as ACTION_PRESENTATIONS
@@ -297,19 +300,82 @@ def test_twins_free_group_has_none(fibonacci):
     assert twin_search(fibonacci, 2, 2).verdict == "exhausted"
 
 
-def test_twin_search_builds_each_power_from_the_last(monkeypatch, fibonacci):
-    # phi^m = phi^(m-1) o phi: one compose per power after the first
+def test_twin_search_images_each_descriptor_once_per_power(monkeypatch,
+                                                         toral_q):
+    # exhausted Q 2/2: the heads h_m = phi(h_(m-1)) g_i are the only images
+    # under phi, at most one per (power, descriptor); no phi^m is built
     from fpaut import automorphisms
-    calls = []
-    original = automorphisms.compose
+    calls = Counter()
+    act = automorphisms._act
 
-    def counting(phi, psi):
-        calls.append((phi, psi))
-        return original(phi, psi)
-    monkeypatch.setattr(automorphisms, "compose", counting)
-    monkeypatch.setattr(dynamics, "compose", counting)
-    assert twin_search(fibonacci, 5, 1).verdict == "exhausted"
-    assert len(calls) == 4
+    def counting_act(side, pres, w):
+        calls["_act"] += 1
+        return act(side, pres, w)
+    monkeypatch.setattr(automorphisms, "_act", counting_act)
+    for name in ("compose", "power"):
+        def counting(*args, _real=getattr(automorphisms, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        for module in (automorphisms, dynamics):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    rep = twin_search(toral_q, 2, 2)
+    assert (rep.verdict, rep.tested) == ("exhausted", 21170)
+    assert calls["compose"] == calls["power"] == 0
+    descriptors = len(dynamics._subgroup_descriptors(toral_q.presentation,
+                                                     2, 2))
+    assert calls["_act"] <= descriptors * 2
+
+
+def _leading_part(w, i):
+    syl = w.syllables
+    if syl and isinstance(syl[0], FactorSyllable) and syl[0].factor == i:
+        return Word(w.presentation, syl[:1])
+    return Word(w.presentation)
+
+
+def _reference_twins(phi, max_power, conj_len):
+    """(verdict, tested, index, element) of the twin search by the formula
+    c = g_i^(m)-1 phi^m(u^-1 v) g_j^(m), with phi^m built by `power`, and
+    g = phi^m(u) g_i^(m) a u^-1."""
+    descr = dynamics._subgroup_descriptors(phi.presentation, conj_len,
+                                           conj_len)
+    pairs = list(itertools.combinations(descr, 2))
+    for m in range(1, max_power + 1):
+        phi_m = power(phi, m)
+        for idx, ((u, i), (v, j)) in enumerate(pairs):
+            gi, gj = phi_m.conjugator(i), phi_m.conjugator(j)
+            w = multiply(u.inverse(), v)
+            c = multiply(multiply(gi.inverse(), apply(phi_m, w)), gj)
+            if double_coset_rep(i, c, j) != double_coset_rep(i, w, j):
+                continue
+            a = multiply(_leading_part(c, i), _leading_part(w, i).inverse())
+            g = multiply(multiply(multiply(apply(phi_m, u), gi), a),
+                         u.inverse())
+            index = (m - 1) * len(pairs) + idx
+            return "witness", index + 1, index, g
+    return "exhausted", max_power * len(pairs), None, None
+
+
+def _twin_summary(rep):
+    if rep.verdict != "witness":
+        return rep.verdict, rep.tested, None, None
+    return (rep.verdict, rep.tested, rep.witness["index"],
+            rep.witness["element"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twin_search_matches_table_reference(data):
+    pres = data.draw(st.sampled_from(ACTION_PRESENTATIONS))
+    phi = data.draw(automorphisms_of(pres))
+    assume(phi.preserves_factor_classes)
+    max_power = data.draw(st.integers(1, 3))
+    expected = _reference_twins(phi, max_power, 1)
+    assert _twin_summary(twin_search(phi, max_power, 1)) == expected
+    merged = _merge_reports("twins", [twin_search(phi, max_power, 1,
+                                                  shard=(s, 2))
+                                      for s in range(2)])
+    assert _twin_summary(merged) == expected
 
 
 def test_twin_pairs_are_not_materialised(mixed):
