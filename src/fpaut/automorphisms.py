@@ -2,9 +2,10 @@
 
 An automorphism from outside (the CLI, a caller's own tables) is handed
 over as a pair of tables (images and inverse images of every generator)
-and goes through `validate`.  Validation certifies the two-sided inverse,
-extracts the factor permutation and the canonical conjugators g_i with
-phi(A_i) = g_i A_{sigma(i)} g_i^-1, records the integer matrix of
+and goes through `validate`.  Validation checks that the tables name
+exactly the generators with words in normal form, certifies the two-sided
+inverse, extracts the factor permutation and the canonical conjugators g_i
+with phi(A_i) = g_i A_{sigma(i)} g_i^-1, records the integer matrix of
 ad_{g_i^-1} o phi on each factor, and checks that every matrix is
 unimodular.
 
@@ -123,17 +124,11 @@ class Automorphism:
             for name in self.presentation.generator_names()))))
 
 
-def _strip_trailing(w: Word, factor: int) -> Word:
-    syl = w.syllables
-    if syl and isinstance(syl[-1], FactorSyllable) and syl[-1].factor == factor:
-        syl = syl[:-1]
-    return Word(w.presentation, syl)
-
-
 def _factor_data(table: dict[str, Word], pres: Presentation):
-    """(sigma, conjugators, matrices) of a table of factor images: the
-    factor permutation, the canonical g_i and the matrices M_i of
-    ad_{g_i^-1} o phi on A_i.
+    """(sigma, conjugators, matrices) of a table of factor images in normal
+    form: the factor permutation, the canonical g_i (the conjugator of each
+    image's cyclic normal form) and the matrices M_i of ad_{g_i^-1} o phi
+    on A_i.
 
     Raises NotFactorPreserving when some factor image is not elliptic in a
     single target factor with a common conjugator, or the factor map is
@@ -155,8 +150,7 @@ def _factor_data(table: dict[str, Word], pres: Presentation):
             cyc = cyclic_normal_form(w)
             if len(cyc) != 1 or not isinstance(cyc.core[0], FactorSyllable):
                 raise NotFactorPreserving(f"image of a{i}.{j} is not elliptic")
-            s = cyc.core[0]
-            g = _strip_trailing(cyc.conjugator, s.factor)
+            s, g = cyc.core[0], cyc.conjugator
             if target is None:
                 target, conj = s.factor, g
             elif s.factor != target:
@@ -185,15 +179,20 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
 
     Raises NotFactorPreserving when some factor image is not elliptic in a
     single target factor with a common conjugator, and NotAnAutomorphism when
-    the two tables are not two-sided inverses on generators.
+    a table does not map exactly the generators to normal-form words or the
+    two tables are not two-sided inverses on generators.
     """
     names = pres.generator_names()
     for table, label in ((images, "images"), (inverse_images, "inverse_images")):
-        missing = set(names) - set(table)
-        if missing:
-            raise NotAnAutomorphism(f"{label} missing generators {sorted(missing)}")
+        missing, unknown = set(names) - set(table), set(table) - set(names)
+        if missing or unknown:
+            raise NotAnAutomorphism(f"{label}: missing generators {sorted(missing)}, "
+                                    f"unknown generators {sorted(unknown)}")
         for name in names:
-            require_same_presentation(table[name].presentation, pres)
+            w = table[name]
+            require_same_presentation(w.presentation, pres)
+            if reduce_syllables(w.syllables, pres) != w:
+                raise NotAnAutomorphism(f"{label}[{name!r}] is not in normal form")
 
     sigma, conjugators, matrices = _factor_data(images, pres)
 
@@ -364,16 +363,13 @@ def conjugator_step(phi: Automorphism, i: int, h: Word) -> Word:
     return multiply(apply(phi, h), phi.conjugator(i))
 
 
-def is_toral(phi: Automorphism) -> tuple[bool, tuple[Word, ...]]:
-    """Whether each factor restriction is the identity up to conjugation.
-
-    Returns the verdict together with the conjugator witnesses g_i.
-    """
+def is_toral(phi: Automorphism) -> bool:
+    """Whether each factor restriction is the identity up to conjugation;
+    the conjugator witnesses g_i are ``phi.conjugators``."""
     require_class_preserving(phi)
     n = phi.presentation.num_factors
-    toral = all(phi.factor_matrix(i) == IntegerMatrix.identity(phi.presentation.factor_rank(i))
-                for i in range(1, n + 1))
-    return toral, phi.conjugators
+    return all(phi.factor_matrix(i) == IntegerMatrix.identity(phi.presentation.factor_rank(i))
+               for i in range(1, n + 1))
 
 
 def check_central_condition(phi: Automorphism) -> dict[int, bool]:

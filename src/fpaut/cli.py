@@ -3,8 +3,9 @@
 Reports are canonical: keys sorted, numbers rendered canonically, words
 rendered in the text grammar so witnesses can be replayed as inputs.  The
 timing block is excluded from the canonical hash, everything else is
-byte-reproducible.  Expensive searches are cached by (input hashes,
-command, bounds, tool version, digest of the package sources).
+byte-reproducible.  Expensive searches are cached by (input names and
+hashes, command, bounds, element, digest of the package sources and so of
+the tool version).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +33,6 @@ from .errors import FpAutError, ParseError
 from .graph_maps import (build_standard_map, check_train_track,
                          constants_report, default_gate_depth, nielsen_search)
 from .mapping_torus import conjugacy_pipeline, mapping_torus_abelianization
-from .matrices import IntegerMatrix
 from .parsing import (parse_word, presentation_from_dict, render_word,
                       word_table_from_dict)
 from .words import Word
@@ -59,20 +59,15 @@ class JobConfig:
 def to_jsonable(x):
     if isinstance(x, Word):
         return render_word(x)
-    if isinstance(x, IntegerMatrix):
-        return [[str(v) for v in row] for row in x.entries]
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
             else str(x.numerator)
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        seq = sorted(x, key=repr) if isinstance(x, (set, frozenset)) else x
-        return [to_jsonable(v) for v in seq]
-    if is_dataclass(x) and not isinstance(x, type):
-        return {k: to_jsonable(v) for k, v in vars(x).items()}
+    if isinstance(x, (list, tuple)):
+        return [to_jsonable(v) for v in x]
     if isinstance(x, float):
-        return float(repr(x)) if x == x else None
+        return x if x == x else None
     return x
 
 
@@ -368,14 +363,10 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _cache_key(cfg: JobConfig) -> str:
+def _cache_key(cfg: JobConfig, inputs: dict) -> str:
+    """Entry name of this job on input files with these report ``inputs``."""
     ident = {"command": cfg.command, "bounds": to_jsonable(cfg.bounds),
-             "version": __version__, "source": _source_digest()}
-    for label, p in (("aut", cfg.aut_path), ("aut2", cfg.aut2_path)):
-        if p:
-            ident[label] = _sha256_bytes(Path(p).read_bytes())
-    if cfg.element is not None:
-        ident["element"] = cfg.element
+             "source": _source_digest(), "element": cfg.element, **inputs}
     return _sha256_bytes(canonical_json(ident).encode())
 
 
@@ -393,18 +384,27 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def run_with_cache(cfg: JobConfig):
     """`run` through the cache.  An entry holds the report only; the exit
-    code is derived from it and from this job's --strict."""
+    code is derived from it and from this job's --strict.  A new entry is
+    keyed by the report's own ``inputs``, those of the bytes the job parsed,
+    so an input replaced meanwhile cannot mislabel it."""
     cache = _cache_dir(cfg)
-    entry = None if cache is None else cache / f"{_cache_key(cfg)}.json"
-    if entry is not None and entry.exists():
-        report = json.loads(entry.read_text())
-        return exit_code(report["result"], cfg.strict), report
+    if cache is not None:
+        inputs = {label: {"path": os.path.basename(p),
+                          "sha256": _sha256_bytes(Path(p).read_bytes())}
+                  for label, p in (("aut", cfg.aut_path), ("aut2", cfg.aut2_path))
+                  if p}
+        entry = cache / f"{_cache_key(cfg, inputs)}.json"
+        if entry.exists():
+            report = json.loads(entry.read_text())
+            return exit_code(report["result"], cfg.strict), report
     t0 = time.perf_counter()
     code, report = run(cfg)
     elapsed = time.perf_counter() - t0
-    if entry is not None:
+    if cache is not None:
+        inputs = {label: report["inputs"][label] for label in inputs}
         cache.mkdir(parents=True, exist_ok=True)
-        _write_atomic(entry, canonical_json(report))
+        _write_atomic(cache / f"{_cache_key(cfg, inputs)}.json",
+                      canonical_json(report))
     report["timing"] = {"seconds": elapsed}
     return code, report
 
@@ -473,13 +473,13 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
         code, report = run_with_cache(cfg)
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if cfg.out_path:
+            Path(cfg.out_path).write_text(text + "\n")
     except (FpAutError, OSError, KeyError, ValueError, json.JSONDecodeError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 2
-    text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
-    if cfg.out_path:
-        Path(cfg.out_path).write_text(text + "\n")
     return code
 
 

@@ -158,7 +158,7 @@ class EdgePath:
         return reduce_syllables(syl, self.presentation)
 
 
-def reduce_steps(pres: Presentation, steps) -> tuple:
+def reduce_steps(steps) -> tuple:
     """Reduce a step sequence to the unique reduced path with the same ends.
 
     Cancelling an excursion (a, T_i)(t_i) folds the translation `a` into the
@@ -233,8 +233,8 @@ def _back_step(pres: Presentation, steps, pos):
 
 def _reverse_steps(pres: Presentation, steps) -> tuple:
     """The steps of the same tree path run backwards, reduced."""
-    return reduce_steps(pres, [_back_step(pres, steps, pos)
-                               for pos in range(len(steps) - 1, -1, -1)])
+    return reduce_steps([_back_step(pres, steps, pos)
+                         for pos in range(len(steps) - 1, -1, -1)])
 
 
 def _turns_of_steps(steps):
@@ -327,7 +327,7 @@ def build_standard_map(phi: Automorphism) -> GraphMap:
         images[("x", l, 1)] = spell(w)
         images[("x", l, -1)] = spell(w.inverse())
     for d, img in images.items():
-        if reduce_steps(pres, img) != img:
+        if reduce_steps(img) != img:
             raise AssertionError(f"image of {d} is not reduced")
     return GraphMap(phi, images)
 
@@ -431,7 +431,7 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
                    for i in range(1, pres.num_factors + 1)]
     for d in probe_dirs:
         steps = m.image_of_direction_path(d)
-        if reduce_steps(pres, steps) != steps:
+        if reduce_steps(steps) != steps:
             return TrainTrackVerdict("violated", ("unreduced image", d), gates)
         for turn in _turns_of_steps(steps):
             if not gates.is_legal(turn):
@@ -467,7 +467,7 @@ def _junction_cancellation(m: GraphMap, d1, d2) -> Fraction:
     best = Fraction(-1)
     for _ in range(JUNCTION_EXTENSIONS):
         fx, fy = m.image_steps(x), m.image_steps(y)
-        joint = reduce_steps(pres, _reverse_steps(pres, fx) + fy)
+        joint = reduce_steps(_reverse_steps(pres, fx) + fy)
         lx, ly = len(fx), len(fy)
         canc = Fraction(lx + ly - len(joint), 2)
         if canc <= best:

@@ -3,9 +3,9 @@ and the desk-scale conjugacy pipeline.
 
 The pipeline's verdict lattice is {conjugate, distinguished, undecided}: a
 ``conjugate`` verdict always ships a witness that re-verifies by
-composition, a ``distinguished`` verdict ships an abelianization invariant
-recomputed from scratch on both inputs, and everything the bounded searches
-cannot settle is ``undecided``.
+composition, a ``distinguished`` verdict ships the first abelianization
+invariant on which the two inputs differ, and everything the bounded
+searches cannot settle is ``undecided``.
 """
 
 from __future__ import annotations
@@ -320,16 +320,14 @@ class ConjugacyVerdict:
 
 
 def _abelian_invariants(phi: Automorphism) -> dict:
+    """Torus invariant factors (Smith diagonal of Phi_ab - I, then 0 for t)
+    first, then char_poly and the Smith diagonals of Phi_ab - cI."""
     a = phi.abelianized_matrix
-    n = a.nrows
-    inv = {
-        "torus_invariant_factors": mapping_torus_abelianization(phi).invariant_factors,
-        "char_poly": char_poly(a),
-    }
-    for c in range(-2, 3):
-        shifted = a - IntegerMatrix.identity(n).scale(c)
-        inv[f"smith_at_{c}"] = invariant_factors(shifted)
-    return inv
+    identity = IntegerMatrix.identity(a.nrows)
+    smith = {f"smith_at_{c}": invariant_factors(a - identity.scale(c))
+             for c in range(-2, 3)}
+    return {"torus_invariant_factors": smith["smith_at_1"] + (0,),
+            "char_poly": char_poly(a), **smith}
 
 
 def _inner_witness(theta: Automorphism) -> Word | None:
@@ -386,7 +384,6 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
             rows.append(tuple(row))
     basis = kernel_basis(IntegerMatrix(tuple(rows)))
     out = []
-    seen = set()
     bound = SUBSTITUTION_COEFF_BOUND
     for coeffs in itertools.product(range(-bound, bound + 1),
                                     repeat=len(basis)):
@@ -395,10 +392,6 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
             for t in range(n * n):
                 flat[t] += cf * vec[t]
         s = IntegerMatrix(tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n)))
-        key = s.entries
-        if key in seen:
-            continue
-        seen.add(key)
         if abs(determinant(s)) == 1 and s * m1 == m2 * s:
             out.append(s)
             if len(out) >= SUBSTITUTION_CAP:
@@ -418,10 +411,8 @@ def _substitution_automorphism(pres: Presentation,
         for j in range(1, pres.factor_rank(i) + 1):
             col = tuple(s[r, j - 1] for r in range(s.nrows))
             icol = tuple(sinv[r, j - 1] for r in range(s.nrows))
-            images[f"a{i}.{j}"] = Word(pres, (FactorSyllable(i, col),)) \
-                if any(col) else Word(pres)
-            inv_images[f"a{i}.{j}"] = Word(pres, (FactorSyllable(i, icol),)) \
-                if any(icol) else Word(pres)
+            images[f"a{i}.{j}"] = Word(pres, (FactorSyllable(i, col),))
+            inv_images[f"a{i}.{j}"] = Word(pres, (FactorSyllable(i, icol),))
     for l in range(1, pres.free_rank + 1):
         images[f"x{l}"] = generator_word(pres, f"x{l}")
         inv_images[f"x{l}"] = generator_word(pres, f"x{l}")
@@ -453,7 +444,7 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
     if any(n < 2 for n in pres.abelian_ranks):
         warnings.warn("cyclic factors present: invariant comparisons remain "
                       "sound, witness search may be weaker", stacklevel=2)
-    toral = is_toral(phi1)[0] and is_toral(phi2)[0]
+    toral = is_toral(phi1) and is_toral(phi2)
     diagnostics["both_toral"] = toral
     if not toral:
         warnings.warn("pipeline inputs are not both toral", stacklevel=2)
@@ -461,12 +452,10 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
     inv1, inv2 = _abelian_invariants(phi1), _abelian_invariants(phi2)
     for key in inv1:
         if inv1[key] != inv2[key]:
-            fresh1, fresh2 = _abelian_invariants(phi1), _abelian_invariants(phi2)
-            assert fresh1[key] != fresh2[key]
             return ConjugacyVerdict(
                 "distinguished",
-                invariant={"name": key, "value_1": fresh1[key],
-                           "value_2": fresh2[key]},
+                invariant={"name": key, "value_1": inv1[key],
+                           "value_2": inv2[key]},
                 diagnostics=diagnostics)
 
     def candidates():

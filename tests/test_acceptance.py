@@ -116,8 +116,7 @@ def test_criterion_3_intro_obstruction(intro_anosov):
 
 def test_criterion_4_toral_twist(toral_twist, z2z2):
     with Budget("4 toral twist battery", 2):
-        toral, witnesses = is_toral(toral_twist)
-        assert toral
+        assert is_toral(toral_twist)
         assert all(check_central_condition(toral_twist).values())
         rep = atoroidal_search(toral_twist, 3, 2, 3)
         assert rep.verdict == "witness" and rep.witness["exponent"] == 1

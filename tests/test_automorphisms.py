@@ -7,6 +7,7 @@ from fpaut.automorphisms import ad, generator_word
 from fpaut.errors import (FactorsPermuted, NotAnAutomorphism,
                           NotFactorPreserving)
 from fpaut.matrices import IntegerMatrix
+from fpaut.words import FactorSyllable, FreeSyllable
 
 from conftest import make_aut, random_word
 
@@ -21,9 +22,7 @@ def test_identity_validates(z2z2):
 def test_toral_twist_extraction(toral_twist):
     assert toral_twist.factor_permutation == (1, 2)
     assert [render_word(g) for g in toral_twist.conjugators] == ["", "a1.1"]
-    toral, witnesses = is_toral(toral_twist)
-    assert toral
-    assert render_word(witnesses[1]) == "a1.1"
+    assert is_toral(toral_twist)
 
 
 @pytest.mark.parametrize("fixture, conjugators", [
@@ -31,9 +30,9 @@ def test_toral_twist_extraction(toral_twist):
     ("toral_q", ["", "a2.1 x1 a2.1^-1 a1.1^-1"])])
 def test_fixtures_p_and_q_are_toral(request, fixture, conjugators):
     # `validate` (through make_aut) accepts both tables
-    toral, witnesses = is_toral(request.getfixturevalue(fixture))
-    assert toral
-    assert [render_word(g) for g in witnesses] == conjugators
+    phi = request.getfixturevalue(fixture)
+    assert is_toral(phi)
+    assert [render_word(g) for g in phi.conjugators] == conjugators
 
 
 def test_factor_swap_flagged():
@@ -82,6 +81,22 @@ def test_missing_generator_rejected(free2):
     with pytest.raises(NotAnAutomorphism):
         validate({"x1": parse_word("x1", free2)},
                  {"x1": parse_word("x1", free2)}, free2)
+
+
+def test_table_word_not_in_normal_form_rejected(z2z2):
+    # a1.2 a1.1 a1.2^-1, three syllables of A_1, is the generator a1.1
+    # written unreduced
+    table = {name: generator_word(z2z2, name) for name in z2z2.generator_names()}
+    unreduced = Word(z2z2, (FactorSyllable(1, (0, 1)), FactorSyllable(1, (1, 0)),
+                            FactorSyllable(1, (0, -1))))
+    with pytest.raises(NotAnAutomorphism, match="normal form"):
+        validate({**table, "a1.1": unreduced}, table, z2z2)
+
+
+def test_zero_syllables_map_to_one(mixed):
+    phi, pres = mixed
+    w = Word(pres, (FreeSyllable(1, 0), FactorSyllable(1, (0, 0))))
+    assert apply(phi, w) == Word(pres)
 
 
 def test_conjugator_canonicalised(z2z2):
@@ -139,7 +154,7 @@ def test_is_toral_negative(z2z2):
     images = {"a1.1": "a1.1", "a1.2": "a1.1 a1.2", "a2.1": "a2.1", "a2.2": "a2.2"}
     inv = {"a1.1": "a1.1", "a1.2": "a1.1^-1 a1.2", "a2.1": "a2.1", "a2.2": "a2.2"}
     phi = make_aut(z2z2, images, inv)
-    assert not is_toral(phi)[0]
+    assert not is_toral(phi)
     # unipotent restriction still fixes a vector
     assert check_central_condition(phi) == {1: True, 2: True}
 
@@ -150,7 +165,7 @@ def test_central_condition_anosov(intro_anosov):
 
 def test_toral_implies_central(toral_twist, identity_z2z2):
     for phi in (toral_twist, identity_z2z2):
-        if is_toral(phi)[0]:
+        if is_toral(phi):
             assert all(check_central_condition(phi).values())
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -328,10 +329,59 @@ def test_cache_entry_holds_report_only(fib_file, tmp_path):
 
 def test_cache_key_follows_source_digest(fib_file, monkeypatch):
     cfg = config_from_args(["torus-ab", "--aut", fib_file])
-    key = cli._cache_key(cfg)
-    assert cli._cache_key(cfg) == key
+    inputs = {"aut": {"path": "fib.json", "sha256": "f" * 64}}
+    key = cli._cache_key(cfg, inputs)
+    assert cli._cache_key(cfg, inputs) == key
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
-    assert cli._cache_key(cfg) != key
+    assert cli._cache_key(cfg, inputs) != key
+
+
+def test_cache_files_report_under_the_bytes_it_parsed(fib_file, swapped_file,
+                                                      tmp_path, monkeypatch):
+    # the input is replaced between the cache lookup's read and the run's
+    # read: the report goes under the new bytes, and the old bytes still
+    # get their own report
+    argv = ["torus-ab", "--aut", fib_file, "--cache-dir", str(tmp_path / "c")]
+    old, new = Path(fib_file).read_bytes(), Path(swapped_file).read_bytes()
+    original = cli.load_automorphism
+
+    def swapping(path):
+        Path(path).write_bytes(new)
+        return original(path)
+    monkeypatch.setattr(cli, "load_automorphism", swapping)
+    _, swapped = run_with_cache(config_from_args(argv))
+    monkeypatch.undo()
+    _, replay_new = run_with_cache(config_from_args(argv))
+    assert "timing" not in replay_new  # a cache hit
+    assert replay_new["canonical_sha256"] == swapped["canonical_sha256"]
+    Path(fib_file).write_bytes(old)
+    _, replay_old = run_with_cache(config_from_args(argv))
+    _, fresh = run(config_from_args(argv))
+    assert replay_old["canonical_sha256"] == fresh["canonical_sha256"]
+    assert replay_old["canonical_sha256"] != swapped["canonical_sha256"]
+
+
+def test_cache_replays_no_report_of_another_file_name(fib_file, tmp_path):
+    # the report names its input file, so the same bytes under another
+    # name are another entry
+    cache = str(tmp_path / "cache")
+    other = tmp_path / "other.json"
+    other.write_bytes(Path(fib_file).read_bytes())
+    run_with_cache(config_from_args(["torus-ab", "--aut", fib_file,
+                                     "--cache-dir", cache]))
+    _, replay = run_with_cache(config_from_args(
+        ["torus-ab", "--aut", str(other), "--cache-dir", cache]))
+    _, fresh = run(config_from_args(["torus-ab", "--aut", str(other)]))
+    assert replay["canonical_sha256"] == fresh["canonical_sha256"]
+
+
+def test_classify_cache_key_includes_element(fib_file, tmp_path):
+    cache = tmp_path / "cache"
+    for element in ("x1", "x2"):
+        run_with_cache(config_from_args(["classify", "--aut", fib_file,
+                                         "--element", element,
+                                         "--cache-dir", str(cache)]))
+    assert len(list(cache.glob("*.json"))) == 2
 
 
 # bounds of every command when no bound flag is given
@@ -408,6 +458,18 @@ def test_main_exit_codes(fib_file, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_zero_bound_rejected(fib_file, capsys):
+    assert main(["atoroidal", "--aut", fib_file, "--max-len", "0"]) == 2
+    assert "--max-len must be positive" in capsys.readouterr().err
+
+
+def test_unknown_generator_rejected(tmp_path, capsys):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({**FIB, "images": {**FIB["images"], "x3": "x1"}}))
+    assert main(["torus-ab", "--aut", str(path)]) == 2
+    assert "unknown generators ['x3']" in capsys.readouterr().err
+
+
 def test_main_rejects_bad_lambda(fib_file, capsys):
     assert main(["flare", "--aut", fib_file, "--lambda-min", "0.9"]) == 2
     capsys.readouterr()
@@ -428,3 +490,12 @@ def test_out_file(fib_file, tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1
+
+
+def test_unwritable_out_exits_2(fib_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["torus-ab", "--aut", fib_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "FileNotFoundError" in json.loads(captured.err)["error"]

@@ -7,7 +7,9 @@ every code object of every ``fpaut`` module with ``dis`` and checks each
 global name against the module namespace and the builtins.  The second parses
 the sources with ``ast`` and fails on a definition that nothing in the
 package refers to outside its own body and ``__init__.py``: being exported
-and tested is not a use.  Both use only the standard library.
+and tested is not a use.  A reference is resolved to a (module, name) pair,
+so ``words.power`` imported as ``word_power`` is no use of
+``automorphisms.power``.  Both use only the standard library.
 """
 
 import ast
@@ -23,6 +25,8 @@ import fpaut
 # outside it.
 ENTRY_POINTS = {
     ("automorphisms", "apply_inverse"): "bench target (bench/tracer.py)",
+    ("automorphisms", "power"):
+        "bench target (bench/tracer.py); bench/fixtures.py builds fib2 with it",
     ("cli", "automorphism_to_dict"): "bench/fixtures.py writes its inputs with it",
     ("dynamics", "no_twin_implication_check"):
         "test oracle: cross-checks atoroidal_search against twin_search",
@@ -61,19 +65,32 @@ def test_every_loaded_global_is_defined():
     assert not missing, missing
 
 
-def _references(node):
-    """Names that `node` reads: bare names, attributes, and imports as
-    {bound name: imported name}."""
-    loaded, imported = set(), {}
+def _bindings(tree) -> dict:
+    """What each name a relative import binds stands for: (module, name)
+    for ``from .m import name``, the module for ``from . import m``."""
+    bound = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level:
+            for alias in n.names:
+                bound[alias.asname or alias.name] = (
+                    (n.module, alias.name) if n.module else alias.name)
+    return bound
+
+
+def _references(node, module: str, bound: dict) -> set:
+    """(module, name) of every definition that `node`, in `module`, reads:
+    an imported name by its source module, ``m.name`` on a module name
+    bound by an import, any other bare name in `module` itself."""
+    refs = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            loaded.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            loaded.add(n.attr)
-        elif isinstance(n, ast.ImportFrom):
-            for alias in n.names:
-                imported[alias.asname or alias.name] = alias.name
-    return loaded, imported
+            target = bound.get(n.id, (module, n.id))
+            if isinstance(target, tuple):
+                refs.add(target)
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and isinstance(bound.get(n.value.id), str)):
+            refs.add((bound[n.value.id], n.attr))
+    return refs
 
 
 def uncalled_definitions(package: Path) -> set:
@@ -84,17 +101,13 @@ def uncalled_definitions(package: Path) -> set:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        loaded, imported = set(), {}
+        bound = _bindings(tree)
         for top in tree.body:
-            own = getattr(top, "name", None)
+            own = (path.stem, getattr(top, "name", None))
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.add((path.stem, own))
-            names, imports = _references(top)
-            loaded |= names - {own}
-            imported.update(imports)
-        used |= loaded
-        used |= {name for bound, name in imported.items() if bound in loaded}
-    return {(module, name) for module, name in defined if name not in used}
+                defined.add(own)
+            used |= _references(top, path.stem, bound) - {own}
+    return defined - used
 
 
 def test_every_definition_has_a_caller():

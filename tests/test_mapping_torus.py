@@ -87,6 +87,19 @@ def test_torus_abelianization_with_torsion():
     assert rep2.torsion == (2, 2)
 
 
+@pytest.mark.parametrize("fixture", ["fibonacci", "intro_anosov",
+                                     "toral_twist", "toral_q"])
+def test_pipeline_torus_invariant_is_the_torus_abelianization(request, fixture):
+    # the pipeline reads the torus factors off smith_at_1; the torus key is
+    # compared, and so reported, first
+    phi = request.getfixturevalue(fixture)
+    inv = _abelian_invariants(phi)
+    assert list(inv) == ["torus_invariant_factors", "char_poly",
+                         *(f"smith_at_{c}" for c in range(-2, 3))]
+    assert inv["torus_invariant_factors"] == \
+        mapping_torus_abelianization(phi).invariant_factors
+
+
 # --- block orbit solver -------------------------------------------------------
 
 def test_orbit_identity_witness():
@@ -260,6 +273,33 @@ def test_pipeline_factor_substitution(z2z2, toral_twist):
     assert v.status == "conjugate"
 
 
+def test_pipeline_without_factor_substitution_composes_only_identity(
+        monkeypatch, z2z2):
+    # factor matrices (M, N) against (N, M) with M = [[1,1],[0,1]] and
+    # N = [[1,2],[0,1]]: the abelianized matrices are permutation-similar,
+    # so every invariant agrees, but M and N are not conjugate in GL_2(Z)
+    # (M - I and N - I have Smith forms (1, 0) and (2, 0))
+    from fpaut import mapping_torus
+
+    def twist(first, second):
+        images = {"a1.1": "a1.1", "a1.2": f"a1.1^{first} a1.2",
+                  "a2.1": "a2.1", "a2.2": f"a2.1^{second} a2.2"}
+        inv = {"a1.1": "a1.1", "a1.2": f"a1.1^-{first} a1.2",
+               "a2.1": "a2.1", "a2.2": f"a2.1^-{second} a2.2"}
+        return make_aut(z2z2, images, inv)
+    phi1, phi2 = twist(1, 2), twist(2, 1)
+    assert _factor_substitution_candidates(phi1, phi2, 1) == []
+    built = []
+    monkeypatch.setattr(mapping_torus, "_substitution_automorphism",
+                        lambda *args: built.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        v = conjugacy_pipeline(phi1, phi2, conj_len=2)
+    inner = sum(1 for _ in itertools.islice(enumerate_words(z2z2, 2, 2), 1, 302))
+    assert v.status == "undecided" and not built
+    assert v.diagnostics["candidates_tested"] == 1 + inner
+
+
 def test_pipeline_inverts_phi2_once(monkeypatch, fibonacci, free2):
     # fib against fib conjugated by the letter swap: phi2^-1 is computed
     # once; the identity is the only candidate composed (there is no
@@ -296,7 +336,7 @@ def _composing_reference(phi1, phi2, conj_len):
     """The pipeline with every candidate composed, the inner candidates
     ad(w) included: the reference for the ones the pipeline only counts."""
     pres = phi1.presentation
-    diagnostics = {"both_toral": is_toral(phi1)[0] and is_toral(phi2)[0]}
+    diagnostics = {"both_toral": is_toral(phi1) and is_toral(phi2)}
     inv1, inv2 = _abelian_invariants(phi1), _abelian_invariants(phi2)
     for key in inv1:
         if inv1[key] != inv2[key]:
