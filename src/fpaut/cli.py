@@ -139,33 +139,20 @@ def _merge_reports(kind: str, parts: list[SearchReport]) -> SearchReport:
 # ---------------------------------------------------------------------------
 # commands
 
-def _report_skeleton(cfg: JobConfig, inputs: dict) -> dict:
-    return {
-        "schema": SCHEMA,
-        "tool": {"name": "fpaut", "version": __version__},
-        "command": cfg.command,
-        "inputs": inputs,
-        "bounds": to_jsonable(cfg.bounds),
-        "conventions": {
-            "length": "cyclic syllable length",
-            "factor_norm": "L1 on exponent vectors",
-        },
-    }
-
-
-# Runners return the ``result`` block.  They reach the library through this
-# module's globals at call time, so a rebinding of those names takes effect.
+# Runners return the ``result`` block as library values (words, fractions,
+# tuples, floats); `run` renders the whole report with one `to_jsonable`
+# call.  They reach the library through this module's globals at call time,
+# so a rebinding of those names takes effect.
 
 def _search(cfg: JobConfig, phi: Automorphism) -> dict:
     rep = _run_sharded(cfg.command, phi, cfg.bounds, cfg.jobs)
     out = {"verdict": rep.verdict, "tested": rep.tested}
     if rep.witness is not None:
-        out["witness"] = to_jsonable({k: v for k, v in rep.witness.items()
-                                      if k != "index"})
+        out["witness"] = {k: v for k, v in rep.witness.items() if k != "index"}
     if rep.counterexamples:
-        out["counterexamples"] = to_jsonable(rep.counterexamples)
+        out["counterexamples"] = rep.counterexamples
     if rep.certificate is not None:
-        out["certificate"] = to_jsonable(rep.certificate)
+        out["certificate"] = rep.certificate
     if rep.notes:
         out["notes"] = rep.notes
     return out
@@ -177,17 +164,17 @@ def _classify(cfg: JobConfig, phi: Automorphism) -> dict:
     verdict = classify_growth(data.lengths, classes=data.classes)
     mass_verdict = classify_growth(data.masses, classes=data.classes)
     return {
-        "lengths": list(data.lengths),
-        "masses": list(data.masses),
+        "lengths": data.lengths,
+        "masses": data.masses,
         "kind": verdict.kind,
         "heuristic": verdict.heuristic,
-        "rate": to_jsonable(verdict.rate),
+        "rate": verdict.rate,
         "degree": verdict.degree,
         "period": verdict.period,
         "preperiod": verdict.preperiod,
         "mass_kind": mass_verdict.kind,
         "mass_degree": mass_verdict.degree,
-        "diagnostics": to_jsonable(verdict.diagnostics),
+        "diagnostics": verdict.diagnostics,
     }
 
 
@@ -198,11 +185,10 @@ def _traintrack(cfg: JobConfig, phi: Automorphism) -> dict:
     gates = verdict.gates
     return {
         "status": verdict.status,
-        "witness": to_jsonable(verdict.witness),
+        "witness": verdict.witness,
         "depth": depth,
         "base_gate_count": len(gates.base_gates),
-        "base_gates": to_jsonable([sorted(map(list, g))
-                                   for g in gates.base_gates]),
+        "base_gates": [sorted(g) for g in gates.base_gates],
         "stable": gates.stable,
     }
 
@@ -212,16 +198,15 @@ def _constants(cfg: JobConfig, phi: Automorphism) -> dict:
     depth = cfg.bounds["depth"] or default_gate_depth(phi.presentation)
     rep = constants_report(m, depth)
     return {
-        "growth_rate": to_jsonable(rep.growth.value),
-        "growth_bounds": [to_jsonable(rep.growth.lower),
-                          to_jsonable(rep.growth.upper)],
-        "error_bound": to_jsonable(rep.growth.error_bound),
-        "cancellation": to_jsonable(rep.cancellation),
+        "growth_rate": rep.growth.value,
+        "growth_bounds": [rep.growth.lower, rep.growth.upper],
+        "error_bound": rep.growth.error_bound,
+        "cancellation": rep.cancellation,
         "transversality": "1",  # unit edge lengths
-        "critical_constant": to_jsonable(rep.critical_constant),
+        "critical_constant": rep.critical_constant,
         "irreducible": rep.irreducible,
-        "growth_eigenvector": to_jsonable(rep.growth_eigenvector),
-        "lipschitz": to_jsonable(m.lipschitz),
+        "growth_eigenvector": rep.growth_eigenvector,
+        "lipschitz": m.lipschitz,
         "metric": rep.metric,
         "depth": depth,
     }
@@ -232,10 +217,10 @@ def _nielsen(cfg: JobConfig, phi: Automorphism) -> dict:
     found = nielsen_search(m, cfg.bounds["max_len"], cfg.bounds["max_iter"])
     return {
         "witnesses": [{
-            "start": to_jsonable(w.path.start),
-            "steps": to_jsonable(w.path.steps),
+            "start": w.path.start,
+            "steps": w.path.steps,
             "exponent": w.exponent,
-            "element": to_jsonable(w.element),
+            "element": w.element,
         } for w in found],
         "count": len(found),
     }
@@ -247,7 +232,7 @@ def _torus_ab(cfg: JobConfig, phi: Automorphism) -> dict:
         "invariant_factors": [str(d) for d in rep.invariant_factors],
         "torsion": [str(d) for d in rep.torsion],
         "free_rank": rep.free_rank,
-        "generator_images": to_jsonable(rep.generator_images),
+        "generator_images": rep.generator_images,
     }
 
 
@@ -256,25 +241,28 @@ def _conjugacy(cfg: JobConfig, phi: Automorphism,
     verdict = conjugacy_pipeline(phi, phi2, conj_len=cfg.bounds["conj_len"])
     return {
         "status": verdict.status,
-        "witness": to_jsonable(verdict.witness),
-        "invariant": to_jsonable(verdict.invariant),
-        "diagnostics": to_jsonable(verdict.diagnostics),
+        "witness": verdict.witness,
+        "invariant": verdict.invariant,
+        "diagnostics": verdict.diagnostics,
     }
 
 
 @dataclass(frozen=True)
 class Command:
-    """One CLI command: ``runner(cfg, phi[, phi2])`` returns the ``result``
-    block, ``bounds`` maps each bound flag (``max_len`` is ``--max-len``)
-    to its default, ``inputs`` maps each input required besides ``--aut``
-    to its help.  The search commands share ``_search``, which calls
-    ``search(phi, bounds, shard)`` once per shard."""
+    """One CLI command, the whole of its surface: ``runner(cfg, phi[,
+    phi2])`` returns the ``result`` block, ``bounds`` maps each bound flag
+    (``max_len`` is ``--max-len``) to its default, ``inputs`` maps each
+    input required besides ``--aut`` to its help.  The search commands share
+    ``_search``, which calls ``search(phi, bounds, shard)`` once per shard;
+    only they take ``--jobs``.  ``strict`` marks a command that can return
+    ``undecided``; only those take ``--strict``."""
 
     help: str
     runner: Callable
     bounds: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     search: Callable | None = None
+    strict: bool = False
 
 
 COMMANDS = {
@@ -301,7 +289,8 @@ COMMANDS = {
             phi, b["min_len"], b["max_len"], b["max_exp"], b["max_iter"],
             b["lambda_min"], shard=shard)),
     "traintrack": Command(
-        "verify the train-track property", _traintrack, {"depth": 0}),
+        "verify the train-track property", _traintrack, {"depth": 0},
+        strict=True),
     "constants": Command(
         "growth rate, cancellation, critical constant", _constants,
         {"depth": 0}),
@@ -311,7 +300,8 @@ COMMANDS = {
     "torus-ab": Command("mapping torus abelianization", _torus_ab),
     "conjugacy": Command(
         "conjugacy pipeline for two automorphisms", _conjugacy,
-        {"conj_len": 3}, inputs={"aut2": "second automorphism JSON file"}),
+        {"conj_len": 3}, inputs={"aut2": "second automorphism JSON file"},
+        strict=True),
 }
 
 
@@ -337,8 +327,16 @@ def run(cfg: JobConfig):
             inputs[label] = {"path": os.path.basename(path), "sha256": digest}
     if cfg.element is not None:
         inputs["element"] = cfg.element
-    report = _report_skeleton(cfg, inputs)
-    report["result"] = command.runner(cfg, *auts)
+    report = to_jsonable({
+        "schema": SCHEMA,
+        "tool": {"name": "fpaut", "version": __version__},
+        "command": cfg.command,
+        "inputs": inputs,
+        "bounds": cfg.bounds,
+        "conventions": {"length": "cyclic syllable length",
+                        "factor_norm": "L1 on exponent vectors"},
+        "result": command.runner(cfg, *auts),
+    })
     report["canonical_sha256"] = _sha256_bytes(
         canonical_json(report).encode())
     return exit_code(report["result"], cfg.strict), report
@@ -365,7 +363,7 @@ def _source_digest() -> str:
 
 def _cache_key(cfg: JobConfig, inputs: dict) -> str:
     """Entry name of this job on input files with these report ``inputs``."""
-    ident = {"command": cfg.command, "bounds": to_jsonable(cfg.bounds),
+    ident = {"command": cfg.command, "bounds": cfg.bounds,
              "source": _source_digest(), "element": cfg.element, **inputs}
     return _sha256_bytes(canonical_json(ident).encode())
 
@@ -429,10 +427,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--aut", required=True, help="automorphism JSON file")
         for label, text in command.inputs.items():
             p.add_argument(f"--{label}", required=True, help=text)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (at most the CPU count)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 on undecided verdicts")
+        if command.search:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes (at most the CPU count)")
+        if command.strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 3 on undecided verdicts")
         p.add_argument("--out", help="also write the JSON report here")
         p.add_argument("--cache-dir", help="cache directory "
                                            "(FPAUT_CACHE overrides the default of no cache)")
@@ -453,7 +453,8 @@ def config_from_args(argv) -> JobConfig:
             raise ParseError(0, f"--{key.replace('_', '-')} must be positive")
     if "min_len" in bounds and bounds["min_len"] > bounds["max_len"]:
         raise ParseError(0, "--min-len must not exceed --max-len")
-    if ns.jobs < 1:
+    jobs = getattr(ns, "jobs", 1)
+    if jobs < 1:
         raise ParseError(0, "--jobs must be positive")
     return JobConfig(
         command=ns.command,
@@ -461,8 +462,8 @@ def config_from_args(argv) -> JobConfig:
         aut2_path=getattr(ns, "aut2", None),
         element=getattr(ns, "element", None),
         bounds=bounds,
-        jobs=min(ns.jobs, os.cpu_count() or 1),
-        strict=ns.strict,
+        jobs=min(jobs, os.cpu_count() or 1),
+        strict=getattr(ns, "strict", False),
         out_path=ns.out,
         cache_dir=ns.cache_dir,
     )

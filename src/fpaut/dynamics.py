@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .automorphisms import (Automorphism, apply, apply_power,
+from .automorphisms import (Automorphism, apply, apply_inverse, apply_power,
                             check_central_condition, conjugator_step,
                             generator_word, require_class_preserving)
 from .errors import TooShort
@@ -272,8 +272,8 @@ def classify_growth(seq, classes=None) -> GrowthVerdict:
 class SearchReport:
     """Outcome of a bounded search.
 
-    verdict is "witness" (a disproving/positive witness was found),
-    "exhausted" (the full enumeration passed without one) or "undecided".
+    verdict is "witness" (a disproving/positive witness was found) or
+    "exhausted" (the full enumeration passed without one).
     Flare certification stores its certificate under ``certificate`` and its
     failing words under ``counterexamples``.
     """
@@ -359,10 +359,11 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                         notes="atoroidal up to the stated bounds")
 
 
-def _subgroup_descriptors(pres: Presentation, conj_len: int, max_exp: int):
-    """(u, i) with u a canonical coset representative of u A_i."""
+def _subgroup_descriptors(pres: Presentation, conj_len: int):
+    """(u, i) with u a canonical coset representative of u A_i, over the
+    words u of at most conj_len syllables and exponent mass."""
     out = []
-    for u in enumerate_words(pres, conj_len, max_exp):
+    for u in enumerate_words(pres, conj_len, conj_len):
         for i in range(1, pres.num_factors + 1):
             last = u.syllables[-1] if u.syllables else None
             if isinstance(last, FactorSyllable) and last.factor == i:
@@ -392,7 +393,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     """
     require_class_preserving(phi)
     bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": conj_len}
-    descr = _subgroup_descriptors(phi.presentation, conj_len, conj_len)
+    descr = _subgroup_descriptors(phi.presentation, conj_len)
     n_pairs = len(descr) * (len(descr) - 1) // 2
     heads = [(0, u) for u, _ in descr]  # (m, h_m), for the last m reached
 
@@ -484,7 +485,7 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
         fwd, bwd = g, g
         for n in range(1, n_max + 1):
             fwd = apply(phi, fwd)
-            bwd = apply_power(phi, -1, bwd)
+            bwd = apply_inverse(phi, bwd)
             grown = max(len(cyclic_normal_form(fwd)), len(cyclic_normal_form(bwd)))
             if lam * base > grown:
                 ok[n] = False

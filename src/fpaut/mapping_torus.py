@@ -460,21 +460,15 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
 
     def candidates():
         yield identity_automorphism(pres)
-        per_factor = {}
-        feasible = True
+        per_factor = []
         for i in range(1, pres.num_factors + 1):
             local = _factor_substitution_candidates(phi1, phi2, i)
             if not local:
-                feasible = False
-                break
-            per_factor[i] = local
-        if feasible and pres.num_factors:
-            combos = itertools.product(*(per_factor[i]
-                                         for i in range(1, pres.num_factors + 1)))
-            for count, mats in enumerate(combos):
-                if count >= 1000:
-                    break
-                yield _substitution_automorphism(pres, dict(enumerate(mats, start=1)))
+                return
+            per_factor.append(local)
+        combos = itertools.product(*per_factor) if per_factor else ()
+        for mats in itertools.islice(combos, 1000):
+            yield _substitution_automorphism(pres, dict(enumerate(mats, start=1)))
 
     phi2_inv = inverse(phi2)
     tested = 0

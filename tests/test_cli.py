@@ -399,20 +399,81 @@ DEFAULT_BOUNDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(DEFAULT_BOUNDS))
-def test_default_bounds(command):
+def _required_argv(command):
+    """The shortest argument list `command` parses."""
     argv = [command, "--aut", "a.json"]
     if command == "classify":
         argv += ["--element", "x1"]
     if command == "conjugacy":
         argv += ["--aut2", "b.json"]
-    cfg = config_from_args(argv)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_BOUNDS))
+def test_default_bounds(command):
+    cfg = config_from_args(_required_argv(command))
     assert cfg.bounds == DEFAULT_BOUNDS[command]
     assert (cfg.jobs, cfg.strict) == (1, False)
 
 
 def test_command_table_is_the_cli():
-    assert set(COMMANDS) == set(DEFAULT_BOUNDS)
+    assert set(COMMANDS) == set(DEFAULT_BOUNDS) == set(ONE_JOB)
+    assert {name for name, c in COMMANDS.items() if c.search} == \
+        {"atoroidal", "twins", "flare"}
+    # the commands that can return `undecided`
+    assert {name for name, c in COMMANDS.items() if c.strict} == \
+        {"traintrack", "conjugacy"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_jobs_and_strict_parse_only_where_declared(command, capsys):
+    entry = COMMANDS[command]
+    for flag, declared in ((["--jobs", "2"], entry.search is not None),
+                           (["--strict"], entry.strict)):
+        argv = _required_argv(command) + flag
+        if declared:
+            config_from_args(argv)
+        else:
+            with pytest.raises(SystemExit) as err:
+                config_from_args(argv)
+            assert err.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--element", "x1", "--jobs", "2"],
+    ["atoroidal", "--strict"],
+])
+def test_undeclared_flag_exits_2(fib_file, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--aut", fib_file])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# one job of every command, on inputs whose results hold words, fractions
+# and floats
+ONE_JOB = {
+    "classify": ("fib", ["--element", "x1 x2^-1"]),
+    "atoroidal": ("fib", ["--max-len", "6", "--max-exp", "4"]),
+    "twins": ("intro", []),
+    "flare": ("intro", ["--max-len", "2", "--max-iter", "3"]),
+    "traintrack": ("twist", []),
+    "constants": ("fib", []),
+    "nielsen": ("twist", []),
+    "torus-ab": ("intro", []),
+    "conjugacy": ("fib", ["--aut2", "swapped"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_JOB))
+def test_report_is_its_own_json(request, command):
+    name, args = ONE_JOB[command]
+    args = [request.getfixturevalue(f"{a}_file") if a == "swapped" else a
+            for a in args]
+    _, report = run(config_from_args(
+        [command, "--aut", request.getfixturevalue(f"{name}_file"), *args]))
+    assert json.loads(canonical_json(report)) == report
 
 
 @pytest.mark.parametrize("result, plain, strict", [

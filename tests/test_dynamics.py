@@ -321,8 +321,7 @@ def test_twin_search_images_each_descriptor_once_per_power(monkeypatch,
     rep = twin_search(toral_q, 2, 2)
     assert (rep.verdict, rep.tested) == ("exhausted", 21170)
     assert calls["compose"] == calls["power"] == 0
-    descriptors = len(dynamics._subgroup_descriptors(toral_q.presentation,
-                                                     2, 2))
+    descriptors = len(dynamics._subgroup_descriptors(toral_q.presentation, 2))
     assert calls["_act"] <= descriptors * 2
 
 
@@ -337,8 +336,7 @@ def _reference_twins(phi, max_power, conj_len):
     """(verdict, tested, index, element) of the twin search by the formula
     c = g_i^(m)-1 phi^m(u^-1 v) g_j^(m), with phi^m built by `power`, and
     g = phi^m(u) g_i^(m) a u^-1."""
-    descr = dynamics._subgroup_descriptors(phi.presentation, conj_len,
-                                           conj_len)
+    descr = dynamics._subgroup_descriptors(phi.presentation, conj_len)
     pairs = list(itertools.combinations(descr, 2))
     for m in range(1, max_power + 1):
         phi_m = power(phi, m)

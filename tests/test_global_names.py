@@ -24,7 +24,6 @@ import fpaut
 # Definitions with no caller inside the package, each kept for a reason
 # outside it.
 ENTRY_POINTS = {
-    ("automorphisms", "apply_inverse"): "bench target (bench/tracer.py)",
     ("automorphisms", "power"):
         "bench target (bench/tracer.py); bench/fixtures.py builds fib2 with it",
     ("cli", "automorphism_to_dict"): "bench/fixtures.py writes its inputs with it",

@@ -9,7 +9,7 @@ from fpaut import (EdgePath, Presentation, bounded_cancellation_constant,
                    build_standard_map, check_train_track, constants_report,
                    gate_structure, identity_automorphism, nielsen_search,
                    parse_word, render_word, transition_matrix)
-from fpaut.cli import COMMANDS, JobConfig, canonical_json
+from fpaut.cli import COMMANDS, JobConfig, canonical_json, to_jsonable
 from fpaut.errors import FactorsPermuted
 from fpaut import graph_maps
 from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _enumerate_paths,
@@ -358,7 +358,8 @@ def test_path_layer_reports_are_pinned(request, job):
     overrides = dict(zip(("max_len", "max_iter"), map(int, bounds)))
     cfg = JobConfig(command, bounds={**COMMANDS[command].bounds, **overrides})
     result = COMMANDS[command].runner(cfg, phi)
-    digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    digest = hashlib.sha256(
+        canonical_json(to_jsonable(result)).encode()).hexdigest()
     assert digest == RESULT_DIGESTS[job]
 
 

@@ -13,7 +13,7 @@ from fpaut import (BlockOrbitInstance, OrbitConstraint, Presentation,
                    conjugacy_pipeline, identity_automorphism, inverse,
                    mapping_torus_abelianization, parse_word, power, validate)
 from fpaut.automorphisms import ad, generator_word, is_toral
-from fpaut.cli import COMMANDS, JobConfig, canonical_json
+from fpaut.cli import COMMANDS, JobConfig, canonical_json, to_jsonable
 from fpaut.dynamics import enumerate_words
 from fpaut.errors import DimensionMismatch, PresentationMismatch
 from fpaut.mapping_torus import (ConjugacyVerdict, _abelian_invariants,
@@ -535,7 +535,8 @@ def test_mapping_torus_reports_are_pinned(request, job):
             result = COMMANDS[command].runner(cfg, phi, PARTNERS[partner](phi))
     else:
         result = COMMANDS[command].runner(JobConfig(command), phi)
-    digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    digest = hashlib.sha256(
+        canonical_json(to_jsonable(result)).encode()).hexdigest()
     assert digest == RESULT_DIGESTS[job]
 
 

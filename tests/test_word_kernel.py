@@ -6,7 +6,9 @@ The digest pins were taken before the action joined blocks, so they show
 that the kernel leaves the reports of the word-layer commands byte-identical.
 """
 
+import dataclasses
 import hashlib
+import json
 import shlex
 from collections import Counter
 
@@ -19,7 +21,8 @@ from fpaut import (Presentation, Word, apply, apply_power, conjugacy_key,
                    parse_word, reduce_syllables)
 from fpaut import automorphisms, dynamics, words
 from fpaut.automorphisms import apply_inverse
-from fpaut.cli import COMMANDS, JobConfig, canonical_json
+from fpaut.cli import (COMMANDS, JobConfig, automorphism_to_dict,
+                       canonical_json, config_from_args, run, to_jsonable)
 from fpaut.dynamics import atoroidal_search, enumerate_cyclic_words
 from fpaut.errors import IndexOutOfRange
 from fpaut.words import FactorSyllable, FreeSyllable, _track
@@ -312,7 +315,7 @@ def _run_job(job, phi):
     bounds = {**COMMANDS[command].bounds,
               **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}}
     cfg = JobConfig(command, bounds=bounds, element=element)
-    return COMMANDS[command].runner(cfg, phi)
+    return to_jsonable(COMMANDS[command].runner(cfg, phi))
 
 
 @pytest.mark.parametrize("job", sorted(RESULT_DIGESTS))
@@ -323,3 +326,19 @@ def test_word_layer_reports_are_pinned(request, job):
         phi = phi[0]
     digest = hashlib.sha256(canonical_json(_run_job(job, phi)).encode()).hexdigest()
     assert digest == RESULT_DIGESTS[job]
+
+
+@pytest.mark.parametrize("job", ["twins Q --max-exp 2 --conj-len 2",
+                                 "atoroidal Q --max-len 4 --max-exp 2 "
+                                 "--max-iter 2"])
+def test_sharded_exhausted_searches_equal_the_pins(toral_q, tmp_path, job):
+    # no shard stops early, so the process pool merges whole enumerations;
+    # jobs is set past the parser, so the pool runs even on one CPU
+    path = tmp_path / "Q.json"
+    path.write_text(json.dumps(automorphism_to_dict(toral_q)))
+    command, _, *args = shlex.split(job)
+    cfg = config_from_args([command, "--aut", str(path), *args])
+    code, report = run(dataclasses.replace(cfg, jobs=2))
+    assert (code, report["result"]["verdict"]) == (0, "exhausted")
+    result = canonical_json(report["result"])
+    assert hashlib.sha256(result.encode()).hexdigest() == RESULT_DIGESTS[job]
