@@ -416,8 +416,15 @@ _BOUND_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise `ParseError`, which `main` reports as JSON."""
+
+    def error(self, message):
+        raise ParseError(0, f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="fpaut",
         description="exact analysis of automorphisms of free products of "
                     "free-abelian groups and free groups")
@@ -477,7 +484,7 @@ def main(argv=None) -> int:
         text = json.dumps(report, sort_keys=True, indent=2)
         if cfg.out_path:
             Path(cfg.out_path).write_text(text + "\n")
-    except (FpAutError, OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (FpAutError, OSError, KeyError, ValueError, RecursionError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 2
     print(text)

@@ -73,11 +73,14 @@ def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
     `_is_least_rotation`.  A tie needs a syllable between two others, as
     the neighbours of the first syllable lie in other factors.
 
-    One generator frame walks the positions with an explicit stack of
-    candidate iterators; the last position is filled by a flat loop over the
-    syllables of exactly the mass left.  A candidate is a tuple (syllable,
-    track id, rank, mass), the rank being its place in sort-key order, so the
-    inner loops compare ints.
+    A candidate is a tuple (syllable, track id, rank, mass), the rank being
+    its place in sort-key order, so the inner loops compare ints.  The
+    nested generator `fill` recurses over the positions before the last; a
+    flat loop fills the last with every syllable of the mass left.  This
+    measured faster than an explicit stack, and it is safe: the recursion is
+    as deep as the tuple is long, and with two or more tracks m syllables
+    come only after 2^(m-2) shorter classes (with one, no tuple has two), so
+    only a min_len near the recursion limit reaches it.
     """
     nf = pres.num_factors
     per_mass = [[]] + [_syllables_of_mass(pres, mass)
@@ -93,56 +96,37 @@ def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
     spans = [[sum(cands[lo:hi + 1], ()) for hi in range(max_exp + 1)]
              for lo in range(max_exp + 1)]
 
+    def fill(head, ranks, rem, left, t_prev, t0, r0):
+        # (head, ranks, rem, t_prev, t0, r0) after each way to add `left`
+        # syllables before the last; t0, r0 (first track and rank) are read
+        # only under `cyclic`; lo..hi leaves the rest a mass it can take
+        lo, hi = max(1, rem - left * max_exp), min(max_exp, rem - left)
+        for s, t, r, mass in spans[lo][hi]:
+            if not head:
+                t0, r0 = t, r
+            elif t == t_prev or (cyclic and r < r0):
+                continue
+            if left == 1:
+                yield head + (s,), ranks + (r,), rem - mass, t, t0, r0
+            else:
+                yield from fill(head + (s,), ranks + (r,), rem - mass,
+                                left - 1, t, t0, r0)
+
     for m in range(max(1, min_len), max_len + 1):
-        if m == 1:
-            for total in range(1, max_exp + 1):
-                for s in per_mass[total]:
-                    yield (s,)
-            continue
         for total in range(m, m * max_exp + 1):
-            # positions 0..m-2 on the stack, len(its) == len(chosen) + 1
-            its = [iter(spans[max(1, total - (m - 1) * max_exp)]
-                        [min(max_exp, total - (m - 1))])]
-            rems = [total]
-            chosen = []
-            while its:
-                pos = len(chosen)
-                if pos:
-                    prev_t = chosen[-1][1]
-                    t0, r0 = chosen[0][1], chosen[0][2]
-                for cand in its[-1]:
-                    s, t, r, mass = cand
-                    if pos and (t == prev_t or (cyclic and r < r0)):
-                        continue
-                    break
-                else:
-                    its.pop()
-                    rems.pop()
-                    if chosen:
-                        chosen.pop()
-                    continue
-                rem = rems[-1] - mass
-                if pos < m - 2:
-                    slots_left = m - pos - 2
-                    chosen.append(cand)
-                    rems.append(rem)
-                    its.append(iter(spans[max(1, rem - slots_left * max_exp)]
-                                    [min(max_exp, rem - slots_left)]))
-                    continue
-                # last position: every syllable of mass exactly `rem`
-                if not pos:
-                    t0, r0 = t, r
-                head = tuple(c[0] for c in chosen) + (s,)
-                tie = False
-                if cyclic and pos >= 2:
-                    ranks = tuple(c[2] for c in chosen) + (r,)
-                    tie = r0 in ranks[2:]
-                for s2, t2, r2, _ in cands[rem]:
+            if m == 1:
+                yield from ((s,) for s in per_mass[total])
+                continue
+            for head, ranks, rem, t, t0, r0 in fill((), (), total, m - 1,
+                                                    None, None, None):
+                # the last syllable: every one of mass exactly `rem`
+                tie = cyclic and r0 in ranks[2:]
+                for s, t2, r2, _ in cands[rem]:
                     if t2 == t or (cyclic and (t2 == t0 or r2 < r0)):
                         continue
                     if tie and not _is_least_rotation(ranks + (r2,)):
                         continue
-                    yield head + (s2,)
+                    yield head + (s,)
 
 
 def _is_least_rotation(ranks: tuple) -> bool:

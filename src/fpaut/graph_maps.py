@@ -574,15 +574,19 @@ def nielsen_search(m: GraphMap, len_bound: int,
     Decoration vectors are enumerated with L1 mass <= len_bound; paths
     starting at a factor vertex are normalised to first decoration 0 (their
     translates realise every other choice), and a path is skipped when its
-    reverse was already enumerated.  Every witness is re-verified at word
-    level before being reported.
+    reverse precedes it in (vertex_key, path_key) order.  Every witness is
+    re-verified at word level before being reported.
 
-    Tightening commutes with f, so [f^n(p.e)] = [[f^n(p)] . [f^n(e)]].  The
-    search keeps, per depth, the reduction state (steps, pending) of
-    f^1..f^N of the current prefix; a child's states are the junction joins
-    of its parent's with the images f^n(e) of its last step, which are
-    computed once per distinct step.
+    Tightening commutes with f, so [f^n(p.e)] = [[f^n(p)] . [f^n(e)]].  One
+    depth-first loop walks an explicit stack whose frames hold the steps
+    still to try after a prefix and the reduction states (steps, pending)
+    of f^1..f^N of that prefix; a child's states are the junction joins of
+    its parent's with the images f^n(e) of its last step, computed once per
+    distinct step.  Non-canonical paths are walked too, as their children
+    may be canonical.  The walk must not recurse: F_1 has two reduced paths
+    of every length, so its depth reaches the length bound.
     """
+    pres = m.presentation
     blocks = {}  # step -> [state of f^n(step) for n = 1..exp_bound]
 
     def images_of(step):
@@ -597,72 +601,47 @@ def nielsen_search(m: GraphMap, len_bound: int,
             blocks[step] = got
         return got
 
-    states = [[((), None)] * exp_bound]  # states[d]: prefix of d steps
-    witnesses = []
-    for start, steps, canonical in _path_nodes(m.presentation, len_bound):
-        depth = len(steps)
-        if not canonical and depth == len_bound:
-            continue  # a leaf that is not tested needs no images
-        del states[depth:]
-        state = [_join(s, b) for s, b in zip(states[-1], images_of(steps[-1]))]
-        states.append(state)
-        if canonical:
-            found = _nielsen_test(m, start, steps, [out for out, _ in state])
-            if found is not None:
-                witnesses.append(found)
-    witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
-                                  path_key(w.path.steps)))
-    return witnesses
-
-
-def _enumerate_paths(pres: Presentation, len_bound: int):
-    """(start, steps) of the reduced paths with 1..len_bound steps.
-
-    A factor start leaves with decoration 0, later decorations have L1 mass
-    <= len_bound, and of a path and its reverse (first decoration set to 0)
-    only the smaller in (vertex_key, path_key) order is yielded.
-    """
-    for start, steps, canonical in _path_nodes(pres, len_bound):
-        if canonical:
-            yield start, tuple(steps)
-
-
-def _path_nodes(pres: Presentation, len_bound: int):
-    """(start, steps, canonical) for every reduced path with 1..len_bound
-    steps, in depth-first preorder; ``steps`` is the search's own list, so
-    it must be read before the next node is asked for.  ``canonical`` tells
-    whether the path is yielded by `_enumerate_paths`."""
-    starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
-    base_steps = base_directions(pres)
-    factor_steps = {}  # i -> (first departures, later departures)
+    # the departures from each vertex; a path leaves a factor start along 0
+    first = {BASE: base_directions(pres)}
+    later = dict(first)
     for i in range(1, pres.num_factors + 1):
         dim = pres.factor_rank(i)
-        factor_steps[i] = (
-            [("T", i, (0,) * dim)],
-            [("T", i, vec) for vec in sorted(
-                v for mass in range(len_bound + 1)
-                for v in _vectors_of_mass(dim, mass))])
+        first[factor_vertex(i)] = [("T", i, (0,) * dim)]
+        later[factor_vertex(i)] = [("T", i, vec) for vec in sorted(
+            v for mass in range(len_bound + 1)
+            for v in _vectors_of_mass(dim, mass))]
 
-    for start in starts:
-        steps = []
-        stack = [iter(base_steps if start == BASE else factor_steps[start[1]][0])]
+    witnesses = []
+    for start, departures in first.items():
+        steps = []  # the prefix of the top frame
+        stack = [(iter(departures), [((), None)] * exp_bound)]
         while stack:
-            step = next(stack[-1], None)
+            todo, states = stack[-1]
+            step = next(todo, None)
             if step is None:
                 stack.pop()
-                if steps:
-                    steps.pop()
+                del steps[-1:]  # the step into the frame; the root has none
                 continue
             if steps and _degenerate(steps[-1], step):
                 continue
             steps.append(step)
             at = step_target(step)
-            yield start, steps, _precedes_reverse(pres, start, steps, at)
-            if len(steps) == len_bound:
+            canonical = _precedes_reverse(pres, start, steps, at)
+            leaf = len(steps) == len_bound
+            if canonical or not leaf:  # an untested leaf needs no images
+                images = [_join(s, b) for s, b in zip(states, images_of(step))]
+            if canonical:
+                found = _nielsen_test(m, start, steps,
+                                      [out for out, _ in images])
+                if found is not None:
+                    witnesses.append(found)
+            if leaf:
                 steps.pop()
             else:
-                stack.append(iter(base_steps if at == BASE
-                                  else factor_steps[at[1]][1]))
+                stack.append((iter(later[at]), images))
+    witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
+                                  path_key(w.path.steps)))
+    return witnesses
 
 
 def _precedes_reverse(pres: Presentation, start, steps, end) -> bool:

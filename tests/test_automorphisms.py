@@ -4,10 +4,10 @@ from fpaut import (Presentation, Word, apply, apply_power, check_central_conditi
                    compose, identity_automorphism, inverse, is_toral, multiply,
                    parse_word, power, render_word, validate)
 from fpaut.automorphisms import ad, generator_word
-from fpaut.errors import (FactorsPermuted, NotAnAutomorphism,
+from fpaut.errors import (FactorsPermuted, IndexOutOfRange, NotAnAutomorphism,
                           NotFactorPreserving)
 from fpaut.matrices import IntegerMatrix
-from fpaut.words import FactorSyllable, FreeSyllable
+from fpaut.words import FactorSyllable, FreeSyllable, reduce_syllables
 
 from conftest import make_aut, random_word
 
@@ -176,3 +176,33 @@ def test_abelianized_matrix(fibonacci, toral_twist):
 
 def test_generator_word(z2z2):
     assert render_word(generator_word(z2z2, "a2.1")) == "a2.1"
+
+
+def _validate_changed(ranks, free, changes):
+    """validate() on the identity tables with ``changes`` made to the images."""
+    pres = Presentation(ranks, free)
+    names = pres.generator_names()
+    return lambda: make_aut(pres, {**{n: n for n in names}, **changes},
+                            {n: n for n in names})
+
+
+# input checks that no other test reaches
+@pytest.mark.parametrize("check, error, message", [
+    (_validate_changed((2, 2), 0, {"a1.1": ""}),
+     NotFactorPreserving, "a1.1 maps to the empty word"),
+    (_validate_changed((2, 2), 0, {"a2.1": "a1.1", "a2.2": "a1.2"}),
+     NotFactorPreserving, "factor map [1, 1] is not a permutation"),
+    (_validate_changed((2, 3), 0, {"a1.1": "a2.1", "a1.2": "a2.2",
+                                   "a2.1": "a1.1", "a2.2": "a1.2"}),
+     NotFactorPreserving, "factor 1 (rank 2) maps to factor 2 (rank 3)"),
+    (_validate_changed((), 2, {"x1": "x1 x2"}),
+     NotAnAutomorphism, "phi(psi(x1)) != x1"),
+    (lambda: reduce_syllables([FactorSyllable(1, (1, 0, 0))],
+                              Presentation((2, 2), 0)),
+     IndexOutOfRange, "factor 1 has rank 2, got vector of length 3"),
+], ids=["empty-image", "not-a-permutation", "rank-mismatch",
+        "not-inverse", "vector-length"])
+def test_input_checks(check, error, message):
+    with pytest.raises(error) as err:
+        check()
+    assert str(err.value) == message

@@ -426,7 +426,7 @@ def test_command_table_is_the_cli():
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_jobs_and_strict_parse_only_where_declared(command, capsys):
+def test_jobs_and_strict_parse_only_where_declared(command):
     entry = COMMANDS[command]
     for flag, declared in ((["--jobs", "2"], entry.search is not None),
                            (["--strict"], entry.strict)):
@@ -434,21 +434,54 @@ def test_jobs_and_strict_parse_only_where_declared(command, capsys):
         if declared:
             config_from_args(argv)
         else:
-            with pytest.raises(SystemExit) as err:
+            with pytest.raises(ParseError, match=f"unrecognized .*{flag[0]}"):
                 config_from_args(argv)
-            assert err.value.code == 2
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--element", "x1", "--jobs", "2"],
+    ["classify", "--jobs", "2", "--element", "x1"],
     ["atoroidal", "--strict"],
 ])
 def test_undeclared_flag_exits_2(fib_file, argv, capsys):
+    assert main(argv + ["--aut", fib_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert f"unrecognized arguments: {argv[1]}" in error
+
+
+# every argument error leaves through main's JSON line, naming the
+# subcommand whose parser found it
+@pytest.mark.parametrize("argv, message", [
+    (["atoroidal"], "fpaut atoroidal: the following arguments are required: --aut"),
+    ([], "fpaut: the following arguments are required: command"),
+    (["nope", "--aut", "x"], "fpaut: argument command: invalid choice: 'nope'"),
+    (["atoroidal", "--aut", "x", "--max-len", "abc"],
+     "fpaut atoroidal: argument --max-len: invalid int value: 'abc'"),
+    (["atoroidal", "--aut", "x", "--bogus"],
+     "fpaut: unrecognized arguments: --bogus"),
+])
+def test_argument_errors_exit_2_with_one_json_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert message in json.loads(captured.err)["error"]
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as err:
-        main(argv + ["--aut", fib_file])
-    assert err.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["atoroidal", "--help"])
+    assert err.value.code == 0
+    assert "--max-len" in capsys.readouterr().out
+
+
+def test_bounds_deeper_than_the_recursion_limit_exit_2(fib_file, capsys):
+    # 1,200 syllables: the enumerator recurses once per syllable
+    assert main(["flare", "--aut", fib_file, "--min-len", "1200",
+                 "--max-len", "1200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"].startswith("RecursionError")
 
 
 # one job of every command, on inputs whose results hold words, fractions

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
@@ -133,6 +134,27 @@ def test_enumerators_match_brute_force(bounds):
 def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
                                                    max_exp):
     _check_against_brute_force(Presentation(ranks, free), max_len, max_exp)
+
+
+# the brute force stops at 4 syllables; these digests pin the exact stream
+# (order included) at bounds it cannot reach
+@pytest.mark.parametrize("ranks, free, max_len, max_exp, cyclic, count, digest", [
+    ((), 3, 6, 2, True, 52_660,
+     "15169d2cf01494f8e4bdee57cfe5ad6432e140e5c450aabb5e01e303cbe30c0d"),
+    ((2, 3), 0, 4, 2, True, 41_940,
+     "b60643f1f4a99c4ec4de29a1003e98ea521362a061f8fdec98b35037db80f8d0"),
+    ((2, 2), 1, 3, 3, False, 58_806,
+     "d1b9bbbda70d88bf194a0e5189ed707e85b194669d96d822ee72896fb98a5765"),
+    ((1, 1), 2, 5, 2, True, 55_200,
+     "fe6c9df8df92fae78a2e0d14fa5e213b23b9775700f82e9f31e37130a49d4642")])
+def test_graded_sequences_order_pinned(ranks, free, max_len, max_exp, cyclic,
+                                       count, digest):
+    h, n = hashlib.sha256(), 0
+    for t in dynamics._graded_sequences(Presentation(ranks, free), max_len,
+                                        max_exp, 1, cyclic):
+        h.update((repr(t) + "\n").encode())
+        n += 1
+    assert (n, h.hexdigest()) == (count, digest)
 
 
 def test_rotation_check_runs_only_on_ties(tribonacci, monkeypatch):

@@ -29,8 +29,6 @@ ENTRY_POINTS = {
     ("cli", "automorphism_to_dict"): "bench/fixtures.py writes its inputs with it",
     ("dynamics", "no_twin_implication_check"):
         "test oracle: cross-checks atoroidal_search against twin_search",
-    ("graph_maps", "_enumerate_paths"):
-        "test oracle: brute-force reference for the nielsen_search walk",
     ("mapping_torus", "abelianized_action"): "bench target (bench/tracer.py)",
     ("mapping_torus", "block_orbit_solve"): "bench target (bench/tracer.py)",
     ("mapping_torus", "OrbitConstraint"): "the input record of block_orbit_solve",

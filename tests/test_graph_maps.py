@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,10 +13,11 @@ from fpaut import (EdgePath, Presentation, bounded_cancellation_constant,
 from fpaut.cli import COMMANDS, JobConfig, canonical_json, to_jsonable
 from fpaut.errors import FactorsPermuted
 from fpaut import graph_maps
-from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _enumerate_paths,
-                              _reverse_steps, factor_vertex, path_key,
-                              reduce_steps, spell, step_source, step_target,
-                              vertex_key)
+from fpaut.dynamics import _vectors_of_mass
+from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _precedes_reverse,
+                              _reverse_steps, base_directions, factor_vertex,
+                              path_key, reduce_steps, spell, step_source,
+                              step_target, vertex_key)
 from fpaut.matrices import IntegerMatrix
 
 from conftest import make_aut, random_word
@@ -262,6 +264,41 @@ def test_nielsen_none_for_anosov_loops(intro_anosov):
         assert all(step[0] != "T" or not any(step[2]) for step in w.path.steps)
 
 
+def _enumerate_paths(pres, len_bound):
+    """(start, steps) of the paths `nielsen_search` tests, in its order: the
+    reduced paths with 1..len_bound steps, a factor start leaving with
+    decoration 0 and later decorations of L1 mass <= len_bound, and of a
+    path and its reverse (first decoration set to 0) only the smaller in
+    (vertex_key, path_key) order.  A recursive walk, written apart from the
+    search's own loop."""
+    vecs = {i: sorted(v for mass in range(len_bound + 1)
+                      for v in _vectors_of_mass(pres.factor_rank(i), mass))
+            for i in range(1, pres.num_factors + 1)}
+
+    def departures(at, first):
+        if at == BASE:
+            return base_directions(pres)
+        i = at[1]
+        if first:
+            return [("T", i, (0,) * pres.factor_rank(i))]
+        return [("T", i, vec) for vec in vecs[i]]
+
+    def walk(start, steps):
+        at = step_target(steps[-1]) if steps else start
+        for step in departures(at, not steps):
+            if steps and _degenerate(steps[-1], step):
+                continue
+            path = steps + (step,)
+            if _precedes_reverse(pres, start, path, step_target(step)):
+                yield start, path
+            if len(path) < len_bound:
+                yield from walk(start, path)
+
+    for start in [BASE] + [factor_vertex(i)
+                           for i in range(1, pres.num_factors + 1)]:
+        yield from walk(start, ())
+
+
 def _brute_force_paths(pres, len_bound):
     """_enumerate_paths by filtering every step sequence, in the same order."""
     starts = [BASE] + [factor_vertex(i) for i in range(1, pres.num_factors + 1)]
@@ -423,6 +460,21 @@ def test_nielsen_images_equal_images_from_scratch(monkeypatch, request, name,
         for n in range(exp_bound):
             image = m.image_steps(image)
             assert images[n] == image, (start, steps, n + 1)
+
+
+def test_nielsen_search_is_a_loop_not_a_recursion():
+    # on F_1 every reduced path x1^n is Nielsen for x1 -> x1^-1 (f^2 = id):
+    # 300 of them, each one step deeper than the last, under a recursion
+    # limit far below 300
+    pres = Presentation((), 1)
+    m = build_standard_map(make_aut(pres, {"x1": "x1^-1"}, {"x1": "x1^-1"}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        found = nielsen_search(m, 300, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(found) == 300
 
 
 def test_involution_image_of_one_step_keeps_its_pending(involution):
