@@ -82,6 +82,9 @@ def _sha256_bytes(data: bytes) -> str:
 def load_automorphism(path: str):
     raw = Path(path).read_bytes()
     doc = json.loads(raw)
+    if not isinstance(doc, dict):
+        raise ParseError(0, "automorphism file must hold a JSON object, "
+                            f"not {type(doc).__name__}")
     pres = presentation_from_dict(doc["group"])
     phi = validate(word_table_from_dict(doc["images"], pres),
                    word_table_from_dict(doc["inverse_images"], pres), pres)

@@ -384,6 +384,13 @@ def gate_structure(m: GraphMap, depth: int) -> GateStructure:
     key at depth+1 is the direction map of the key at ``depth``, so the
     depth+1 partition is coarser and the two agree iff the direction map
     keeps the gate keys distinct.
+
+    The keys K_d = Df^d(D) of the n = p + 2k base directions D are nested,
+    K_{d+1} = Df(K_d) is a subset of K_d, so |K_d| shrinks until Df is a
+    bijection of K_d, and from then on ``stable`` holds.  Unless Df is
+    already a bijection of D (stable at every depth), |K_1| <= n - 1 and
+    each unstable depth removes a key, so every depth >= n - 1 is stable;
+    ``default_gate_depth`` = 2(p + k) + 4 is always above that bound.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -421,7 +428,8 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
     the injective factor matrix keeps them distinct, so only base turns can
     collapse.  A collision that first appears at the depth horizon cannot be
     told apart from noise, so an unstable base partition yields
-    ``undecided``.
+    ``undecided``.  That happens only at a depth below p + 2k - 1 (see
+    :func:`gate_structure`), never at ``default_gate_depth``.
     """
     gates = gate_structure(m, depth)
     pres = m.presentation

@@ -118,97 +118,69 @@ def is_unimodular(m: IntegerMatrix) -> bool:
     return m.nrows == m.ncols and abs(determinant(m)) == 1
 
 
-class _Snf:
-    """Mutable workspace for the Smith reduction with transform tracking."""
-
-    def __init__(self, m: IntegerMatrix):
-        self.a = [list(row) for row in m.entries]
-        self.nr, self.nc = m.nrows, m.ncols
-        self.u = [[1 if i == j else 0 for j in range(self.nr)] for i in range(self.nr)]
-        self.v = [[1 if i == j else 0 for j in range(self.nc)] for i in range(self.nc)]
-
-    def swap_rows(self, i, j):
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-
-    def swap_cols(self, i, j):
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(self, src, dst, c):
-        """row dst += c * row src"""
-        self.a[dst] = [x + c * y for x, y in zip(self.a[dst], self.a[src])]
-        self.u[dst] = [x + c * y for x, y in zip(self.u[dst], self.u[src])]
-
-    def add_col(self, src, dst, c):
-        for row in self.a:
-            row[dst] += c * row[src]
-        for row in self.v:
-            row[dst] += c * row[src]
-
-    def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-
-    def _diagonalize(self, t):
-        """Clear rows and columns from t on, smallest nonzero entry first."""
-        while True:
-            p = None
-            for i in range(t, self.nr):
-                for j in range(t, self.nc):
-                    x = abs(self.a[i][j])
-                    if x and (p is None or x < p[0]):
-                        p = (x, i, j)
-            if p is None:
-                return
-            _, pi, pj = p
-            self.swap_rows(t, pi)
-            self.swap_cols(t, pj)
-            done = True
-            for i in range(t + 1, self.nr):
-                if self.a[i][t]:
-                    self.add_row(t, i, -(self.a[i][t] // self.a[t][t]))
-                    if self.a[i][t]:
-                        done = False
-            for j in range(t + 1, self.nc):
-                if self.a[t][j]:
-                    self.add_col(t, j, -(self.a[t][j] // self.a[t][t]))
-                    if self.a[t][j]:
-                        done = False
-            if done:  # else a smaller pivot appeared below/right; redo block
-                if self.a[t][t] < 0:
-                    self.negate_row(t)
-                t += 1
-
-    def reduce(self):
-        self._diagonalize(0)
-        # enforce the divisibility chain d1 | d2 | ...
-        r = min(self.nr, self.nc)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r - 1):
-                di, dj = self.a[i][i], self.a[i + 1][i + 1]
-                if dj % (di if di else 1) != 0 or (di == 0 and dj != 0):
-                    # fold d_{i+1} into the d_i slot and re-reduce from i
-                    self.add_col(i + 1, i, 1)
-                    self._diagonalize(i)
-                    changed = True
-
-
 def smith_normal_form(m: IntegerMatrix):
     """U, D, V with U*M*V = D diagonal, U, V unimodular, d1 | d2 | ...
+
+    For an r x c matrix M the reduction runs on one bordered array
+    W = [[M, I_r], [I_c, 0]]: a row operation on the first r rows acts on
+    [M | U] and a column operation on the first c columns acts on [M ; V],
+    so each operation is written once and the transforms follow it.  At the end D = W[:r][:c], U = W[:r][c:]
+    and V = W[r:][:c].  The pivot is the smallest nonzero entry of the
+    block still to clear, the first in row-major order on ties.
 
     The factorization is re-verified by multiplication before returning; a
     failure would be a bug, not bad input.
     """
-    ws = _Snf(m)
-    ws.reduce()
-    u = IntegerMatrix(tuple(tuple(r) for r in ws.u))
-    v = IntegerMatrix(tuple(tuple(r) for r in ws.v))
-    d = IntegerMatrix(tuple(tuple(r) for r in ws.a))
+    nr, nc = m.nrows, m.ncols
+    w = [list(row) + [int(i == j) for j in range(nr)]
+         for i, row in enumerate(m.entries)]
+    w += [[int(i == j) for j in range(nc)] + [0] * nr for i in range(nc)]
+
+    def add_col(src, dst, k):
+        for row in w:
+            row[dst] += k * row[src]
+
+    def diagonalize(t):
+        """Clear rows and columns from t on, smallest nonzero entry first."""
+        while True:
+            p = min(((abs(w[i][j]), i, j) for i in range(t, nr)
+                     for j in range(t, nc) if w[i][j]), default=None)
+            if p is None:
+                return
+            _, pi, pj = p
+            w[t], w[pi] = w[pi], w[t]
+            for row in w:
+                row[t], row[pj] = row[pj], row[t]
+            done = True
+            for i in range(t + 1, nr):
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    done = done and not w[i][t]
+            for j in range(t + 1, nc):
+                if w[t][j]:
+                    add_col(t, j, -(w[t][j] // w[t][t]))
+                    done = done and not w[t][j]
+            if done:  # else a smaller pivot appeared below/right; redo block
+                if w[t][t] < 0:
+                    w[t] = [-x for x in w[t]]
+                t += 1
+
+    diagonalize(0)
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(min(nr, nc) - 1):
+            di, dj = w[i][i], w[i + 1][i + 1]
+            if dj % (di if di else 1) != 0 or (di == 0 and dj != 0):
+                # fold d_{i+1} into the d_i slot and re-reduce from i
+                add_col(i + 1, i, 1)
+                diagonalize(i)
+                changed = True
+    u = IntegerMatrix(tuple(tuple(row[nc:]) for row in w[:nr]))
+    d = IntegerMatrix(tuple(tuple(row[:nc]) for row in w[:nr]))
+    v = IntegerMatrix(tuple(tuple(row[:nc]) for row in w[nr:]))
     if (u * m) * v != d:
         raise AssertionError("SNF verification failed: U*M*V != D")
     if not is_unimodular(u) or not is_unimodular(v):
@@ -234,10 +206,7 @@ def invariant_factors(m: IntegerMatrix) -> tuple[int, ...]:
 
 def content(vec) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*vec)
 
 
 def solve_integer(m: IntegerMatrix, target: tuple[int, ...]):
@@ -390,9 +359,7 @@ def pf_growth_rate(m: IntegerMatrix) -> SpectralRadius:
                 x = y
                 break
             checkpoint_width = hi - lo
-        g = 0
-        for yi in y:
-            g = gcd(g, yi)
+        g = gcd(*y)
         x = tuple(yi // (g or 1) for yi in y)
     total = sum(x)
     vec = tuple(float(Fraction(xi, total)) for xi in x)

@@ -63,9 +63,31 @@ def render_word(w: Word) -> str:
 
 
 def presentation_from_dict(group: dict) -> Presentation:
-    return Presentation(tuple(group.get("abelian_factors", ())),
-                        int(group.get("free_rank", 0)))
+    """The `group` object of an automorphism file.
+
+    Ranks must be JSON integers (not booleans): at least 1 in
+    `abelian_factors`, at least 0 for `free_rank`.
+    """
+    if not isinstance(group, dict):
+        raise ParseError(0, f"group must be an object, not {type(group).__name__}")
+    factors = group.get("abelian_factors", [])
+    free_rank = group.get("free_rank", 0)
+    if not (isinstance(factors, list)
+            and all(type(n) is int and n >= 1 for n in factors)):
+        raise ParseError(0, "abelian_factors must be a list of integers >= 1, "
+                            f"not {factors!r}")
+    if not (type(free_rank) is int and free_rank >= 0):
+        raise ParseError(0, f"free_rank must be an integer >= 0, not {free_rank!r}")
+    return Presentation(tuple(factors), free_rank)
 
 
 def word_table_from_dict(table: dict, pres: Presentation) -> dict[str, Word]:
+    """An `images` or `inverse_images` object: generator names to words."""
+    if not isinstance(table, dict):
+        raise ParseError(0, "image table must be an object mapping names to "
+                            f"words, not {type(table).__name__}")
+    for name, text in table.items():
+        if not isinstance(text, str):
+            raise ParseError(0, f"image of {name!r} must be a word string, "
+                                f"not {type(text).__name__}")
     return {name: parse_word(text, pres) for name, text in table.items()}

@@ -201,27 +201,33 @@ class CyclicWord:
 def least_rotation(keys: Sequence) -> int:
     """Least start index of the lexicographically least rotation of keys.
 
-    Booth's algorithm (Booth 1980): a failure function over keys + keys
-    gives the answer in O(n) comparisons, against O(n^2) for the minimum
-    over all rotations.
+    Two candidate starts i and j are compared k keys deep.  At the first
+    difference, say keys[i + k] > keys[j + k], each start i + p with
+    0 <= p <= k begins a rotation strictly greater than the one at j + p,
+    so none of them is least and i jumps to i + k + 1.  Each comparison
+    raises i + j + k by at least one (a jump of k + 1 pays for resetting
+    k), and the scan stops once any of them reaches n, so it is O(n) and
+    needs no auxiliary array (against O(n^2) for the minimum over all
+    rotations).  Only starts strictly worse than another are skipped,
+    and both i and j pass every index below them, so when one start runs
+    past the end, or the two agree for n keys (a periodic list), min(i, j)
+    is the least index of a least rotation.
     """
-    s = list(keys) * 2
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:  # here i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
+    n = len(keys)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def _check_syllable(s: Syllable, pres: Presentation) -> None:

@@ -175,6 +175,33 @@ def test_traintrack_exact_factor_gates(tmp_path, capsys):
     assert report["result"]["stable"]
 
 
+# F_3 automorphism whose base partition is still unstable at depth 1
+HORIZON = {
+    "group": {"abelian_factors": [], "free_rank": 3},
+    "images": {"x1": "x3 x1 x3^-1", "x2": "x2 x1^-1 x3^-1", "x3": "x3 x1"},
+    "inverse_images": {"x1": "x3^-1 x1 x3", "x2": "x2 x3", "x3": "x1^-1 x3"},
+}
+
+
+def test_traintrack_horizon_only_below_stable_depth(tmp_path, capsys):
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(HORIZON))
+    argv = ["traintrack", "--aut", str(path)]
+    assert main(argv + ["--depth", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "undecided" and not result["stable"]
+    assert result["witness"] == [
+        "horizon", ["base", ["x", 2, -1], ["x", 1, -1]]]
+    assert main(argv + ["--depth", "1", "--strict"]) == 3
+    capsys.readouterr()
+    # the default depth 2(p + k) + 4 = 10 is past p + 2k - 1 = 5: stable
+    assert main(argv) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["depth"] == 10 and result["stable"]
+    assert result["status"] == "violated"
+    assert result["witness"][0] == "illegal image turn"
+
+
 def test_run_constants(fib_file):
     code, report = run(config_from_args(["constants", "--aut", fib_file]))
     assert code == 0
@@ -325,6 +352,21 @@ def test_cache_entry_holds_report_only(fib_file, tmp_path):
     doc = json.loads(entries[0].read_text())
     assert "exit_code" not in doc
     assert doc["canonical_sha256"] == report["canonical_sha256"]
+
+
+def test_failed_cache_write_leaves_no_entry(fib_file, tmp_path, monkeypatch):
+    # a write that fails before its rename must leave neither a temporary
+    # file nor an entry, so no half-written report is ever replayed
+    cache = tmp_path / "cache"
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        run_with_cache(config_from_args(
+            ["torus-ab", "--aut", fib_file, "--cache-dir", str(cache)]))
+    assert list(cache.iterdir()) == []
 
 
 def test_cache_key_follows_source_digest(fib_file, monkeypatch):
@@ -562,6 +604,33 @@ def test_unknown_generator_rejected(tmp_path, capsys):
     path.write_text(json.dumps({**FIB, "images": {**FIB["images"], "x3": "x1"}}))
     assert main(["torus-ab", "--aut", str(path)]) == 2
     assert "unknown generators ['x3']" in capsys.readouterr().err
+
+
+# malformed automorphism files are input errors (exit 2), not a traceback
+# with the witness code 1 and not silently coerced
+@pytest.mark.parametrize("doc, field", [
+    ({**FIB, "images": {"x1": 5}}, "'x1'"),
+    ({**FIB, "inverse_images": ["x2"]}, "image table"),
+    ([1, 2], "JSON object"),
+    ({**MIXED, "group": {"abelian_factors": [2.7], "free_rank": True}},
+     "abelian_factors"),
+    ({**MIXED, "group": {"abelian_factors": [2], "free_rank": True}},
+     "free_rank"),
+    ({**MIXED, "group": {"abelian_factors": [2], "free_rank": -1}},
+     "free_rank"),
+    ({**TWIST, "group": {"abelian_factors": "22", "free_rank": 0}},
+     "abelian_factors"),
+    ({**TWIST, "group": {"abelian_factors": [2, 0]}}, "abelian_factors"),
+    ({**FIB, "group": [2]}, "group"),
+])
+def test_malformed_automorphism_file_exits_2(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["torus-ab", "--aut", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("ParseError") and field in error
 
 
 def test_main_rejects_bad_lambda(fib_file, capsys):

@@ -189,6 +189,24 @@ def test_factor_gates_are_exact(data):
         assert gates.same_gate(("T", i, v), ("T", i, w)) == (v == w)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gate_partition_stable_from_p_plus_2k_minus_1(data):
+    # the keys K_d = Df^d(D) of the p + 2k base directions are nested and
+    # shrink until Df is a bijection of K_d, so every depth from
+    # p + 2k - 1 on is stable, and the default depth is above that
+    pres = data.draw(st.sampled_from((
+        Presentation((2, 2), 0), Presentation((2,), 1),
+        Presentation((), 2), Presentation((), 3))))
+    phi = data.draw(automorphisms_of(pres))
+    assume(phi.preserves_factor_classes)
+    m = build_standard_map(phi)
+    bound = max(1, len(base_directions(pres)) - 1)
+    assert graph_maps.default_gate_depth(pres) > bound
+    assert gate_structure(m, bound).stable
+    assert gate_structure(m, graph_maps.default_gate_depth(pres)).stable
+
+
 def test_bounded_cancellation(fib_map, twist_map, z2z2):
     assert bounded_cancellation_constant(fib_map, 4) == 1
     ident = build_standard_map(identity_automorphism(z2z2))

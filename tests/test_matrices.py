@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -92,6 +93,24 @@ def test_snf_random_stress():
         m = random_matrix(rng)
         u, d, v = smith_normal_form(m)  # self-verifying
         assert is_unimodular(u) and is_unimodular(v)
+
+
+def test_snf_transforms_pinned():
+    # U and V reach report bytes (torus-ab generator images, kernel bases,
+    # conjugacy psi images), so the exact transforms are pinned, not only
+    # their unimodularity
+    rng = random.Random(2026)
+    h = hashlib.sha256()
+    for _ in range(3000):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        m = IntegerMatrix(tuple(
+            tuple(rng.randint(-6, 6) if rng.random() < 0.7 else 0
+                  for _ in range(c))
+            for _ in range(r)))
+        u, d, v = smith_normal_form(m)
+        h.update((repr((u.entries, d.entries, v.entries)) + "\n").encode())
+    assert h.hexdigest() == (
+        "d8c81af03274449e73a6cb77146fda2123f4eddbc86bc7d1fca3c960bd11bf24")
 
 
 def test_solve_integer():

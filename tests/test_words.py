@@ -302,10 +302,15 @@ def _least_rotation_brute(keys):
 
 
 @settings(max_examples=300)
-@given(st.lists(st.integers(0, 2), max_size=9), st.integers(1, 4))
-def test_least_rotation_matches_brute_force(base, reps):
+@given(st.one_of(
+    st.tuples(st.lists(st.integers(0, 2), max_size=9), st.integers(1, 4)),
+    # long lists over {0, 1} share long runs of equal keys between starts,
+    # which is where the scan must jump rather than step
+    st.tuples(st.lists(st.integers(0, 1), max_size=50), st.integers(1, 4))))
+def test_least_rotation_matches_brute_force(case):
     # repeated bases give periodic lists, whose least rotation starts at
     # several indices; the least one is returned
+    base, reps = case
     keys = base * reps
     assert least_rotation(keys) == _least_rotation_brute(keys)
 
