@@ -17,10 +17,18 @@ built once on first use: a factor syllable a_i^v maps to
 g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
 c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
 phi(x_l).  The inverse side is built the same way from the inverse table.
-`_act` checks the factor or letter index of each input syllable once and
-joins the syllable's block, which is already reduced, onto the output
-(`words._join`): syllables merge or cancel only at the junctions, and the
-output is never re-reduced or re-checked.
+Each side is a table from syllable to block (`_Side`): the first lookup of
+a syllable checks its factor or letter index, vector length and exponent
+type, builds its block (already reduced) and stores it, and every later
+lookup of an equal syllable is one dict lookup.  A search acts on
+thousands of short classes made of a few dozen distinct syllables, so each
+block is built about once.  The table is cleared at `_BLOCKS_MAX` entries,
+since orbit iterates keep producing new vectors.  Because a block depends
+only on its syllable, concurrent lookups from several threads are safe:
+racing writers store equal values, and a clear only causes rebuilds.
+`_act` joins each block onto the output (`words._join`): syllables merge
+or cancel only at the junctions, and the output is never re-reduced or
+re-checked.
 
 `compose`, `inverse`, `power`, `ad` and `identity_automorphism` build their
 tables from automorphisms that are already validated (or from a conjugator),
@@ -76,7 +84,12 @@ def _apply_table(table: dict[str, Word], pres: Presentation, w: Word) -> Word:
 @dataclass(eq=False)
 class Automorphism:
     """Immutable after validation; construct through :func:`validate`
-    (or, for tables inverse by construction, the private `_trusted`)."""
+    (or, for tables inverse by construction, the private `_trusted`).
+
+    The two sides of the action (`_forward`, `_backward`) are built on
+    first use and then fill with one block per distinct syllable seen (see
+    `_Side`); they are caches, not state, and a pickled automorphism
+    carries them empty, so it still goes to the worker pool."""
 
     presentation: Presentation
     images: dict[str, Word]
@@ -222,10 +235,74 @@ def _trusted(images: dict[str, Word], inverse_images: dict[str, Word],
                         conjugators, matrices)
 
 
+# entries a side keeps before it starts over; orbit iterates keep producing
+# new vectors, and a cleared side only rebuilds
+_BLOCKS_MAX = 4096
+
+
+class _Side(dict):
+    """One direction of a validated automorphism: a table from input
+    syllable to its block, the reduced syllables of its image.
+
+    A missing syllable is checked (factor or letter index, vector length,
+    integer exponent), its block is built from the per-factor and
+    per-letter data, stored and returned; a syllable that fails a check
+    raises and is never stored.  Equal syllables pass the same checks, so a
+    hit needs none.  The table is cleared when it holds `_BLOCKS_MAX`
+    entries.
+
+    Safe to share between threads: a hit is one dict lookup, a miss stores
+    a block that depends only on the syllable (so racing writers store
+    equal values), and a `clear` that races a lookup only causes a rebuild.
+    A side pickles as its data alone, so the worker pool receives an empty
+    table.
+    """
+
+    def __init__(self, factors, letters):
+        super().__init__()
+        self.factors = factors
+        self.letters = letters
+
+    def __reduce__(self):
+        return _Side, (self.factors, self.letters)
+
+    def __missing__(self, s):
+        if isinstance(s, FactorSyllable):
+            if not 1 <= s.factor <= len(self.factors):
+                raise IndexOutOfRange(
+                    f"factor index {s.factor} not in 1..{len(self.factors)}")
+            g, target, m, g_inv = self.factors[s.factor - 1]
+            if len(s.vector) != m.ncols:
+                raise IndexOutOfRange(
+                    f"vector of length {len(s.vector)} in factor {s.factor} "
+                    f"of rank {m.ncols}")
+            block = ((*g, FactorSyllable(target, m.apply(s.vector)), *g_inv)
+                     if any(s.vector) else ())
+        else:
+            if not 1 <= s.letter <= len(self.letters):
+                raise IndexOutOfRange(
+                    f"free letter index {s.letter} not in 1..{len(self.letters)}")
+            e = s.exponent
+            if type(e) is not int:
+                raise TypeError(f"exponent of x{s.letter} is a "
+                                f"{type(e).__name__}, not an int")
+            c, core, core_inv, c_inv = self.letters[s.letter - 1]
+            if not e:
+                block = ()
+            elif len(core) == 1:
+                block = (*c, _syllable_power(core[0], e), *c_inv)
+            else:
+                # the core is cyclically reduced: core^e is core repeated
+                block = (*c, *(core * e if e > 0 else core_inv * -e), *c_inv)
+        if len(self) >= _BLOCKS_MAX:
+            self.clear()
+        self[s] = block
+        return block
+
+
 def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
-          matrices):
-    """One direction of a validated automorphism, as plain tuples (so an
-    Automorphism that carries it still pickles for the worker pool).
+          matrices) -> _Side:
+    """One direction of a validated automorphism as an empty `_Side`.
 
     Per factor i: (g_i syllables, sigma(i), M_i, g_i^-1 syllables).
     Per letter l: (c_l syllables, core_l, core_l^-1, c_l^-1 syllables) for
@@ -240,46 +317,16 @@ def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
         letters.append((c.syllables, cyc.core,
                         tuple(s.inverse() for s in reversed(cyc.core)),
                         c.inverse().syllables))
-    return factors, tuple(letters)
+    return _Side(factors, tuple(letters))
 
 
-def _act(side, pres: Presentation, w: Word) -> Word:
-    """The image of w under one side built by `_side`.
-
-    Each input syllable's factor or letter index and vector length are
-    checked, and the syllable's block (already reduced) is joined onto the
-    output; the output is never reduced or checked again.  A zero input
-    syllable maps to 1.
-    """
-    factors, letters = side
+def _act(side: _Side, pres: Presentation, w: Word) -> Word:
+    """The image of w under one side: each input syllable's block, checked
+    and built on its first lookup, is joined onto the output, which is
+    never reduced or checked again.  A zero input syllable maps to 1."""
     out = []
     for s in w.syllables:
-        if isinstance(s, FactorSyllable):
-            if not 1 <= s.factor <= len(factors):
-                raise IndexOutOfRange(
-                    f"factor index {s.factor} not in 1..{len(factors)}")
-            g, target, m, g_inv = factors[s.factor - 1]
-            if len(s.vector) != m.ncols:
-                raise IndexOutOfRange(
-                    f"vector of length {len(s.vector)} in factor {s.factor} "
-                    f"of rank {m.ncols}")
-            if not any(s.vector):
-                continue
-            block = (*g, FactorSyllable(target, m.apply(s.vector)), *g_inv)
-        else:
-            if not 1 <= s.letter <= len(letters):
-                raise IndexOutOfRange(
-                    f"free letter index {s.letter} not in 1..{len(letters)}")
-            e = s.exponent
-            if not e:
-                continue
-            c, core, core_inv, c_inv = letters[s.letter - 1]
-            if len(core) == 1:
-                block = (*c, _syllable_power(core[0], e), *c_inv)
-            else:
-                # the core is cyclically reduced: core^e is core repeated
-                block = (*c, *(core * e if e > 0 else core_inv * -e), *c_inv)
-        _join(out, block)
+        _join(out, side[s])
     return Word(pres, tuple(out))
 
 

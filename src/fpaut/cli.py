@@ -18,7 +18,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -113,6 +112,8 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
     if jobs <= 1:
         return COMMANDS[kind].search(phi, bounds)
+    # imported here, so a serial run does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_shard_worker,
                               [(kind, phi, bounds, (s, jobs))

@@ -7,18 +7,22 @@ automorphisms that `compose`, `inverse`, `power` and `ad` build without
 re-validation against `validate`."""
 
 import math
+import pickle
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpaut import (EdgePath, Presentation, apply, apply_power,
+from fpaut import (EdgePath, Presentation, Word, apply, apply_power,
                    build_standard_map, compose, identity_automorphism,
-                   inverse, multiply, power, reduce_syllables, validate)
+                   inverse, multiply, power, reduce_syllables, render_word,
+                   validate)
 from fpaut import automorphisms, words
 from fpaut.automorphisms import (_apply_table, ad, apply_inverse,
                                  generator_word)
+from fpaut.errors import IndexOutOfRange
 from fpaut.graph_maps import BASE, spell
 from fpaut.words import FactorSyllable, FreeSyllable
 
@@ -201,7 +205,7 @@ def test_compose_matches_table_composition(data):
 def _act_by_reduction(side, pres, w):
     """The action as it was before blocks were joined: the blocks of all
     syllables concatenated, then the whole list reduced once."""
-    factors, letters = side
+    factors, letters = side.factors, side.letters
     raw = []
     for s in w.syllables:
         if isinstance(s, FactorSyllable):
@@ -227,6 +231,111 @@ def test_joined_blocks_equal_one_reduction(data):
         for side in (phi._forward, phi._backward):
             assert automorphisms._act(side, pres, w) == \
                 _act_by_reduction(side, pres, w)
+
+
+# ---------------------------------------------------------------------------
+# the block table of each side
+
+def _fresh(phi):
+    """The same automorphism with both sides not yet built."""
+    return validate(dict(phi.images), dict(phi.inverse_images),
+                    phi.presentation)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (FactorSyllable(0, (1, 0)), IndexOutOfRange),
+    (FactorSyllable(2, (1, 0)), IndexOutOfRange),
+    (FactorSyllable(1, (1, 0, 0)), IndexOutOfRange),
+    (FactorSyllable(1, (0,)), IndexOutOfRange),
+    (FreeSyllable(0, 1), IndexOutOfRange),
+    (FreeSyllable(2, 1), IndexOutOfRange),
+    (FreeSyllable(1, 2.5), TypeError),
+    (FreeSyllable(1, 2.0), TypeError)])
+def test_failed_check_raises_every_time_and_stores_nothing(mixed, bad, error):
+    phi = _fresh(mixed[0])
+    pres = phi.presentation
+    good = Word(pres, (FactorSyllable(1, (1, 2)), FreeSyllable(1, 3)))
+    apply(phi, good)
+    apply_inverse(phi, good)
+    sizes = len(phi._forward), len(phi._backward)
+    w = Word(pres, (bad,))
+    for _ in range(3):
+        for act in (apply, apply_inverse):
+            with pytest.raises(error):
+                act(phi, w)
+    assert (len(phi._forward), len(phi._backward)) == sizes
+    assert apply(phi, good) == _apply_table(phi.images, pres, good)
+
+
+def test_float_exponent_is_not_stored_for_the_equal_int(fibonacci):
+    phi = _fresh(fibonacci)
+    pres = phi.presentation
+    # FreeSyllable(2, 2.0) == FreeSyllable(2, 2), and both hash alike
+    for e in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            apply(phi, Word(pres, (FreeSyllable(2, e),)))
+    assert render_word(apply(phi, Word(pres, (FreeSyllable(2, 2),)))) == "x1^2"
+    assert all(type(s.exponent) is int for s in phi._forward)
+
+
+def test_bounded_table_keeps_images(monkeypatch, rng, intro_anosov, mixed,
+                                    tribonacci):
+    monkeypatch.setattr(automorphisms, "_BLOCKS_MAX", 8)
+    for phi in (intro_anosov, mixed[0], tribonacci):
+        phi = _fresh(phi)
+        pres = phi.presentation
+        for _ in range(200):
+            w = random_word(pres, rng, max_exp=9)
+            for side in (phi._forward, phi._backward):
+                assert automorphisms._act(side, pres, w) == \
+                    _act_by_reduction(side, pres, w)
+                assert len(side) <= 8
+
+
+def test_tables_belong_to_their_automorphism(rng, mixed, fibonacci):
+    # short-lived automorphisms reuse the ids of freed ones; a table keyed
+    # by id would hand one automorphism the blocks of another
+    for phi in (mixed[0], fibonacci):
+        pres = phi.presentation
+        ws = [random_word(pres, rng) for _ in range(4)]
+        for _ in range(150):
+            psi = compose(ad(random_word(pres, rng, max_syllables=3), pres),
+                          phi)
+            for w in ws:
+                assert apply(psi, w) == _apply_table(psi.images, pres, w)
+                assert apply_inverse(psi, w) == \
+                    _apply_table(psi.inverse_images, pres, w)
+            del psi
+
+
+def test_threads_share_a_cold_table(monkeypatch, rng, intro_anosov):
+    # a small bound makes clears race the lookups as well
+    monkeypatch.setattr(automorphisms, "_BLOCKS_MAX", 32)
+    phi = _fresh(intro_anosov)
+    pres = phi.presentation
+    ws = [random_word(pres, rng, max_exp=5) for _ in range(300)]
+    serial = [_apply_table(phi.images, pres, w) for w in ws]
+    results = [None] * 4
+
+    def work(t):
+        results[t] = [apply(phi, w) for w in ws]
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [serial] * 4
+
+
+def test_pickled_automorphism_acts_alike(rng, mixed, tribonacci):
+    for phi in (mixed[0], tribonacci):
+        pres = phi.presentation
+        ws = [random_word(pres, rng) for _ in range(50)]
+        warm = [(apply(phi, w), apply_inverse(phi, w)) for w in ws]
+        assert len(phi._forward) and len(phi._backward)
+        clone = pickle.loads(pickle.dumps(phi))
+        assert clone == phi
+        assert [(apply(clone, w), apply_inverse(clone, w)) for w in ws] == warm
 
 
 def _assert_word_action_is_path_action(phi, m, w):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,6 +299,18 @@ def test_jobs_match_serial_atoroidal(fib_file):
     assert_jobs_match_serial(
         ["atoroidal", "--aut", fib_file, "--max-len", "5", "--max-exp", "3",
          "--max-iter", "4"])
+
+
+def test_serial_runs_do_not_load_the_process_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, fpaut.cli; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 SEARCHES = {"atoroidal": atoroidal_search, "twins": twin_search,

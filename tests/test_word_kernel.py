@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, apply, apply_power, conjugacy_key,
                    cyclic_normal_form, identity_automorphism, multiply,
-                   parse_word, reduce_syllables)
+                   parse_word, reduce_syllables, validate)
 from fpaut import automorphisms, dynamics, words
 from fpaut.automorphisms import apply_inverse
 from fpaut.cli import (COMMANDS, JobConfig, automorphism_to_dict,
                        canonical_json, config_from_args, run, to_jsonable)
 from fpaut.dynamics import atoroidal_search, enumerate_cyclic_words
 from fpaut.errors import IndexOutOfRange
+from fpaut.matrices import IntegerMatrix
 from fpaut.words import FactorSyllable, FreeSyllable, _track
 
 from test_action import raw_syllables
@@ -233,12 +234,31 @@ def test_atoroidal_search_images_only_classes_fixed_in_abelianization(
     assert calls["forward"] == acts <= passing * bounds[2]
 
 
+def test_flare_builds_each_factor_block_once(monkeypatch, mixed):
+    # a side builds a factor syllable's block only on its first lookup
+    phi = validate(dict(mixed[0].images), dict(mixed[0].inverse_images),
+                   mixed[1])
+    calls = Counter()
+    real = IntegerMatrix.apply
+
+    def counting(self, v):
+        calls["apply"] += 1
+        return real(self, v)
+    monkeypatch.setattr(IntegerMatrix, "apply", counting)
+    _run_job("flare mixed --min-len 2 --max-len 3 --max-exp 2 --max-iter 6",
+             phi)
+    stored = sum(isinstance(s, FactorSyllable)
+                 for side in (phi._forward, phi._backward) for s in side)
+    assert 0 < calls["apply"] <= stored
+
+
 # ---------------------------------------------------------------------------
 # pinned reports of the word-layer commands: default bounds, the bounds of
 # the benchmark's `search` and `orbit` job lists, two large exhausted
-# searches (pinned before the abelian prefilter of `atoroidal_search`), and
+# searches (pinned before the abelian prefilter of `atoroidal_search`),
 # exhausted searches on fixture Q (pinned before the head rule of
-# `twin_search`)
+# `twin_search`), and the slowest `flare` job (pinned before the block
+# table of the action)
 
 RESULT_DIGESTS = {
     "atoroidal fib":
@@ -289,6 +309,8 @@ RESULT_DIGESTS = {
         "815e3797e061b851397add59d692f86d28eaa1fb1482df6a24f76170b343fa8c",
     "atoroidal Q --max-len 4 --max-exp 2 --max-iter 2":
         "2fbd6da2d218b7337fadff0f5b71a6d2d776a4f021ab23dc29655bf0152dc6da",
+    "flare intro --min-len 2 --max-len 4 --max-exp 2 --max-iter 6":
+        "bf6f1882e0f741f0a736b3bd4b152e99e8c516c89ed45493de2558d3f2dddd70",
     "classify fib --element x1 --max-iter 15":
         "9101018da248d38811e3407ed49e4614df06cf7fd2895b965167ebc312a037b3",
     "classify fib --element 'x1 x2^-1' --max-iter 16":
