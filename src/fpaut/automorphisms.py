@@ -18,14 +18,14 @@ g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
 c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
 phi(x_l).  The inverse side is built the same way from the inverse table.
 Each side is a table from syllable to block (`_Side`): the first lookup of
-a syllable checks its factor or letter index, vector length and exponent
-type, builds its block (already reduced) and stores it, and every later
-lookup of an equal syllable is one dict lookup.  A search acts on
-thousands of short classes made of a few dozen distinct syllables, so each
-block is built about once.  The table is cleared at `_BLOCKS_MAX` entries,
-since orbit iterates keep producing new vectors.  Because a block depends
-only on its syllable, concurrent lookups from several threads are safe:
-racing writers store equal values, and a clear only causes rebuilds.
+a syllable checks its factor or letter index and vector length, builds its
+block (already reduced) and stores it, and every later lookup of an equal
+syllable is one dict lookup.  A search acts on thousands of short classes
+made of a few dozen distinct syllables, so each block is built about once.
+The table is cleared at `_BLOCKS_MAX` entries, since orbit iterates keep
+producing new vectors.  Because a block depends only on its syllable,
+concurrent lookups from several threads are safe: racing writers store
+equal values, and a clear only causes rebuilds.
 `_act` joins each block onto the output (`words._join`): syllables merge
 or cancel only at the junctions, and the output is never re-reduced or
 re-checked.
@@ -244,12 +244,12 @@ class _Side(dict):
     """One direction of a validated automorphism: a table from input
     syllable to its block, the reduced syllables of its image.
 
-    A missing syllable is checked (factor or letter index, vector length,
-    integer exponent), its block is built from the per-factor and
-    per-letter data, stored and returned; a syllable that fails a check
-    raises and is never stored.  Equal syllables pass the same checks, so a
-    hit needs none.  The table is cleared when it holds `_BLOCKS_MAX`
-    entries.
+    A missing syllable is checked (factor or letter index, vector length),
+    its block is built from the per-factor and per-letter data, stored and
+    returned; a syllable that fails a check raises and is never stored.
+    The syllable constructors admit int entries only, so equal syllables
+    pass the same checks and a hit needs none.  The table is cleared when
+    it holds `_BLOCKS_MAX` entries.
 
     Safe to share between threads: a hit is one dict lookup, a miss stores
     a block that depends only on the syllable (so racing writers store
@@ -283,9 +283,6 @@ class _Side(dict):
                 raise IndexOutOfRange(
                     f"free letter index {s.letter} not in 1..{len(self.letters)}")
             e = s.exponent
-            if type(e) is not int:
-                raise TypeError(f"exponent of x{s.letter} is a "
-                                f"{type(e).__name__}, not an int")
             c, core, core_inv, c_inv = self.letters[s.letter - 1]
             if not e:
                 block = ()

@@ -388,7 +388,10 @@ def run_with_cache(cfg: JobConfig):
     """`run` through the cache.  An entry holds the report only; the exit
     code is derived from it and from this job's --strict.  A new entry is
     keyed by the report's own ``inputs``, those of the bytes the job parsed,
-    so an input replaced meanwhile cannot mislabel it."""
+    so an input replaced meanwhile cannot mislabel it.  Every report gets a
+    ``timing`` block, the seconds of this call and ``cache`` "hit", "miss"
+    or "off"; it is outside the hash and never stored in an entry."""
+    t0 = time.perf_counter()
     cache = _cache_dir(cfg)
     if cache is not None:
         inputs = {label: {"path": os.path.basename(p),
@@ -398,8 +401,9 @@ def run_with_cache(cfg: JobConfig):
         entry = cache / f"{_cache_key(cfg, inputs)}.json"
         if entry.exists():
             report = json.loads(entry.read_text())
+            report["timing"] = {"seconds": time.perf_counter() - t0,
+                                "cache": "hit"}
             return exit_code(report["result"], cfg.strict), report
-    t0 = time.perf_counter()
     code, report = run(cfg)
     elapsed = time.perf_counter() - t0
     if cache is not None:
@@ -407,7 +411,8 @@ def run_with_cache(cfg: JobConfig):
         cache.mkdir(parents=True, exist_ok=True)
         _write_atomic(cache / f"{_cache_key(cfg, inputs)}.json",
                       canonical_json(report))
-    report["timing"] = {"seconds": elapsed}
+    report["timing"] = {"seconds": elapsed,
+                        "cache": "off" if cache is None else "miss"}
     return code, report
 
 

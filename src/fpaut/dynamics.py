@@ -1,10 +1,11 @@
 """Orbit growth, bounded-search atoroidality, twinned subgroups, flaring.
 
 Every negative verdict here is a bounded-search verdict: "exhausted" always
-means exhausted up to the recorded bounds, never a proof.  Enumeration runs
-in graded order (syllable count, then total exponent mass, then
-lexicographic) so results are reproducible and witnesses are found small
-side first.
+means exhausted up to the recorded bounds, never a proof.  Conjugacy
+classes are enumerated in graded order (syllable count, then total exponent
+mass, then lexicographic) so results are reproducible and witnesses are
+found small side first.  The twin search's subgroup descriptors (u, i) are
+in (factor i, `Word.sort_key` of u) order.
 """
 
 from __future__ import annotations
@@ -46,65 +47,62 @@ def _vectors_of_mass(dim: int, mass: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _syllables_of_mass(pres: Presentation, mass: int):
-    """All syllables of the given exponent mass, in sort order."""
-    out = []
-    for i in range(1, pres.num_factors + 1):
-        for vec in _vectors_of_mass(pres.factor_rank(i), mass):
-            out.append(FactorSyllable(i, vec))
-    for l in range(1, pres.free_rank + 1):
-        out.append(FreeSyllable(l, mass))
-        out.append(FreeSyllable(l, -mass))
-    out.sort(key=lambda s: s.sort_key())
-    return out
+def _ranked_syllables(pres: Presentation, max_exp: int) -> list:
+    """(syllable, track id, rank, mass) for every syllable of exponent mass
+    1..max_exp, in sort-key order, the rank being the place in that order;
+    the track id is the factor i, or num_factors + l for the letter x_l."""
+    nf, masses = pres.num_factors, range(1, max_exp + 1)
+    out = [(FactorSyllable(i, vec), i) for i in range(1, nf + 1)
+           for mass in masses
+           for vec in _vectors_of_mass(pres.factor_rank(i), mass)]
+    out += [(FreeSyllable(l, e), nf + l) for l in range(1, pres.free_rank + 1)
+            for mass in masses for e in (mass, -mass)]
+    out.sort(key=lambda c: c[0].sort_key())
+    return [(s, t, r, s.mass) for r, (s, t) in enumerate(out)]
 
 
-def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
-                      min_len: int = 1, cyclic: bool = False):
-    """Normal-form syllable tuples of min_len..max_len syllables, each of
-    exponent mass at most max_exp, in graded order (see `graded_key`).
+def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
+                           min_len: int = 1):
+    """Cyclically reduced hyperbolic conjugacy-class representatives of
+    min_len..max_len syllables, each of exponent mass at most max_exp, in
+    graded order (see `graded_key`).
 
-    With `cyclic` the last and first syllable must lie in different factors
-    as well, so every tuple is cyclically reduced, and only tuples that are
-    their own least rotation are yielded.  No syllable whose rank is below
-    the first syllable's is placed after it: the rotation starting there
-    would be smaller.  So a rotation can be smaller only where a later
-    syllable ties with the first; those tuples alone go to
-    `_is_least_rotation`.  A tie needs a syllable between two others, as
-    the neighbours of the first syllable lie in other factors.
+    Each Word is in cyclic normal form (its last and first syllable lie in
+    different factors as well) and is the least rotation of its class by
+    syllable sort key.  The elliptic classes, one factor syllable each, are
+    left out; a free syllable acts loxodromically on its loop edge, so it
+    counts as hyperbolic.  No syllable whose rank is below the first
+    syllable's is placed after it: the rotation starting there would be
+    smaller.  So a rotation can be smaller only where a later syllable ties
+    with the first; those tuples alone go to `_is_least_rotation`.  A tie
+    needs a syllable between two others, as the neighbours of the first
+    syllable lie in other factors.
 
-    A candidate is a tuple (syllable, track id, rank, mass), the rank being
-    its place in sort-key order, so the inner loops compare ints.  The
-    nested generator `fill` recurses over the positions before the last; a
-    flat loop fills the last with every syllable of the mass left.  This
+    A candidate is a tuple (syllable, track id, rank, mass) of
+    `_ranked_syllables`, so the inner loops compare ints.  The nested
+    generator `fill` recurses over the positions before the last; a flat
+    loop fills the last with every syllable of the mass left.  This
     measured faster than an explicit stack, and it is safe: the recursion is
     as deep as the tuple is long, and with two or more tracks m syllables
     come only after 2^(m-2) shorter classes (with one, no tuple has two), so
     only a min_len near the recursion limit reaches it.
     """
-    nf = pres.num_factors
-    per_mass = [[]] + [_syllables_of_mass(pres, mass)
-                       for mass in range(1, max_exp + 1)]
-    rank = {s: r for r, s in enumerate(
-        sorted((s for syls in per_mass for s in syls),
-               key=lambda s: s.sort_key()))}
-    cands = [tuple((s, s.factor if isinstance(s, FactorSyllable)
-                    else nf + s.letter, rank[s], mass)
-                   for s in syls)
-             for mass, syls in enumerate(per_mass)]
+    ranked = _ranked_syllables(pres, max_exp)
+    cands = [tuple(c for c in ranked if c[3] == mass)
+             for mass in range(max_exp + 1)]
     # spans[lo][hi]: the candidates of mass lo..hi, by mass then sort key
     spans = [[sum(cands[lo:hi + 1], ()) for hi in range(max_exp + 1)]
              for lo in range(max_exp + 1)]
 
     def fill(head, ranks, rem, left, t_prev, t0, r0):
         # (head, ranks, rem, t_prev, t0, r0) after each way to add `left`
-        # syllables before the last; t0, r0 (first track and rank) are read
-        # only under `cyclic`; lo..hi leaves the rest a mass it can take
+        # syllables before the last, t0 and r0 being the first track and
+        # rank; lo..hi leaves the rest a mass it can take
         lo, hi = max(1, rem - left * max_exp), min(max_exp, rem - left)
         for s, t, r, mass in spans[lo][hi]:
             if not head:
                 t0, r0 = t, r
-            elif t == t_prev or (cyclic and r < r0):
+            elif t == t_prev or r < r0:
                 continue
             if left == 1:
                 yield head + (s,), ranks + (r,), rem - mass, t, t0, r0
@@ -115,23 +113,24 @@ def _graded_sequences(pres: Presentation, max_len: int, max_exp: int,
     for m in range(max(1, min_len), max_len + 1):
         for total in range(m, m * max_exp + 1):
             if m == 1:
-                yield from ((s,) for s in per_mass[total])
+                yield from (Word(pres, (s,)) for s, *_ in cands[total]
+                            if type(s) is FreeSyllable)
                 continue
             for head, ranks, rem, t, t0, r0 in fill((), (), total, m - 1,
                                                     None, None, None):
                 # the last syllable: every one of mass exactly `rem`
-                tie = cyclic and r0 in ranks[2:]
+                tie = r0 in ranks[2:]
                 for s, t2, r2, _ in cands[rem]:
-                    if t2 == t or (cyclic and (t2 == t0 or r2 < r0)):
+                    if t2 == t or t2 == t0 or r2 < r0:
                         continue
                     if tie and not _is_least_rotation(ranks + (r2,)):
                         continue
-                    yield head + (s,)
+                    yield Word(pres, head + (s,))
 
 
 def _is_least_rotation(ranks: tuple) -> bool:
-    """No rotation of the rank tuple is below it.  Only a rotation that
-    starts at a rank equal to the first can be (see `_graded_sequences`)."""
+    """No rotation of the rank tuple is below it; only one starting at a
+    rank equal to the first can be (see `enumerate_cyclic_words`)."""
     r0 = ranks[0]
     return all(ranks[k:] + ranks[:k] >= ranks
                for k in range(2, len(ranks) - 1) if ranks[k] == r0)
@@ -143,28 +142,25 @@ def graded_key(w: Word):
     return (len(w), w.mass, tuple((s.mass, s.sort_key()) for s in w.syllables))
 
 
-def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
-                           min_len: int = 1):
-    """Cyclically reduced hyperbolic conjugacy-class representatives, graded.
-
-    Yields Words whose syllable tuple is in cyclic normal form and is the
-    lexicographically least rotation of its class; ordering is by syllable
-    count, then total exponent mass, then lexicographic.  The elliptic
-    classes, one factor syllable each, are left out; a free syllable acts
-    loxodromically on its loop edge, so it counts as hyperbolic.
-    """
-    for syl in _graded_sequences(pres, max_len, max_exp, min_len, cyclic=True):
-        if len(syl) == 1 and isinstance(syl[0], FactorSyllable):
-            continue
-        yield Word(pres, syl)
-
-
 def enumerate_words(pres: Presentation, max_len: int, max_exp: int):
-    """All normal-form words with <= max_len syllables, graded; starts with
-    the empty word."""
+    """All normal-form words of at most max_len syllables, each of exponent
+    mass at most max_exp, in `Word.sort_key` order: the empty word first,
+    then by syllable count, then syllable by syllable in sort-key order."""
+    ranked = _ranked_syllables(pres, max_exp)
+
+    def walk(head, t_prev, left):
+        # each way to add `left` syllables after `head`, depth first
+        for s, t, _, _ in ranked:
+            if t == t_prev:
+                continue
+            if left == 1:
+                yield Word(pres, head + (s,))
+            else:
+                yield from walk(head + (s,), t, left - 1)
+
     yield Word(pres)
-    for syl in _graded_sequences(pres, max_len, max_exp):
-        yield Word(pres, syl)
+    for m in range(1, max_len + 1):
+        yield from walk((), None, m)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +340,13 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
 
 
 def _subgroup_descriptors(pres: Presentation, conj_len: int):
-    """(u, i) with u a canonical coset representative of u A_i, over the
-    words u of at most conj_len syllables and exponent mass."""
-    out = []
-    for u in enumerate_words(pres, conj_len, conj_len):
-        for i in range(1, pres.num_factors + 1):
-            last = u.syllables[-1] if u.syllables else None
-            if isinstance(last, FactorSyllable) and last.factor == i:
-                continue
-            out.append((u, i))
-    out.sort(key=lambda d: (d[1], d[0].sort_key()))
-    return out
+    """(u, i) with u a canonical coset representative of u A_i (u does not
+    end in A_i), over the words u of at most conj_len syllables and
+    exponent mass, in (i, `Word.sort_key`) order."""
+    words = list(enumerate_words(pres, conj_len, conj_len))
+    return [(u, i) for i in range(1, pres.num_factors + 1) for u in words
+            if not (u and isinstance(u.syllables[-1], FactorSyllable)
+                    and u.syllables[-1].factor == i)]
 
 
 def twin_search(phi: Automorphism, max_power: int, conj_len: int,

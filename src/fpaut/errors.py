@@ -41,6 +41,12 @@ class DimensionMismatch(FpAutError):
     """Vectors or matrices have inconsistent dimensions."""
 
 
+def not_an_int(what: str, x) -> TypeError:
+    """The error for a value that must be exactly an int: a float is never
+    truncated, and a bool is not taken for one."""
+    return TypeError(f"{what} {x!r} is a {type(x).__name__}, not an int")
+
+
 class ParseError(FpAutError):
     """Malformed word or automorphism text.
 

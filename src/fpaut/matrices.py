@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, ZeroMatrix
+from .errors import DimensionMismatch, ZeroMatrix, not_an_int
 
 # width at which `pf_growth_rate` stops narrowing its bracket, and the most
 # power-iteration steps it takes
@@ -23,10 +23,14 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))  # tuple(t) is t for a tuple
+        object.__setattr__(self, "entries", rows)
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise not_an_int("matrix entry", x)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "entries", rows)
 
     @property
     def nrows(self) -> int:

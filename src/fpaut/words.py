@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyWord, IndexOutOfRange, PresentationMismatch
+from .errors import (EmptyWord, IndexOutOfRange, PresentationMismatch,
+                     not_an_int)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,11 @@ class Presentation:
     free_rank: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "abelian_ranks", tuple(int(n) for n in self.abelian_ranks))
+        if type(self.abelian_ranks) is not tuple:
+            object.__setattr__(self, "abelian_ranks", tuple(self.abelian_ranks))
+        for n in (*self.abelian_ranks, self.free_rank):
+            if type(n) is not int:
+                raise not_an_int("rank", n)
         if any(n < 1 for n in self.abelian_ranks):
             raise ValueError("every abelian factor must have rank >= 1")
         if self.free_rank < 0:
@@ -83,7 +88,15 @@ class FactorSyllable:
     vector: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(c) for c in self.vector))
+        v = self.vector
+        if type(v) is not tuple:
+            v = tuple(v)
+            object.__setattr__(self, "vector", v)
+        if type(self.factor) is not int:
+            raise not_an_int("factor index", self.factor)
+        for c in v:
+            if type(c) is not int:
+                raise not_an_int("vector entry", c)
 
     @property
     def mass(self) -> int:
@@ -102,6 +115,12 @@ class FreeSyllable:
 
     letter: int
     exponent: int
+
+    def __post_init__(self):
+        if type(self.letter) is not int:
+            raise not_an_int("letter index", self.letter)
+        if type(self.exponent) is not int:
+            raise not_an_int("exponent", self.exponent)
 
     @property
     def mass(self) -> int:

@@ -268,6 +268,24 @@ def test_cache_round_trip(fib_file, tmp_path):
     assert rep1["canonical_sha256"] == rep2["canonical_sha256"]
 
 
+def test_timing_says_whether_the_cache_answered(fib_file, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["torus-ab", "--aut", fib_file]
+    _, off = run_with_cache(config_from_args(argv))
+    _, miss = run_with_cache(config_from_args(argv + ["--cache-dir", str(cache)]))
+    _, hit = run_with_cache(config_from_args(argv + ["--cache-dir", str(cache)]))
+    assert [r["timing"]["cache"] for r in (off, miss, hit)] == \
+        ["off", "miss", "hit"]
+    assert all(r["timing"]["seconds"] >= 0 for r in (off, miss, hit))
+    # the block stays outside the hash and out of the entry
+    assert {k: v for k, v in hit.items() if k != "timing"} == \
+        {k: v for k, v in miss.items() if k != "timing"}
+    assert hit["canonical_sha256"] == miss["canonical_sha256"] == \
+        off["canonical_sha256"]
+    [entry] = cache.iterdir()
+    assert "timing" not in json.loads(entry.read_text())
+
+
 def assert_jobs_match_serial(argv, jobs="2"):
     code, serial = run(config_from_args(argv))
     code_j, parallel = run(config_from_args(argv + ["--jobs", jobs]))
@@ -352,7 +370,8 @@ def test_cache_exit_code_follows_strict(fib_file, swapped_file, tmp_path):
             "--conj-len", "2", "--cache-dir", str(tmp_path / "cache")]
     strict_code, strict = run_with_cache(config_from_args(argv + ["--strict"]))
     plain_code, plain = run_with_cache(config_from_args(argv))
-    assert "timing" not in plain  # a cache hit
+    assert plain["timing"]["cache"] == "hit"
+    assert strict["timing"]["cache"] == "miss"
     assert (strict_code, plain_code) == (3, 0)
     assert plain["canonical_sha256"] == strict["canonical_sha256"]
 
@@ -408,7 +427,7 @@ def test_cache_files_report_under_the_bytes_it_parsed(fib_file, swapped_file,
     _, swapped = run_with_cache(config_from_args(argv))
     monkeypatch.undo()
     _, replay_new = run_with_cache(config_from_args(argv))
-    assert "timing" not in replay_new  # a cache hit
+    assert replay_new["timing"]["cache"] == "hit"
     assert replay_new["canonical_sha256"] == swapped["canonical_sha256"]
     Path(fib_file).write_bytes(old)
     _, replay_old = run_with_cache(config_from_args(argv))

@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
@@ -14,7 +14,7 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    twin_search)
 from fpaut import dynamics
 from fpaut.cli import _merge_reports
-from fpaut.dynamics import _syllables_of_mass, enumerate_words, graded_key
+from fpaut.dynamics import _ranked_syllables, enumerate_words, graded_key
 from fpaut.errors import FactorsPermuted, TooShort
 from fpaut.matrices import IntegerMatrix, determinant
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, double_coset_rep,
@@ -62,13 +62,13 @@ def test_enumerations_in_graded_key_order(ranks, free, max_len, max_exp):
     pres = Presentation(ranks, free)
     words = list(enumerate_words(pres, max_len, max_exp))[1:]
     cyclic = list(enumerate_cyclic_words(pres, max_len, max_exp))
-    for seq in (words, cyclic):
-        keys = [graded_key(w) for w in seq]
+    for seq, key in ((words, Word.sort_key), (cyclic, graded_key)):
+        keys = [key(w) for w in seq]
         assert keys == sorted(set(keys))
     # the cyclic enumeration is the word enumeration filtered to
-    # cyclically reduced, rotation-least, hyperbolic words
+    # cyclically reduced, rotation-least, hyperbolic words, in graded order
     assert cyclic == [
-        w for w in words
+        w for w in sorted(words, key=graded_key)
         if len(cyclic_normal_form(w)) == len(w)
         and cyclic_normal_form(w).canonical_rotation() == w.syllables
         and (len(w) > 1 or isinstance(w.syllables[0], FreeSyllable))]
@@ -78,8 +78,7 @@ def _brute_sequences(pres, max_len, max_exp, min_len=1, cyclic=False):
     """Every syllable tuple from itertools.product, filtered to normal form
     (and with `cyclic` to cyclically reduced, brute-force least rotations),
     sorted by graded_key."""
-    syls = [s for mass in range(1, max_exp + 1)
-            for s in _syllables_of_mass(pres, mass)]
+    syls = [s for s, *_ in _ranked_syllables(pres, max_exp)]
     out = []
     for m in range(max(1, min_len), max_len + 1):
         for seq in itertools.product(syls, repeat=m):
@@ -95,12 +94,10 @@ def _brute_sequences(pres, max_len, max_exp, min_len=1, cyclic=False):
 
 
 def _check_against_brute_force(pres, max_len, max_exp):
-    assert list(enumerate_words(pres, max_len, max_exp)) == \
-        [Word(pres)] + _brute_sequences(pres, max_len, max_exp)
+    assert list(enumerate_words(pres, max_len, max_exp)) == [Word(pres)] + \
+        sorted(_brute_sequences(pres, max_len, max_exp), key=Word.sort_key)
     for min_len in (1, 2):
         ref = _brute_sequences(pres, max_len, max_exp, min_len, cyclic=True)
-        assert [Word(pres, syl) for syl in dynamics._graded_sequences(
-            pres, max_len, max_exp, min_len, cyclic=True)] == ref
         assert list(enumerate_cyclic_words(
             pres, max_len, max_exp, min_len=min_len)) == [
             w for w in ref
@@ -115,7 +112,7 @@ def small_bounds(draw):
     free = draw(st.integers(0 if ranks else 1, 3))
     pres = Presentation(ranks, free)
     max_exp = draw(st.integers(1, 2))
-    n_syls = sum(len(_syllables_of_mass(pres, e)) for e in range(1, max_exp + 1))
+    n_syls = len(_ranked_syllables(pres, max_exp))
     max_len = 1
     while max_len < 4 and n_syls ** (max_len + 1) <= 20_000:
         max_len += 1
@@ -151,17 +148,48 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
      "cedb9092fd7c7b287ce8c5eb33af8419c0e6757de5f5abd54ccb012b9698f9be")])
 def test_graded_sequences_order_pinned(ranks, free, max_len, max_exp, cyclic,
                                        count, digest):
-    pres = Presentation(ranks, free)
-    if cyclic:
-        stream = enumerate_cyclic_words(pres, max_len, max_exp)
-    else:
-        stream = sorted(enumerate_words(pres, max_len, max_exp),
-                        key=Word.sort_key)
+    enumerator = enumerate_cyclic_words if cyclic else enumerate_words
     h, n = hashlib.sha256(), 0
-    for w in stream:
+    for w in enumerator(Presentation(ranks, free), max_len, max_exp):
         h.update((repr(w.syllables) + "\n").encode())
         n += 1
     assert (n, h.hexdigest()) == (count, digest)
+
+
+def _graded_descriptors(pres, conj_len):
+    """The descriptor list as built from the graded word stream: filter out
+    the words ending in A_i, then sort by (i, sort key)."""
+    out = []
+    for u in sorted(enumerate_words(pres, conj_len, conj_len), key=graded_key):
+        for i in range(1, pres.num_factors + 1):
+            last = u.syllables[-1] if u.syllables else None
+            if isinstance(last, FactorSyllable) and last.factor == i:
+                continue
+            out.append((u, i))
+    out.sort(key=lambda d: (d[1], d[0].sort_key()))
+    return out
+
+
+@st.composite
+def descriptor_bounds(draw):
+    """A presentation of `small_bounds` and a conj_len in 1..3 whose
+    words the graded sort can take."""
+    pres = draw(small_bounds())[0]
+    top = 1
+    while top < 3 and len(_ranked_syllables(pres, top + 1)) ** (top + 1) \
+            <= 20_000:
+        top += 1
+    return pres, draw(st.integers(1, top))
+
+
+# the examples: the intro presentation at 2 and P (67,742 descriptors) at 3
+@settings(max_examples=40, deadline=None)
+@given(descriptor_bounds())
+@example((Presentation((2, 3), 0), 2))
+@example((Presentation((2, 2), 1), 3))
+def test_subgroup_descriptors_match_the_graded_construction(bounds):
+    assert dynamics._subgroup_descriptors(*bounds) == \
+        _graded_descriptors(*bounds)
 
 
 def test_rotation_check_runs_only_on_ties(tribonacci, monkeypatch):

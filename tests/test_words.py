@@ -7,6 +7,7 @@ from fpaut import (Presentation, Word, conjugacy_key, conjugate_test,
                    enumerate_cyclic_words, multiply, parse_word,
                    reduce_syllables, render_word)
 from fpaut.errors import EmptyWord, IndexOutOfRange, PresentationMismatch
+from fpaut.matrices import IntegerMatrix
 from fpaut.words import (FactorSyllable, FreeSyllable, least_rotation,
                          power)
 
@@ -26,6 +27,34 @@ def test_presentation_invariants():
         Presentation((0,), 1)
     with pytest.raises(ValueError):
         Presentation((2,), -1)
+
+
+# each used to be truncated by int() or, for a free exponent, kept as a
+# float that reduce_syllables and multiply then added up
+@pytest.mark.parametrize("build", [
+    lambda: FactorSyllable(1, (2.5, -0.7)),
+    lambda: FactorSyllable(1, (2.0, 1)),
+    lambda: FactorSyllable(1.0, (1, 0)),
+    lambda: FreeSyllable(1, 2.5),
+    lambda: FreeSyllable(1, 2.0),
+    lambda: FreeSyllable(True, 1),
+    lambda: IntegerMatrix(((1.5, 2.9), (0, 1))),
+    lambda: IntegerMatrix([[1, 0], [0, True]]),
+    lambda: Presentation((2.7,), 0),
+    lambda: Presentation((2,), 1.0)], ids=[
+    "vector-nonintegral", "vector-integral-float", "factor-float",
+    "exponent-nonintegral", "exponent-integral-float", "letter-bool",
+    "matrix-nonintegral", "matrix-bool", "rank-nonintegral",
+    "free-rank-integral-float"])
+def test_constructors_refuse_entries_that_are_not_ints(build):
+    with pytest.raises(TypeError, match="not an int"):
+        build()
+
+
+def test_constructors_take_any_sequence_of_ints():
+    assert FactorSyllable(1, [1, -2]) == FactorSyllable(1, (1, -2))
+    assert IntegerMatrix([[1, 2], (0, 1)]).entries == ((1, 2), (0, 1))
+    assert Presentation([2, 3], 1).abelian_ranks == (2, 3)
 
 
 def test_generator_names():
