@@ -25,8 +25,8 @@ from .graph_maps import (EdgePath, GateStructure, GraphMap,
                          transition_matrix)
 from .dynamics import (GrowthVerdict, OrbitData, SearchReport,
                        atoroidal_search, classify_growth,
-                       enumerate_cyclic_words, flare_certify,
-                       no_twin_implication_check, orbit_lengths, twin_search)
+                       enumerate_cyclic_words, flare_certify, orbit_lengths,
+                       twin_search)
 from .mapping_torus import (AbelianizationReport, BlockOrbitInstance,
                             ConjugacyVerdict, OrbitConstraint,
                             abelianized_action, block_orbit_solve,

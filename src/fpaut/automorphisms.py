@@ -18,10 +18,10 @@ g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
 c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
 phi(x_l).  The inverse side is built the same way from the inverse table.
 Each side is a table from syllable to block (`_Side`): the first lookup of
-a syllable checks its factor or letter index and vector length, builds its
-block (already reduced) and stores it, and every later lookup of an equal
-syllable is one dict lookup.  A search acts on thousands of short classes
-made of a few dozen distinct syllables, so each block is built about once.
+a syllable checks it (`words._check_syllable`), builds its block, reduced
+once, and stores it, and every later lookup of an equal syllable is one
+dict lookup.  A search acts on thousands of short classes made of a few
+dozen distinct syllables, so each block is built about once.
 The table is cleared at `_BLOCKS_MAX` entries, since orbit iterates keep
 producing new vectors.  Because a block depends only on its syllable,
 concurrent lookups from several threads are safe: racing writers store
@@ -45,12 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (FactorsPermuted, IndexOutOfRange, NotAnAutomorphism,
-                     NotFactorPreserving)
+from .errors import FactorsPermuted, NotAnAutomorphism, NotFactorPreserving
 from .matrices import IntegerMatrix, determinant
-from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _join,
-                    _syllable_power, abelianize, cyclic_normal_form,
-                    multiply, reduce_syllables, require_same_presentation)
+from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
+                    _check_syllable, _join, _syllable_power, abelianize,
+                    cyclic_normal_form, multiply, reduce_syllables,
+                    require_same_presentation)
 from .words import power as word_power
 
 
@@ -244,9 +244,9 @@ class _Side(dict):
     """One direction of a validated automorphism: a table from input
     syllable to its block, the reduced syllables of its image.
 
-    A missing syllable is checked (factor or letter index, vector length),
-    its block is built from the per-factor and per-letter data, stored and
-    returned; a syllable that fails a check raises and is never stored.
+    A missing syllable is checked by `words._check_syllable`, its block is
+    built from the per-factor and per-letter data, reduced once, stored and
+    returned; a syllable that fails the check raises and is never stored.
     The syllable constructors admit int entries only, so equal syllables
     pass the same checks and a hit needs none.  The table is cleared when
     it holds `_BLOCKS_MAX` entries.
@@ -258,39 +258,36 @@ class _Side(dict):
     table.
     """
 
-    def __init__(self, factors, letters):
+    def __init__(self, pres, factors, letters):
         super().__init__()
+        self.pres = pres
         self.factors = factors
         self.letters = letters
 
     def __reduce__(self):
-        return _Side, (self.factors, self.letters)
+        return _Side, (self.pres, self.factors, self.letters)
 
     def __missing__(self, s):
+        _check_syllable(s, self.pres)
         if isinstance(s, FactorSyllable):
-            if not 1 <= s.factor <= len(self.factors):
-                raise IndexOutOfRange(
-                    f"factor index {s.factor} not in 1..{len(self.factors)}")
+            # g_i does not end in A_sigma(i): the block is reduced as built
             g, target, m, g_inv = self.factors[s.factor - 1]
-            if len(s.vector) != m.ncols:
-                raise IndexOutOfRange(
-                    f"vector of length {len(s.vector)} in factor {s.factor} "
-                    f"of rank {m.ncols}")
             block = ((*g, FactorSyllable(target, m.apply(s.vector)), *g_inv)
                      if any(s.vector) else ())
         else:
-            if not 1 <= s.letter <= len(self.letters):
-                raise IndexOutOfRange(
-                    f"free letter index {s.letter} not in 1..{len(self.letters)}")
             e = s.exponent
             c, core, core_inv, c_inv = self.letters[s.letter - 1]
-            if not e:
-                block = ()
-            elif len(core) == 1:
-                block = (*c, _syllable_power(core[0], e), *c_inv)
+            if len(core) == 1:
+                mid = (_syllable_power(core[0], e),) if e else ()
             else:
                 # the core is cyclically reduced: core^e is core repeated
-                block = (*c, *(core * e if e > 0 else core_inv * -e), *c_inv)
+                mid = core * e if e > 0 else core_inv * -e
+            # c may end on the track of the core's first syllable, as for
+            # phi(x1) = a x1 a^2 with c = a^-2, so the block is joined once,
+            # here; for e = 0, c and c^-1 cancel
+            out = []
+            _join(out, (*c, *mid, *c_inv))
+            block = tuple(out)
         if len(self) >= _BLOCKS_MAX:
             self.clear()
         self[s] = block
@@ -314,7 +311,7 @@ def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
         letters.append((c.syllables, cyc.core,
                         tuple(s.inverse() for s in reversed(cyc.core)),
                         c.inverse().syllables))
-    return _Side(factors, tuple(letters))
+    return _Side(pres, factors, tuple(letters))
 
 
 def _act(side: _Side, pres: Presentation, w: Word) -> Word:

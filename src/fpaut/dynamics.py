@@ -15,17 +15,17 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import mul
 
 from .automorphisms import (Automorphism, apply, apply_inverse, apply_power,
-                            check_central_condition, conjugator_step,
-                            generator_word, require_class_preserving)
-from .errors import TooShort
-from .matrices import IntegerMatrix, determinant, kernel_vector
+                            conjugator_step, generator_word,
+                            require_class_preserving)
+from .errors import SelfCheckFailed, TooShort
+from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     abelianize, conjugate_test, cyclic_normal_form,
-                    double_coset_rep, multiply)
+                    double_coset_rep, least_rotation, multiply)
 
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
@@ -74,9 +74,10 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     counts as hyperbolic.  No syllable whose rank is below the first
     syllable's is placed after it: the rotation starting there would be
     smaller.  So a rotation can be smaller only where a later syllable ties
-    with the first; those tuples alone go to `_is_least_rotation`.  A tie
-    needs a syllable between two others, as the neighbours of the first
-    syllable lie in other factors.
+    with the first; only those rank tuples go to `least_rotation`, the one
+    rule of the word layer, and a tuple is kept when its least rotation
+    starts at index 0.  A tie needs a syllable between two others, as the
+    neighbours of the first syllable lie in other factors.
 
     A candidate is a tuple (syllable, track id, rank, mass) of
     `_ranked_syllables`, so the inner loops compare ints.  The nested
@@ -123,17 +124,9 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
                 for s, t2, r2, _ in cands[rem]:
                     if t2 == t or t2 == t0 or r2 < r0:
                         continue
-                    if tie and not _is_least_rotation(ranks + (r2,)):
+                    if tie and least_rotation(ranks + (r2,)):
                         continue
                     yield Word(pres, head + (s,))
-
-
-def _is_least_rotation(ranks: tuple) -> bool:
-    """No rotation of the rank tuple is below it; only one starting at a
-    rank equal to the first can be (see `enumerate_cyclic_words`)."""
-    r0 = ranks[0]
-    return all(ranks[k:] + ranks[:k] >= ranks
-               for k in range(2, len(ranks) - 1) if ranks[k] == r0)
 
 
 def graded_key(w: Word):
@@ -330,7 +323,9 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
             w = apply(phi, w)
             cyc = cyclic_normal_form(w)
             if len(cyc) == len(key) and cyc.canonical_rotation() == key:
-                assert conjugate_test(apply_power(phi, n, g), g)
+                if not conjugate_test(apply_power(phi, n, g), g):
+                    raise SelfCheckFailed(
+                        "periodic class failed re-verification")
                 return SearchReport("witness", bounds,
                                     witness={"element": g, "exponent": n,
                                              "index": idx},
@@ -428,7 +423,7 @@ def _verify_twin(phi: Automorphism, m: int, i: int, u: Word, g: Word):
                      u.inverse())
         y = multiply(multiply(gu.inverse(), apply_power(phi, m, x)), gu)
         if double_coset_rep(i, y, i):  # y is not in A_i
-            raise AssertionError("twin witness failed re-verification")
+            raise SelfCheckFailed("twin witness failed re-verification")
 
 
 def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
@@ -449,6 +444,7 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
         raise ValueError("min_len must not exceed max_len: no class to test")
     bounds = {"min_len": min_len, "max_len": max_len, "max_exp": max_exp,
               "n_max": n_max, "lambda_min": str(lam)}
+    p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
     ok = [True] * (n_max + 1)  # ok[N]: inequality holds for all words at N
     failures_at_nmax = []
     tested = 0
@@ -463,7 +459,7 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
             fwd = apply(phi, fwd)
             bwd = apply_inverse(phi, bwd)
             grown = max(len(cyclic_normal_form(fwd)), len(cyclic_normal_form(bwd)))
-            if lam * base > grown:
+            if p * base > q * grown:
                 ok[n] = False
                 if n == n_max:
                     failures_at_nmax.append(g)
@@ -491,57 +487,3 @@ def flare_report(bounds: dict, profile: tuple, failures: list,
                         tested=tested,
                         notes="words failing the flare inequality at n_max",
                         profile=profile)
-
-
-def _fixed_vector(m: IntegerMatrix):
-    """A nonzero integer vector with M v = v, or None."""
-    return kernel_vector(m - IntegerMatrix.identity(m.nrows))
-
-
-@dataclass
-class ImplicationReport:
-    central: dict
-    atoroidal: SearchReport
-    twins: SearchReport
-    status: str          # "vacuous" | "consistent" | "witness-beyond-bounds" | "violated"
-    constructed_class: Word | None = None
-    constructed_power: int | None = None
-
-
-def no_twin_implication_check(phi: Automorphism, max_len: int = 3,
-                              max_exp: int = 2, max_iter: int = 3,
-                              max_power: int = 2,
-                              conj_len: int = 2) -> ImplicationReport:
-    """Cross-check: central condition + atoroidal  =>  no twinned subgroups.
-
-    When the searches contradict the implication, the fixed hyperbolic class
-    the twin witness produces is constructed explicitly; if that class fails
-    its own re-verification the report flags a library bug ("violated").
-    Otherwise the contradiction only shows the atoroidal bounds were too
-    small ("witness-beyond-bounds").
-    """
-    central = check_central_condition(phi)
-    ator = atoroidal_search(phi, max_len, max_exp, max_iter)
-    twins = twin_search(phi, max_power, conj_len)
-    if not all(central.values()) or ator.verdict == "witness":
-        return ImplicationReport(central, ator, twins, "vacuous")
-    if twins.verdict != "witness":
-        return ImplicationReport(central, ator, twins, "consistent")
-    # central + atoroidal-up-to-bounds, yet a twin witness: build the class
-    wit = twins.witness
-    m, i, j = wit["power"], wit["factor_i"], wit["factor_j"]
-    u, v = wit["conj_u"], wit["conj_v"]
-    pres = phi.presentation
-    # up to conjugation, phi^m acts on A_i by M_i^m
-    x = _fixed_vector(reduce(mul, [phi.factor_matrix(i)] * m))
-    y = _fixed_vector(reduce(mul, [phi.factor_matrix(j)] * m))
-    if x is None or y is None:
-        return ImplicationReport(central, ator, twins, "violated")
-    h = multiply(
-        multiply(multiply(u, Word(pres, (FactorSyllable(i, x),))), u.inverse()),
-        multiply(multiply(v, Word(pres, (FactorSyllable(j, y),))), v.inverse()))
-    if h and conjugate_test(apply_power(phi, m, h), h):
-        return ImplicationReport(central, ator, twins, "witness-beyond-bounds",
-                                 constructed_class=h, constructed_power=m)
-    return ImplicationReport(central, ator, twins, "violated",
-                             constructed_class=h, constructed_power=m)

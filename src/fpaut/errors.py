@@ -41,6 +41,11 @@ class DimensionMismatch(FpAutError):
     """Vectors or matrices have inconsistent dimensions."""
 
 
+class SelfCheckFailed(FpAutError):
+    """A result failed its own re-verification: a bug in this package,
+    never a verdict about the input."""
+
+
 def not_an_int(what: str, x) -> TypeError:
     """The error for a value that must be exactly an int: a float is never
     truncated, and a bool is not taken for one."""

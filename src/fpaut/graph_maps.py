@@ -44,6 +44,7 @@ from functools import cached_property
 from .automorphisms import (Automorphism, apply_power, conjugator_step,
                             require_class_preserving)
 from .dynamics import _vectors_of_mass
+from .errors import SelfCheckFailed
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
                        pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
@@ -328,7 +329,7 @@ def build_standard_map(phi: Automorphism) -> GraphMap:
         images[("x", l, -1)] = spell(w.inverse())
     for d, img in images.items():
         if reduce_steps(img) != img:
-            raise AssertionError(f"image of {d} is not reduced")
+            raise SelfCheckFailed(f"image of {d} is not reduced")
     return GraphMap(phi, images)
 
 
@@ -710,7 +711,7 @@ def _nielsen_test(m: GraphMap, start, steps, images):
         # diff must be 1, or lie in A_i when the path ends at factor vertex i
         rest = diff if end == BASE else double_coset_rep(end[1], diff, end[1])
         if rest:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"nielsen witness failed word re-verification: {path}")
         return NielsenWitness(path, n, g)
     return None

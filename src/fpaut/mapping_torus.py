@@ -18,7 +18,7 @@ from .automorphisms import (Automorphism, _trusted, ad, compose,
                             generator_word, identity_automorphism, inverse,
                             is_toral, require_class_preserving)
 from .dynamics import enumerate_words
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SelfCheckFailed
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
                        invariant_factors, kernel_basis,
                        matrix_inverse_unimodular, smith_normal_form,
@@ -153,7 +153,7 @@ def _unimodular_taking(v2, w2) -> IntegerMatrix:
     uw, dw, _ = smith_normal_form(IntegerMatrix(tuple((x,) for x in w2)))
     u = matrix_inverse_unimodular(uw) * uv
     if dv != dw or u.apply(tuple(v2)) != tuple(w2):
-        raise AssertionError("unimodular transport failed verification")
+        raise SelfCheckFailed("unimodular transport failed verification")
     return u
 
 
@@ -261,7 +261,7 @@ def block_orbit_solve(inst: BlockOrbitInstance) -> OrbitVerdict:
             continue
         rho = block_matrix(n, m, b, u)
         if not _check_constraints(inst, rho):
-            raise AssertionError("orbit witness failed re-verification")
+            raise SelfCheckFailed("orbit witness failed re-verification")
         return OrbitVerdict("witness", rho)
     if complete:
         return OrbitVerdict("no_solution",
@@ -483,7 +483,7 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
         lhs = chi
         rhs = compose(phi2, ad(c, pres))
         if lhs != rhs:
-            raise AssertionError("conjugacy witness failed re-verification")
+            raise SelfCheckFailed("conjugacy witness failed re-verification")
         return ConjugacyVerdict(
             "conjugate",
             witness={"psi_images": dict(psi.images), "inner": c},

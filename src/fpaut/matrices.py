@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, ZeroMatrix, not_an_int
+from .errors import (DimensionMismatch, SelfCheckFailed, ZeroMatrix,
+                     not_an_int)
 
 # width at which `pf_growth_rate` stops narrowing its bracket, and the most
 # power-iteration steps it takes
@@ -186,19 +187,19 @@ def smith_normal_form(m: IntegerMatrix):
     d = IntegerMatrix(tuple(tuple(row[:nc]) for row in w[:nr]))
     v = IntegerMatrix(tuple(tuple(row[:nc]) for row in w[nr:]))
     if (u * m) * v != d:
-        raise AssertionError("SNF verification failed: U*M*V != D")
+        raise SelfCheckFailed("SNF verification failed: U*M*V != D")
     if not is_unimodular(u) or not is_unimodular(v):
-        raise AssertionError("SNF verification failed: transform not unimodular")
+        raise SelfCheckFailed("SNF verification failed: transform not unimodular")
     diag = d.diagonal()
     for i in range(len(diag) - 1):
         if diag[i] == 0 and diag[i + 1] != 0:
-            raise AssertionError("SNF verification failed: zero before nonzero")
+            raise SelfCheckFailed("SNF verification failed: zero before nonzero")
         if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
-            raise AssertionError("SNF verification failed: divisibility chain")
+            raise SelfCheckFailed("SNF verification failed: divisibility chain")
     for i in range(d.nrows):
         for j in range(d.ncols):
             if i != j and d[i, j] != 0:
-                raise AssertionError("SNF verification failed: not diagonal")
+                raise SelfCheckFailed("SNF verification failed: not diagonal")
     return u, d, v
 
 
@@ -268,7 +269,7 @@ def char_poly(m: IntegerMatrix) -> tuple[int, ...]:
               for row in a]
         c, r = divmod(-sum(am[i][i] for i in range(n)), k)
         if r:
-            raise AssertionError("characteristic polynomial not integral")
+            raise SelfCheckFailed("characteristic polynomial not integral")
         coeffs.append(c)
     return tuple(coeffs)
 

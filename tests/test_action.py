@@ -26,7 +26,7 @@ from fpaut.errors import IndexOutOfRange
 from fpaut.graph_maps import BASE, spell
 from fpaut.words import FactorSyllable, FreeSyllable
 
-from conftest import random_word
+from conftest import make_aut, random_word
 
 PRESENTATIONS = (
     Presentation((2,), 1),
@@ -275,6 +275,19 @@ def test_float_exponent_is_not_stored_for_the_equal_int(fibonacci):
             apply(phi, Word(pres, (FreeSyllable(2, e),)))
     assert render_word(apply(phi, Word(pres, (FreeSyllable(2, 2),)))) == "x1^2"
     assert all(type(s.exponent) is int for s in phi._forward)
+
+
+def test_letter_blocks_are_reduced():
+    # phi(x1) = a x1 a^2 has cyclic core (a^3, x1) and conjugator a^-2, so
+    # the raw block of x1 would hold the adjacent A_1 syllables a^-2, a^3
+    pres = Presentation((1,), 1)
+    phi = make_aut(pres, {"a1.1": "a1.1", "x1": "a1.1 x1 a1.1^2"},
+                   {"a1.1": "a1.1", "x1": "a1.1^-1 x1 a1.1^-2"})
+    for side, table in ((phi._forward, phi.images),
+                        (phi._backward, phi.inverse_images)):
+        for e in (1, -1, 2, -2, 3, -3):
+            assert side[FreeSyllable(1, e)] == \
+                words.power(table["x1"], e).syllables
 
 
 def test_bounded_table_keeps_images(monkeypatch, rng, intro_anosov, mixed,

@@ -8,7 +8,7 @@ import pytest
 
 from fpaut import (Presentation, atoroidal_search, flare_certify, parse_word,
                    render_word, twin_search)
-from fpaut import cli
+from fpaut import cli, dynamics
 from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
                        config_from_args, exit_code, load_automorphism, main,
                        run, run_with_cache)
@@ -319,16 +319,50 @@ def test_jobs_match_serial_atoroidal(fib_file):
          "--max-iter", "4"])
 
 
-def test_serial_runs_do_not_load_the_process_pool():
+def _source_env():
+    """The environment of a subprocess that imports this checkout's fpaut."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_serial_runs_do_not_load_the_process_pool():
     probe = ("import sys, fpaut.cli; print(sorted(m for m in sys.modules if m in "
              "('multiprocessing', 'concurrent.futures.process')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=_source_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+FIB_ATOROIDAL = ["atoroidal", "--max-len", "5", "--max-exp", "3",
+                 "--max-iter", "4"]
+
+
+def test_failed_self_check_exits_2(fib_file, capsys, monkeypatch):
+    # a witness that fails its re-verification is a bug, not a verdict:
+    # one JSON error line and exit 2, never a traceback with the witness
+    # code 1
+    monkeypatch.delenv("FPAUT_CACHE", raising=False)
+    monkeypatch.setattr(dynamics, "conjugate_test", lambda u, v: False)
+    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"].startswith("SelfCheckFailed: ")
+
+
+def test_self_check_runs_under_python_O(fib_file):
+    probe = ("import sys; from fpaut import cli, dynamics; "
+             "print(sys.flags.optimize); "
+             "dynamics.conjugate_test = lambda u, v: False; "
+             "sys.exit(cli.main(sys.argv[1:]))")
+    env = {k: v for k, v in _source_env().items() if k != "FPAUT_CACHE"}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", probe, *FIB_ATOROIDAL, "--aut", fib_file],
+        env=env, capture_output=True, text=True)
+    assert done.stdout == "1\n"
+    assert done.returncode == 2
+    assert json.loads(done.stderr)["error"].startswith("SelfCheckFailed: ")
 
 
 SEARCHES = {"atoroidal": atoroidal_search, "twins": twin_search,

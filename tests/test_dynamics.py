@@ -2,21 +2,25 @@ import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
-                   classify_growth, conjugate_test, cyclic_normal_form,
-                   enumerate_cyclic_words, flare_certify, multiply,
-                   no_twin_implication_check, orbit_lengths, parse_word, power,
-                   twin_search)
+                   check_central_condition, classify_growth, conjugate_test,
+                   cyclic_normal_form, enumerate_cyclic_words, flare_certify,
+                   multiply, orbit_lengths, parse_word, power, twin_search)
 from fpaut import dynamics
+from fpaut.automorphisms import Automorphism
 from fpaut.cli import _merge_reports
-from fpaut.dynamics import _ranked_syllables, enumerate_words, graded_key
+from fpaut.dynamics import (SearchReport, _ranked_syllables, enumerate_words,
+                            graded_key)
 from fpaut.errors import FactorsPermuted, TooShort
-from fpaut.matrices import IntegerMatrix, determinant
+from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, double_coset_rep,
                          reduce_syllables)
 
@@ -197,8 +201,8 @@ def test_rotation_check_runs_only_on_ties(tribonacci, monkeypatch):
     # rank, so rotations are compared only on the tuples where a later rank
     # ties with the first: 2,368 of them on trib 5/2, where 7,508 are kept
     calls = []
-    real = dynamics._is_least_rotation
-    monkeypatch.setattr(dynamics, "_is_least_rotation",
+    real = dynamics.least_rotation
+    monkeypatch.setattr(dynamics, "least_rotation",
                         lambda ranks: calls.append(ranks) or real(ranks))
     n = sum(1 for _ in enumerate_cyclic_words(tribonacci.presentation, 5, 2))
     assert n == 7508
@@ -500,7 +504,61 @@ def test_flare_rejects_empty_length_range(mixed):
         flare_certify(mixed[0], 5, 3, 1, 2, "1.1")
 
 
-# --- implication check -------------------------------------------------------
+# --- implication check (a test oracle) ---------------------------------------
+
+def _fixed_vector(m: IntegerMatrix):
+    """A nonzero integer vector with M v = v, or None."""
+    return kernel_vector(m - IntegerMatrix.identity(m.nrows))
+
+
+@dataclass
+class ImplicationReport:
+    central: dict
+    atoroidal: SearchReport
+    twins: SearchReport
+    status: str          # "vacuous" | "consistent" | "witness-beyond-bounds" | "violated"
+    constructed_class: Word | None = None
+    constructed_power: int | None = None
+
+
+def no_twin_implication_check(phi: Automorphism, max_len: int = 3,
+                              max_exp: int = 2, max_iter: int = 3,
+                              max_power: int = 2,
+                              conj_len: int = 2) -> ImplicationReport:
+    """Cross-check: central condition + atoroidal  =>  no twinned subgroups.
+
+    When the searches contradict the implication, the fixed hyperbolic class
+    the twin witness produces is constructed explicitly; if that class fails
+    its own re-verification the report flags a library bug ("violated").
+    Otherwise the contradiction only shows the atoroidal bounds were too
+    small ("witness-beyond-bounds").
+    """
+    central = check_central_condition(phi)
+    ator = atoroidal_search(phi, max_len, max_exp, max_iter)
+    twins = twin_search(phi, max_power, conj_len)
+    if not all(central.values()) or ator.verdict == "witness":
+        return ImplicationReport(central, ator, twins, "vacuous")
+    if twins.verdict != "witness":
+        return ImplicationReport(central, ator, twins, "consistent")
+    # central + atoroidal-up-to-bounds, yet a twin witness: build the class
+    wit = twins.witness
+    m, i, j = wit["power"], wit["factor_i"], wit["factor_j"]
+    u, v = wit["conj_u"], wit["conj_v"]
+    pres = phi.presentation
+    # up to conjugation, phi^m acts on A_i by M_i^m
+    x = _fixed_vector(reduce(mul, [phi.factor_matrix(i)] * m))
+    y = _fixed_vector(reduce(mul, [phi.factor_matrix(j)] * m))
+    if x is None or y is None:
+        return ImplicationReport(central, ator, twins, "violated")
+    h = multiply(
+        multiply(multiply(u, Word(pres, (FactorSyllable(i, x),))), u.inverse()),
+        multiply(multiply(v, Word(pres, (FactorSyllable(j, y),))), v.inverse()))
+    if h and conjugate_test(apply_power(phi, m, h), h):
+        return ImplicationReport(central, ator, twins, "witness-beyond-bounds",
+                                 constructed_class=h, constructed_power=m)
+    return ImplicationReport(central, ator, twins, "violated",
+                             constructed_class=h, constructed_power=m)
+
 
 def test_implication_vacuous_on_twist(toral_twist):
     rep = no_twin_implication_check(toral_twist)

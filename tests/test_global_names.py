@@ -1,5 +1,6 @@
-"""Every global name a function of the package reads must exist, and every
-module-level function or class must have a caller.
+"""Every global name a function of the package reads must exist, every
+module-level function or class must have a caller, and no check may be an
+``assert``.
 
 Python resolves ``LOAD_GLOBAL`` only when the line runs, so a missing import
 stays hidden until some rarely taken branch executes.  The first test walks
@@ -9,7 +10,9 @@ the sources with ``ast`` and fails on a definition that nothing in the
 package refers to outside its own body and ``__init__.py``: being exported
 and tested is not a use.  A reference is resolved to a (module, name) pair,
 so ``words.power`` imported as ``word_power`` is no use of
-``automorphisms.power``.  Both use only the standard library.
+``automorphisms.power``.  The third fails on any ``assert`` statement in
+the package: ``python -O`` strips them, so a self-check must raise
+``SelfCheckFailed`` instead.  All three use only the standard library.
 """
 
 import ast
@@ -24,14 +27,15 @@ import fpaut
 # Definitions with no caller inside the package, each kept for a reason
 # outside it.
 ENTRY_POINTS = {
+    ("automorphisms", "check_central_condition"):
+        "bench target (bench/tracer.py)",
     ("automorphisms", "power"):
         "bench target (bench/tracer.py); bench/fixtures.py builds fib2 with it",
     ("cli", "automorphism_to_dict"): "bench/fixtures.py writes its inputs with it",
-    ("dynamics", "no_twin_implication_check"):
-        "test oracle: cross-checks atoroidal_search against twin_search",
     ("mapping_torus", "abelianized_action"): "bench target (bench/tracer.py)",
     ("mapping_torus", "block_orbit_solve"): "bench target (bench/tracer.py)",
     ("mapping_torus", "OrbitConstraint"): "the input record of block_orbit_solve",
+    ("matrices", "kernel_vector"): "bench target (bench/tracer.py)",
 }
 
 
@@ -112,3 +116,12 @@ def test_every_definition_has_a_caller():
     assert not uncalled - set(ENTRY_POINTS), sorted(uncalled - set(ENTRY_POINTS))
     # an entry point that gained a caller, or was deleted, leaves the list
     assert set(ENTRY_POINTS) <= uncalled, sorted(set(ENTRY_POINTS) - uncalled)
+
+
+def test_no_assert_statement_in_the_package():
+    found = []
+    for path in sorted(Path(fpaut.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Assert)]
+    assert not found, found
