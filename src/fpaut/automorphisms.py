@@ -12,16 +12,15 @@ unimodular.
 Inverting an automorphism given only by images is a nontrivial algorithmic
 problem; requiring the inverse table keeps validation cheap and decidable.
 
-A validated automorphism acts on words syllable by syllable, through data
-built once on first use: a factor syllable a_i^v maps to
-g_i . a_{sigma(i)}^{M_i v} . g_i^-1, and a free syllable x_l^e to
-c_l . core_l^e . c_l^-1, where (c_l, core_l) is the cyclic normal form of
-phi(x_l).  The inverse side is built the same way from the inverse table.
-Each side is a table from syllable to block (`_Side`): the first lookup of
-a syllable checks it (`words._check_syllable`), builds its block, reduced
-once, and stores it, and every later lookup of an equal syllable is one
-dict lookup.  A search acts on thousands of short classes made of a few
-dozen distinct syllables, so each block is built about once.
+A validated automorphism acts on words syllable by syllable: a factor
+syllable a_i^v maps to g_i . a_{sigma(i)}^{M_i v} . g_i^-1, from the factor
+data (sigma, g_i, M_i), and a letter syllable x_l^e to phi(x_l)^e, the
+`words.power` of its image.  Each side (phi on the images, phi^-1 on the
+inverse images) is a table from syllable to block (`_Side`): the first
+lookup of a syllable checks it (`words._check_syllable`), builds its block
+and stores it, and every later lookup of an equal syllable is one dict
+lookup.  A search acts on thousands of short classes made of a few dozen
+distinct syllables, so each block is built about once.
 The table is cleared at `_BLOCKS_MAX` entries, since orbit iterates keep
 producing new vectors.  Because a block depends only on its syllable,
 concurrent lookups from several threads are safe: racing writers store
@@ -35,9 +34,9 @@ tables from automorphisms that are already validated (or from a conjugator),
 so the two tables are inverse by construction.  They go through the private
 `_trusted` constructor instead of `validate`: it reads (sigma, g_i, M_i) off
 the new images with the same `_factor_data` and runs neither the inverse
-check nor the determinant check.  Only the inverse check of `validate`
-expands tables generator by generator (`_apply_table`).  `power` multiplies
-by repeated squaring.
+check nor the determinant check.  `power` multiplies by repeated squaring.
+`_apply_table` substitutes table entries and reads no side: it is the
+inverse check of `validate` and the re-verification of every witness.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from functools import cached_property
 from .errors import FactorsPermuted, NotAnAutomorphism, NotFactorPreserving
 from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    _check_syllable, _join, _syllable_power, abelianize,
+                    _check_syllable, _join, abelianize,
                     cyclic_normal_form, multiply, reduce_syllables,
                     require_same_presentation)
 from .words import power as word_power
@@ -68,8 +67,8 @@ def generator_word(pres: Presentation, name: str) -> Word:
 
 
 def _apply_table(table: dict[str, Word], pres: Presentation, w: Word) -> Word:
-    """The word w with every generator replaced by its table entry; the
-    check of raw tables in `validate`, and the tests' reference action."""
+    """The word w with every generator replaced by its table entry, reading
+    no `_Side`: the check of raw tables and of every witness."""
     parts = []
     for s in w.syllables:
         if isinstance(s, FreeSyllable):
@@ -118,14 +117,14 @@ class Automorphism:
 
     @cached_property
     def _forward(self):
-        """The action of phi on syllables (see `_side`)."""
-        return _side(self.images, self.presentation, self.factor_permutation,
+        """The action of phi on syllables (see `_Side`)."""
+        return _Side(self.presentation, self.images, self.factor_permutation,
                      self.conjugators, self.factor_matrices)
 
     @cached_property
     def _backward(self):
-        """The action of phi^-1 on syllables (see `_side`)."""
-        return _side(self.inverse_images, self.presentation,
+        """The action of phi^-1 on syllables (see `_Side`)."""
+        return _Side(self.presentation, self.inverse_images,
                      *_factor_data(self.inverse_images, self.presentation))
 
     @cached_property
@@ -244,28 +243,30 @@ class _Side(dict):
     """One direction of a validated automorphism: a table from input
     syllable to its block, the reduced syllables of its image.
 
-    A missing syllable is checked by `words._check_syllable`, its block is
-    built from the per-factor and per-letter data, reduced once, stored and
-    returned; a syllable that fails the check raises and is never stored.
-    The syllable constructors admit int entries only, so equal syllables
-    pass the same checks and a hit needs none.  The table is cleared when
-    it holds `_BLOCKS_MAX` entries.
+    A missing syllable is checked by `words._check_syllable`, its block
+    (g_i a_sigma(i)^{M_i v} g_i^-1, or `words.power(table[x_l], e)`) is
+    built, stored and returned; a syllable that fails the check raises and
+    is never stored.  The syllable constructors admit int entries only, so
+    equal syllables pass the same checks and a hit needs none.  The table
+    is cleared when it holds `_BLOCKS_MAX` entries.
 
     Safe to share between threads: a hit is one dict lookup, a miss stores
     a block that depends only on the syllable (so racing writers store
     equal values), and a `clear` that races a lookup only causes a rebuild.
-    A side pickles as its data alone, so the worker pool receives an empty
-    table.
+    A side pickles as its inputs alone, so the worker pool receives an
+    empty table.
     """
 
-    def __init__(self, pres, factors, letters):
+    def __init__(self, pres, table, sigma, conjugators, matrices):
         super().__init__()
+        self.inputs = pres, table, sigma, conjugators, matrices
         self.pres = pres
-        self.factors = factors
-        self.letters = letters
+        self.table = table
+        self.factors = tuple((g.syllables, t, m, g.inverse().syllables)
+                             for t, g, m in zip(sigma, conjugators, matrices))
 
     def __reduce__(self):
-        return _Side, (self.pres, self.factors, self.letters)
+        return _Side, self.inputs
 
     def __missing__(self, s):
         _check_syllable(s, self.pres)
@@ -275,43 +276,11 @@ class _Side(dict):
             block = ((*g, FactorSyllable(target, m.apply(s.vector)), *g_inv)
                      if any(s.vector) else ())
         else:
-            e = s.exponent
-            c, core, core_inv, c_inv = self.letters[s.letter - 1]
-            if len(core) == 1:
-                mid = (_syllable_power(core[0], e),) if e else ()
-            else:
-                # the core is cyclically reduced: core^e is core repeated
-                mid = core * e if e > 0 else core_inv * -e
-            # c may end on the track of the core's first syllable, as for
-            # phi(x1) = a x1 a^2 with c = a^-2, so the block is joined once,
-            # here; for e = 0, c and c^-1 cancel
-            out = []
-            _join(out, (*c, *mid, *c_inv))
-            block = tuple(out)
+            block = word_power(self.table[f"x{s.letter}"], s.exponent).syllables
         if len(self) >= _BLOCKS_MAX:
             self.clear()
         self[s] = block
         return block
-
-
-def _side(table: dict[str, Word], pres: Presentation, sigma, conjugators,
-          matrices) -> _Side:
-    """One direction of a validated automorphism as an empty `_Side`.
-
-    Per factor i: (g_i syllables, sigma(i), M_i, g_i^-1 syllables).
-    Per letter l: (c_l syllables, core_l, core_l^-1, c_l^-1 syllables) for
-    the cyclic normal form c_l . core_l . c_l^-1 of the image of x_l.
-    """
-    factors = tuple((g.syllables, t, m, g.inverse().syllables)
-                    for t, g, m in zip(sigma, conjugators, matrices))
-    letters = []
-    for l in range(1, pres.free_rank + 1):
-        cyc = cyclic_normal_form(table[f"x{l}"])
-        c = cyc.conjugator
-        letters.append((c.syllables, cyc.core,
-                        tuple(s.inverse() for s in reversed(cyc.core)),
-                        c.inverse().syllables))
-    return _Side(pres, factors, tuple(letters))
 
 
 def _act(side: _Side, pres: Presentation, w: Word) -> Word:

@@ -384,13 +384,28 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _read_entry(entry: Path) -> dict | None:
+    """The report of a cache entry, or None when there is none, it does not
+    parse, or its text without ``canonical_sha256`` does not hash to it."""
+    try:
+        text = entry.read_text()
+        report = json.loads(text)
+        digest = report["canonical_sha256"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
+    # entries are written as canonical JSON: hash the text as it stands
+    body = text.replace(f',"canonical_sha256":"{digest}"', "", 1)
+    return report if _sha256_bytes(body.encode()) == digest else None
+
+
 def run_with_cache(cfg: JobConfig):
     """`run` through the cache.  An entry holds the report only; the exit
-    code is derived from it and from this job's --strict.  A new entry is
-    keyed by the report's own ``inputs``, those of the bytes the job parsed,
-    so an input replaced meanwhile cannot mislabel it.  Every report gets a
-    ``timing`` block, the seconds of this call and ``cache`` "hit", "miss"
-    or "off"; it is outside the hash and never stored in an entry."""
+    code is derived from it and from this job's --strict; a damaged entry
+    is a miss, and is overwritten.  A new entry is keyed by the report's
+    ``inputs``, those of the bytes the job parsed, so an input replaced
+    meanwhile cannot mislabel it.  Every report gets a ``timing`` block,
+    the seconds of this call and ``cache`` "hit", "miss" or "off"; it is
+    outside the hash and never stored in an entry."""
     t0 = time.perf_counter()
     cache = _cache_dir(cfg)
     if cache is not None:
@@ -398,9 +413,8 @@ def run_with_cache(cfg: JobConfig):
                           "sha256": _sha256_bytes(Path(p).read_bytes())}
                   for label, p in (("aut", cfg.aut_path), ("aut2", cfg.aut2_path))
                   if p}
-        entry = cache / f"{_cache_key(cfg, inputs)}.json"
-        if entry.exists():
-            report = json.loads(entry.read_text())
+        report = _read_entry(cache / f"{_cache_key(cfg, inputs)}.json")
+        if report is not None:
             report["timing"] = {"seconds": time.perf_counter() - t0,
                                 "cache": "hit"}
             return exit_code(report["result"], cfg.strict), report

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .automorphisms import (Automorphism, apply_power, conjugator_step,
+from .automorphisms import (Automorphism, _apply_table, conjugator_step,
                             require_class_preserving)
 from .dynamics import _vectors_of_mass
 from .errors import SelfCheckFailed
@@ -700,14 +700,17 @@ def _nielsen_test(m: GraphMap, start, steps, images):
                 g = multiply(conjugator(i, n), shift)
         if g is None:
             continue
-        # independent word-level verification of [f^n(p)] = g . p
+        # word-level verification of [f^n(p)] = g . p by table substitution
         path = EdgePath(pres, start, tuple(steps))
         w = path.word()
-        lhs = apply_power(phi, n, w)
         end = path.end_vertex()
-        if end != BASE:
-            lhs = multiply(lhs, conjugator(end[1], n))
-        diff = multiply(multiply(g, w).inverse(), lhs)
+        lhs, h = w, Word(pres)
+        for _ in range(n):
+            lhs = _apply_table(phi.images, pres, lhs)
+            if end != BASE:
+                h = multiply(_apply_table(phi.images, pres, h),
+                             phi.conjugator(end[1]))
+        diff = multiply(multiply(g, w).inverse(), multiply(lhs, h))
         # diff must be 1, or lie in A_i when the path ends at factor vertex i
         rest = diff if end == BASE else double_coset_rep(end[1], diff, end[1])
         if rest:

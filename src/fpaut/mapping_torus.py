@@ -14,9 +14,9 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .automorphisms import (Automorphism, _trusted, ad, compose,
-                            generator_word, identity_automorphism, inverse,
-                            is_toral, require_class_preserving)
+from .automorphisms import (Automorphism, _apply_table, _trusted, ad,
+                            compose, generator_word, identity_automorphism,
+                            inverse, is_toral, require_class_preserving)
 from .dynamics import enumerate_words
 from .errors import DimensionMismatch, SelfCheckFailed
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
@@ -479,11 +479,15 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
         c = _inner_witness(theta)
         if c is None:
             continue
-        # verify psi phi1 psi^-1 == phi2 o ad_c as full tables
-        lhs = chi
-        rhs = compose(phi2, ad(c, pres))
-        if lhs != rhs:
-            raise SelfCheckFailed("conjugacy witness failed re-verification")
+        # verify psi phi1 psi^-1 == phi2 o ad_c on every generator by table
+        # substitution, which reads none of the blocks that built chi
+        inner = ad(c, pres).images
+        for name in pres.generator_names():
+            lhs = _apply_table(psi.images, pres, _apply_table(
+                phi1.images, pres, psi.inverse_images[name]))
+            if lhs != _apply_table(phi2.images, pres, inner[name]):
+                raise SelfCheckFailed(
+                    "conjugacy witness failed re-verification")
         return ConjugacyVerdict(
             "conjugate",
             witness={"psi_images": dict(psi.images), "inner": c},

@@ -484,6 +484,31 @@ def test_cache_replays_no_report_of_another_file_name(fib_file, tmp_path):
     assert replay["canonical_sha256"] == fresh["canonical_sha256"]
 
 
+@pytest.mark.parametrize("damage", [
+    lambda text: text.replace('"verdict":"witness"', '"verdict":"exhausted"'),
+    lambda text: text[:len(text) // 2],
+], ids=["tampered", "truncated"])
+def test_damaged_cache_entry_is_recomputed(fib_file, tmp_path, capsys, damage):
+    # an entry whose text no longer hashes to its own canonical_sha256, or
+    # no longer parses, is a miss: the job runs again and overwrites it
+    cache = tmp_path / "cache"
+    argv = ["atoroidal", "--aut", fib_file, "--max-len", "5", "--max-exp",
+            "3", "--max-iter", "4", "--cache-dir", str(cache)]
+    assert main(argv) == 1
+    capsys.readouterr()
+    [entry] = cache.iterdir()
+    text = entry.read_text()
+    entry.write_text(damage(text))
+    assert entry.read_text() != text
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["verdict"] == "witness"
+    assert report["timing"]["cache"] == "miss"
+    assert entry.read_text() == text
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["timing"]["cache"] == "hit"
+
+
 def test_classify_cache_key_includes_element(fib_file, tmp_path):
     cache = tmp_path / "cache"
     for element in ("x1", "x2"):

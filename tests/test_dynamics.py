@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    check_central_condition, classify_growth, conjugate_test,
                    cyclic_normal_form, enumerate_cyclic_words, flare_certify,
-                   multiply, orbit_lengths, parse_word, power, twin_search)
+                   multiply, orbit_lengths, parse_word, power, twin_search,
+                   validate)
 from fpaut import dynamics
 from fpaut.automorphisms import Automorphism
 from fpaut.cli import _merge_reports
 from fpaut.dynamics import (SearchReport, _ranked_syllables, enumerate_words,
                             graded_key)
-from fpaut.errors import FactorsPermuted, TooShort
+from fpaut.errors import FactorsPermuted, SelfCheckFailed, TooShort
 from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, double_coset_rep,
                          reduce_syllables)
@@ -326,6 +327,25 @@ def test_atoroidal_witnesses_reverify(toral_twist, fibonacci):
         assert conjugate_test(apply_power(phi, n, w), w)
 
 
+def _with_fixed_letter_blocks(phi):
+    """A copy of phi whose forward blocks wrongly map x_l^1 and x_l^-1 to
+    themselves; its image tables are right."""
+    phi = validate(dict(phi.images), dict(phi.inverse_images),
+                   phi.presentation)
+    for l in range(1, phi.presentation.free_rank + 1):
+        for e in (1, -1):
+            s = FreeSyllable(l, e)
+            phi._forward[s] = (s,)
+    return phi
+
+
+def test_atoroidal_witness_is_rechecked_without_the_blocks(fibonacci):
+    # the wrong blocks fix the commutator at exponent 1 (its true exponent
+    # is 2); the re-verification substitutes the image table instead
+    with pytest.raises(SelfCheckFailed):
+        atoroidal_search(_with_fixed_letter_blocks(fibonacci), 5, 3, 4)
+
+
 # --- twin search -------------------------------------------------------------
 
 def test_twins_intro(intro_anosov):
@@ -336,17 +356,27 @@ def test_twins_intro(intro_anosov):
     assert not w["conj_u"] and not w["conj_v"] and not w["element"]
 
 
+def _mixing_letters():
+    pres = Presentation((2,), 2)
+    return make_aut(pres,
+                    {"a1.1": "a1.1^2 a1.2", "a1.2": "a1.1 a1.2",
+                     "x1": "x2", "x2": "x1 x2"},
+                    {"a1.1": "a1.1 a1.2^-1", "a1.2": "a1.1^-1 a1.2^2",
+                     "x1": "x2 x1^-1", "x2": "x1"})
+
+
 def test_twins_exhausted_for_mixing_letters():
     # Z^2 * F_2: the letters mix, so distinct A_1-cosets drift apart and no
     # pair of factor conjugates is simultaneously re-conjugated
-    pres = Presentation((2,), 2)
-    phi = make_aut(pres,
-                   {"a1.1": "a1.1^2 a1.2", "a1.2": "a1.1 a1.2",
-                    "x1": "x2", "x2": "x1 x2"},
-                   {"a1.1": "a1.1 a1.2^-1", "a1.2": "a1.1^-1 a1.2^2",
-                    "x1": "x2 x1^-1", "x2": "x1"})
-    rep = twin_search(phi, 2, 1)
+    rep = twin_search(_mixing_letters(), 2, 1)
     assert rep.verdict == "exhausted"
+
+
+def test_twin_witness_is_rechecked_without_the_blocks():
+    # the wrong blocks fix x1, so A_1 and x1 A_1 x1^-1 look twinned by
+    # g = 1; the re-verification substitutes the image table instead
+    with pytest.raises(SelfCheckFailed):
+        twin_search(_with_fixed_letter_blocks(_mixing_letters()), 2, 1)
 
 
 def test_twins_skip_equal_subgroups(z2z2, identity_z2z2):

@@ -1,6 +1,6 @@
 """Every global name a function of the package reads must exist, every
-module-level function or class must have a caller, and no check may be an
-``assert``.
+module-level function or class must have a caller, every name taken by a
+relative import must be read, and no check may be an ``assert``.
 
 Python resolves ``LOAD_GLOBAL`` only when the line runs, so a missing import
 stays hidden until some rarely taken branch executes.  The first test walks
@@ -10,9 +10,12 @@ the sources with ``ast`` and fails on a definition that nothing in the
 package refers to outside its own body and ``__init__.py``: being exported
 and tested is not a use.  A reference is resolved to a (module, name) pair,
 so ``words.power`` imported as ``word_power`` is no use of
-``automorphisms.power``.  The third fails on any ``assert`` statement in
-the package: ``python -O`` strips them, so a self-check must raise
-``SelfCheckFailed`` instead.  All three use only the standard library.
+``automorphisms.power``.  The third fails on a name that a module takes
+from a sibling by relative import and never reads (annotations count as
+reads; ``__init__.py``, which re-exports, is exempt).  The fourth fails on
+any ``assert`` statement in the package: ``python -O`` strips them, so a
+self-check must raise ``SelfCheckFailed`` instead.  All four use only the
+standard library.
 """
 
 import ast
@@ -27,6 +30,8 @@ import fpaut
 # Definitions with no caller inside the package, each kept for a reason
 # outside it.
 ENTRY_POINTS = {
+    ("automorphisms", "apply_power"):
+        "bench target (bench/tracer.py)",
     ("automorphisms", "check_central_condition"):
         "bench target (bench/tracer.py)",
     ("automorphisms", "power"):
@@ -116,6 +121,26 @@ def test_every_definition_has_a_caller():
     assert not uncalled - set(ENTRY_POINTS), sorted(uncalled - set(ENTRY_POINTS))
     # an entry point that gained a caller, or was deleted, leaves the list
     assert set(ENTRY_POINTS) <= uncalled, sorted(set(ENTRY_POINTS) - uncalled)
+
+
+def unused_sibling_imports(package: Path) -> list:
+    """``module: name`` for every name a module of `package` other than
+    ``__init__`` binds by relative import and never loads."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{path.stem}: {name}" for name in _bindings(tree)
+                  if name not in read]
+    return found
+
+
+def test_every_sibling_import_is_read():
+    found = unused_sibling_imports(Path(fpaut.__file__).parent)
+    assert not found, found
 
 
 def test_no_assert_statement_in_the_package():

@@ -19,6 +19,7 @@ from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _precedes_reverse,
                               path_key, reduce_steps, spell, step_source,
                               step_target, vertex_key)
 from fpaut.matrices import IntegerMatrix
+from fpaut.words import FactorSyllable
 
 from conftest import make_aut, random_word
 from test_action import PRESENTATIONS, automorphisms_of
@@ -271,6 +272,20 @@ def test_nielsen_toral_twist(twist_map):
     assert len(inter) == 1
     assert render_word(inter[0].element) == "a1.1"
     assert inter[0].exponent == 1
+
+
+def test_nielsen_witness_is_rechecked_without_the_blocks(z2z2):
+    # the path layer finds the witnesses of the identity; forward blocks
+    # that wrongly invert every factor syllable of mass <= 2 must not reach
+    # the word-level re-verification, which substitutes the image table
+    phi = identity_automorphism(z2z2)
+    for i in (1, 2):
+        for v in itertools.product(range(-2, 3), repeat=2):
+            if any(v):
+                phi._forward[FactorSyllable(i, v)] = \
+                    (FactorSyllable(i, tuple(-x for x in v)),)
+    assert nielsen_search(build_standard_map(phi), 2, 2) == nielsen_search(
+        build_standard_map(identity_automorphism(z2z2)), 2, 2)
 
 
 def test_nielsen_none_for_anosov_loops(intro_anosov):

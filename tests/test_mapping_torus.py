@@ -15,7 +15,8 @@ from fpaut import (BlockOrbitInstance, OrbitConstraint, Presentation,
 from fpaut.automorphisms import ad, generator_word, is_toral
 from fpaut.cli import COMMANDS, JobConfig, canonical_json, to_jsonable
 from fpaut.dynamics import enumerate_words
-from fpaut.errors import DimensionMismatch, PresentationMismatch
+from fpaut.errors import (DimensionMismatch, PresentationMismatch,
+                          SelfCheckFailed)
 from fpaut.mapping_torus import (ConjugacyVerdict, _abelian_invariants,
                                  _factor_substitution_candidates,
                                  _inner_witness, _substitution_automorphism)
@@ -271,6 +272,21 @@ def test_pipeline_factor_substitution(z2z2, toral_twist):
     phi2 = compose(compose(swap, toral_twist), inverse(swap))
     v = conjugacy_pipeline(toral_twist, phi2)
     assert v.status == "conjugate"
+
+
+def test_pipeline_witness_is_rechecked_without_composition(monkeypatch,
+                                                          fibonacci, free2):
+    # a compose that returns the identity makes theta inner by c = 1 and
+    # psi phi1 psi^-1 equal phi2 o ad_1; substituting the tables shows
+    # phi1 != phi2
+    from fpaut import mapping_torus
+
+    swapped = make_aut(free2, {"x1": "x2", "x2": "x2 x1"},
+                       {"x1": "x1^-1 x2", "x2": "x1"})
+    monkeypatch.setattr(mapping_torus, "compose",
+                        lambda phi, psi: identity_automorphism(free2))
+    with pytest.raises(SelfCheckFailed):
+        conjugacy_pipeline(fibonacci, swapped)
 
 
 def test_pipeline_without_factor_substitution_composes_only_identity(
