@@ -36,7 +36,8 @@ so the two tables are inverse by construction.  They go through the private
 the new images with the same `_factor_data` and runs neither the inverse
 check nor the determinant check.  `power` multiplies by repeated squaring.
 `_apply_table` substitutes table entries and reads no side: it is the
-inverse check of `validate` and the re-verification of every witness.
+inverse check of `validate`, and `fpaut.verify` re-checks every witness
+with it (`periodic_class`, `twinned_pair`, `nielsen_path`, `conjugacy`).
 """
 
 from __future__ import annotations
@@ -60,15 +61,12 @@ def generator_word(pres: Presentation, name: str) -> Word:
         pres.check_letter(l)
         return Word(pres, (FreeSyllable(l, 1),))
     i, j = name[1:].split(".")
-    i, j = int(i), int(j)
-    rank = pres.factor_rank(i)
-    vec = tuple(1 if r == j else 0 for r in range(1, rank + 1))
-    return Word(pres, (FactorSyllable(i, vec),))
+    return Word(pres, (pres.factor_generator(int(i), int(j)),))
 
 
 def _apply_table(table: dict[str, Word], pres: Presentation, w: Word) -> Word:
     """The word w with every generator replaced by its table entry, reading
-    no `_Side`: the check of raw tables and of every witness."""
+    no `_Side`: the check of raw tables and of witnesses (`fpaut.verify`)."""
     parts = []
     for s in w.syllables:
         if isinstance(s, FreeSyllable):

@@ -18,14 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .automorphisms import (Automorphism, _apply_table, apply, apply_inverse,
-                            conjugator_step, generator_word,
-                            require_class_preserving)
-from .errors import SelfCheckFailed, TooShort
+from . import verify
+from .automorphisms import (Automorphism, apply, apply_inverse,
+                            conjugator_step, require_class_preserving)
+from .errors import TooShort
 from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    abelianize, conjugate_test, cyclic_normal_form,
-                    double_coset_rep, least_rotation, multiply)
+                    abelianize, cyclic_normal_form, double_coset_rep,
+                    least_rotation, multiply)
 
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
@@ -323,13 +323,7 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
             w = apply(phi, w)
             cyc = cyclic_normal_form(w)
             if len(cyc) == len(key) and cyc.canonical_rotation() == key:
-                # re-verified by table substitution, which reads no block
-                image = g
-                for _ in range(n):
-                    image = _apply_table(phi.images, phi.presentation, image)
-                if not conjugate_test(image, g):
-                    raise SelfCheckFailed(
-                        "periodic class failed re-verification")
+                verify.periodic_class(phi, g, n)
                 return SearchReport("witness", bounds,
                                     witness={"element": g, "exponent": n,
                                              "index": idx},
@@ -363,8 +357,8 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     any choice of heads (h_m b, b in A_i, is one too).  Then g = h_m a u^-1,
     a the leading A_i syllable of c over that of u^-1 v.  g is unique: these
     are cosets of phi^m(H) and phi^m(K), distinct conjugates that meet
-    trivially, so they share at most one element.  Both conjugation
-    equations of g are re-verified on factor generators.
+    trivially, so they share at most one element.  `verify.twinned_pair`
+    re-checks both conjugation equations of g on factor generators.
     """
     require_class_preserving(phi)
     bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": conj_len}
@@ -398,8 +392,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             a = multiply(_leading_factor_part(c, i),
                          _leading_factor_part(w, i).inverse())
             g = multiply(multiply(h, a), u_inv)
-            _verify_twin(phi, m, i, u, g)
-            _verify_twin(phi, m, j, v, g)
+            verify.twinned_pair(phi, m, g, (u, i), (v, j))
             return SearchReport(
                 "witness", bounds,
                 witness={"factor_i": i, "conj_u": u, "factor_j": j,
@@ -415,21 +408,6 @@ def _leading_factor_part(w: Word, i: int):
     if syl and isinstance(syl[0], FactorSyllable) and syl[0].factor == i:
         return Word(w.presentation, (syl[0],))
     return Word(w.presentation)
-
-
-def _verify_twin(phi: Automorphism, m: int, i: int, u: Word, g: Word):
-    """Check phi^m(u a u^-1) lies in (gu) A_i (gu)^-1 for the generators a
-    of A_i by table substitution: independent of the heads and blocks."""
-    pres = phi.presentation
-    gu = multiply(g, u)
-    for r in range(1, pres.factor_rank(i) + 1):
-        x = multiply(multiply(u, generator_word(pres, f"a{i}.{r}")),
-                     u.inverse())
-        for _ in range(m):
-            x = _apply_table(phi.images, pres, x)
-        y = multiply(multiply(gu.inverse(), x), gu)
-        if double_coset_rep(i, y, i):  # y is not in A_i
-            raise SelfCheckFailed("twin witness failed re-verification")
 
 
 def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,

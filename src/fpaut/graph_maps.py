@@ -41,14 +41,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .automorphisms import (Automorphism, _apply_table, conjugator_step,
+from . import verify
+from .automorphisms import (Automorphism, conjugator_step,
                             require_class_preserving)
 from .dynamics import _vectors_of_mass
 from .errors import SelfCheckFailed
 from .matrices import (IntegerMatrix, SpectralRadius, is_irreducible_matrix,
                        pf_growth_rate, solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    double_coset_rep, multiply, reduce_syllables)
+                    multiply, reduce_syllables)
 
 BASE = "base"
 
@@ -584,7 +585,7 @@ def nielsen_search(m: GraphMap, len_bound: int,
     starting at a factor vertex are normalised to first decoration 0 (their
     translates realise every other choice), and a path is skipped when its
     reverse precedes it in (vertex_key, path_key) order.  Every witness is
-    re-verified at word level before being reported.
+    re-verified at word level before being reported (`verify.nielsen_path`).
 
     Tightening commutes with f, so [f^n(p.e)] = [[f^n(p)] . [f^n(e)]].  One
     depth-first loop walks an explicit stack whose frames hold the steps
@@ -700,21 +701,9 @@ def _nielsen_test(m: GraphMap, start, steps, images):
                 g = multiply(conjugator(i, n), shift)
         if g is None:
             continue
-        # word-level verification of [f^n(p)] = g . p by table substitution
         path = EdgePath(pres, start, tuple(steps))
-        w = path.word()
         end = path.end_vertex()
-        lhs, h = w, Word(pres)
-        for _ in range(n):
-            lhs = _apply_table(phi.images, pres, lhs)
-            if end != BASE:
-                h = multiply(_apply_table(phi.images, pres, h),
-                             phi.conjugator(end[1]))
-        diff = multiply(multiply(g, w).inverse(), multiply(lhs, h))
-        # diff must be 1, or lie in A_i when the path ends at factor vertex i
-        rest = diff if end == BASE else double_coset_rep(end[1], diff, end[1])
-        if rest:
-            raise SelfCheckFailed(
-                f"nielsen witness failed word re-verification: {path}")
+        verify.nielsen_path(phi, path.word(), None if end == BASE else end[1],
+                            n, g)
         return NielsenWitness(path, n, g)
     return None

@@ -2,10 +2,10 @@
 and the desk-scale conjugacy pipeline.
 
 The pipeline's verdict lattice is {conjugate, distinguished, undecided}: a
-``conjugate`` verdict always ships a witness that re-verifies by
-composition, a ``distinguished`` verdict ships the first abelianization
-invariant on which the two inputs differ, and everything the bounded
-searches cannot settle is ``undecided``.
+``conjugate`` verdict always ships a witness that re-verifies by table
+substitution (`verify.conjugacy`), a ``distinguished`` verdict ships the
+first abelianization invariant on which the two inputs differ, and
+everything the bounded searches cannot settle is ``undecided``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .automorphisms import (Automorphism, _apply_table, _trusted, ad,
-                            compose, generator_word, identity_automorphism,
-                            inverse, is_toral, require_class_preserving)
+from . import verify
+from .automorphisms import (Automorphism, _trusted, compose, generator_word,
+                            identity_automorphism, inverse, is_toral,
+                            require_class_preserving)
 from .dynamics import enumerate_words
 from .errors import DimensionMismatch, SelfCheckFailed
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
@@ -479,15 +480,7 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
         c = _inner_witness(theta)
         if c is None:
             continue
-        # verify psi phi1 psi^-1 == phi2 o ad_c on every generator by table
-        # substitution, which reads none of the blocks that built chi
-        inner = ad(c, pres).images
-        for name in pres.generator_names():
-            lhs = _apply_table(psi.images, pres, _apply_table(
-                phi1.images, pres, psi.inverse_images[name]))
-            if lhs != _apply_table(phi2.images, pres, inner[name]):
-                raise SelfCheckFailed(
-                    "conjugacy witness failed re-verification")
+        verify.conjugacy(phi1, phi2, psi, c)
         return ConjugacyVerdict(
             "conjugate",
             witness={"psi_images": dict(psi.images), "inner": c},

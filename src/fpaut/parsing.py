@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import IndexOutOfRange, ParseError
-from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    reduce_syllables)
+from .errors import ParseError
+from .words import FreeSyllable, Presentation, Word, reduce_syllables
 
 _TOKEN = re.compile(
     r"(?:a(?P<i>\d+)\.(?P<j>\d+)|x(?P<l>\d+))(?:\^(?P<e>[+-]?\d+))?$")
@@ -36,13 +35,8 @@ def parse_word(text: str, pres: Presentation) -> Word:
             pres.check_letter(l)
             raw.append(FreeSyllable(l, e))
         else:
-            i, j = int(m.group("i")), int(m.group("j"))
-            rank = pres.factor_rank(i)
-            if not 1 <= j <= rank:
-                raise IndexOutOfRange(
-                    f"factor {i} has rank {rank}, no generator a{i}.{j}")
-            vec = tuple(e if r == j else 0 for r in range(1, rank + 1))
-            raw.append(FactorSyllable(i, vec))
+            raw.append(pres.factor_generator(int(m.group("i")),
+                                             int(m.group("j")), e))
         pos += len(token)
     return reduce_syllables(raw, pres)
 

@@ -72,6 +72,16 @@ class Presentation:
         if not 1 <= l <= self.free_rank:
             raise IndexOutOfRange(f"free letter index {l} not in 1..{self.free_rank}")
 
+    def factor_generator(self, i: int, j: int, e: int = 1) -> FactorSyllable:
+        """The syllable a<i>.<j>^e; raises IndexOutOfRange when the factor
+        A_i has no generator j."""
+        rank = self.factor_rank(i)
+        if not 1 <= j <= rank:
+            raise IndexOutOfRange(
+                f"factor {i} has rank {rank}, no generator a{i}.{j}")
+        return FactorSyllable(i, tuple(e if r == j else 0
+                                       for r in range(1, rank + 1)))
+
     def generator_names(self) -> list[str]:
         """All generator names, factor generators first: a1.1, ..., xk."""
         names = [f"a{i}.{j}" for i in range(1, self.num_factors + 1)

@@ -176,6 +176,10 @@ def test_abelianized_matrix(fibonacci, toral_twist):
 
 def test_generator_word(z2z2):
     assert render_word(generator_word(z2z2, "a2.1")) == "a2.1"
+    # a factor has generators 1..rank only, as in `parse_word`
+    for name in ("a1.3", "a1.0"):
+        with pytest.raises(IndexOutOfRange, match="no generator"):
+            generator_word(Presentation((2,), 1), name)
 
 
 def _validate_changed(ranks, free, changes):

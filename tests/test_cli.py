@@ -8,7 +8,7 @@ import pytest
 
 from fpaut import (Presentation, atoroidal_search, flare_certify, parse_word,
                    render_word, twin_search)
-from fpaut import cli, dynamics
+from fpaut import cli, verify
 from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
                        config_from_args, exit_code, load_automorphism, main,
                        run, run_with_cache)
@@ -344,7 +344,7 @@ def test_failed_self_check_exits_2(fib_file, capsys, monkeypatch):
     # one JSON error line and exit 2, never a traceback with the witness
     # code 1
     monkeypatch.delenv("FPAUT_CACHE", raising=False)
-    monkeypatch.setattr(dynamics, "conjugate_test", lambda u, v: False)
+    monkeypatch.setattr(verify, "conjugate_test", lambda u, v: False)
     assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
@@ -352,9 +352,9 @@ def test_failed_self_check_exits_2(fib_file, capsys, monkeypatch):
 
 
 def test_self_check_runs_under_python_O(fib_file):
-    probe = ("import sys; from fpaut import cli, dynamics; "
+    probe = ("import sys; from fpaut import cli, verify; "
              "print(sys.flags.optimize); "
-             "dynamics.conjugate_test = lambda u, v: False; "
+             "verify.conjugate_test = lambda u, v: False; "
              "sys.exit(cli.main(sys.argv[1:]))")
     env = {k: v for k, v in _source_env().items() if k != "FPAUT_CACHE"}
     done = subprocess.run(

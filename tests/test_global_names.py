@@ -14,8 +14,10 @@ so ``words.power`` imported as ``word_power`` is no use of
 from a sibling by relative import and never reads (annotations count as
 reads; ``__init__.py``, which re-exports, is exempt).  The fourth fails on
 any ``assert`` statement in the package: ``python -O`` strips them, so a
-self-check must raise ``SelfCheckFailed`` instead.  All four use only the
-standard library.
+self-check must raise ``SelfCheckFailed`` instead.  The fifth keeps witness
+checking in one place: only ``automorphisms`` and ``verify`` may refer to
+``_apply_table``, and ``verify`` may refer to nothing that reads a side of
+an automorphism.  All five use only the standard library.
 """
 
 import ast
@@ -42,6 +44,12 @@ ENTRY_POINTS = {
     ("mapping_torus", "OrbitConstraint"): "the input record of block_orbit_solve",
     ("matrices", "kernel_vector"): "bench target (bench/tracer.py)",
 }
+
+# the definitions of `automorphisms` that act through a side (`_Side`); a
+# witness check substitutes image tables instead
+SIDE_READERS = {("automorphisms", name) for name in (
+    "apply", "apply_inverse", "apply_power", "compose", "inverse", "power",
+    "conjugator_step", "_act", "_Side")}
 
 
 def _code_objects(code):
@@ -99,20 +107,25 @@ def _references(node, module: str, bound: dict) -> set:
     return refs
 
 
+def _module_trees(package: Path):
+    """(module name, syntax tree) of each module of `package` other than
+    ``__init__``."""
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def uncalled_definitions(package: Path) -> set:
     """(module, name) of every module-level def or class in `package` that
     no module other than ``__init__`` refers to outside its own body."""
     defined, used = set(), set()
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _module_trees(package):
         bound = _bindings(tree)
         for top in tree.body:
-            own = (path.stem, getattr(top, "name", None))
+            own = (module, getattr(top, "name", None))
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(own)
-            used |= _references(top, path.stem, bound) - {own}
+            used |= _references(top, module, bound) - {own}
     return defined - used
 
 
@@ -127,13 +140,10 @@ def unused_sibling_imports(package: Path) -> list:
     """``module: name`` for every name a module of `package` other than
     ``__init__`` binds by relative import and never loads."""
     found = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _module_trees(package):
         read = {n.id for n in ast.walk(tree)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        found += [f"{path.stem}: {name}" for name in _bindings(tree)
+        found += [f"{module}: {name}" for name in _bindings(tree)
                   if name not in read]
     return found
 
@@ -150,3 +160,13 @@ def test_no_assert_statement_in_the_package():
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                   if isinstance(n, ast.Assert)]
     assert not found, found
+
+
+def test_witnesses_are_checked_only_by_table_substitution():
+    # module -> (module, name) of every definition it refers to
+    refs = {module: _references(tree, module, _bindings(tree))
+            for module, tree in _module_trees(Path(fpaut.__file__).parent)}
+    substituting = sorted(module for module, found in refs.items()
+                          if ("automorphisms", "_apply_table") in found)
+    assert set(substituting) <= {"automorphisms", "verify"}, substituting
+    assert not refs["verify"] & SIDE_READERS, sorted(refs["verify"] & SIDE_READERS)

@@ -1,0 +1,69 @@
+"""Each witness check of `fpaut.verify` accepts the witness its search
+returns on a pinned fixture and raises `SelfCheckFailed` on a false one."""
+
+import pytest
+
+from fpaut import (atoroidal_search, build_standard_map, compose,
+                   conjugacy_pipeline, inverse, multiply, nielsen_search,
+                   twin_search, verify)
+from fpaut.automorphisms import generator_word
+from fpaut.errors import SelfCheckFailed
+from fpaut.graph_maps import BASE, factor_vertex
+
+from conftest import make_aut
+
+
+def test_periodic_class(fibonacci):
+    w = atoroidal_search(fibonacci, 5, 3, 4).witness
+    verify.periodic_class(fibonacci, w["element"], w["exponent"])
+    # the class of x1 grows under every power of fib
+    x1 = generator_word(fibonacci.presentation, "x1")
+    with pytest.raises(SelfCheckFailed):
+        verify.periodic_class(fibonacci, x1, w["exponent"])
+
+
+def test_twinned_pair(intro_anosov):
+    w = twin_search(intro_anosov, 2, 2).witness
+    first, second = (w["conj_u"], w["factor_i"]), (w["conj_v"], w["factor_j"])
+    verify.twinned_pair(intro_anosov, w["power"], w["element"], first, second)
+    # a1.1 conjugates A_1 into itself but moves A_2 off phi(A_2) = A_2
+    g = multiply(w["element"], generator_word(intro_anosov.presentation, "a1.1"))
+    with pytest.raises(SelfCheckFailed):
+        verify.twinned_pair(intro_anosov, w["power"], g, first, second)
+
+
+def test_nielsen_path(intro_anosov):
+    found = nielsen_search(build_standard_map(intro_anosov), 4, 2)
+    assert len(found) == 3
+    for w in found:
+        end = w.path.end_vertex()
+        end = None if end == BASE else end[1]
+        verify.nielsen_path(intro_anosov, w.path.word(), end, w.exponent,
+                            w.element)
+    # the path from factor vertex 1 to factor vertex 2: g a1.1 w differs
+    # from phi(w) by a1.1^-1, which is not in A_2
+    [w] = [w for w in found if w.path.start == factor_vertex(1)]
+    g = multiply(w.element, generator_word(intro_anosov.presentation, "a1.1"))
+    with pytest.raises(SelfCheckFailed):
+        verify.nielsen_path(intro_anosov, w.path.word(), 2, w.exponent, g)
+
+
+def test_conjugacy(monkeypatch, intro_anosov, z2z3):
+    # intro_sub: intro conjugated by the transvection a1.2 -> a1.1 a1.2
+    names = z2z3.generator_names()
+    t = make_aut(z2z3, {**{n: n for n in names}, "a1.2": "a1.1 a1.2"},
+                 {**{n: n for n in names}, "a1.2": "a1.1^-1 a1.2"})
+    intro_sub = compose(compose(t, intro_anosov), inverse(t))
+    # the report carries psi's images only: keep the psi the pipeline checks
+    check, checked = verify.conjugacy, []
+    monkeypatch.setattr(verify, "conjugacy",
+                        lambda *args: checked.append(args))
+    with pytest.warns(UserWarning, match="not both toral"):
+        v = conjugacy_pipeline(intro_anosov, intro_sub)
+    assert v.status == "conjugate"
+    [(_, _, psi, c)] = checked
+    assert (psi.images, c) == (v.witness["psi_images"], v.witness["inner"])
+    check(intro_anosov, intro_sub, psi, c)
+    c = multiply(c, generator_word(z2z3, "a1.1"))
+    with pytest.raises(SelfCheckFailed):
+        check(intro_anosov, intro_sub, psi, c)
