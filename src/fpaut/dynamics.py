@@ -62,10 +62,18 @@ def _ranked_syllables(pres: Presentation, max_exp: int) -> list:
 
 
 def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
-                           min_len: int = 1):
+                           min_len: int = 1,
+                           shard: tuple[int, int] | None = None):
     """Cyclically reduced hyperbolic conjugacy-class representatives of
     min_len..max_len syllables, each of exponent mass at most max_exp, in
     graded order (see `graded_key`).
+
+    The classes of one syllable count, total mass and first syllable form a
+    root group, consecutive in the stream; the groups are numbered from 0
+    in stream order, empty ones included.  With ``shard=(s, J)`` only the
+    groups whose ordinal is s mod J are enumerated, and each class comes as
+    (ordinal, Word): the J shards split the stream without any of them
+    walking another's groups.
 
     Each Word is in cyclic normal form (its last and first syllable lie in
     different factors as well) and is the least rotation of its class by
@@ -80,13 +88,14 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     neighbours of the first syllable lie in other factors.
 
     A candidate is a tuple (syllable, track id, rank, mass) of
-    `_ranked_syllables`, so the inner loops compare ints.  The nested
-    generator `fill` recurses over the positions before the last; a flat
-    loop fills the last with every syllable of the mass left.  This
-    measured faster than an explicit stack, and it is safe: the recursion is
-    as deep as the tuple is long, and with two or more tracks m syllables
-    come only after 2^(m-2) shorter classes (with one, no tuple has two), so
-    only a min_len near the recursion limit reaches it.
+    `_ranked_syllables`, so the inner loops compare ints.  The root loop
+    picks the first syllable; the nested generator `fill` recurses over the
+    positions between it and the last; a flat loop fills the last with every
+    syllable of the mass left.  This measured faster than an explicit
+    stack, and it is safe: the recursion is as deep as the tuple is long,
+    and with two or more tracks m syllables come only after 2^(m-2) shorter
+    classes (with one, no tuple has two), so only a min_len near the
+    recursion limit reaches it.
     """
     ranked = _ranked_syllables(pres, max_exp)
     cands = [tuple(c for c in ranked if c[3] == mass)
@@ -95,38 +104,48 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     spans = [[sum(cands[lo:hi + 1], ()) for hi in range(max_exp + 1)]
              for lo in range(max_exp + 1)]
 
-    def fill(head, ranks, rem, left, t_prev, t0, r0):
-        # (head, ranks, rem, t_prev, t0, r0) after each way to add `left`
-        # syllables before the last, t0 and r0 being the first track and
-        # rank; lo..hi leaves the rest a mass it can take
+    def fill(head, ranks, rem, left, t_prev, r0):
+        # (head, ranks, rem, t_prev) after each way to add `left` syllables
+        # before the last, r0 being the first rank; lo..hi leaves the rest
+        # a mass it can take
         lo, hi = max(1, rem - left * max_exp), min(max_exp, rem - left)
         for s, t, r, mass in spans[lo][hi]:
-            if not head:
-                t0, r0 = t, r
-            elif t == t_prev or r < r0:
+            if t == t_prev or r < r0:
                 continue
             if left == 1:
-                yield head + (s,), ranks + (r,), rem - mass, t, t0, r0
+                yield head + (s,), ranks + (r,), rem - mass, t
             else:
                 yield from fill(head + (s,), ranks + (r,), rem - mass,
-                                left - 1, t, t0, r0)
+                                left - 1, t, r0)
 
+    ordinal = -1
     for m in range(max(1, min_len), max_len + 1):
         for total in range(m, m * max_exp + 1):
-            if m == 1:
-                yield from (Word(pres, (s,)) for s, *_ in cands[total]
-                            if type(s) is FreeSyllable)
-                continue
-            for head, ranks, rem, t, t0, r0 in fill((), (), total, m - 1,
-                                                    None, None, None):
-                # the last syllable: every one of mass exactly `rem`
-                tie = r0 in ranks[2:]
-                for s, t2, r2, _ in cands[rem]:
-                    if t2 == t or t2 == t0 or r2 < r0:
-                        continue
-                    if tie and least_rotation(ranks + (r2,)):
-                        continue
-                    yield Word(pres, head + (s,))
+            # the first syllable leaves the other m - 1 a mass they can take
+            lo = max(1, total - (m - 1) * max_exp)
+            hi = min(max_exp, total - m + 1)
+            for s0, t0, r0, mass0 in spans[lo][hi]:
+                ordinal += 1
+                if shard is not None and ordinal % shard[1] != shard[0]:
+                    continue
+                if m == 1:
+                    if type(s0) is FreeSyllable:
+                        w = Word(pres, (s0,))
+                        yield w if shard is None else (ordinal, w)
+                    continue
+                rem = total - mass0
+                heads = fill((s0,), (r0,), rem, m - 2, t0, r0) if m > 2 \
+                    else (((s0,), (r0,), rem, t0),)
+                for head, ranks, rem, t in heads:
+                    # the last syllable: every one of mass exactly `rem`
+                    tie = r0 in ranks[2:]
+                    for s, t2, r2, _ in cands[rem]:
+                        if t2 == t or t2 == t0 or r2 < r0:
+                            continue
+                        if tie and least_rotation(ranks + (r2,)):
+                            continue
+                        w = Word(pres, head + (s,))
+                        yield w if shard is None else (ordinal, w)
 
 
 def graded_key(w: Word):
@@ -259,6 +278,9 @@ class SearchReport:
     tested: int = 0
     notes: str = ""
     profile: tuple | None = None  # flare: per-exponent all-words verdicts
+    # an atoroidal shard: classes tested per root group, in walk order; a
+    # witness's index counts in the shard's own stream
+    groups: dict | None = None
 
 
 def _abelian_prefilter(phi: Automorphism, max_iter: int):
@@ -303,16 +325,20 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     """Search for a hyperbolic conjugacy class fixed by some phi^n, n <= N.
 
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
-    stated bounds, nothing more.
+    stated bounds, nothing more.  A shard searches its root groups of
+    `enumerate_cyclic_words` and reports its classes per group, from which
+    the witness index of the serial search is rebuilt.
     """
     require_class_preserving(phi)
     bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
     may_be_periodic = _abelian_prefilter(phi, max_iter)
+    groups = None if shard is None else {}
     tested = 0
-    for idx, g in enumerate(enumerate_cyclic_words(phi.presentation,
-                                                   max_len, max_exp)):
-        if shard is not None and idx % shard[1] != shard[0]:
-            continue
+    for g in enumerate_cyclic_words(phi.presentation, max_len, max_exp,
+                                    shard=shard):
+        if groups is not None:  # a shard's classes come with their group
+            ordinal, g = g
+            groups[ordinal] = groups.get(ordinal, 0) + 1
         tested += 1
         if not may_be_periodic(g):
             continue
@@ -326,10 +352,11 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                 verify.periodic_class(phi, g, n)
                 return SearchReport("witness", bounds,
                                     witness={"element": g, "exponent": n,
-                                             "index": idx},
-                                    tested=tested)
+                                             "index": tested - 1},
+                                    tested=tested, groups=groups)
     return SearchReport("exhausted", bounds, tested=tested,
-                        notes="atoroidal up to the stated bounds")
+                        notes="atoroidal up to the stated bounds",
+                        groups=groups)
 
 
 def _subgroup_descriptors(pres: Presentation, conj_len: int):
@@ -431,11 +458,12 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
     ok = [True] * (n_max + 1)  # ok[N]: inequality holds for all words at N
     failures_at_nmax = []
+    classes = enumerate_cyclic_words(phi.presentation, max_len, max_exp,
+                                     min_len=min_len, shard=shard)
+    if shard is not None:
+        classes = (g for _, g in classes)
     tested = 0
-    for idx, g in enumerate(enumerate_cyclic_words(phi.presentation, max_len,
-                                                   max_exp, min_len=min_len)):
-        if shard is not None and idx % shard[1] != shard[0]:
-            continue
+    for g in classes:
         tested += 1
         base = len(g)
         fwd, bwd = g, g

@@ -14,6 +14,8 @@ from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
                        run, run_with_cache)
 from fpaut.errors import IndexOutOfRange, ParseError
 
+from conftest import make_aut
+
 FIB = {
     "group": {"abelian_factors": [], "free_rank": 2},
     "images": {"x1": "x1 x2", "x2": "x1"},
@@ -369,6 +371,31 @@ SEARCHES = {"atoroidal": atoroidal_search, "twins": twin_search,
             "flare": flare_certify}
 
 
+@pytest.fixture(scope="session")
+def shear_mixed():
+    # Z^2 * F_1, a shear on A_1 and x1 -> a1.1^-1 x1: at bounds 3/1/2, for 2,
+    # 3 and 5 shards, the first witness lies in a root group that shard 0
+    # does not own, groups of other shards come before it, and another
+    # shard finds a later witness
+    pres = Presentation((2,), 1)
+    return make_aut(pres, {"a1.1": "a1.1", "a1.2": "a1.1 a1.2",
+                           "x1": "a1.1^-1 x1"},
+                    {"a1.1": "a1.1", "a1.2": "a1.1^-1 a1.2",
+                     "x1": "a1.1 x1"})
+
+
+@pytest.mark.parametrize("shards", [2, 3, 5])
+def test_shear_mixed_witness_needs_the_index_rebuild(shear_mixed, shards):
+    parts = [atoroidal_search(shear_mixed, 3, 1, 2, shard=(s, shards))
+             for s in range(shards)]
+    found = {s: max(p.groups) for s, p in enumerate(parts)
+             if p.verdict == "witness"}
+    owner = min(found, key=found.get)
+    assert owner != 0 and len(found) > 1
+    assert any(g < found[owner] for s, p in enumerate(parts) if s != owner
+               for g in p.groups)
+
+
 @pytest.mark.parametrize("kind, fixture, args", [
     ("atoroidal", "intro_anosov", (4, 1, 2)),        # exhausted
     ("atoroidal", "fibonacci", (4, 1, 2)),           # witness
@@ -377,6 +404,7 @@ SEARCHES = {"atoroidal": atoroidal_search, "twins": twin_search,
     ("flare", "intro_anosov", (2, 2, 1, 3, "1.1")),
     ("flare", "mixed", (2, 3, 2, 6, "1.1")),         # counterexamples not
                                                      # in Word.sort_key order
+    ("atoroidal", "shear_mixed", (3, 1, 2)),         # see below
 ])
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
@@ -390,6 +418,56 @@ def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
     for attr in ("verdict", "witness", "counterexamples", "certificate",
                  "tested", "notes", "profile"):
         assert getattr(merged, attr) == getattr(serial, attr), attr
+
+
+FIB_BOUNDS = {"max_len": 5, "max_exp": 3, "max_iter": 4}
+
+
+@pytest.fixture
+def no_pool():
+    """No shared worker pool before or after the test."""
+    cli._shutdown_pool()
+    yield
+    cli._shutdown_pool()
+
+
+def test_sharded_calls_reuse_one_pool(fibonacci, no_pool):
+    serial = cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 1)
+    assert cli._pool is None
+    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2) == serial
+    pool = cli._pool[1]
+    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2) == serial
+    assert cli._pool[1] is pool
+
+
+def test_changing_jobs_replaces_the_pool(fibonacci, no_pool):
+    serial = cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 1)
+    cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2)
+    pool = cli._pool[1]
+    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 3) == serial
+    assert cli._pool[0] == 3 and cli._pool[1] is not pool
+
+
+def test_broken_pool_is_replaced(fibonacci, no_pool):
+    from concurrent.futures.process import BrokenProcessPool
+    serial = cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 1)
+    cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2)
+    pool = cli._pool[1]
+    with pytest.raises(BrokenProcessPool):
+        pool.submit(os._exit, 1).result(timeout=60)
+    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2) == serial
+    assert cli._pool[1] is not pool
+
+
+def test_sharded_cli_run_exits_cleanly(fib_file):
+    # the pool is shut down at exit: no hang, nothing on stderr
+    env = {k: v for k, v in _source_env().items() if k != "FPAUT_CACHE"}
+    done = subprocess.run(
+        [sys.executable, "-m", "fpaut.cli", *FIB_ATOROIDAL, "--aut", fib_file,
+         "--jobs", "2"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stderr == ""
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["result"]["verdict"] == "witness"
 
 
 def test_strict_undecided_exit_3(fib_file, swapped_file):

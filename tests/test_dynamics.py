@@ -138,6 +138,28 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
     _check_against_brute_force(Presentation(ranks, free), max_len, max_exp)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ACTION_PRESENTATIONS), st.integers(1, 4),
+       st.integers(1, 2), st.integers(1, 3), st.sampled_from([2, 3]))
+def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
+                                           shards):
+    assume(max_len * max_exp <= 6)
+    serial = list(enumerate_cyclic_words(pres, max_len, max_exp, min_len))
+    position = {w.syllables: i for i, w in enumerate(serial)}
+    parts = [list(enumerate_cyclic_words(pres, max_len, max_exp, min_len,
+                                         shard=(s, shards)))
+             for s in range(shards)]
+    for s, part in enumerate(parts):
+        # a shard keeps its own root groups, as a subsequence of the stream
+        assert all(ordinal % shards == s for ordinal, _ in part)
+        places = [position[w.syllables] for _, w in part]
+        assert places == sorted(set(places))
+    # disjoint, and in group order together the serial stream
+    assert sum(map(len, parts)) == len(serial)
+    assert [w for _, w in sorted((pair for part in parts for pair in part),
+                                 key=lambda pair: pair[0])] == serial
+
+
 # the brute force stops at 4 syllables; these digests pin the exact stream
 # (order included) at bounds it cannot reach: with `cyclic` the classes of
 # `enumerate_cyclic_words`, else the words of `enumerate_words` in
@@ -676,25 +698,29 @@ def test_atoroidal_matches_brute_force(fixture_name, request):
 
 def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=None):
     """The search without the abelian prefilter: every class is imaged
-    under phi, phi^2, ... at word level."""
-    tested = 0
-    for idx, g in enumerate(enumerate_cyclic_words(phi.presentation,
-                                                   max_len, max_exp)):
-        if shard is not None and idx % shard[1] != shard[0]:
-            continue
+    under phi, phi^2, ... at word level.  A shard walks its root groups and
+    counts its classes per group."""
+    classes = enumerate_cyclic_words(phi.presentation, max_len, max_exp,
+                                     shard=shard)
+    if shard is None:
+        classes = ((None, g) for g in classes)
+    tested, groups = 0, {}
+    for ordinal, g in classes:
+        groups[ordinal] = groups.get(ordinal, 0) + 1
         tested += 1
         w = g
         for n in range(1, max_iter + 1):
             w = apply(phi, w)
             if conjugate_test(w, g):
                 return "witness", {"element": g, "exponent": n,
-                                   "index": idx}, tested
-    return "exhausted", None, tested
+                                   "index": tested - 1}, tested, \
+                    None if shard is None else groups
+    return "exhausted", None, tested, None if shard is None else groups
 
 
 def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=None):
     rep = atoroidal_search(phi, max_len, max_exp, max_iter, shard=shard)
-    assert (rep.verdict, rep.witness, rep.tested) == \
+    assert (rep.verdict, rep.witness, rep.tested, rep.groups) == \
         reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard)
 
 
