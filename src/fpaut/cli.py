@@ -11,13 +11,11 @@ the tool version).
 from __future__ import annotations
 
 import argparse
-import atexit
 import hashlib
 import json
 import os
 import sys
 import tempfile
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -110,55 +108,17 @@ def _shard_worker(args):
     return COMMANDS[kind].search(phi, bounds, shard)
 
 
-# One process pool serves every sharded call of the process: starting one
-# costs more than many whole searches.
-_pool = None  # (worker count, executor)
-_pool_lock = threading.Lock()
-
-
-def _worker_pool(jobs: int, broken=None):
-    """The shared executor of `jobs` workers, made on first use and replaced
-    when `jobs` changes or when it is the executor `broken`."""
-    global _pool
-    # imported here, so a serial run does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with _pool_lock:
-        if _pool is not None and (_pool[0] != jobs or _pool[1] is broken):
-            _pool[1].shutdown(wait=False)  # its pending calls still finish
-            _pool = None
-        if _pool is None:
-            _pool = jobs, ProcessPoolExecutor(max_workers=jobs)
-        return _pool[1]
-
-
-def _shutdown_pool() -> None:
-    global _pool
-    with _pool_lock:
-        if _pool is not None:
-            _pool[1].shutdown()
-            _pool = None
-
-
-# shut down before interpreter teardown, which would leave it to the
-# garbage collector after the modules its workers' threads use are gone
-atexit.register(_shutdown_pool)
-
-
 def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
     if jobs <= 1:
         return COMMANDS[kind].search(phi, bounds)
-    from concurrent.futures.process import BrokenProcessPool
-    args = [(kind, phi, bounds, (s, jobs)) for s in range(jobs)]
-    pool = _worker_pool(jobs)
-    try:
-        futures = [pool.submit(_shard_worker, a) for a in args]
-    except BrokenProcessPool:
-        # a worker died after the last call: this call takes a new pool (a
-        # call whose worker dies while it waits raises)
-        pool = _worker_pool(jobs, broken=pool)
-        futures = [pool.submit(_shard_worker, a) for a in args]
-    return _merge_reports(kind, [f.result() for f in futures])
+    # imported here, so a serial run does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = list(pool.map(_shard_worker,
+                              [(kind, phi, bounds, (s, jobs))
+                               for s in range(jobs)]))
+    return _merge_reports(kind, parts)
 
 
 def _merge_reports(kind: str, parts: list[SearchReport]) -> SearchReport:

@@ -63,7 +63,8 @@ def _ranked_syllables(pres: Presentation, max_exp: int) -> list:
 
 def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
                            min_len: int = 1,
-                           shard: tuple[int, int] | None = None):
+                           shard: tuple[int, int] | None = None,
+                           ordinals: bool = False):
     """Cyclically reduced hyperbolic conjugacy-class representatives of
     min_len..max_len syllables, each of exponent mass at most max_exp, in
     graded order (see `graded_key`).
@@ -71,9 +72,9 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     The classes of one syllable count, total mass and first syllable form a
     root group, consecutive in the stream; the groups are numbered from 0
     in stream order, empty ones included.  With ``shard=(s, J)`` only the
-    groups whose ordinal is s mod J are enumerated, and each class comes as
-    (ordinal, Word): the J shards split the stream without any of them
-    walking another's groups.
+    groups whose ordinal is s mod J are enumerated: the J shards split the
+    stream without any of them walking another's groups.  With
+    ``ordinals`` each class comes as (its group's ordinal, Word).
 
     Each Word is in cyclic normal form (its last and first syllable lie in
     different factors as well) and is the least rotation of its class by
@@ -131,7 +132,7 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
                 if m == 1:
                     if type(s0) is FreeSyllable:
                         w = Word(pres, (s0,))
-                        yield w if shard is None else (ordinal, w)
+                        yield (ordinal, w) if ordinals else w
                     continue
                 rem = total - mass0
                 heads = fill((s0,), (r0,), rem, m - 2, t0, r0) if m > 2 \
@@ -145,7 +146,7 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
                         if tie and least_rotation(ranks + (r2,)):
                             continue
                         w = Word(pres, head + (s,))
-                        yield w if shard is None else (ordinal, w)
+                        yield (ordinal, w) if ordinals else w
 
 
 def graded_key(w: Word):
@@ -278,8 +279,9 @@ class SearchReport:
     tested: int = 0
     notes: str = ""
     profile: tuple | None = None  # flare: per-exponent all-words verdicts
-    # an atoroidal shard: classes tested per root group, in walk order; a
-    # witness's index counts in the shard's own stream
+    # an atoroidal shard: classes tested per root group, by the group's
+    # ordinal in `enumerate_cyclic_words`; a witness's index counts in the
+    # shard's own stream
     groups: dict | None = None
 
 
@@ -335,8 +337,8 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     groups = None if shard is None else {}
     tested = 0
     for g in enumerate_cyclic_words(phi.presentation, max_len, max_exp,
-                                    shard=shard):
-        if groups is not None:  # a shard's classes come with their group
+                                    shard=shard, ordinals=shard is not None):
+        if groups is not None:
             ordinal, g = g
             groups[ordinal] = groups.get(ordinal, 0) + 1
         tested += 1
@@ -458,12 +460,9 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
     ok = [True] * (n_max + 1)  # ok[N]: inequality holds for all words at N
     failures_at_nmax = []
-    classes = enumerate_cyclic_words(phi.presentation, max_len, max_exp,
-                                     min_len=min_len, shard=shard)
-    if shard is not None:
-        classes = (g for _, g in classes)
     tested = 0
-    for g in classes:
+    for g in enumerate_cyclic_words(phi.presentation, max_len, max_exp,
+                                    min_len=min_len, shard=shard):
         tested += 1
         base = len(g)
         fwd, bwd = g, g

@@ -420,51 +420,18 @@ def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
         assert getattr(merged, attr) == getattr(serial, attr), attr
 
 
-FIB_BOUNDS = {"max_len": 5, "max_exp": 3, "max_iter": 4}
-
-
-@pytest.fixture
-def no_pool():
-    """No shared worker pool before or after the test."""
-    cli._shutdown_pool()
-    yield
-    cli._shutdown_pool()
-
-
-def test_sharded_calls_reuse_one_pool(fibonacci, no_pool):
-    serial = cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 1)
-    assert cli._pool is None
-    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2) == serial
-    pool = cli._pool[1]
-    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2) == serial
-    assert cli._pool[1] is pool
-
-
-def test_changing_jobs_replaces_the_pool(fibonacci, no_pool):
-    serial = cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 1)
-    cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2)
-    pool = cli._pool[1]
-    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 3) == serial
-    assert cli._pool[0] == 3 and cli._pool[1] is not pool
-
-
-def test_broken_pool_is_replaced(fibonacci, no_pool):
-    from concurrent.futures.process import BrokenProcessPool
-    serial = cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 1)
-    cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2)
-    pool = cli._pool[1]
-    with pytest.raises(BrokenProcessPool):
-        pool.submit(os._exit, 1).result(timeout=60)
-    assert cli._run_sharded("atoroidal", fibonacci, FIB_BOUNDS, 2) == serial
-    assert cli._pool[1] is not pool
-
-
 def test_sharded_cli_run_exits_cleanly(fib_file):
-    # the pool is shut down at exit: no hang, nothing on stderr
+    # a one-shot run that starts a worker: no hang, nothing on stderr; jobs
+    # is set past the parser, so the worker runs even on one CPU
+    probe = ("import dataclasses, sys; from fpaut import cli; "
+             "parse = cli.config_from_args; "
+             "cli.config_from_args = "
+             "lambda argv: dataclasses.replace(parse(argv), jobs=2); "
+             "sys.exit(cli.main(sys.argv[1:]))")
     env = {k: v for k, v in _source_env().items() if k != "FPAUT_CACHE"}
     done = subprocess.run(
-        [sys.executable, "-m", "fpaut.cli", *FIB_ATOROIDAL, "--aut", fib_file,
-         "--jobs", "2"], env=env, capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", probe, *FIB_ATOROIDAL, "--aut", fib_file],
+        env=env, capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
     assert done.returncode == 1
     assert json.loads(done.stdout)["result"]["verdict"] == "witness"

@@ -144,20 +144,25 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
 def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
                                            shards):
     assume(max_len * max_exp <= 6)
-    serial = list(enumerate_cyclic_words(pres, max_len, max_exp, min_len))
-    position = {w.syllables: i for i, w in enumerate(serial)}
-    parts = [list(enumerate_cyclic_words(pres, max_len, max_exp, min_len,
-                                         shard=(s, shards)))
+    serial = list(enumerate_cyclic_words(pres, max_len, max_exp, min_len,
+                                         ordinals=True))
+    position = {pair: i for i, pair in enumerate(serial)}
+    parts = [[position[pair]
+              for pair in enumerate_cyclic_words(pres, max_len, max_exp,
+                                                 min_len, shard=(s, shards),
+                                                 ordinals=True)]
              for s in range(shards)]
-    for s, part in enumerate(parts):
-        # a shard keeps its own root groups, as a subsequence of the stream
-        assert all(ordinal % shards == s for ordinal, _ in part)
-        places = [position[w.syllables] for _, w in part]
+    owner = {}
+    for s, places in enumerate(parts):
+        # a subsequence of the stream, and no root group in two shards
         assert places == sorted(set(places))
-    # disjoint, and in group order together the serial stream
-    assert sum(map(len, parts)) == len(serial)
-    assert [w for _, w in sorted((pair for part in parts for pair in part),
-                                 key=lambda pair: pair[0])] == serial
+        for i in places:
+            assert owner.setdefault(serial[i][0], s) == s
+    # disjoint, and together the serial stream
+    assert sorted(i for places in parts for i in places) == \
+        list(range(len(serial)))
+    assert [w for _, w in serial] == list(
+        enumerate_cyclic_words(pres, max_len, max_exp, min_len))
 
 
 # the brute force stops at 4 syllables; these digests pin the exact stream
@@ -700,12 +705,10 @@ def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=None):
     """The search without the abelian prefilter: every class is imaged
     under phi, phi^2, ... at word level.  A shard walks its root groups and
     counts its classes per group."""
-    classes = enumerate_cyclic_words(phi.presentation, max_len, max_exp,
-                                     shard=shard)
-    if shard is None:
-        classes = ((None, g) for g in classes)
     tested, groups = 0, {}
-    for ordinal, g in classes:
+    for ordinal, g in enumerate_cyclic_words(phi.presentation, max_len,
+                                             max_exp, shard=shard,
+                                             ordinals=True):
         groups[ordinal] = groups.get(ordinal, 0) + 1
         tested += 1
         w = g
