@@ -21,13 +21,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 from .automorphisms import Automorphism, validate
 from .dynamics import (SearchReport, atoroidal_search, classify_growth,
-                       flare_certify, flare_report, graded_key, orbit_lengths,
-                       twin_search)
+                       flare_certify, orbit_lengths, twin_search)
 from .errors import FpAutError, ParseError
 from .graph_maps import (build_standard_map, check_train_track,
                          constants_report, default_gate_depth, nielsen_search)
@@ -118,35 +118,15 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
         parts = list(pool.map(_shard_worker,
                               [(kind, phi, bounds, (s, jobs))
                                for s in range(jobs)]))
-    return _merge_reports(kind, parts)
+    return _merge_reports(parts)
 
 
-def _merge_reports(kind: str, parts: list[SearchReport]) -> SearchReport:
-    """The serial report, rebuilt from the reports of the shards."""
-    tested = sum(p.tested for p in parts)
-    if kind == "flare":
-        # AND the per-exponent profiles; counterexamples in enumeration order
-        profile = tuple(map(all, zip(*(p.profile for p in parts))))
-        counter = sorted((w for p in parts for w in p.counterexamples),
-                         key=graded_key)
-        return flare_report(parts[0].bounds, profile, counter, tested)
-    found = [p for p in parts if p.verdict == "witness"]
-    if not found:
-        parts[0].tested, parts[0].groups = tested, None
-        return parts[0]
-    if kind == "twins":
-        # twin shards split the pairs by index and keep the serial index
-        best = min(found, key=lambda p: p.witness["index"])
-    else:
-        # atoroidal shards own root groups, and the serial search stops in
-        # the earliest group holding a witness; each group before it was
-        # walked whole, as its owner stops only at a later witness
-        best = min(found, key=lambda p: max(p.groups))
-        first = max(best.groups)
-        best.witness["index"] = best.groups[first] - 1 + sum(
-            n for p in parts for g, n in p.groups.items() if g < first)
-    best.tested, best.groups = best.witness["index"] + 1, None
-    return best
+def _merge_reports(parts: list[SearchReport]) -> SearchReport:
+    """The serial report: the shards' fold of all their records in ordinal
+    order.  The fold reads no record a shard left out: each shard stops
+    only at its own first witness, the fold at the first of all."""
+    return parts[0].fold(sorted((r for p in parts for r in p.records),
+                                key=itemgetter(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +245,10 @@ class Command:
     """One CLI command, the whole of its surface: ``runner(cfg, phi[,
     phi2])`` returns the ``result`` block, ``bounds`` maps each bound flag
     (``max_len`` is ``--max-len``) to its default, ``inputs`` maps each
-    input required besides ``--aut`` to its help.  The search commands share
-    ``_search``, which calls ``search(phi, bounds, shard)`` once per shard;
-    only they take ``--jobs``.  ``strict`` marks a command that can return
-    ``undecided``; only those take ``--strict``."""
+    input required besides ``--aut`` to its help.  Only the search commands
+    take ``--jobs``; they share ``_search``, and ``search(phi, bounds, shard)``
+    runs shard (s, J), by default (0, 1): the whole search.  ``strict`` marks
+    a command that can return ``undecided``; only those take ``--strict``."""
 
     help: str
     runner: Callable
@@ -286,19 +266,19 @@ COMMANDS = {
     "atoroidal": Command(
         "bounded search for periodic classes", _search,
         {"max_len": 4, "max_exp": 2, "max_iter": 4},
-        search=lambda phi, b, shard=None: atoroidal_search(
+        search=lambda phi, b, shard=(0, 1): atoroidal_search(
             phi, b["max_len"], b["max_exp"], b["max_iter"], shard=shard)),
     "twins": Command(
         "bounded search for twinned subgroups "
         "(--max-exp bounds the power of the automorphism)", _search,
         {"max_exp": 2, "conj_len": 2},
-        search=lambda phi, b, shard=None: twin_search(
+        search=lambda phi, b, shard=(0, 1): twin_search(
             phi, b["max_exp"], b["conj_len"], shard=shard)),
     "flare": Command(
         "empirical flare certification", _search,
         {"min_len": 2, "max_len": 3, "max_exp": 1, "max_iter": 6,
          "lambda_min": "1.1"},
-        search=lambda phi, b, shard=None: flare_certify(
+        search=lambda phi, b, shard=(0, 1): flare_certify(
             phi, b["min_len"], b["max_len"], b["max_exp"], b["max_iter"],
             b["lambda_min"], shard=shard)),
     "traintrack": Command(

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from . import verify
@@ -30,6 +31,8 @@ from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
 R2_EXPONENTIAL = 0.999
+# pairs per root group of `twin_search`; whole rows slowed sharded runs
+_TWIN_RUN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +64,11 @@ def _ranked_syllables(pres: Presentation, max_exp: int) -> list:
     return [(s, t, r, s.mass) for r, (s, t) in enumerate(out)]
 
 
-def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
-                           min_len: int = 1,
-                           shard: tuple[int, int] | None = None,
-                           ordinals: bool = False):
-    """Cyclically reduced hyperbolic conjugacy-class representatives of
-    min_len..max_len syllables, each of exponent mass at most max_exp, in
-    graded order (see `graded_key`).
-
-    The classes of one syllable count, total mass and first syllable form a
-    root group, consecutive in the stream; the groups are numbered from 0
-    in stream order, empty ones included.  With ``shard=(s, J)`` only the
-    groups whose ordinal is s mod J are enumerated: the J shards split the
-    stream without any of them walking another's groups.  With
-    ``ordinals`` each class comes as (its group's ordinal, Word).
+def _root_groups(pres: Presentation, max_len: int, max_exp: int,
+                 min_len: int = 1):
+    """One iterator per root group of `enumerate_cyclic_words` (the classes
+    of one syllable count, total mass and first syllable), in stream order,
+    empty ones included; a shard skips the iterators of other shards.
 
     Each Word is in cyclic normal form (its last and first syllable lie in
     different factors as well) and is the least rotation of its class by
@@ -119,40 +113,48 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
                 yield from fill(head + (s,), ranks + (r,), rem - mass,
                                 left - 1, t, r0)
 
-    ordinal = -1
+    def group(m, rem, s0, t0, r0):
+        # the classes of m syllables starting with s0, the other syllables
+        # of total mass rem
+        if m == 1:
+            if type(s0) is FreeSyllable:
+                yield Word(pres, (s0,))
+            return
+        heads = fill((s0,), (r0,), rem, m - 2, t0, r0) if m > 2 \
+            else (((s0,), (r0,), rem, t0),)
+        for head, ranks, rem, t in heads:
+            # the last syllable: every one of mass exactly `rem`
+            tie = r0 in ranks[2:]
+            for s, t2, r2, _ in cands[rem]:
+                if t2 == t or t2 == t0 or r2 < r0:
+                    continue
+                if tie and least_rotation(ranks + (r2,)):
+                    continue
+                yield Word(pres, head + (s,))
+
     for m in range(max(1, min_len), max_len + 1):
         for total in range(m, m * max_exp + 1):
             # the first syllable leaves the other m - 1 a mass they can take
             lo = max(1, total - (m - 1) * max_exp)
             hi = min(max_exp, total - m + 1)
             for s0, t0, r0, mass0 in spans[lo][hi]:
-                ordinal += 1
-                if shard is not None and ordinal % shard[1] != shard[0]:
-                    continue
-                if m == 1:
-                    if type(s0) is FreeSyllable:
-                        w = Word(pres, (s0,))
-                        yield (ordinal, w) if ordinals else w
-                    continue
-                rem = total - mass0
-                heads = fill((s0,), (r0,), rem, m - 2, t0, r0) if m > 2 \
-                    else (((s0,), (r0,), rem, t0),)
-                for head, ranks, rem, t in heads:
-                    # the last syllable: every one of mass exactly `rem`
-                    tie = r0 in ranks[2:]
-                    for s, t2, r2, _ in cands[rem]:
-                        if t2 == t or t2 == t0 or r2 < r0:
-                            continue
-                        if tie and least_rotation(ranks + (r2,)):
-                            continue
-                        w = Word(pres, head + (s,))
-                        yield (ordinal, w) if ordinals else w
+                yield group(m, total - mass0, s0, t0, r0)
 
 
-def graded_key(w: Word):
-    """Sort key of the graded order: syllable count, then total exponent
-    mass, then syllable by syllable (mass, sort key)."""
-    return (len(w), w.mass, tuple((s.mass, s.sort_key()) for s in w.syllables))
+def _owned(groups, shard: tuple[int, int]):
+    """(ordinal, group) for the groups of shard (s, J), those whose ordinal
+    is s mod J: the one sharding rule.  The serial search is shard (0, 1)."""
+    return itertools.islice(enumerate(groups), shard[0], None, shard[1])
+
+
+def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
+                           min_len: int = 1):
+    """Cyclically reduced hyperbolic conjugacy-class representatives of
+    min_len..max_len syllables, each of exponent mass at most max_exp, in
+    graded order: syllable count, then total exponent mass, then syllable
+    by syllable (mass, sort key); the root groups one after another."""
+    yield from itertools.chain.from_iterable(
+        _root_groups(pres, max_len, max_exp, min_len))
 
 
 def enumerate_words(pres: Presentation, max_len: int, max_exp: int):
@@ -269,6 +271,10 @@ class SearchReport:
     "exhausted" (the full enumeration passed without one).
     Flare certification stores its certificate under ``certificate`` and its
     failing words under ``counterexamples``.
+
+    A search keeps one record per root group it walks (`_owned`), in
+    ordinal order, and reports ``fold(records)``; `cli._merge_reports`
+    applies that fold to the records of all shards.
     """
 
     verdict: str
@@ -278,11 +284,26 @@ class SearchReport:
     certificate: dict | None = None
     tested: int = 0
     notes: str = ""
-    profile: tuple | None = None  # flare: per-exponent all-words verdicts
-    # an atoroidal shard: classes tested per root group, by the group's
-    # ordinal in `enumerate_cyclic_words`; a witness's index counts in the
-    # shard's own stream
-    groups: dict | None = None
+    records: list = field(default_factory=list, repr=False)
+    fold: Callable | None = field(default=None, repr=False, compare=False)
+
+
+def witness_report(bounds: dict, records, notes: str) -> SearchReport:
+    """The report of a search that stops at its first witness, from its
+    root-group records (ordinal, tested, witness or None) in ordinal order,
+    read up to the first witness, whose ``index`` and ``tested`` count what
+    the groups up to it tested; else "exhausted" with ``notes``.  A search
+    that yields its records lazily so stops at its first witness."""
+    fold, read, tested = partial(witness_report, bounds, notes=notes), [], 0
+    for record in records:
+        read.append(record)
+        tested += record[1]
+        if record[2] is not None:
+            return SearchReport("witness", bounds,
+                                witness={**record[2], "index": tested - 1},
+                                tested=tested, records=read, fold=fold)
+    return SearchReport("exhausted", bounds, tested=tested, notes=notes,
+                        records=read, fold=fold)
 
 
 def _abelian_prefilter(phi: Automorphism, max_iter: int):
@@ -323,42 +344,36 @@ def _abelian_prefilter(phi: Automorphism, max_iter: int):
 
 def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                      max_iter: int,
-                     shard: tuple[int, int] | None = None) -> SearchReport:
+                     shard: tuple[int, int] = (0, 1)) -> SearchReport:
     """Search for a hyperbolic conjugacy class fixed by some phi^n, n <= N.
 
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
-    stated bounds, nothing more.  A shard searches its root groups of
-    `enumerate_cyclic_words` and reports its classes per group, from which
-    the witness index of the serial search is rebuilt.
+    stated bounds, nothing more.  The shard walks its root groups of the
+    class stream (`_root_groups`) up to its first witness.
     """
     require_class_preserving(phi)
     bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
     may_be_periodic = _abelian_prefilter(phi, max_iter)
-    groups = None if shard is None else {}
-    tested = 0
-    for g in enumerate_cyclic_words(phi.presentation, max_len, max_exp,
-                                    shard=shard, ordinals=shard is not None):
-        if groups is not None:
-            ordinal, g = g
-            groups[ordinal] = groups.get(ordinal, 0) + 1
-        tested += 1
-        if not may_be_periodic(g):
-            continue
-        # g is in cyclic normal form and is its own least rotation
-        key = g.syllables
-        w = g
-        for n in range(1, max_iter + 1):
-            w = apply(phi, w)
-            cyc = cyclic_normal_form(w)
-            if len(cyc) == len(key) and cyc.canonical_rotation() == key:
-                verify.periodic_class(phi, g, n)
-                return SearchReport("witness", bounds,
-                                    witness={"element": g, "exponent": n,
-                                             "index": tested - 1},
-                                    tested=tested, groups=groups)
-    return SearchReport("exhausted", bounds, tested=tested,
-                        notes="atoroidal up to the stated bounds",
-                        groups=groups)
+    groups = _root_groups(phi.presentation, max_len, max_exp)
+
+    def records():
+        for ordinal, group in _owned(groups, shard):
+            tested = 0
+            for tested, g in enumerate(group, 1):
+                if not may_be_periodic(g):
+                    continue
+                # g is in cyclic normal form and is its own least rotation
+                key, w = g.syllables, g
+                for n in range(1, max_iter + 1):
+                    w = apply(phi, w)
+                    cyc = cyclic_normal_form(w)
+                    if len(cyc) == len(g) and cyc.canonical_rotation() == key:
+                        verify.periodic_class(phi, g, n)
+                        yield ordinal, tested, {"element": g, "exponent": n}
+                        return
+            yield ordinal, tested, None
+    return witness_report(bounds, records(),
+                          "atoroidal up to the stated bounds")
 
 
 def _subgroup_descriptors(pres: Presentation, conj_len: int):
@@ -372,7 +387,7 @@ def _subgroup_descriptors(pres: Presentation, conj_len: int):
 
 
 def twin_search(phi: Automorphism, max_power: int, conj_len: int,
-                shard: tuple[int, int] | None = None) -> SearchReport:
+                shard: tuple[int, int] = (0, 1)) -> SearchReport:
     """Search for subgroups H = uA_iu^-1, K = vA_jv^-1 twinned by phi^m,
     m <= max_power, over the words u, v of at most conj_len syllables, each
     of exponent mass at most conj_len.
@@ -388,11 +403,13 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     are cosets of phi^m(H) and phi^m(K), distinct conjugates that meet
     trivially, so they share at most one element.  `verify.twinned_pair`
     re-checks both conjugation equations of g on factor generators.
+
+    Its root groups are runs of at most `_TWIN_RUN` pairs (k, l), k < l,
+    with one first descriptor k at one power, walked power by power.
     """
     require_class_preserving(phi)
     bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": conj_len}
     descr = _subgroup_descriptors(phi.presentation, conj_len)
-    n_pairs = len(descr) * (len(descr) - 1) // 2
     heads = [(0, u) for u, _ in descr]  # (m, h_m), for the last m reached
 
     def head(k: int, m: int) -> Word:
@@ -403,33 +420,32 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             heads[k] = m, h
         return h
 
-    tested = 0
-    for m in range(1, max_power + 1):
-        first = None
-        for idx, ((k, (u, i)), (l, (v, j))) in enumerate(
-                itertools.combinations(enumerate(descr), 2)):
-            if shard is not None and idx % shard[1] != shard[0]:
-                continue
-            tested += 1
-            if k != first:  # pairs come grouped by their first descriptor
-                first, u_inv, h = k, u.inverse(), head(k, m)
-                h_inv = h.inverse()
-            w = multiply(u_inv, v)
-            c = multiply(h_inv, head(l, m))
-            if double_coset_rep(i, c, j) != double_coset_rep(i, w, j):
-                continue
-            a = multiply(_leading_factor_part(c, i),
-                         _leading_factor_part(w, i).inverse())
-            g = multiply(multiply(h, a), u_inv)
-            verify.twinned_pair(phi, m, g, (u, i), (v, j))
-            return SearchReport(
-                "witness", bounds,
-                witness={"factor_i": i, "conj_u": u, "factor_j": j,
-                         "conj_v": v, "power": m, "element": g,
-                         "index": (m - 1) * n_pairs + idx},
-                tested=tested)
-    return SearchReport("exhausted", bounds, tested=tested,
-                        notes="no twinned pair up to the stated bounds")
+    n = len(descr)
+    runs = ((m, k, range(lo, min(lo + _TWIN_RUN, n)))
+            for m in range(1, max_power + 1) for k in range(n - 1)
+            for lo in range(k + 1, n, _TWIN_RUN))
+
+    def records():
+        for ordinal, (m, k, run) in _owned(runs, shard):
+            (u, i), h = descr[k], head(k, m)
+            u_inv, h_inv = u.inverse(), h.inverse()
+            for tested, l in enumerate(run, 1):
+                v, j = descr[l]
+                w = multiply(u_inv, v)
+                c = multiply(h_inv, head(l, m))
+                if double_coset_rep(i, c, j) != double_coset_rep(i, w, j):
+                    continue
+                a = multiply(_leading_factor_part(c, i),
+                             _leading_factor_part(w, i).inverse())
+                g = multiply(multiply(h, a), u_inv)
+                verify.twinned_pair(phi, m, g, (u, i), (v, j))
+                yield ordinal, tested, {"factor_i": i, "conj_u": u,
+                                        "factor_j": j, "conj_v": v,
+                                        "power": m, "element": g}
+                return
+            yield ordinal, len(run), None
+    return witness_report(bounds, records(),
+                          "no twinned pair up to the stated bounds")
 
 
 def _leading_factor_part(w: Word, i: int):
@@ -441,7 +457,7 @@ def _leading_factor_part(w: Word, i: int):
 
 def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
                   n_max: int, lambda_min,
-                  shard: tuple[int, int] | None = None) -> SearchReport:
+                  shard: tuple[int, int] = (0, 1)) -> SearchReport:
     """Empirical flare certificate: lambda |g| <= max(|phi^N g|, |phi^-N g|).
 
     Quantifies over the enumerated conjugacy-class representatives with
@@ -458,32 +474,37 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     bounds = {"min_len": min_len, "max_len": max_len, "max_exp": max_exp,
               "n_max": n_max, "lambda_min": str(lam)}
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
-    ok = [True] * (n_max + 1)  # ok[N]: inequality holds for all words at N
-    failures_at_nmax = []
-    tested = 0
-    for g in enumerate_cyclic_words(phi.presentation, max_len, max_exp,
-                                    min_len=min_len, shard=shard):
-        tested += 1
-        base = len(g)
-        fwd, bwd = g, g
-        for n in range(1, n_max + 1):
-            fwd = apply(phi, fwd)
-            bwd = apply_inverse(phi, bwd)
-            grown = max(len(cyclic_normal_form(fwd)), len(cyclic_normal_form(bwd)))
-            if p * base > q * grown:
-                ok[n] = False
-                if n == n_max:
-                    failures_at_nmax.append(g)
-    return flare_report(bounds, tuple(ok[1:]), failures_at_nmax, tested)
+    groups = _root_groups(phi.presentation, max_len, max_exp, min_len)
+
+    def records():
+        for ordinal, group in _owned(groups, shard):
+            # held[N-1]: the inequality holds at N for each class of group
+            held, failures, tested = [True] * n_max, [], 0
+            for tested, g in enumerate(group, 1):
+                base = len(g)
+                fwd, bwd = g, g
+                for n in range(1, n_max + 1):
+                    fwd = apply(phi, fwd)
+                    bwd = apply_inverse(phi, bwd)
+                    grown = max(len(cyclic_normal_form(fwd)),
+                                len(cyclic_normal_form(bwd)))
+                    if p * base > q * grown:
+                        held[n - 1] = False
+                        if n == n_max:
+                            failures.append(g)
+            yield ordinal, tested, held, failures
+    return flare_report(bounds, records())
 
 
-def flare_report(bounds: dict, profile: tuple, failures: list,
-                 tested: int) -> SearchReport:
-    """The flare verdict of a per-exponent profile (profile[N-1]: the
-    inequality held for every word at N): a certificate at the least such
-    N, else the words failing at n_max."""
-    for n, ok in enumerate(profile, start=1):
-        if ok:
+def flare_report(bounds: dict, records) -> SearchReport:
+    """The flare report from the records (ordinal, tested, held, failures)
+    of its root groups in ordinal order: a certificate at the least N at
+    which the inequality held for every class, else the classes failing
+    at n_max."""
+    fold, records = partial(flare_report, bounds), list(records)
+    tested = sum(r[1] for r in records)
+    for n in range(1, bounds["n_max"] + 1):
+        if all(r[2][n - 1] for r in records):
             cert = {"lambda": bounds["lambda_min"], "exponent": n,
                     "min_len": bounds["min_len"], "max_len": bounds["max_len"],
                     "max_exp": bounds["max_exp"],
@@ -491,10 +512,9 @@ def flare_report(bounds: dict, profile: tuple, failures: list,
                     "quantified_over": "enumerated conjugacy classes",
                     "empirical": True}
             return SearchReport("exhausted", bounds, certificate=cert,
-                                tested=tested,
                                 notes="empirical evidence, not a proof",
-                                profile=profile)
-    return SearchReport("witness", bounds, counterexamples=failures,
-                        tested=tested,
+                                tested=tested, records=records, fold=fold)
+    return SearchReport("witness", bounds,
+                        counterexamples=[w for r in records for w in r[3]],
                         notes="words failing the flare inequality at n_max",
-                        profile=profile)
+                        tested=tested, records=records, fold=fold)

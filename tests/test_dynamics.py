@@ -18,8 +18,8 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
 from fpaut import dynamics
 from fpaut.automorphisms import Automorphism
 from fpaut.cli import _merge_reports
-from fpaut.dynamics import (SearchReport, _ranked_syllables, enumerate_words,
-                            graded_key)
+from fpaut.dynamics import (SearchReport, _owned, _ranked_syllables,
+                            _root_groups, enumerate_words)
 from fpaut.errors import FactorsPermuted, SelfCheckFailed, TooShort
 from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, double_coset_rep,
@@ -31,6 +31,12 @@ from test_action import automorphisms_of
 
 
 # --- enumeration -------------------------------------------------------------
+
+def graded_key(w: Word):
+    """Sort key of the graded order: syllable count, then total exponent
+    mass, then syllable by syllable (mass, sort key)."""
+    return (len(w), w.mass, tuple((s.mass, s.sort_key()) for s in w.syllables))
+
 
 def test_enumerate_cyclic_words_graded_and_canonical(z2z2):
     words = list(enumerate_cyclic_words(z2z2, 2, 1))
@@ -144,25 +150,24 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
 def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
                                            shards):
     assume(max_len * max_exp <= 6)
-    serial = list(enumerate_cyclic_words(pres, max_len, max_exp, min_len,
-                                         ordinals=True))
-    position = {pair: i for i, pair in enumerate(serial)}
-    parts = [[position[pair]
-              for pair in enumerate_cyclic_words(pres, max_len, max_exp,
-                                                 min_len, shard=(s, shards),
-                                                 ordinals=True)]
-             for s in range(shards)]
-    owner = {}
-    for s, places in enumerate(parts):
-        # a subsequence of the stream, and no root group in two shards
-        assert places == sorted(set(places))
-        for i in places:
-            assert owner.setdefault(serial[i][0], s) == s
-    # disjoint, and together the serial stream
-    assert sorted(i for places in parts for i in places) == \
-        list(range(len(serial)))
-    assert [w for _, w in serial] == list(
+    parts = [[(ordinal, list(group)) for ordinal, group in _owned(
+        _root_groups(pres, max_len, max_exp, min_len), (s, shards))]
+        for s in range(shards)]
+    # shard s owns the ordinals s mod J, so the shards are disjoint and
+    # together every root group; in ordinal order the groups are the stream
+    groups = sorted((pair for part in parts for pair in part),
+                    key=lambda pair: pair[0])
+    for s, part in enumerate(parts):
+        assert [ordinal for ordinal, _ in part] == \
+            list(range(s, len(groups), shards))
+    assert [w for _, group in groups for w in group] == list(
         enumerate_cyclic_words(pres, max_len, max_exp, min_len))
+    # a root group: the classes of one syllable count, mass and first
+    # syllable, no two groups sharing one
+    keys = [{(len(w), w.mass, w.syllables[0]) for w in group}
+            for _, group in groups if group]
+    assert all(len(key) == 1 for key in keys)
+    assert len(set().union(*keys)) == len(keys)
 
 
 # the brute force stops at 4 syllables; these digests pin the exact stream
@@ -488,9 +493,8 @@ def test_twin_search_matches_table_reference(data):
     max_power = data.draw(st.integers(1, 3))
     expected = _reference_twins(phi, max_power, 1)
     assert _twin_summary(twin_search(phi, max_power, 1)) == expected
-    merged = _merge_reports("twins", [twin_search(phi, max_power, 1,
-                                                  shard=(s, 2))
-                                      for s in range(2)])
+    merged = _merge_reports([twin_search(phi, max_power, 1, shard=(s, 2))
+                             for s in range(2)])
     assert _twin_summary(merged) == expected
 
 
@@ -701,30 +705,37 @@ def test_atoroidal_matches_brute_force(fixture_name, request):
             in oracle
 
 
-def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=None):
+def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     """The search without the abelian prefilter: every class is imaged
-    under phi, phi^2, ... at word level.  A shard walks its root groups and
-    counts its classes per group."""
-    tested, groups = 0, {}
-    for ordinal, g in enumerate_cyclic_words(phi.presentation, max_len,
-                                             max_exp, shard=shard,
-                                             ordinals=True):
-        groups[ordinal] = groups.get(ordinal, 0) + 1
-        tested += 1
-        w = g
-        for n in range(1, max_iter + 1):
-            w = apply(phi, w)
-            if conjugate_test(w, g):
-                return "witness", {"element": g, "exponent": n,
-                                   "index": tested - 1}, tested, \
-                    None if shard is None else groups
-    return "exhausted", None, tested, None if shard is None else groups
+    under phi, phi^2, ... at word level.  The records (ordinal, classes
+    tested, witness) of the shard's root groups, up to its first witness."""
+    records = []
+    for ordinal, group in _owned(_root_groups(phi.presentation, max_len,
+                                              max_exp), shard):
+        tested = 0
+        for g in group:
+            tested += 1
+            w = g
+            for n in range(1, max_iter + 1):
+                w = apply(phi, w)
+                if conjugate_test(w, g):
+                    records.append((ordinal, tested,
+                                    {"element": g, "exponent": n}))
+                    return records
+        records.append((ordinal, tested, None))
+    return records
 
 
-def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=None):
+def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     rep = atoroidal_search(phi, max_len, max_exp, max_iter, shard=shard)
-    assert (rep.verdict, rep.witness, rep.tested, rep.groups) == \
-        reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard)
+    records = reference_atoroidal_search(phi, max_len, max_exp, max_iter,
+                                         shard)
+    assert rep.records == records
+    tested = sum(n for _, n, _ in records)
+    witness = records[-1][2] if records else None
+    assert (rep.verdict, rep.witness, rep.tested) == (
+        ("witness", {**witness, "index": tested - 1}, tested) if witness
+        else ("exhausted", None, tested))
 
 
 @settings(max_examples=80, deadline=None)

@@ -39,6 +39,8 @@ ENTRY_POINTS = {
     ("automorphisms", "power"):
         "bench target (bench/tracer.py); bench/fixtures.py builds fib2 with it",
     ("cli", "automorphism_to_dict"): "bench/fixtures.py writes its inputs with it",
+    ("dynamics", "enumerate_cyclic_words"):
+        "bench target (bench/tracer.py); the searches walk `_root_groups`",
     ("mapping_torus", "abelianized_action"): "bench target (bench/tracer.py)",
     ("mapping_torus", "block_orbit_solve"): "bench target (bench/tracer.py)",
     ("mapping_torus", "OrbitConstraint"): "the input record of block_orbit_solve",

@@ -178,6 +178,9 @@ def test_atoroidal_search_neither_checks_nor_re_reduces(monkeypatch,
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
 
+    # the first search fills the image tables of tribonacci's sides, which
+    # reduce and check each image once; the counted search reads them only
+    atoroidal_search(tribonacci, 5, 2, 1)
     counting("_check_syllable")
     counting("reduce_syllables")
     rep = atoroidal_search(tribonacci, 5, 2, 1)
