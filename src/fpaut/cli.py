@@ -103,8 +103,7 @@ def automorphism_to_dict(phi: Automorphism) -> dict:
 # ---------------------------------------------------------------------------
 # parallel sharding
 
-def _shard_worker(args):
-    kind, phi, bounds, shard = args
+def _shard_worker(kind, phi, bounds, shard):
     return COMMANDS[kind].search(phi, bounds, shard)
 
 
@@ -115,9 +114,8 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
     # imported here, so a serial run does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_shard_worker,
-                              [(kind, phi, bounds, (s, jobs))
-                               for s in range(jobs)]))
+        parts = list(pool.map(_shard_worker, [kind] * jobs, [phi] * jobs,
+                              [bounds] * jobs, [(s, jobs) for s in range(jobs)]))
     return _merge_reports(parts)
 
 

@@ -272,9 +272,9 @@ class SearchReport:
     Flare certification stores its certificate under ``certificate`` and its
     failing words under ``counterexamples``.
 
-    A search keeps one record per root group it walks (`_owned`), in
-    ordinal order, and reports ``fold(records)``; `cli._merge_reports`
-    applies that fold to the records of all shards.
+    A search folds one record per root group it walks (`_owned`), in
+    ordinal order, with ``fold``; only a shard of J > 1 keeps them (a twin
+    search makes one per 64 pairs), for `cli._merge_reports` to fold.
     """
 
     verdict: str
@@ -288,15 +288,16 @@ class SearchReport:
     fold: Callable | None = field(default=None, repr=False, compare=False)
 
 
-def witness_report(bounds: dict, records, notes: str) -> SearchReport:
+def witness_report(bounds: dict, records, notes: str,
+                   keep: bool = False) -> SearchReport:
     """The report of a search that stops at its first witness, from its
-    root-group records (ordinal, tested, witness or None) in ordinal order,
-    read up to the first witness, whose ``index`` and ``tested`` count what
-    the groups up to it tested; else "exhausted" with ``notes``.  A search
-    that yields its records lazily so stops at its first witness."""
+    root-group records (ordinal, tested, witness or None) read lazily in
+    ordinal order: ``index`` and ``tested`` count what the groups up to the
+    first witness tested, else "exhausted" with ``notes``; kept if ``keep``."""
     fold, read, tested = partial(witness_report, bounds, notes=notes), [], 0
     for record in records:
-        read.append(record)
+        if keep:
+            read.append(record)
         tested += record[1]
         if record[2] is not None:
             return SearchReport("witness", bounds,
@@ -372,8 +373,8 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                         yield ordinal, tested, {"element": g, "exponent": n}
                         return
             yield ordinal, tested, None
-    return witness_report(bounds, records(),
-                          "atoroidal up to the stated bounds")
+    return witness_report(bounds, records(), keep=shard[1] > 1,
+                          notes="atoroidal up to the stated bounds")
 
 
 def _subgroup_descriptors(pres: Presentation, conj_len: int):
@@ -420,15 +421,16 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             heads[k] = m, h
         return h
 
-    n = len(descr)
-    runs = ((m, k, range(lo, min(lo + _TWIN_RUN, n)))
-            for m in range(1, max_power + 1) for k in range(n - 1)
-            for lo in range(k + 1, n, _TWIN_RUN))
+    runs = ((m, k, range(lo, min(lo + _TWIN_RUN, len(descr))))
+            for m in range(1, max_power + 1) for k in range(len(descr) - 1)
+            for lo in range(k + 1, len(descr), _TWIN_RUN))
 
     def records():
+        last = None  # (m, k) of the last run: its row's inverses are reused
         for ordinal, (m, k, run) in _owned(runs, shard):
-            (u, i), h = descr[k], head(k, m)
-            u_inv, h_inv = u.inverse(), h.inverse()
+            if (m, k) != last:
+                (u, i), h = descr[k], head(k, m)
+                last, u_inv, h_inv = (m, k), u.inverse(), h.inverse()
             for tested, l in enumerate(run, 1):
                 v, j = descr[l]
                 w = multiply(u_inv, v)
@@ -444,8 +446,8 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                                         "power": m, "element": g}
                 return
             yield ordinal, len(run), None
-    return witness_report(bounds, records(),
-                          "no twinned pair up to the stated bounds")
+    return witness_report(bounds, records(), keep=shard[1] > 1,
+                          notes="no twinned pair up to the stated bounds")
 
 
 def _leading_factor_part(w: Word, i: int):
@@ -493,16 +495,16 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
                         if n == n_max:
                             failures.append(g)
             yield ordinal, tested, held, failures
-    return flare_report(bounds, records())
+    return flare_report(bounds, records(), keep=shard[1] > 1)
 
 
-def flare_report(bounds: dict, records) -> SearchReport:
+def flare_report(bounds: dict, records, keep: bool = False) -> SearchReport:
     """The flare report from the records (ordinal, tested, held, failures)
     of its root groups in ordinal order: a certificate at the least N at
     which the inequality held for every class, else the classes failing
-    at n_max."""
+    at n_max; it keeps the records only if ``keep``."""
     fold, records = partial(flare_report, bounds), list(records)
-    tested = sum(r[1] for r in records)
+    tested, kept = sum(r[1] for r in records), records if keep else []
     for n in range(1, bounds["n_max"] + 1):
         if all(r[2][n - 1] for r in records):
             cert = {"lambda": bounds["lambda_min"], "exponent": n,
@@ -513,8 +515,8 @@ def flare_report(bounds: dict, records) -> SearchReport:
                     "empirical": True}
             return SearchReport("exhausted", bounds, certificate=cert,
                                 notes="empirical evidence, not a proof",
-                                tested=tested, records=records, fold=fold)
+                                tested=tested, records=kept, fold=fold)
     return SearchReport("witness", bounds,
                         counterexamples=[w for r in records for w in r[3]],
                         notes="words failing the flare inequality at n_max",
-                        tested=tested, records=records, fold=fold)
+                        tested=tested, records=kept, fold=fold)

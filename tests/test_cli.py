@@ -426,6 +426,8 @@ def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
     for attr in ("verdict", "witness", "counterexamples", "certificate",
                  "tested", "notes"):
         assert getattr(merged, attr) == getattr(serial, attr), attr
+    # a serial report keeps no records: a twin search has one per 64 pairs
+    assert serial.records == merged.records == []
 
 
 def test_sharded_cli_run_exits_cleanly(fib_file):

@@ -730,7 +730,8 @@ def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     rep = atoroidal_search(phi, max_len, max_exp, max_iter, shard=shard)
     records = reference_atoroidal_search(phi, max_len, max_exp, max_iter,
                                          shard)
-    assert rep.records == records
+    # only a shard of J > 1 keeps its records
+    assert rep.records == (records if shard[1] > 1 else [])
     tested = sum(n for _, n, _ in records)
     witness = records[-1][2] if records else None
     assert (rep.verdict, rep.witness, rep.tested) == (
