@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,16 +66,23 @@ def _ranked_syllables(pres: Presentation, max_exp: int) -> list:
 
 
 def _root_groups(pres: Presentation, max_len: int, max_exp: int,
-                 min_len: int = 1):
+                 min_len: int = 1, weight=None):
     """One iterator per root group of `enumerate_cyclic_words` (the classes
     of one syllable count, total mass and first syllable), in stream order,
     empty ones included; a shard skips the iterators of other shards.
 
-    Each Word is in cyclic normal form (its last and first syllable lie in
-    different factors as well) and is the least rotation of its class by
-    syllable sort key.  The elliptic classes, one factor syllable each, are
-    left out; a free syllable acts loxodromically on its loop edge, so it
-    counts as hyperbolic.  No syllable whose rank is below the first
+    A group yields (syllables, weight_sum) per class: the syllables of its
+    representative and the sum of ``weight(s)`` over them, an int per
+    syllable s, 0 when ``weight`` is None (`_abelian_prefilter` makes one
+    whose sums it can test).  Each syllable's weight is computed once and
+    carried in its candidate tuple, and a class's sum is its prefix's plus
+    one addition, so the sum costs O(1) per class.
+
+    The syllables are in cyclic normal form (the last and first syllable lie
+    in different factors as well) and are the least rotation of their class
+    by syllable sort key.  The elliptic classes, one factor syllable each,
+    are left out; a free syllable acts loxodromically on its loop edge, so
+    it counts as hyperbolic.  No syllable whose rank is below the first
     syllable's is placed after it: the rotation starting there would be
     smaller.  So a rotation can be smaller only where a later syllable ties
     with the first; only those rank tuples go to `least_rotation`, the one
@@ -82,63 +90,85 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
     starts at index 0.  A tie needs a syllable between two others, as the
     neighbours of the first syllable lie in other factors.
 
-    A candidate is a tuple (syllable, track id, rank, mass) of
-    `_ranked_syllables`, so the inner loops compare ints.  The root loop
-    picks the first syllable; the nested generator `fill` recurses over the
-    positions between it and the last; a flat loop fills the last with every
-    syllable of the mass left.  This measured faster than an explicit
-    stack, and it is safe: the recursion is as deep as the tuple is long,
-    and with two or more tracks m syllables come only after 2^(m-2) shorter
-    classes (with one, no tuple has two), so only a min_len near the
-    recursion limit reaches it.
+    A candidate is a tuple (syllable, track id, rank, mass, weight) of the
+    syllables of `_ranked_syllables`, so the inner loops compare ints.  The
+    root loop picks the first syllable; the nested generator `fill` recurses
+    over the positions between it and the last; a flat loop fills the last.
+    This measured faster than an explicit stack, and it is safe: the
+    recursion is as deep as the tuple is long, and with two or more tracks
+    m syllables come only after 2^(m-2) shorter classes (with one, no tuple
+    has two), so only a min_len near the recursion limit reaches it.
+
+    The last syllable lies on neither the track t of the one before it nor
+    the track t0 of the first, so its candidates are tabled per (t0, t,
+    mass): those on the other tracks, with their ranks, which ascend within
+    one mass, so the loop starts at the first rank not below the first
+    syllable's (`bisect_left`).  With exactly two tracks the syllables
+    alternate between them, so a cycle of an odd count above one never
+    closes: those groups are empty without a head being built.
     """
-    ranked = _ranked_syllables(pres, max_exp)
+    ranked = [(s, t, r, mass, weight(s) if weight else 0)
+              for s, t, r, mass in _ranked_syllables(pres, max_exp)]
     cands = [tuple(c for c in ranked if c[3] == mass)
              for mass in range(max_exp + 1)]
     # spans[lo][hi]: the candidates of mass lo..hi, by mass then sort key
     spans = [[sum(cands[lo:hi + 1], ()) for hi in range(max_exp + 1)]
              for lo in range(max_exp + 1)]
+    # last[t0][t][mass]: (ranks, candidates) of that mass off tracks t, t0
+    n_tracks = pres.num_factors + pres.free_rank
+    tracks = range(1, n_tracks + 1)
+    last = {t0: {t: [_off_tracks(c, t, t0) for c in cands] for t in tracks}
+            for t0 in tracks}
 
-    def fill(head, ranks, rem, left, t_prev, r0):
-        # (head, ranks, rem, t_prev) after each way to add `left` syllables
-        # before the last, r0 being the first rank; lo..hi leaves the rest
-        # a mass it can take
+    def fill(head, ranks, rem, left, t_prev, r0, acc):
+        # (head, ranks, rem, t_prev, acc) after each way to add `left`
+        # syllables before the last, r0 being the first rank; lo..hi leaves
+        # the rest a mass it can take
         lo, hi = max(1, rem - left * max_exp), min(max_exp, rem - left)
-        for s, t, r, mass in spans[lo][hi]:
+        for s, t, r, mass, w in spans[lo][hi]:
             if t == t_prev or r < r0:
                 continue
             if left == 1:
-                yield head + (s,), ranks + (r,), rem - mass, t
+                yield head + (s,), ranks + (r,), rem - mass, t, acc + w
             else:
                 yield from fill(head + (s,), ranks + (r,), rem - mass,
-                                left - 1, t, r0)
+                                left - 1, t, r0, acc + w)
 
-    def group(m, rem, s0, t0, r0):
+    def group(m, rem, s0, t0, r0, w0):
         # the classes of m syllables starting with s0, the other syllables
         # of total mass rem
         if m == 1:
             if type(s0) is FreeSyllable:
-                yield Word(pres, (s0,))
+                yield (s0,), w0
             return
-        heads = fill((s0,), (r0,), rem, m - 2, t0, r0) if m > 2 \
-            else (((s0,), (r0,), rem, t0),)
-        for head, ranks, rem, t in heads:
+        if n_tracks == 2 and m % 2:
+            return
+        heads = fill((s0,), (r0,), rem, m - 2, t0, r0, w0) if m > 2 \
+            else (((s0,), (r0,), rem, t0, w0),)
+        table = last[t0]
+        for head, ranks, rem, t, acc in heads:
             # the last syllable: every one of mass exactly `rem`
             tie = r0 in ranks[2:]
-            for s, t2, r2, _ in cands[rem]:
-                if t2 == t or t2 == t0 or r2 < r0:
-                    continue
+            last_ranks, last_cands = table[t][rem]
+            for s, r2, w in last_cands[bisect_left(last_ranks, r0):]:
                 if tie and least_rotation(ranks + (r2,)):
                     continue
-                yield Word(pres, head + (s,))
+                yield head + (s,), acc + w
 
     for m in range(max(1, min_len), max_len + 1):
         for total in range(m, m * max_exp + 1):
             # the first syllable leaves the other m - 1 a mass they can take
             lo = max(1, total - (m - 1) * max_exp)
             hi = min(max_exp, total - m + 1)
-            for s0, t0, r0, mass0 in spans[lo][hi]:
-                yield group(m, total - mass0, s0, t0, r0)
+            for s0, t0, r0, mass0, w0 in spans[lo][hi]:
+                yield group(m, total - mass0, s0, t0, r0, w0)
+
+
+def _off_tracks(cands, t, t0):
+    """(ranks, (syllable, rank, weight) triples) of the candidates on
+    neither track t nor t0, in rank order."""
+    kept = tuple((s, r, w) for s, t2, r, _, w in cands if t2 != t and t2 != t0)
+    return tuple(r for _, r, _ in kept), kept
 
 
 def _owned(groups, shard: tuple[int, int]):
@@ -153,8 +183,9 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     min_len..max_len syllables, each of exponent mass at most max_exp, in
     graded order: syllable count, then total exponent mass, then syllable
     by syllable (mass, sort key); the root groups one after another."""
-    yield from itertools.chain.from_iterable(
-        _root_groups(pres, max_len, max_exp, min_len))
+    for group in _root_groups(pres, max_len, max_exp, min_len):
+        for syllables, _ in group:
+            yield Word(pres, syllables)
 
 
 def enumerate_words(pres: Presentation, max_len: int, max_exp: int):
@@ -307,40 +338,69 @@ def witness_report(bounds: dict, records, notes: str,
                         records=read, fold=fold)
 
 
-def _abelian_prefilter(phi: Automorphism, max_iter: int):
-    """A test that a class g can be fixed by some phi^n, n <= max_iter, in
-    the abelianization: A^n v = v, for A the `abelianized_matrix` and
-    v = `abelianize(g)`, the image of g in G_ab.  Conjugate elements have
-    one image in G_ab, so a class failing the test is fixed by no such
-    phi^n.
+def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
+                       max_iter: int):
+    """(weight, passes): a test that a class g of at most max_len syllables,
+    each of exponent mass at most max_exp, can be fixed by some phi^n,
+    n <= max_iter, in the abelianization: A^n v = v, for A the
+    `abelianized_matrix` and v = `abelianize(g)`, the image of g in G_ab.
+    Conjugate elements have one image in G_ab, so a class failing the test
+    is fixed by no such phi^n.
 
     Only max_iter/2 < n <= max_iter are tried: A^n v = v implies
-    A^(2n) v = v.  When every A^n - I tried is nonsingular, only v = 0
-    passes.
+    A^(2n) v = v.  (A^n - I) v = 0 when row . v = 0 for every row of
+    A^n - I; when every A^n - I tried is nonsingular, only v = 0 passes,
+    and the rows tested are those of I.
+
+    The test is linear in g's syllables, so `_root_groups` sums it along
+    each class: ``weight(s)`` is an int of bit fields, one per nonzero row
+    of the A^n - I tried, holding row . v(s) + c, v(s) = `abelianize` of
+    the syllable s.  The L1 norm of v(s) is the mass of s, at most
+    max_exp, so c = max_exp max |row_j| bounds |row . v(s)| and the field
+    of s lies in 0..2c; the field is wide enough for 2 c max_len.  The
+    fields of one A^n - I lie side by side, a block.  The weights of an
+    m-syllable class sum each field to row . v(g) + m c, in 0..2 m c, so
+    no field carries into the next: the field is m c exactly when
+    row . v(g) = 0, and block n is zero exactly when its bits are m times
+    its offset (the c's in their fields).  ``passes(m, acc)`` makes that
+    comparison for the weight sum acc of an m-syllable class; with one
+    block it is acc == m * offset.  A block without nonzero rows (A^n = I)
+    has no bits and passes every class.
     """
+    pres = phi.presentation
     a = phi.abelianized_matrix
     eye = IntegerMatrix.identity(a.nrows)
-    a_n = eye
-    diffs = []  # A^n - I for the n tried
+    a_n, diffs = eye, []  # A^n - I for the n tried
     for n in range(1, max_iter + 1):
         a_n = a_n * a
         if 2 * n > max_iter:
             diffs.append(a_n - eye)
-    only_zero = all(determinant(d) for d in diffs)
-    row_sets = [tuple(row for row in d.entries if any(row)) for d in diffs]
+    if all(determinant(d) for d in diffs):
+        diffs = [eye]
+    # weight(s) = base + v(s) . packed: packed[j] holds column j of the
+    # rows and base the c's, each in its row's field
+    packed, base, blocks, shift = [0] * a.nrows, 0, [], 0
+    for d in diffs:
+        start = shift
+        for row in d.entries:
+            c = max_exp * max(map(abs, row))  # 0 for a zero row: no bits
+            for j, x in enumerate(row):
+                packed[j] += x << shift
+            base += c << shift
+            shift += (2 * max_len * c).bit_length()
+        blocks.append((start, (1 << (shift - start)) - 1, base >> start))
 
-    def may_be_periodic(g: Word) -> bool:
-        v = abelianize(g)
-        if only_zero:
-            return not any(v)
-        for rows in row_sets:
-            for row in rows:
-                if sum(map(mul, row, v)):
-                    break
-            else:
-                return True
-        return False
-    return may_be_periodic
+    def weight(s) -> int:
+        return base + sum(map(mul, abelianize(Word(pres, (s,))), packed))
+
+    if len(blocks) == 1:
+        def passes(m: int, acc: int) -> bool:
+            return acc == m * base
+    else:
+        def passes(m: int, acc: int) -> bool:
+            return any((acc >> start) & mask == m * offset
+                       for start, mask, offset in blocks)
+    return weight, passes
 
 
 def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
@@ -350,25 +410,28 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
 
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
     stated bounds, nothing more.  The shard walks its root groups of the
-    class stream (`_root_groups`) up to its first witness.
+    class stream (`_root_groups`) up to its first witness; the stream
+    carries the weight sums of `_abelian_prefilter`, and only a class that
+    passes it is built as a Word and imaged.
     """
     require_class_preserving(phi)
     bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
-    may_be_periodic = _abelian_prefilter(phi, max_iter)
-    groups = _root_groups(phi.presentation, max_len, max_exp)
+    pres = phi.presentation
+    weight, passes = _abelian_prefilter(phi, max_len, max_exp, max_iter)
+    groups = _root_groups(pres, max_len, max_exp, weight=weight)
 
     def records():
         for ordinal, group in _owned(groups, shard):
             tested = 0
-            for tested, g in enumerate(group, 1):
-                if not may_be_periodic(g):
+            for tested, (key, acc) in enumerate(group, 1):
+                if not passes(len(key), acc):
                     continue
-                # g is in cyclic normal form and is its own least rotation
-                key, w = g.syllables, g
+                # key is in cyclic normal form and is its own least rotation
+                g = w = Word(pres, key)
                 for n in range(1, max_iter + 1):
                     w = apply(phi, w)
                     cyc = cyclic_normal_form(w)
-                    if len(cyc) == len(g) and cyc.canonical_rotation() == key:
+                    if len(cyc) == len(key) and cyc.canonical_rotation() == key:
                         verify.periodic_class(phi, g, n)
                         yield ordinal, tested, {"element": g, "exponent": n}
                         return
@@ -476,14 +539,15 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     bounds = {"min_len": min_len, "max_len": max_len, "max_exp": max_exp,
               "n_max": n_max, "lambda_min": str(lam)}
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
-    groups = _root_groups(phi.presentation, max_len, max_exp, min_len)
+    pres = phi.presentation
+    groups = _root_groups(pres, max_len, max_exp, min_len)
 
     def records():
         for ordinal, group in _owned(groups, shard):
             # held[N-1]: the inequality holds at N for each class of group
             held, failures, tested = [True] * n_max, [], 0
-            for tested, g in enumerate(group, 1):
-                base = len(g)
+            for tested, (syllables, _) in enumerate(group, 1):
+                g, base = Word(pres, syllables), len(syllables)
                 fwd, bwd = g, g
                 for n in range(1, n_max + 1):
                     fwd = apply(phi, fwd)

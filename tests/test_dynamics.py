@@ -22,8 +22,8 @@ from fpaut.dynamics import (SearchReport, _owned, _ranked_syllables,
                             _root_groups, enumerate_words)
 from fpaut.errors import FactorsPermuted, SelfCheckFailed, TooShort
 from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
-from fpaut.words import (FactorSyllable, FreeSyllable, _track, double_coset_rep,
-                         reduce_syllables)
+from fpaut.words import (FactorSyllable, FreeSyllable, _track, abelianize,
+                         double_coset_rep, reduce_syllables)
 
 from conftest import make_aut, random_word
 from test_action import PRESENTATIONS as ACTION_PRESENTATIONS
@@ -160,11 +160,15 @@ def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
     for s, part in enumerate(parts):
         assert [ordinal for ordinal, _ in part] == \
             list(range(s, len(groups), shards))
-    assert [w for _, group in groups for w in group] == list(
+    # a group item is (syllables, weight sum); without a weight the sum is 0
+    classes = [Word(pres, syllables) for _, group in groups
+               for syllables, _ in group]
+    assert classes == list(
         enumerate_cyclic_words(pres, max_len, max_exp, min_len))
+    assert {acc for _, group in groups for _, acc in group} <= {0}
     # a root group: the classes of one syllable count, mass and first
     # syllable, no two groups sharing one
-    keys = [{(len(w), w.mass, w.syllables[0]) for w in group}
+    keys = [{(len(syl), sum(s.mass for s in syl), syl[0]) for syl, _ in group}
             for _, group in groups if group]
     assert all(len(key) == 1 for key in keys)
     assert len(set().union(*keys)) == len(keys)
@@ -709,13 +713,12 @@ def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     """The search without the abelian prefilter: every class is imaged
     under phi, phi^2, ... at word level.  The records (ordinal, classes
     tested, witness) of the shard's root groups, up to its first witness."""
-    records = []
-    for ordinal, group in _owned(_root_groups(phi.presentation, max_len,
-                                              max_exp), shard):
+    pres, records = phi.presentation, []
+    for ordinal, group in _owned(_root_groups(pres, max_len, max_exp), shard):
         tested = 0
-        for g in group:
+        for syllables, _ in group:
             tested += 1
-            w = g
+            g = w = Word(pres, syllables)
             for n in range(1, max_iter + 1):
                 w = apply(phi, w)
                 if conjugate_test(w, g):
@@ -761,11 +764,87 @@ def test_abelian_prefilter_with_eigenvalue_1(toral_twist, mixed):
     assert a != IntegerMatrix.identity(3)
     assert determinant(a - IntegerMatrix.identity(3)) == 0
     twist_kept, mixed_kept = (
-        [passes(g) for g in enumerate_cyclic_words(phi.presentation, 4, 1)]
+        [passes(len(syllables), acc)
+         for group in _root_groups(phi.presentation, 4, 1, weight=weight)
+         for syllables, acc in group]
         for phi in (toral_twist, mixed[0])
-        for passes in [dynamics._abelian_prefilter(phi, 2)])
+        for weight, passes in [dynamics._abelian_prefilter(phi, 4, 1, 2)])
     assert all(twist_kept)
     assert any(mixed_kept) and not all(mixed_kept)
+
+
+def may_be_periodic_oracle(phi, max_iter):
+    """The abelian prefilter on one Word, computed anew: A^n v = v for some
+    max_iter/2 < n <= max_iter, v = `abelianize(g)`, or v = 0 when every
+    A^n - I tried is nonsingular."""
+    a = phi.abelianized_matrix
+    eye = IntegerMatrix.identity(a.nrows)
+    a_n = eye
+    diffs = []  # A^n - I for the n tried
+    for n in range(1, max_iter + 1):
+        a_n = a_n * a
+        if 2 * n > max_iter:
+            diffs.append(a_n - eye)
+    only_zero = all(determinant(d) for d in diffs)
+    row_sets = [tuple(row for row in d.entries if any(row)) for d in diffs]
+
+    def may_be_periodic(g: Word) -> bool:
+        v = abelianize(g)
+        if only_zero:
+            return not any(v)
+        for rows in row_sets:
+            for row in rows:
+                if sum(map(mul, row, v)):
+                    break
+            else:
+                return True
+        return False
+    return may_be_periodic
+
+
+def _carried_filter_verdicts(phi, max_len, max_exp, max_iter):
+    """The verdicts of the prefilter on every class of `_root_groups`, from
+    the weight sums the enumerator carries, after checking each against
+    the per-Word oracle."""
+    pres = phi.presentation
+    weight, passes = dynamics._abelian_prefilter(phi, max_len, max_exp,
+                                                 max_iter)
+    oracle = may_be_periodic_oracle(phi, max_iter)
+    verdicts = []
+    for group in _root_groups(pres, max_len, max_exp, weight=weight):
+        for syllables, acc in group:
+            verdict = passes(len(syllables), acc)
+            assert verdict == oracle(Word(pres, syllables)), syllables
+            verdicts.append(verdict)
+    return verdicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_carried_prefilter_matches_the_oracle(data):
+    pres = data.draw(st.sampled_from(ACTION_PRESENTATIONS))
+    phi = data.draw(automorphisms_of(pres))
+    _carried_filter_verdicts(phi, data.draw(st.integers(1, 3)),
+                             data.draw(st.integers(1, 2)),
+                             data.draw(st.integers(1, 4)))
+
+
+# mixed: A has eigenvalue 1 and max_iter 3, 4 try n = 2, 3 and n = 3, 4,
+# several blocks; twist: A = I, no bits; fib, trib: every A^n - I tried is
+# nonsingular, the rows of I.  Classes with v = 0 (commutators) pass on
+# every fixture, and only on twist does every class pass.
+@pytest.mark.parametrize("fixture, max_iter", [
+    ("mixed", 1), ("mixed", 3), ("mixed", 4), ("toral_twist", 2),
+    ("toral_twist", 4), ("fibonacci", 4), ("tribonacci", 1),
+    ("tribonacci", 3)])
+def test_carried_prefilter_matches_the_oracle_on_fixtures(request, fixture,
+                                                          max_iter):
+    phi = request.getfixturevalue(fixture)
+    if fixture == "mixed":
+        phi = phi[0]
+    verdicts = _carried_filter_verdicts(phi, 4, 2, max_iter)
+    assert any(verdicts)
+    assert all(verdicts) == (fixture == "toral_twist")
 
 
 @pytest.mark.parametrize("max_len, max_exp, max_iter", [

@@ -223,18 +223,39 @@ def test_atoroidal_search_images_only_classes_fixed_in_abelianization(
         request, monkeypatch, fixture, bounds, tested, passing, acts):
     # phi^n(g) ~ g forces A^n v = v, so only those classes reach the action
     phi = request.getfixturevalue(fixture)
-    calls = Counter()
+    assert _classes_fixed_in_abelianization(phi, *bounds) == passing
+    phi.abelianized_matrix  # built once per automorphism, not by the search
+    calls, built = Counter(), []
     real = automorphisms._act
+    real_abelianize, real_word = words.abelianize, dynamics.Word
 
     def counting(side, pres, w):
         calls["forward" if side is phi._forward else "other"] += 1
         return real(side, pres, w)
+
+    def counting_abelianize(w):
+        calls["abelianize"] += 1
+        return real_abelianize(w)
+
+    def counting_word(pres, syllables=()):
+        built.append(syllables)
+        return real_word(pres, syllables)
     monkeypatch.setattr(automorphisms, "_act", counting)
+    for module in (words, automorphisms, dynamics):
+        monkeypatch.setattr(module, "abelianize", counting_abelianize)
+    monkeypatch.setattr(dynamics, "Word", counting_word)
     rep = atoroidal_search(phi, *bounds)
     assert (rep.verdict, rep.tested) == ("exhausted", tested)
-    assert _classes_fixed_in_abelianization(phi, *bounds) == passing
     assert calls["other"] == 0
     assert calls["forward"] == acts <= passing * bounds[2]
+    # the prefilter abelianizes each ranked syllable once, as a one-syllable
+    # Word, and reads the weights the enumerator carries; then dynamics
+    # builds a Word only for each class that passes
+    units = [(s,) for s, *_ in dynamics._ranked_syllables(phi.presentation,
+                                                          bounds[1])]
+    assert calls["abelianize"] <= len(units)
+    assert built[:len(units)] == units
+    assert len(built) - len(units) == passing
 
 
 def test_flare_builds_each_factor_block_once(monkeypatch, mixed):
