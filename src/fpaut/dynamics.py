@@ -363,9 +363,8 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
     no field carries into the next: the field is m c exactly when
     row . v(g) = 0, and block n is zero exactly when its bits are m times
     its offset (the c's in their fields).  ``passes(m, acc)`` makes that
-    comparison for the weight sum acc of an m-syllable class; with one
-    block it is acc == m * offset.  A block without nonzero rows (A^n = I)
-    has no bits and passes every class.
+    comparison for the weight sum acc of an m-syllable class.  A block
+    without nonzero rows (A^n = I) has no bits and passes every class.
     """
     pres = phi.presentation
     a = phi.abelianized_matrix
@@ -393,13 +392,11 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
     def weight(s) -> int:
         return base + sum(map(mul, abelianize(Word(pres, (s,))), packed))
 
-    if len(blocks) == 1:
-        def passes(m: int, acc: int) -> bool:
-            return acc == m * base
-    else:
-        def passes(m: int, acc: int) -> bool:
-            return any((acc >> start) & mask == m * offset
-                       for start, mask, offset in blocks)
+    def passes(m: int, acc: int) -> bool:
+        for start, mask, offset in blocks:
+            if (acc >> start) & mask == m * offset:
+                return True
+        return False
     return weight, passes
 
 

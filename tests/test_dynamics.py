@@ -847,6 +847,53 @@ def test_carried_prefilter_matches_the_oracle_on_fixtures(request, fixture,
     assert all(verdicts) == (fixture == "toral_twist")
 
 
+@pytest.fixture(scope="module")
+def fib_and_flip(free3):
+    # fibonacci on x1, x2 and x3 -> x3^-1: with max_iter 4, A^4 - I is zero
+    # on the x3 axis and A^3 - I is not, and its x3 row is the last field of
+    # the n = 3 block, right below the n = 4 block
+    return make_aut(free3, {"x1": "x1 x2", "x2": "x1", "x3": "x3^-1"},
+                    {"x1": "x2", "x2": "x2^-1 x1", "x3": "x3^-1"})
+
+
+# A field reaches its bounds on max_len copies of the syllable at either
+# extreme of its row.  On fib_and_flip, max_len copies of x3^-max_exp fill
+# the last field of the n = 3 block to 2 c max_len while the n = 4 block is
+# zero; a field one bit narrower carries into that block and fails a class
+# the oracle passes.
+@pytest.mark.parametrize("fixture, max_iter", [
+    ("fib_and_flip", 4), ("mixed", 4), ("fibonacci", 4), ("tribonacci", 3)])
+@pytest.mark.parametrize("max_len, max_exp", [(3, 1), (4, 2), (5, 3)])
+def test_prefilter_fields_hold_extreme_sums(request, fixture, max_iter,
+                                            max_len, max_exp):
+    phi = request.getfixturevalue(fixture)
+    if fixture == "mixed":
+        phi = phi[0]
+    pres, a = phi.presentation, phi.abelianized_matrix
+    weight, passes = dynamics._abelian_prefilter(phi, max_len, max_exp,
+                                                 max_iter)
+    oracle = may_be_periodic_oracle(phi, max_iter)
+    eye = IntegerMatrix.identity(a.nrows)
+    rows, a_n = list(eye.entries), eye
+    for n in range(1, max_iter + 1):
+        a_n = a_n * a
+        if 2 * n > max_iter:
+            rows += (a_n - eye).entries
+    syllables = [s for s, *_ in _ranked_syllables(pres, max_exp)]
+    verdicts = []
+    for row in rows:
+        dot = {s: sum(map(mul, row, abelianize(Word(pres, (s,)))))
+               for s in syllables}
+        for s in (max(syllables, key=dot.get), min(syllables, key=dot.get)):
+            # the sum is linear, so the copies need not form a class
+            verdict = passes(max_len, max_len * weight(s))
+            copies = reduce(multiply, [Word(pres, (s,))] * max_len)
+            assert verdict == oracle(copies), s
+            verdicts.append(verdict)
+    # all of fib's and trib's A^n - I tried are nonsingular: no sum passes
+    assert any(verdicts) == (fixture in ("fib_and_flip", "mixed"))
+
+
 @pytest.mark.parametrize("max_len, max_exp, max_iter", [
     (2, 1, 1), (3, 2, 2), (4, 1, 3), (4, 2, 4)])
 def test_prefiltered_search_matches_reference_with_eigenvalue_1(
