@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FactorsPermuted, NotAnAutomorphism, NotFactorPreserving
-from .matrices import IntegerMatrix, determinant
+from .matrices import IntegerMatrix, determinant, is_unimodular
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
                     _check_syllable, _join, abelianize,
                     cyclic_normal_form, multiply, reduce_syllables,
@@ -214,7 +214,7 @@ def validate(images: dict[str, Word], inverse_images: dict[str, Word],
             raise NotAnAutomorphism(f"psi(phi({name})) != {name}")
 
     for i, m in enumerate(matrices, start=1):
-        if abs(determinant(m)) != 1:
+        if not is_unimodular(m):
             raise NotFactorPreserving(f"restriction to factor {i} is not invertible")
 
     return _trusted(images, inverse_images, pres,

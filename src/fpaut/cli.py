@@ -139,7 +139,7 @@ def _search(cfg: JobConfig, phi: Automorphism) -> dict:
     rep = _run_sharded(cfg.command, phi, cfg.bounds, cfg.jobs)
     out = {"verdict": rep.verdict, "tested": rep.tested}
     if rep.witness is not None:
-        out["witness"] = {k: v for k, v in rep.witness.items() if k != "index"}
+        out["witness"] = rep.witness
     if rep.counterexamples:
         out["counterexamples"] = rep.counterexamples
     if rep.certificate is not None:
@@ -153,7 +153,9 @@ def _classify(cfg: JobConfig, phi: Automorphism) -> dict:
     w = parse_word(cfg.element, phi.presentation)
     data = orbit_lengths(phi, w, cfg.bounds["max_iter"])
     verdict = classify_growth(data.lengths, classes=data.classes)
-    mass_verdict = classify_growth(data.masses, classes=data.classes)
+    # the classes repeat for both sequences or for neither
+    mass_verdict = verdict if verdict.kind == "bounded" \
+        else classify_growth(data.masses)
     return {
         "lengths": data.lengths,
         "masses": data.masses,
@@ -196,7 +198,7 @@ def _constants(cfg: JobConfig, phi: Automorphism) -> dict:
         "transversality": "1",  # unit edge lengths
         "critical_constant": rep.critical_constant,
         "irreducible": rep.irreducible,
-        "growth_eigenvector": rep.growth_eigenvector,
+        "growth_eigenvector": rep.growth.eigenvector,
         "lipschitz": m.lipschitz,
         "metric": rep.metric,
         "depth": depth,

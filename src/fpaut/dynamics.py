@@ -299,7 +299,7 @@ class SearchReport:
     """Outcome of a bounded search.
 
     verdict is "witness" (a disproving/positive witness was found) or
-    "exhausted" (the full enumeration passed without one).
+    "exhausted" (the enumeration to the caller's bounds passed without one).
     Flare certification stores its certificate under ``certificate`` and its
     failing words under ``counterexamples``.
 
@@ -309,7 +309,6 @@ class SearchReport:
     """
 
     verdict: str
-    bounds: dict
     witness: dict | None = None
     counterexamples: list = field(default_factory=list)
     certificate: dict | None = None
@@ -319,22 +318,20 @@ class SearchReport:
     fold: Callable | None = field(default=None, repr=False, compare=False)
 
 
-def witness_report(bounds: dict, records, notes: str,
-                   keep: bool = False) -> SearchReport:
+def witness_report(records, notes: str, keep: bool = False) -> SearchReport:
     """The report of a search that stops at its first witness, from its
     root-group records (ordinal, tested, witness or None) read lazily in
-    ordinal order: ``index`` and ``tested`` count what the groups up to the
-    first witness tested, else "exhausted" with ``notes``; kept if ``keep``."""
-    fold, read, tested = partial(witness_report, bounds, notes=notes), [], 0
+    ordinal order: the witness is the ``tested``-th item tested, else
+    "exhausted" with ``notes``; the records are kept if ``keep``."""
+    fold, read, tested = partial(witness_report, notes=notes), [], 0
     for record in records:
         if keep:
             read.append(record)
         tested += record[1]
         if record[2] is not None:
-            return SearchReport("witness", bounds,
-                                witness={**record[2], "index": tested - 1},
-                                tested=tested, records=read, fold=fold)
-    return SearchReport("exhausted", bounds, tested=tested, notes=notes,
+            return SearchReport("witness", witness=record[2], tested=tested,
+                                records=read, fold=fold)
+    return SearchReport("exhausted", tested=tested, notes=notes,
                         records=read, fold=fold)
 
 
@@ -412,7 +409,6 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     passes it is built as a Word and imaged.
     """
     require_class_preserving(phi)
-    bounds = {"max_len": max_len, "max_exp": max_exp, "max_iter": max_iter}
     pres = phi.presentation
     weight, passes = _abelian_prefilter(phi, max_len, max_exp, max_iter)
     groups = _root_groups(pres, max_len, max_exp, weight=weight)
@@ -433,7 +429,7 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                         yield ordinal, tested, {"element": g, "exponent": n}
                         return
             yield ordinal, tested, None
-    return witness_report(bounds, records(), keep=shard[1] > 1,
+    return witness_report(records(), keep=shard[1] > 1,
                           notes="atoroidal up to the stated bounds")
 
 
@@ -469,7 +465,6 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     with one first descriptor k at one power, walked power by power.
     """
     require_class_preserving(phi)
-    bounds = {"max_power": max_power, "conj_len": conj_len, "max_exp": conj_len}
     descr = _subgroup_descriptors(phi.presentation, conj_len)
     heads = [(0, u) for u, _ in descr]  # (m, h_m), for the last m reached
 
@@ -506,7 +501,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                                         "power": m, "element": g}
                 return
             yield ordinal, len(run), None
-    return witness_report(bounds, records(), keep=shard[1] > 1,
+    return witness_report(records(), keep=shard[1] > 1,
                           notes="no twinned pair up to the stated bounds")
 
 
@@ -574,10 +569,10 @@ def flare_report(bounds: dict, records, keep: bool = False) -> SearchReport:
                     "metric": "cyclic syllable length",
                     "quantified_over": "enumerated conjugacy classes",
                     "empirical": True}
-            return SearchReport("exhausted", bounds, certificate=cert,
+            return SearchReport("exhausted", certificate=cert,
                                 notes="empirical evidence, not a proof",
                                 tested=tested, records=kept, fold=fold)
-    return SearchReport("witness", bounds,
+    return SearchReport("witness",
                         counterexamples=[w for r in records for w in r[3]],
                         notes="words failing the flare inequality at n_max",
                         tested=tested, records=kept, fold=fold)

@@ -554,7 +554,6 @@ class ConstantsReport:
     cancellation: Fraction
     critical_constant: float | None
     irreducible: bool
-    growth_eigenvector: tuple
     metric: str = "syllable length; L1 norm on factor exponents"
 
 
@@ -566,8 +565,7 @@ def constants_report(m: GraphMap, depth: int) -> ConstantsReport:
     if growth.lower > 1:
         lam = (growth.lower + growth.upper) / 2
         critical = float(2 * cf / (lam - 1))
-    return ConstantsReport(growth, cf, critical,
-                           is_irreducible_matrix(t), growth.eigenvector)
+    return ConstantsReport(growth, cf, critical, is_irreducible_matrix(t))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .automorphisms import (Automorphism, _trusted, compose, generator_word,
 from .dynamics import enumerate_words
 from .errors import DimensionMismatch, SelfCheckFailed
 from .matrices import (IntegerMatrix, char_poly, content, determinant,
-                       invariant_factors, kernel_basis,
+                       invariant_factors, is_unimodular, kernel_basis,
                        matrix_inverse_unimodular, smith_normal_form,
                        solve_integer)
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word, _track,
@@ -393,7 +393,7 @@ def _factor_substitution_candidates(phi1: Automorphism, phi2: Automorphism,
             for t in range(n * n):
                 flat[t] += cf * vec[t]
         s = IntegerMatrix(tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n)))
-        if abs(determinant(s)) == 1 and s * m1 == m2 * s:
+        if is_unimodular(s) and s * m1 == m2 * s:
             out.append(s)
             if len(out) >= SUBSTITUTION_CAP:
                 break

@@ -408,6 +408,7 @@ def test_shear_mixed_witness_needs_the_index_rebuild(shear_mixed, shards):
                                                      # in Word.sort_key order
     ("atoroidal", "shear_mixed", (3, 1, 2)),         # see below
     ("twins", "intro_anosov", (2, 1)),               # 22 root groups
+    ("flare", "tribonacci", (2, 3, 1, 6, "1.1")),    # certificate at N = 3
 ])
 # 200 shards: more than the root groups of every case but twins intro 2/2,
 # so shards that own no group are covered for all three searches

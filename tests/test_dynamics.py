@@ -484,7 +484,7 @@ def _reference_twins(phi, max_power, conj_len):
 def _twin_summary(rep):
     if rep.verdict != "witness":
         return rep.verdict, rep.tested, None, None
-    return (rep.verdict, rep.tested, rep.witness["index"],
+    return (rep.verdict, rep.tested, rep.tested - 1,
             rep.witness["element"])
 
 
@@ -515,7 +515,8 @@ def test_twin_pairs_are_not_materialised(mixed):
     assert peak < 5_000_000
     assert (rep.verdict, rep.tested) == ("witness", 3)
     w = rep.witness
-    assert (w["power"], w["factor_i"], w["factor_j"], w["index"]) == (1, 1, 1, 2)
+    assert (w["power"], w["factor_i"], w["factor_j"], rep.tested - 1) == \
+        (1, 1, 1, 2)
     assert w["conj_u"] == Word(pres) and w["element"] == Word(pres)
     assert w["conj_v"] == parse_word("x1^-1", pres)
 
@@ -738,7 +739,7 @@ def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     tested = sum(n for _, n, _ in records)
     witness = records[-1][2] if records else None
     assert (rep.verdict, rep.witness, rep.tested) == (
-        ("witness", {**witness, "index": tested - 1}, tested) if witness
+        ("witness", witness, tested) if witness
         else ("exhausted", None, tested))
 
 

@@ -240,7 +240,7 @@ def test_constants_report(fib_map, twist_map):
     assert abs(rep.critical_constant - 2 / (golden - 1)) < 1e-6
     # growth eigenvector satisfies the rescaling property approximately
     t = transition_matrix(fib_map)
-    v = rep.growth_eigenvector
+    v = rep.growth.eigenvector
     tv = [sum(t[i, j] * v[j] for j in range(2)) for i in range(2)]
     assert all(abs(tv[i] - rep.growth.value * v[i]) < 1e-6 for i in range(2))
 

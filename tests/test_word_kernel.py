@@ -23,7 +23,8 @@ from fpaut import automorphisms, dynamics, words
 from fpaut.automorphisms import apply_inverse
 from fpaut.cli import (COMMANDS, JobConfig, automorphism_to_dict,
                        canonical_json, config_from_args, run, to_jsonable)
-from fpaut.dynamics import atoroidal_search, enumerate_cyclic_words
+from fpaut.dynamics import (atoroidal_search, classify_growth,
+                            enumerate_cyclic_words, orbit_lengths)
 from fpaut.errors import IndexOutOfRange
 from fpaut.matrices import IntegerMatrix
 from fpaut.words import FactorSyllable, FreeSyllable, _track
@@ -372,6 +373,28 @@ def test_word_layer_reports_are_pinned(request, job):
         phi = phi[0]
     digest = hashlib.sha256(canonical_json(_run_job(job, phi)).encode()).hexdigest()
     assert digest == RESULT_DIGESTS[job]
+
+
+@pytest.mark.parametrize("job", [
+    *sorted(job for job in RESULT_DIGESTS if job.startswith("classify ")),
+    "classify id --element 'a1.1 a2.1^-1' --max-iter 8"])
+def test_classify_mass_verdict_equals_a_repeat_search(request, job):
+    # `_classify` scans the orbit's classes for a repeat only for the
+    # lengths; its mass verdict equals one that scans them again
+    _, name, *args = shlex.split(job)
+    phi = request.getfixturevalue({**FIXTURES, "id": "identity_z2z2"}[name])
+    if name == "mixed":
+        phi = phi[0]
+    flags = dict(zip(args[::2], args[1::2]))
+    data = orbit_lengths(phi, parse_word(flags["--element"], phi.presentation),
+                         int(flags["--max-iter"]))
+    expected = classify_growth(data.masses, classes=data.classes)
+    result = _run_job(job, phi)
+    assert (result["mass_kind"], result["mass_degree"]) == \
+        (expected.kind, expected.degree)
+    # both branches are covered: the identity's and twist's orbits are
+    # bounded, the others are not
+    assert (result["kind"] == "bounded") == (name in ("id", "twist"))
 
 
 @pytest.mark.parametrize("job", ["twins Q --max-exp 2 --conj-len 2",
