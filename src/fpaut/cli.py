@@ -338,11 +338,6 @@ def run(cfg: JobConfig):
 # ---------------------------------------------------------------------------
 # cache
 
-def _cache_dir(cfg: JobConfig) -> Path | None:
-    path = cfg.cache_dir or os.environ.get("FPAUT_CACHE")
-    return None if path is None else Path(path)
-
-
 @lru_cache(maxsize=None)
 def _source_digest() -> str:
     """Digest of the fpaut package sources, so that an entry written by other
@@ -396,7 +391,7 @@ def run_with_cache(cfg: JobConfig):
     the seconds of this call and ``cache`` "hit", "miss" or "off"; it is
     outside the hash and never stored in an entry."""
     t0 = time.perf_counter()
-    cache = _cache_dir(cfg)
+    cache = Path(cfg.cache_dir) if cfg.cache_dir else None
     if cache is not None:
         inputs = {label: {"path": os.path.basename(p),
                           "sha256": _sha256_bytes(Path(p).read_bytes())}
@@ -453,8 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true",
                            help="exit 3 on undecided verdicts")
         p.add_argument("--out", help="also write the JSON report here")
-        p.add_argument("--cache-dir", help="cache directory "
-                                           "(FPAUT_CACHE overrides the default of no cache)")
+        p.add_argument("--cache-dir", help="cache directory (default: no cache)")
         for key, default in command.bounds.items():
             p.add_argument("--" + key.replace("_", "-"), type=type(default),
                            default=default, help=_BOUND_HELP.get(key))
@@ -466,8 +460,12 @@ def config_from_args(argv) -> JobConfig:
     bounds = {key: getattr(ns, key) for key in COMMANDS[ns.command].bounds}
     for key, val in bounds.items():
         if key == "lambda_min":
-            if Fraction(val) <= 1:
-                raise ParseError(0, "--lambda-min must be > 1")
+            try:
+                above_one = Fraction(val) > 1
+            except (ValueError, ZeroDivisionError):
+                above_one = False
+            if not above_one:
+                raise ParseError(0, "--lambda-min must be a fraction > 1")
         elif key != "depth" and val < 1:
             raise ParseError(0, f"--{key.replace('_', '-')} must be positive")
     if "min_len" in bounds and bounds["min_len"] > bounds["max_len"]:

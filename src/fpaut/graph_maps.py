@@ -239,18 +239,11 @@ def _reverse_steps(pres: Presentation, steps) -> tuple:
                          for pos in range(len(steps) - 1, -1, -1)])
 
 
-def _turns_of_steps(steps):
+def _turns_of_steps(pres: Presentation, steps):
     """(vertex, direction back along the arrival, departing direction) of
     each turn."""
-    out = []
-    for a, b in zip(steps, steps[1:]):
-        v = step_target(a)
-        if v == BASE:
-            back = ("x", a[1], -a[2]) if a[0] == "x" else ("t", a[1])
-        else:
-            back = ("T", a[1], tuple(0 for _ in b[2]))
-        out.append((v, back, b))
-    return out
+    return [(step_target(steps[pos]), _back_step(pres, steps, pos),
+             steps[pos + 1]) for pos in range(len(steps) - 1)]
 
 
 @dataclass
@@ -374,10 +367,6 @@ class GateStructure:
             return tuple(d1[2]) == tuple(d2[2])
         return self.base_key[d1] == self.base_key[d2]
 
-    def is_legal(self, turn) -> bool:
-        _, d1, d2 = turn
-        return not self.same_gate(d1, d2)
-
 
 def gate_structure(m: GraphMap, depth: int) -> GateStructure:
     """Base gates induced by iterating the direction map ``depth`` times.
@@ -443,8 +432,8 @@ def check_train_track(m: GraphMap, depth: int) -> TrainTrackVerdict:
         steps = m.image_of_direction_path(d)
         if reduce_steps(steps) != steps:
             return TrainTrackVerdict("violated", ("unreduced image", d), gates)
-        for turn in _turns_of_steps(steps):
-            if not gates.is_legal(turn):
+        for turn in _turns_of_steps(pres, steps):
+            if gates.same_gate(turn[1], turn[2]):
                 if not gates.stable:
                     return TrainTrackVerdict("undecided", ("horizon", turn), gates)
                 return TrainTrackVerdict("violated", ("illegal image turn", turn), gates)

@@ -11,7 +11,6 @@ everything the bounded searches cannot settle is ``undecided``.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 from . import verify
@@ -436,19 +435,16 @@ def conjugacy_pipeline(phi1: Automorphism, phi2: Automorphism,
     ``undecided``: the general decision procedure needs machinery
     (isomorphism problem for toral relatively hyperbolic groups, JSJ) far
     beyond desk scale.
+
+    Torality, which the paper assumes, is recorded as
+    ``diagnostics["both_toral"]``.  With cyclic factors the invariant
+    comparisons remain sound, but the witness search may be weaker.
     """
     require_same_presentation(phi1.presentation, phi2.presentation)
     pres = phi1.presentation
     require_class_preserving(phi1)
     require_class_preserving(phi2)
-    diagnostics = {}
-    if any(n < 2 for n in pres.abelian_ranks):
-        warnings.warn("cyclic factors present: invariant comparisons remain "
-                      "sound, witness search may be weaker", stacklevel=2)
-    toral = is_toral(phi1) and is_toral(phi2)
-    diagnostics["both_toral"] = toral
-    if not toral:
-        warnings.warn("pipeline inputs are not both toral", stacklevel=2)
+    diagnostics = {"both_toral": is_toral(phi1) and is_toral(phi2)}
 
     inv1, inv2 = _abelian_invariants(phi1), _abelian_invariants(phi2)
     for key in inv1:

@@ -218,7 +218,6 @@ def test_criterion_8_conjugacy_pipeline_soundness(toral_twist, z2z2):
             c = verdict.witness["inner"]
             assert compose(phi2, ad(c, z2z2)).images == toral_twist.images
         # 10 constructed invariant-mismatch pairs must be distinguished
-        import warnings as _w
         mismatches = 0
         blocks = [
             ("a1.1 a1.2", "a1.1^-1 a1.2"),       # [[1,1],[0,1]]
@@ -234,13 +233,11 @@ def test_criterion_8_conjugacy_pipeline_soundness(toral_twist, z2z2):
             variants.append(make_aut(z2z2, images, inv))
         pairs = [(toral_twist, v) for v in variants] + \
             list(itertools.combinations(variants, 2))
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            for phi1, phi2 in pairs[:10]:
-                verdict = conjugacy_pipeline(phi1, phi2)
-                assert verdict.status == "distinguished"
-                assert verdict.invariant["value_1"] != verdict.invariant["value_2"]
-                mismatches += 1
+        for phi1, phi2 in pairs[:10]:
+            verdict = conjugacy_pipeline(phi1, phi2)
+            assert verdict.status == "distinguished"
+            assert verdict.invariant["value_1"] != verdict.invariant["value_2"]
+            mismatches += 1
         assert mismatches == 10
 
 

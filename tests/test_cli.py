@@ -248,6 +248,28 @@ def test_run_conjugacy(twist_file, tmp_path):
     assert report["result"]["status"] == "conjugate"
 
 
+def test_successful_conjugacy_writes_nothing_to_stderr(intro_file, tmp_path):
+    # intro is not toral: the report says so, and stderr stays empty
+    from fpaut import compose, inverse
+    from fpaut.cli import automorphism_to_dict
+    phi, _ = load_automorphism(intro_file)
+    names = phi.presentation.generator_names()
+    t = make_aut(phi.presentation,
+                 {**{n: n for n in names}, "a1.2": "a1.1 a1.2"},
+                 {**{n: n for n in names}, "a1.2": "a1.1^-1 a1.2"})
+    intro_sub = tmp_path / "intro_sub.json"
+    intro_sub.write_text(json.dumps(automorphism_to_dict(
+        compose(compose(t, phi), inverse(t)))))
+    done = subprocess.run(
+        [sys.executable, "-m", "fpaut.cli", "conjugacy", "--aut", intro_file,
+         "--aut2", str(intro_sub)],
+        env=_source_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    result = json.loads(done.stdout)["result"]
+    assert result["status"] == "conjugate"
+    assert result["diagnostics"]["both_toral"] is False
+
+
 def test_report_determinism(fib_file):
     argv = ["atoroidal", "--aut", fib_file, "--max-len", "4",
             "--max-exp", "2", "--max-iter", "3"]
@@ -286,6 +308,17 @@ def test_timing_says_whether_the_cache_answered(fib_file, tmp_path):
         off["canonical_sha256"]
     [entry] = cache.iterdir()
     assert "timing" not in json.loads(entry.read_text())
+
+
+def test_only_cache_dir_turns_the_cache_on(fib_file, tmp_path, monkeypatch):
+    # the environment plays no part, and an empty --cache-dir is no cache
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FPAUT_CACHE", str(tmp_path / "cache"))
+    for extra in ([], ["--cache-dir", ""]):
+        _, report = run_with_cache(
+            config_from_args(["torus-ab", "--aut", fib_file, *extra]))
+        assert report["timing"]["cache"] == "off"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fib.json"]
 
 
 def assert_jobs_match_serial(argv, jobs="2"):
@@ -345,7 +378,6 @@ def test_failed_self_check_exits_2(fib_file, capsys, monkeypatch):
     # a witness that fails its re-verification is a bug, not a verdict:
     # one JSON error line and exit 2, never a traceback with the witness
     # code 1
-    monkeypatch.delenv("FPAUT_CACHE", raising=False)
     monkeypatch.setattr(verify, "conjugate_test", lambda u, v: False)
     assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
     captured = capsys.readouterr()
@@ -358,10 +390,9 @@ def test_self_check_runs_under_python_O(fib_file):
              "print(sys.flags.optimize); "
              "verify.conjugate_test = lambda u, v: False; "
              "sys.exit(cli.main(sys.argv[1:]))")
-    env = {k: v for k, v in _source_env().items() if k != "FPAUT_CACHE"}
     done = subprocess.run(
         [sys.executable, "-O", "-c", probe, *FIB_ATOROIDAL, "--aut", fib_file],
-        env=env, capture_output=True, text=True)
+        env=_source_env(), capture_output=True, text=True)
     assert done.stdout == "1\n"
     assert done.returncode == 2
     assert json.loads(done.stderr)["error"].startswith("SelfCheckFailed: ")
@@ -439,10 +470,9 @@ def test_sharded_cli_run_exits_cleanly(fib_file):
              "cli.config_from_args = "
              "lambda argv: dataclasses.replace(parse(argv), jobs=2); "
              "sys.exit(cli.main(sys.argv[1:]))")
-    env = {k: v for k, v in _source_env().items() if k != "FPAUT_CACHE"}
     done = subprocess.run(
         [sys.executable, "-c", probe, *FIB_ATOROIDAL, "--aut", fib_file],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_source_env(), capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
     assert done.returncode == 1
     assert json.loads(done.stdout)["result"]["verdict"] == "witness"
@@ -781,9 +811,12 @@ def test_malformed_automorphism_file_exits_2(tmp_path, capsys, doc, field):
     assert error.startswith("ParseError") and field in error
 
 
-def test_main_rejects_bad_lambda(fib_file, capsys):
-    assert main(["flare", "--aut", fib_file, "--lambda-min", "0.9"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("value", ["0.9", "1/0", "abc"])
+def test_main_rejects_bad_lambda(fib_file, capsys, value):
+    assert main(["flare", "--aut", fib_file, "--lambda-min", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--lambda-min" in json.loads(captured.err)["error"]
 
 
 def test_flare_min_len_above_max_len_rejected(mixed_file, capsys):

@@ -245,9 +245,7 @@ def test_pipeline_distinguished(toral_twist, z2z2):
     inv = {"a1.1": "a1.1", "a1.2": "a1.1^-1 a1.2",
            "a2.1": "a2.1", "a2.2": "a2.2"}
     uni = make_aut(z2z2, images, inv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v = conjugacy_pipeline(toral_twist, uni)
+    v = conjugacy_pipeline(toral_twist, uni)
     assert v.status == "distinguished"
     assert v.invariant["value_1"] != v.invariant["value_2"]
 
@@ -257,9 +255,11 @@ def test_pipeline_presentation_mismatch(toral_twist, fibonacci):
         conjugacy_pipeline(toral_twist, fibonacci)
 
 
-def test_pipeline_warns_when_not_toral(z2z2, intro_anosov, z2z3):
-    with pytest.warns(UserWarning):
-        conjugacy_pipeline(intro_anosov, intro_anosov)
+def test_pipeline_records_torality_without_warning(intro_anosov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = conjugacy_pipeline(intro_anosov, intro_anosov)
+    assert v.diagnostics["both_toral"] is False
 
 
 def test_pipeline_factor_substitution(z2z2, toral_twist):
@@ -308,9 +308,7 @@ def test_pipeline_without_factor_substitution_composes_only_identity(
     built = []
     monkeypatch.setattr(mapping_torus, "_substitution_automorphism",
                         lambda *args: built.append(args))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v = conjugacy_pipeline(phi1, phi2, conj_len=2)
+    v = conjugacy_pipeline(phi1, phi2, conj_len=2)
     inner = sum(1 for _ in itertools.islice(enumerate_words(z2z2, 2, 2), 1, 302))
     assert v.status == "undecided" and not built
     assert v.diagnostics["candidates_tested"] == 1 + inner
@@ -416,9 +414,7 @@ def test_pipeline_matches_composing_reference(tribonacci):
             assume(other.preserves_factor_classes)
             phi2 = other
         for conj_len in (1, 2):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                got = conjugacy_pipeline(phi1, phi2, conj_len)
+            got = conjugacy_pipeline(phi1, phi2, conj_len)
             assert got == _composing_reference(phi1, phi2, conj_len)
             seen[got.status] += 1
 
@@ -546,9 +542,7 @@ def test_mapping_torus_reports_are_pinned(request, job):
     if command == "conjugacy":
         partner, conj_len = rest
         cfg = JobConfig(command, bounds={"conj_len": int(conj_len)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = COMMANDS[command].runner(cfg, phi, PARTNERS[partner](phi))
+        result = COMMANDS[command].runner(cfg, phi, PARTNERS[partner](phi))
     else:
         result = COMMANDS[command].runner(JobConfig(command), phi)
     digest = hashlib.sha256(
@@ -615,9 +609,7 @@ def test_substitutions_match_validate(request, monkeypatch, name, partner):
         built.append(original(pres, mats))
         return built[-1]
     monkeypatch.setattr(mapping_torus, "_substitution_automorphism", recording)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        conjugacy_pipeline(phi, phi2)
+    conjugacy_pipeline(phi, phi2)
     per_factor = [mapping_torus._factor_substitution_candidates(phi, phi2, i)
                   for i in range(1, pres.num_factors + 1)]
     for mats in itertools.islice(itertools.product(*per_factor), 200):

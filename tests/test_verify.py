@@ -58,8 +58,7 @@ def test_conjugacy(monkeypatch, intro_anosov, z2z3):
     check, checked = verify.conjugacy, []
     monkeypatch.setattr(verify, "conjugacy",
                         lambda *args: checked.append(args))
-    with pytest.warns(UserWarning, match="not both toral"):
-        v = conjugacy_pipeline(intro_anosov, intro_sub)
+    v = conjugacy_pipeline(intro_anosov, intro_sub)
     assert v.status == "conjugate"
     [(_, _, psi, c)] = checked
     assert (psi.images, c) == (v.witness["psi_images"], v.witness["inner"])
