@@ -86,7 +86,7 @@ class Automorphism:
     The two sides of the action (`_forward`, `_backward`) are built on
     first use and then fill with one block per distinct syllable seen (see
     `_Side`); they are caches, not state, and a pickled automorphism
-    carries them empty, so it still goes to the worker pool."""
+    carries them empty."""
 
     presentation: Presentation
     images: dict[str, Word]
@@ -251,8 +251,7 @@ class _Side(dict):
     Safe to share between threads: a hit is one dict lookup, a miss stores
     a block that depends only on the syllable (so racing writers store
     equal values), and a `clear` that races a lookup only causes a rebuild.
-    A side pickles as its inputs alone, so the worker pool receives an
-    empty table.
+    A side pickles as its inputs alone, without its table.
     """
 
     def __init__(self, pres, table, sigma, conjugators, matrices):

@@ -103,20 +103,73 @@ def automorphism_to_dict(phi: Automorphism) -> dict:
 # ---------------------------------------------------------------------------
 # parallel sharding
 
-def _shard_worker(kind, phi, bounds, shard):
-    return COMMANDS[kind].search(phi, bounds, shard)
-
-
 def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
-    if jobs <= 1:
-        return COMMANDS[kind].search(phi, bounds)
-    # imported here, so a serial run does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_shard_worker, [kind] * jobs, [phi] * jobs,
-                              [bounds] * jobs, [(s, jobs) for s in range(jobs)]))
+    """Shard (0, J) runs in the caller, each shard (s, J) with s > 0 in a
+    forked child that inherits φ; a child's exception is re-raised here
+    with its own type.  No child outlives this call.  Without `os.fork`
+    the search runs serially, which gives the same report."""
+    search = COMMANDS[kind].search
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return search(phi, bounds)
+    # imported here, so a serial run loads neither
+    import pickle
+    import signal
+    children = {}  # shard -> (pid, read end of its pipe), until reaped
+    try:
+        for s in range(1, jobs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _shard_child(w, search, phi, bounds, (s, jobs))
+            os.close(w)
+            children[s] = pid, os.fdopen(r, "rb")
+        parts = [search(phi, bounds, (0, jobs))]
+        for s, (pid, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[s]
+            if status or not data:
+                raise FpAutError(
+                    f"shard {s} of {jobs} ended without a result (exit "
+                    f"status {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return _merge_reports(parts)
+
+
+def _shard_child(fd: int, search: Callable, phi: Automorphism, bounds: dict,
+                 shard: tuple) -> None:
+    """Body of a forked shard: write the pickled ``(True, report)`` or
+    ``(False, exception)`` to ``fd`` and leave through `os._exit`, so the
+    child never returns into the caller's frames or flushes its buffers.
+    The exit status is 0 only once the whole result is written."""
+    import pickle
+    code = 1
+    try:
+        try:
+            out = True, search(phi, bounds, shard)
+        except Exception as e:
+            out = False, e
+        data = pickle.dumps(out)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _merge_reports(parts: list[SearchReport]) -> SearchReport:
@@ -443,7 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{label}", required=True, help=text)
         if command.search:
             p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes (at most the CPU count)")
+                           help="shards, one process each (at most the CPU "
+                                "count)")
         if command.strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 3 on undecided verdicts")

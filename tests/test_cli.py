@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from fpaut import cli, verify
 from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
                        config_from_args, exit_code, load_automorphism, main,
                        run, run_with_cache)
-from fpaut.errors import IndexOutOfRange, ParseError
+from fpaut.errors import (FpAutError, IndexOutOfRange, ParseError,
+                          SelfCheckFailed)
 
 from conftest import make_aut
 
@@ -362,16 +365,38 @@ def _source_env():
                 filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_serial_runs_do_not_load_the_process_pool():
-    probe = ("import sys, fpaut.cli; print(sorted(m for m in sys.modules if m in "
-             "('multiprocessing', 'concurrent.futures.process')))")
+FIB_ATOROIDAL = ["atoroidal", "--max-len", "5", "--max-exp", "3",
+                 "--max-iter", "4"]
+
+
+def _loaded(names):
+    """Probe code that prints which of ``names`` the process has imported."""
+    return f"print(sorted(m for m in sys.modules if m in {names!r}))"
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+# probe code that sets jobs to 2 past the parser, so a run is sharded even
+# on one CPU
+JOBS_2 = ("import dataclasses, sys; from fpaut import cli; "
+          "parse = cli.config_from_args; "
+          "cli.config_from_args = "
+          "lambda argv: dataclasses.replace(parse(argv), jobs=2); ")
+
+
+def test_serial_runs_do_not_load_the_process_pool(fib_file):
+    probe = "import sys, fpaut.cli; " + _loaded((*POOL_MODULES, "pickle"))
     out = subprocess.run([sys.executable, "-c", probe], env=_source_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-FIB_ATOROIDAL = ["atoroidal", "--max-len", "5", "--max-exp", "3",
-                 "--max-iter", "4"]
+    # a sharded run forks its shards: it starts no pool either
+    probe = (JOBS_2 + "code = cli.main(sys.argv[1:]); "
+             + _loaded(POOL_MODULES) + "; sys.exit(code)")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *FIB_ATOROIDAL, "--aut", fib_file],
+        env=_source_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_failed_self_check_exits_2(fib_file, capsys, monkeypatch):
@@ -463,19 +488,71 @@ def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
 
 
 def test_sharded_cli_run_exits_cleanly(fib_file):
-    # a one-shot run that starts a worker: no hang, nothing on stderr; jobs
-    # is set past the parser, so the worker runs even on one CPU
-    probe = ("import dataclasses, sys; from fpaut import cli; "
-             "parse = cli.config_from_args; "
-             "cli.config_from_args = "
-             "lambda argv: dataclasses.replace(parse(argv), jobs=2); "
-             "sys.exit(cli.main(sys.argv[1:]))")
+    # a one-shot run that forks a shard: no hang, nothing on stderr
+    probe = JOBS_2 + "sys.exit(cli.main(sys.argv[1:]))"
     done = subprocess.run(
         [sys.executable, "-c", probe, *FIB_ATOROIDAL, "--aut", fib_file],
         env=_source_env(), capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
     assert done.returncode == 1
     assert json.loads(done.stdout)["result"]["verdict"] == "witness"
+
+
+def _fail_shard(monkeypatch, failing_shard, fail):
+    """Make ``cli.atoroidal_search`` call ``fail()`` in shard
+    ``failing_shard`` and search as usual in every other shard."""
+    search = cli.atoroidal_search
+
+    def patched(phi, *args, shard=(0, 1)):
+        if shard == failing_shard:
+            fail()
+        return search(phi, *args, shard=shard)
+    monkeypatch.setattr(cli, "atoroidal_search", patched)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_self_check():
+    raise SelfCheckFailed("shard self-check")
+
+
+def test_forked_shard_error_keeps_its_type(fib_file, capsys, monkeypatch):
+    _fail_shard(monkeypatch, (1, 2), _raise_self_check)
+    parse = cli.config_from_args
+    monkeypatch.setattr(cli, "config_from_args",
+                        lambda argv: dataclasses.replace(parse(argv), jobs=2))
+    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == \
+        "SelfCheckFailed: shard self-check"
+    assert_no_child_left()
+
+
+def test_forked_shard_without_result_is_reported(fib_file, monkeypatch):
+    _fail_shard(monkeypatch, (1, 2), lambda: os._exit(3))
+    cfg = config_from_args([*FIB_ATOROIDAL, "--aut", fib_file])
+    with pytest.raises(FpAutError) as info:
+        run(dataclasses.replace(cfg, jobs=2))
+    assert type(info.value) is FpAutError
+    assert str(info.value) == \
+        "shard 1 of 2 ended without a result (exit status 3)"
+    assert_no_child_left()
+
+
+def test_caller_shard_error_kills_the_forked_shards(fib_file, monkeypatch):
+    # shard 1 sleeps far past the test: only a kill ends it in time
+    _fail_shard(monkeypatch, (1, 2), lambda: time.sleep(60))
+    _fail_shard(monkeypatch, (0, 2), _raise_self_check)
+    cfg = config_from_args([*FIB_ATOROIDAL, "--aut", fib_file])
+    t0 = time.monotonic()
+    with pytest.raises(SelfCheckFailed, match="shard self-check"):
+        run(dataclasses.replace(cfg, jobs=2))
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
 
 
 def test_strict_undecided_exit_3(fib_file, swapped_file):
@@ -756,7 +833,7 @@ def test_jobs_below_one_rejected(fib_file, jobs, capsys):
 
 
 def test_jobs_clamped_to_cpu_count(fib_file):
-    # only parsed: no pool is started
+    # only parsed: no shard is forked
     cpus = os.cpu_count() or 1
     cfg = config_from_args(["atoroidal", "--aut", fib_file,
                             "--jobs", str(cpus + 100)])

@@ -401,8 +401,8 @@ def test_classify_mass_verdict_equals_a_repeat_search(request, job):
                                  "atoroidal Q --max-len 4 --max-exp 2 "
                                  "--max-iter 2"])
 def test_sharded_exhausted_searches_equal_the_pins(toral_q, tmp_path, job):
-    # no shard stops early, so the process pool merges whole enumerations;
-    # jobs is set past the parser, so the pool runs even on one CPU
+    # no shard stops early, so the merge folds whole enumerations; jobs is
+    # set past the parser, so a shard is forked even on one CPU
     path = tmp_path / "Q.json"
     path.write_text(json.dumps(automorphism_to_dict(toral_q)))
     command, _, *args = shlex.split(job)
