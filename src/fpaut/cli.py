@@ -139,8 +139,8 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                 raise FpAutError(
                     f"shard {s} of {jobs} ended without a result (exit "
                     f"status {os.waitstatus_to_exitcode(status)})")
-            ok, value = pickle.loads(data)
-            if not ok:
+            value = pickle.loads(data)
+            if isinstance(value, BaseException):
                 raise value
             parts.append(value)
     finally:
@@ -153,17 +153,17 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
 
 def _shard_child(fd: int, search: Callable, phi: Automorphism, bounds: dict,
                  shard: tuple) -> None:
-    """Body of a forked shard: write the pickled ``(True, report)`` or
-    ``(False, exception)`` to ``fd`` and leave through `os._exit`, so the
-    child never returns into the caller's frames or flushes its buffers.
-    The exit status is 0 only once the whole result is written."""
+    """Body of a forked shard: write its pickled report, or the exception
+    its search raised, to ``fd`` and leave through `os._exit`, so the child
+    never returns into the caller's frames or flushes its buffers.  The
+    exit status is 0 only once the whole result is written."""
     import pickle
     code = 1
     try:
         try:
-            out = True, search(phi, bounds, shard)
+            out = search(phi, bounds, shard)
         except Exception as e:
-            out = False, e
+            out = e
         data = pickle.dumps(out)
         with open(fd, "wb") as pipe:
             pipe.write(data)

@@ -32,7 +32,9 @@ from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
 R2_EXPONENTIAL = 0.999
-# pairs per root group of `twin_search`; whole rows slowed sharded runs
+# pairs per root group of `twin_search`.  Whole rows (one root group per
+# first descriptor and power) delay an early witness at --jobs 2: on 2
+# cores, intro at --max-exp 2 --conj-len 2 took 3.5-3.9 ms, not 2.3-2.4 ms
 _TWIN_RUN = 64
 
 
@@ -481,11 +483,9 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             for lo in range(k + 1, len(descr), _TWIN_RUN))
 
     def records():
-        last = None  # (m, k) of the last run: its row's inverses are reused
         for ordinal, (m, k, run) in _owned(runs, shard):
-            if (m, k) != last:
-                (u, i), h = descr[k], head(k, m)
-                last, u_inv, h_inv = (m, k), u.inverse(), h.inverse()
+            (u, i), h = descr[k], head(k, m)
+            u_inv, h_inv = u.inverse(), h.inverse()
             for tested, l in enumerate(run, 1):
                 v, j = descr[l]
                 w = multiply(u_inv, v)

@@ -59,6 +59,10 @@ class ParseError(FpAutError):
     """
 
     def __init__(self, position, message):
-        super().__init__(f"at position {position}: {message}")
+        # both in `args`, so a pickled error (a forked shard's) rebuilds
+        super().__init__(position, message)
         self.position = position
         self.message = message
+
+    def __str__(self):
+        return f"at position {self.position}: {self.message}"

@@ -171,15 +171,11 @@ def reduce_steps(steps) -> tuple:
     return tuple(out)
 
 
-def _feed(out: list, pending, steps, reduced: bool = False):
+def _feed(out: list, pending, steps):
     """Continue the reduction of `out` (reduced, with `pending`, the
     (factor, vector) translation awaiting the next departure, or None) by
-    `steps`; returns the new pending.
-
-    With ``reduced`` the steps are known to be reduced: once one of them
-    survives, the rest cannot cancel and are appended as they are.
-    """
-    for k, step in enumerate(steps):
+    `steps`, one at a time; returns the new pending."""
+    for step in steps:
         if pending is not None:
             i, vec = pending
             pending = None
@@ -192,9 +188,6 @@ def _feed(out: list, pending, steps, reduced: bool = False):
                 pending = (prev[1], prev[2])
         else:
             out.append(step)
-            if reduced:
-                out.extend(steps[k + 1:])
-                return None
     return pending
 
 
@@ -207,13 +200,11 @@ def _pending_steps(pending) -> tuple:
 
 
 def _join(state, block):
-    """The reduction state of a reduced state followed by a reduced block,
-    both (steps, pending): cancel at the junction, then append the rest."""
+    """The reduction state, (steps, pending), of a state followed by a
+    block: the block's steps and then its pending excursion, fed onto the
+    state's."""
     out = list(state[0])
-    pending = _feed(out, state[1], block[0], reduced=True)
-    if block[1] is not None:
-        pending = _feed(out, pending, _pending_steps(block[1]))
-    return out, pending
+    return out, _feed(out, state[1], block[0] + _pending_steps(block[1]))
 
 
 def _back_step(pres: Presentation, steps, pos):

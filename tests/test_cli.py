@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from fpaut import (Presentation, atoroidal_search, flare_certify, parse_word,
                    render_word, twin_search)
-from fpaut import cli, verify
+from fpaut import cli, errors, verify
 from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
                        config_from_args, exit_code, load_automorphism, main,
                        run, run_with_cache)
@@ -519,17 +520,73 @@ def _raise_self_check():
     raise SelfCheckFailed("shard self-check")
 
 
-def test_forked_shard_error_keeps_its_type(fib_file, capsys, monkeypatch):
-    _fail_shard(monkeypatch, (1, 2), _raise_self_check)
+def _jobs_past_the_parser(monkeypatch, jobs):
     parse = cli.config_from_args
     monkeypatch.setattr(cli, "config_from_args",
-                        lambda argv: dataclasses.replace(parse(argv), jobs=2))
-    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+                        lambda argv: dataclasses.replace(parse(argv), jobs=jobs))
+
+
+def assert_one_error_line(capsys, error):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert json.loads(captured.err)["error"] == \
-        "SelfCheckFailed: shard self-check"
+    assert json.loads(captured.err)["error"] == error
+
+
+def test_forked_shard_error_keeps_its_type(fib_file, capsys, monkeypatch):
+    _fail_shard(monkeypatch, (1, 2), _raise_self_check)
+    _jobs_past_the_parser(monkeypatch, 2)
+    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+    assert_one_error_line(capsys, "SelfCheckFailed: shard self-check")
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, FpAutError)])
+def test_errors_survive_pickling(cls):
+    # a forked shard sends its search's exception through a pipe, pickled
+    e = cls(3, "bad") if cls is ParseError else cls("bad")
+    clone = pickle.loads(pickle.dumps(e))
+    assert type(clone) is cls and str(clone) == str(e)
+    if cls is ParseError:
+        assert (clone.position, clone.message, str(clone)) == \
+            (3, "bad", "at position 3: bad")
+
+
+def _raise_parse_error():
+    raise ParseError(3, "bad")
+
+
+def test_forked_shard_parse_error_is_one_json_line(fib_file, capsys,
+                                                   monkeypatch):
+    _fail_shard(monkeypatch, (1, 2), _raise_parse_error)
+    _jobs_past_the_parser(monkeypatch, 2)
+    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+    assert_one_error_line(capsys, "ParseError: at position 3: bad")
+    assert_no_child_left()
+
+
+def test_failed_fork_closes_the_pipe_and_kills_the_shards(fib_file, capsys,
+                                                          monkeypatch):
+    # the first fork starts shard 1, the second fails: shard 1 is killed and
+    # reaped, and the failed shard's pipe ends are closed
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("no fork")
+        return fork()
+    _jobs_past_the_parser(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fd_dir = "/proc/self/fd"
+    before = set(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+    assert_one_error_line(capsys, "OSError: no fork")
+    assert len(calls) == 2
+    assert_no_child_left()
+    if before is not None:
+        assert set(os.listdir(fd_dir)) <= before
 
 
 def test_forked_shard_without_result_is_reported(fib_file, monkeypatch):

@@ -478,7 +478,7 @@ def _tested_nodes(monkeypatch, m, len_bound, exp_bound):
 
 @pytest.mark.parametrize("name, len_bound, exp_bound", [
     ("involution", 4, 3), ("mixed", 4, 3), ("toral_twist", 4, 3),
-    ("intro_anosov", 3, 3), ("fibonacci", 5, 3)])
+    ("intro_anosov", 3, 3), ("fibonacci", 5, 3), ("tribonacci", 6, 4)])
 def test_nielsen_images_equal_images_from_scratch(monkeypatch, request, name,
                                                  len_bound, exp_bound):
     phi = request.getfixturevalue(name)
