@@ -548,7 +548,8 @@ def main(argv=None) -> int:
         text = json.dumps(report, sort_keys=True, indent=2)
         if cfg.out_path:
             Path(cfg.out_path).write_text(text + "\n")
-    except (FpAutError, OSError, KeyError, ValueError, RecursionError) as e:
+    except (FpAutError, OSError, KeyError, ValueError, RecursionError,
+            MemoryError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return 2
     print(text)

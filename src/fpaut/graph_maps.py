@@ -32,6 +32,15 @@ state for f^1..f^N of every prefix of its depth-first search, so a child
 path costs one junction join per n with the cached image f^n of its last
 step; the pending decoration must be kept, not dropped, for the joins to
 give the images of whole paths.
+
+Each pass of `_feed`'s loop takes one fed step and pops or appends at most
+one step, so feeding k steps onto ``out`` keeps out[:len(out) - k] and
+leaves a length within k of len(out): the cancellation at one junction is
+bounded by the block fed (Cooper, 1987).  Before joining the images of a
+leaf of length L, ``nielsen_search`` uses this to rule out each power n
+whose kept prefix already differs from the path, or whose length range
+misses L; a leaf is joined and tested only when some power survives, so
+every tested leaf still sees all N images.
 """
 
 from __future__ import annotations
@@ -573,6 +582,11 @@ def nielsen_search(m: GraphMap, len_bound: int,
     distinct step.  Non-canonical paths are walked too, as their children
     may be canonical.  The walk must not recurse: F_1 has two reduced paths
     of every length, so its depth reaches the length bound.
+
+    A canonical leaf is neither joined nor tested when the junction bound
+    rules out every power (`_ruled_out`): joining a block of k steps keeps
+    all but the last k steps of the parent's image and moves its length by
+    at most k, since each fed step pops or appends at most one step.
     """
     pres = m.presentation
     blocks = {}  # step -> [state of f^n(step) for n = 1..exp_bound]
@@ -601,6 +615,7 @@ def nielsen_search(m: GraphMap, len_bound: int,
 
     witnesses = []
     for start, departures in first.items():
+        skip = 0 if start == BASE else 1  # a factor start may shift steps[0]
         steps = []  # the prefix of the top frame
         stack = [(iter(departures), [((), None)] * exp_bound)]
         while stack:
@@ -616,9 +631,11 @@ def nielsen_search(m: GraphMap, len_bound: int,
             at = step_target(step)
             canonical = _precedes_reverse(pres, start, steps, at)
             leaf = len(steps) == len_bound
-            if canonical or not leaf:  # an untested leaf needs no images
+            tested = canonical and not (leaf and _ruled_out(
+                states, images_of(step), steps, skip))
+            if tested or not leaf:  # an untested leaf needs no images
                 images = [_join(s, b) for s, b in zip(states, images_of(step))]
-            if canonical:
+            if tested:
                 found = _nielsen_test(m, start, steps,
                                       [out for out, _ in images])
                 if found is not None:
@@ -630,6 +647,27 @@ def nielsen_search(m: GraphMap, len_bound: int,
     witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
                                   path_key(w.path.steps)))
     return witnesses
+
+
+def _ruled_out(states, blocks, steps, skip) -> bool:
+    """Does the junction bound rule out [f^n(steps)] = g . steps for every
+    n?  ``states[n-1]`` is the reduction state of f^n(steps[:-1]) and
+    ``blocks[n-1]`` that of f^n(steps[-1]); a witness needs an image of
+    len(steps) steps that agrees with ``steps`` past its first ``skip``.
+    Joining a block of k fed steps, two of them for its pending excursion,
+    keeps out[:len(out) - k] and moves len(out) by at most k (module
+    docstring).
+    """
+    size = len(steps)
+    for (out, _), (block, pending) in zip(states, blocks):
+        k = len(block) if pending is None else len(block) + 2
+        kept = len(out) - k
+        if kept > size or len(out) + k < size:
+            continue
+        kept = min(kept, size)
+        if kept <= skip or out[skip:kept] == steps[skip:kept]:
+            return False
+    return True
 
 
 def _precedes_reverse(pres: Presentation, start, steps, end) -> bool:

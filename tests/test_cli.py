@@ -589,6 +589,39 @@ def test_failed_fork_closes_the_pipe_and_kills_the_shards(fib_file, capsys,
         assert set(os.listdir(fd_dir)) <= before
 
 
+def _raise_memory_error():
+    raise MemoryError("shard out of memory")
+
+
+def test_forked_shard_memory_error_is_one_json_line(fib_file, capsys,
+                                                    monkeypatch):
+    # running out of memory is an error, never the witness exit code 1
+    _fail_shard(monkeypatch, (1, 2), _raise_memory_error)
+    _jobs_past_the_parser(monkeypatch, 2)
+    assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
+    assert_one_error_line(capsys, "MemoryError: shard out of memory")
+    assert_no_child_left()
+
+
+def test_memory_error_exits_2(fib_file):
+    # a serial classify run that outgrows a 150 MB address space: one JSON
+    # error line and exit 2, not a traceback with the witness code 1; the
+    # limit is lowered in the child only
+    probe = ("import resource, sys; "
+             "_, hard = resource.getrlimit(resource.RLIMIT_AS); "
+             "limit = 150 * 2 ** 20; "
+             "resource.setrlimit(resource.RLIMIT_AS, (limit if hard == "
+             "resource.RLIM_INFINITY else min(limit, hard), hard)); "
+             "from fpaut import cli; sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "classify", "--aut", fib_file,
+         "--element", "x1", "--max-iter", "34"],
+        env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"].startswith("MemoryError")
+
+
 def test_forked_shard_without_result_is_reported(fib_file, monkeypatch):
     _fail_shard(monkeypatch, (1, 2), lambda: os._exit(3))
     cfg = config_from_args([*FIB_ATOROIDAL, "--aut", fib_file])

@@ -476,23 +476,43 @@ def _tested_nodes(monkeypatch, m, len_bound, exp_bound):
     return seen
 
 
+def _closes(start, steps, image):
+    """Does an image meet the Nielsen relation [f^n(path)] = g . path: the
+    same steps from a base start, as many steps and the same ones past the
+    first from a factor start?"""
+    if start == BASE:
+        return image == steps
+    return len(image) == len(steps) and image[1:] == steps[1:]
+
+
 @pytest.mark.parametrize("name, len_bound, exp_bound", [
     ("involution", 4, 3), ("mixed", 4, 3), ("toral_twist", 4, 3),
-    ("intro_anosov", 3, 3), ("fibonacci", 5, 3), ("tribonacci", 6, 4)])
+    ("intro_anosov", 3, 3), ("fibonacci", 5, 3), ("tribonacci", 6, 4),
+    ("toral_p", 3, 3), ("toral_q", 4, 3)])
 def test_nielsen_images_equal_images_from_scratch(monkeypatch, request, name,
                                                  len_bound, exp_bound):
+    # the search tests the enumerated paths in order, each with the images
+    # computed from scratch; it may leave out only leaves that the junction
+    # bound rules out, and those close for no power
     phi = request.getfixturevalue(name)
     if name == "mixed":
         phi = phi[0]
     m = build_standard_map(phi)
-    seen = _tested_nodes(monkeypatch, m, len_bound, exp_bound)
-    assert [(start, steps) for start, steps, _ in seen] == \
-        list(_enumerate_paths(phi.presentation, len_bound))
-    for start, steps, images in seen:
-        image = steps
-        for n in range(exp_bound):
+    seen = iter(_tested_nodes(monkeypatch, m, len_bound, exp_bound))
+    tested = next(seen, None)
+    for start, steps in _enumerate_paths(phi.presentation, len_bound):
+        images, image = [], steps
+        for _ in range(exp_bound):
             image = m.image_steps(image)
-            assert images[n] == image, (start, steps, n + 1)
+            images.append(image)
+        if tested is not None and tested[:2] == (start, steps):
+            assert tested[2] == images, (start, steps)
+            tested = next(seen, None)
+            continue
+        assert len(steps) == len_bound, (start, steps)
+        assert not any(_closes(start, steps, i) for i in images), \
+            (start, steps)
+    assert tested is None
 
 
 def test_nielsen_search_is_a_loop_not_a_recursion():
@@ -515,6 +535,65 @@ def test_involution_image_of_one_step_keeps_its_pending(involution):
     once = m.image_state((("t", 1),))
     assert once == ((("x", 1, 1), ("t", 1)), None)
     assert m.image_state(once[0]) == ((("t", 1),), (1, (1, 0)))
+
+
+@pytest.fixture(scope="module")
+def fixture_maps(request):
+    names = ("involution", "mixed", "toral_twist", "intro_anosov",
+             "fibonacci", "tribonacci", "toral_p", "toral_q")
+    maps = {}
+    for name in names:
+        phi = request.getfixturevalue(name)
+        maps[name] = build_standard_map(phi[0] if name == "mixed" else phi)
+    return maps
+
+
+def _iterated_state(m, steps, n):
+    """The reduction state of f^n(steps), each image taken of the last
+    image's steps followed by its pending excursion."""
+    state = ((), None)
+    seq = tuple(steps)
+    for _ in range(n):
+        state = m.image_state(seq)
+        seq = state[0] + graph_maps._pending_steps(state[1])
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
+    # the junction bound `nielsen_search` rules leaves out by: feeding k
+    # steps onto a reduced state keeps out[:len(out) - k] and ends with a
+    # length in [len(out) - k, len(out) + k]
+    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
+    pres = m.presentation
+    vertices = [BASE] + [factor_vertex(i)
+                         for i in range(1, pres.num_factors + 1)]
+    at = data.draw(st.sampled_from(vertices))
+    steps = []
+    for _ in range(data.draw(st.integers(0, 6)) + 1):
+        if at == BASE:
+            choices = base_directions(pres)
+        else:
+            vec = st.tuples(*[st.integers(-2, 2)] * pres.factor_rank(at[1]))
+            choices = [("T", at[1], data.draw(vec))]
+        choices = [c for c in choices
+                   if not (steps and _degenerate(steps[-1], c))]
+        if not choices:  # the one drawn decoration backtracks
+            break
+        steps.append(data.draw(st.sampled_from(choices)))
+        at = step_target(steps[-1])
+    *path, step = steps
+    n = data.draw(st.integers(1, 3))
+    out, pending = _iterated_state(m, path, n)
+    block, block_pending = _iterated_state(m, (step,), n)
+    fed = block + graph_maps._pending_steps(block_pending)
+    k = len(fed)
+    after = list(out)
+    graph_maps._feed(after, pending, fed)
+    kept = max(len(out) - k, 0)
+    assert after[:kept] == list(out[:kept])
+    assert len(out) - k <= len(after) <= len(out) + k
 
 
 def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
