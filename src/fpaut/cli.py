@@ -542,6 +542,7 @@ def config_from_args(argv) -> JobConfig:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    cfg = None
     try:
         cfg = config_from_args(argv)
         code, report = run_with_cache(cfg)
@@ -550,7 +551,15 @@ def main(argv=None) -> int:
             Path(cfg.out_path).write_text(text + "\n")
     except (FpAutError, OSError, KeyError, ValueError, RecursionError,
             MemoryError) as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
+        error = f"{type(e).__name__}: {e}"
+        if isinstance(e, MemoryError) and cfg is not None:
+            # str(MemoryError()) is empty: name the job whose bounds outgrew
+            # memory, in the caller or in a forked shard
+            job = " ".join([cfg.command] + [
+                f"--{key.replace('_', '-')} {val}"
+                for key, val in cfg.bounds.items()])
+            error = f"MemoryError: {job}" + (f": {e}" if str(e) else "")
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 2
     print(text)
     return code

@@ -76,9 +76,10 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
     A group yields (syllables, weight_sum) per class: the syllables of its
     representative and the sum of ``weight(s)`` over them, an int per
     syllable s, 0 when ``weight`` is None (`_abelian_prefilter` makes one
-    whose sums it can test).  Each syllable's weight is computed once and
-    carried in its candidate tuple, and a class's sum is its prefix's plus
-    one addition, so the sum costs O(1) per class.
+    whose sums its ``passes`` tests alone, without the class length).  Each
+    syllable's weight is computed once and carried in its candidate tuple,
+    and a class's sum is its prefix's plus one addition, so the sum costs
+    O(1) per class.
 
     The syllables are in cyclic normal form (the last and first syllable lie
     in different factors as well) and are the least rotation of their class
@@ -352,18 +353,15 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
     and the rows tested are those of I.
 
     The test is linear in g's syllables, so `_root_groups` sums it along
-    each class: ``weight(s)`` is an int of bit fields, one per nonzero row
-    of the A^n - I tried, holding row . v(s) + c, v(s) = `abelianize` of
-    the syllable s.  The L1 norm of v(s) is the mass of s, at most
-    max_exp, so c = max_exp max |row_j| bounds |row . v(s)| and the field
-    of s lies in 0..2c; the field is wide enough for 2 c max_len.  The
-    fields of one A^n - I lie side by side, a block.  The weights of an
-    m-syllable class sum each field to row . v(g) + m c, in 0..2 m c, so
-    no field carries into the next: the field is m c exactly when
-    row . v(g) = 0, and block n is zero exactly when its bits are m times
-    its offset (the c's in their fields).  ``passes(m, acc)`` makes that
-    comparison for the weight sum acc of an m-syllable class.  A block
-    without nonzero rows (A^n = I) has no bits and passes every class.
+    each class: ``weight(s)`` is an int of signed bit fields, one per
+    nonzero row of the A^n - I tried (a block per n), holding row . v(s)
+    for v(s) = `abelianize` of the syllable s.  Each syllable has mass at
+    most max_exp, so |row . v(g)| <= max_len max_exp max|row| = b, and a
+    field of w = b.bit_length() + 1 bits holds row . v(g) + 2^(w-1) without
+    carrying.  ``passes(acc)`` adds 2^(w-1) to every field of the weight
+    sum acc; a field reads 2^(w-1) exactly when row . v(g) = 0, so a class
+    passes when every field of some block does.  A block without nonzero
+    rows (A^n = I) has no bits and passes every class.
     """
     pres = phi.presentation
     a = phi.abelianized_matrix
@@ -375,25 +373,26 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
             diffs.append(a_n - eye)
     if all(determinant(d) for d in diffs):
         diffs = [eye]
-    # weight(s) = base + v(s) . packed: packed[j] holds column j of the
-    # rows and base the c's, each in its row's field
-    packed, base, blocks, shift = [0] * a.nrows, 0, [], 0
+    # weight(s) = v(s) . packed: packed[j] holds column j of the rows, each
+    # in its row's field; half holds the 2^(w-1) of every field
+    packed, half, blocks, shift = [0] * a.nrows, 0, [], 0
     for d in diffs:
         start = shift
         for row in d.entries:
-            c = max_exp * max(map(abs, row))  # 0 for a zero row: no bits
-            for j, x in enumerate(row):
-                packed[j] += x << shift
-            base += c << shift
-            shift += (2 * max_len * c).bit_length()
-        blocks.append((start, (1 << (shift - start)) - 1, base >> start))
+            bits = (max_len * max_exp * max(map(abs, row))).bit_length()
+            if bits:  # a zero row has no field
+                packed = [p + (x << shift) for p, x in zip(packed, row)]
+                half += 1 << (shift + bits)
+                shift += bits + 1
+        blocks.append((start, (1 << (shift - start)) - 1, half >> start))
 
     def weight(s) -> int:
-        return base + sum(map(mul, abelianize(Word(pres, (s,))), packed))
+        return sum(map(mul, abelianize(Word(pres, (s,))), packed))
 
-    def passes(m: int, acc: int) -> bool:
-        for start, mask, offset in blocks:
-            if (acc >> start) & mask == m * offset:
+    def passes(acc: int) -> bool:
+        acc += half
+        for start, mask, zero in blocks:
+            if (acc >> start) & mask == zero:
                 return True
         return False
     return weight, passes
@@ -419,7 +418,7 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
         for ordinal, group in _owned(groups, shard):
             tested = 0
             for tested, (key, acc) in enumerate(group, 1):
-                if not passes(len(key), acc):
+                if not passes(acc):
                     continue
                 # key is in cyclic normal form and is its own least rotation
                 g = w = Word(pres, key)

@@ -210,10 +210,9 @@ def _pending_steps(pending) -> tuple:
 
 def _join(state, block):
     """The reduction state, (steps, pending), of a state followed by a
-    block: the block's steps and then its pending excursion, fed onto the
-    state's."""
+    block of fed steps (a reduced image and its pending excursion)."""
     out = list(state[0])
-    return out, _feed(out, state[1], block[0] + _pending_steps(block[1]))
+    return out, _feed(out, state[1], block)
 
 
 def _back_step(pres: Presentation, steps, pos):
@@ -578,28 +577,29 @@ def nielsen_search(m: GraphMap, len_bound: int,
     depth-first loop walks an explicit stack whose frames hold the steps
     still to try after a prefix and the reduction states (steps, pending)
     of f^1..f^N of that prefix; a child's states are the junction joins of
-    its parent's with the images f^n(e) of its last step, computed once per
-    distinct step.  Non-canonical paths are walked too, as their children
+    its parent's with the blocks of its last step e, computed once per
+    distinct step: the steps a join feeds, f^n(e) reduced followed by its
+    pending excursion.  Non-canonical paths are walked too, as their children
     may be canonical.  The walk must not recurse: F_1 has two reduced paths
     of every length, so its depth reaches the length bound.
 
     A canonical leaf is neither joined nor tested when the junction bound
-    rules out every power (`_ruled_out`): joining a block of k steps keeps
-    all but the last k steps of the parent's image and moves its length by
-    at most k, since each fed step pops or appends at most one step.
+    rules out every power (`_ruled_out`): joining a block of k fed steps
+    keeps all but the last k steps of the parent's image and moves its
+    length by at most k, since each fed step pops or appends at most one
+    step.
     """
     pres = m.presentation
-    blocks = {}  # step -> [state of f^n(step) for n = 1..exp_bound]
+    blocks = {}  # step -> [fed steps of f^n(step) for n = 1..exp_bound]
 
     def images_of(step):
         got = blocks.get(step)
         if got is None:
-            got = []
-            seq = (step,)
+            got, seq = [], (step,)
             for _ in range(exp_bound):
-                state = m.image_state(seq)
-                got.append(state)
-                seq = state[0] + _pending_steps(state[1])
+                out, pending = m.image_state(seq)
+                seq = out + _pending_steps(pending)
+                got.append(seq)
             blocks[step] = got
         return got
 
@@ -652,17 +652,15 @@ def nielsen_search(m: GraphMap, len_bound: int,
 def _ruled_out(states, blocks, steps, skip) -> bool:
     """Does the junction bound rule out [f^n(steps)] = g . steps for every
     n?  ``states[n-1]`` is the reduction state of f^n(steps[:-1]) and
-    ``blocks[n-1]`` that of f^n(steps[-1]); a witness needs an image of
-    len(steps) steps that agrees with ``steps`` past its first ``skip``.
-    Joining a block of k fed steps, two of them for its pending excursion,
-    keeps out[:len(out) - k] and moves len(out) by at most k (module
-    docstring).
+    ``blocks[n-1]`` the fed steps of f^n(steps[-1]); a witness needs an
+    image of len(steps) steps that agrees with ``steps`` past its first
+    ``skip``.  Joining a block of k fed steps keeps out[:len(out) - k] and
+    moves len(out) by at most k (module docstring).
     """
     size = len(steps)
-    for (out, _), (block, pending) in zip(states, blocks):
-        k = len(block) if pending is None else len(block) + 2
-        kept = len(out) - k
-        if kept > size or len(out) + k < size:
+    for (out, _), block in zip(states, blocks):
+        kept = len(out) - len(block)
+        if kept > size or len(out) + len(block) < size:
             continue
         kept = min(kept, size)
         if kept <= skip or out[skip:kept] == steps[skip:kept]:

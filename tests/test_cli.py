@@ -599,7 +599,8 @@ def test_forked_shard_memory_error_is_one_json_line(fib_file, capsys,
     _fail_shard(monkeypatch, (1, 2), _raise_memory_error)
     _jobs_past_the_parser(monkeypatch, 2)
     assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
-    assert_one_error_line(capsys, "MemoryError: shard out of memory")
+    assert_one_error_line(capsys, "MemoryError: atoroidal --max-len 5 "
+                          "--max-exp 3 --max-iter 4: shard out of memory")
     assert_no_child_left()
 
 
@@ -619,7 +620,9 @@ def test_memory_error_exits_2(fib_file):
         env=_source_env(), capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.count("\n") == 1
-    assert json.loads(done.stderr)["error"].startswith("MemoryError")
+    # str(MemoryError()) is empty, so the line names the job instead
+    assert json.loads(done.stderr)["error"] == \
+        "MemoryError: classify --max-iter 34"
 
 
 def test_forked_shard_without_result_is_reported(fib_file, monkeypatch):

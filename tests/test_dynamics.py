@@ -765,9 +765,9 @@ def test_abelian_prefilter_with_eigenvalue_1(toral_twist, mixed):
     assert a != IntegerMatrix.identity(3)
     assert determinant(a - IntegerMatrix.identity(3)) == 0
     twist_kept, mixed_kept = (
-        [passes(len(syllables), acc)
+        [passes(acc)
          for group in _root_groups(phi.presentation, 4, 1, weight=weight)
-         for syllables, acc in group]
+         for _, acc in group]
         for phi in (toral_twist, mixed[0])
         for weight, passes in [dynamics._abelian_prefilter(phi, 4, 1, 2)])
     assert all(twist_kept)
@@ -814,7 +814,7 @@ def _carried_filter_verdicts(phi, max_len, max_exp, max_iter):
     verdicts = []
     for group in _root_groups(pres, max_len, max_exp, weight=weight):
         for syllables, acc in group:
-            verdict = passes(len(syllables), acc)
+            verdict = passes(acc)
             assert verdict == oracle(Word(pres, syllables)), syllables
             verdicts.append(verdict)
     return verdicts
@@ -857,11 +857,11 @@ def fib_and_flip(free3):
                     {"x1": "x2", "x2": "x2^-1 x1", "x3": "x3^-1"})
 
 
-# A field reaches its bounds on max_len copies of the syllable at either
-# extreme of its row.  On fib_and_flip, max_len copies of x3^-max_exp fill
-# the last field of the n = 3 block to 2 c max_len while the n = 4 block is
-# zero; a field one bit narrower carries into that block and fails a class
-# the oracle passes.
+# A field reaches its bounds, +-b for b = max_len max_exp max|row|, on
+# max_len copies of the syllable at either extreme of its row.  On
+# fib_and_flip, max_len copies of x3^-max_exp take the last field of the
+# n = 3 block to +b while the n = 4 block is zero; a field one bit narrower
+# carries into that block and fails a class the oracle passes.
 @pytest.mark.parametrize("fixture, max_iter", [
     ("fib_and_flip", 4), ("mixed", 4), ("fibonacci", 4), ("tribonacci", 3)])
 @pytest.mark.parametrize("max_len, max_exp", [(3, 1), (4, 2), (5, 3)])
@@ -887,7 +887,7 @@ def test_prefilter_fields_hold_extreme_sums(request, fixture, max_iter,
                for s in syllables}
         for s in (max(syllables, key=dot.get), min(syllables, key=dot.get)):
             # the sum is linear, so the copies need not form a class
-            verdict = passes(max_len, max_len * weight(s))
+            verdict = passes(max_len * weight(s))
             copies = reduce(multiply, [Word(pres, (s,))] * max_len)
             assert verdict == oracle(copies), s
             verdicts.append(verdict)

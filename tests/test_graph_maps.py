@@ -6,14 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpaut import (EdgePath, Presentation, bounded_cancellation_constant,
-                   build_standard_map, check_train_track, constants_report,
-                   gate_structure, identity_automorphism, nielsen_search,
-                   parse_word, render_word, transition_matrix)
+from fpaut import (EdgePath, Presentation, Word, apply_power,
+                   bounded_cancellation_constant, build_standard_map,
+                   check_train_track, constants_report, double_coset_rep,
+                   gate_structure, identity_automorphism, multiply,
+                   nielsen_search, parse_word, render_word,
+                   transition_matrix, twin_search)
+from fpaut import verify
 from fpaut.cli import COMMANDS, JobConfig, canonical_json, to_jsonable
 from fpaut.errors import FactorsPermuted
 from fpaut import graph_maps
-from fpaut.dynamics import _vectors_of_mass
+from fpaut.dynamics import _leading_factor_part, _vectors_of_mass
 from fpaut.graph_maps import (BASE, GraphMap, _degenerate, _precedes_reverse,
                               _reverse_steps, base_directions, factor_vertex,
                               path_key, reduce_steps, spell, step_source,
@@ -559,17 +562,12 @@ def _iterated_state(m, steps, n):
     return state
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
-    # the junction bound `nielsen_search` rules leaves out by: feeding k
-    # steps onto a reduced state keeps out[:len(out) - k] and ends with a
-    # length in [len(out) - k, len(out) + k]
-    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
-    pres = m.presentation
+def _draw_path(data, pres):
+    """(start, steps) of a reduced path of 1 to 7 steps from a drawn
+    vertex, its decorations in -2..2."""
     vertices = [BASE] + [factor_vertex(i)
                          for i in range(1, pres.num_factors + 1)]
-    at = data.draw(st.sampled_from(vertices))
+    start = at = data.draw(st.sampled_from(vertices))
     steps = []
     for _ in range(data.draw(st.integers(0, 6)) + 1):
         if at == BASE:
@@ -583,7 +581,17 @@ def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
             break
         steps.append(data.draw(st.sampled_from(choices)))
         at = step_target(steps[-1])
-    *path, step = steps
+    return start, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
+    # the junction bound `nielsen_search` rules leaves out by: feeding k
+    # steps onto a reduced state keeps out[:len(out) - k] and ends with a
+    # length in [len(out) - k, len(out) + k]
+    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
+    *path, step = _draw_path(data, m.presentation)[1]
     n = data.draw(st.integers(1, 3))
     out, pending = _iterated_state(m, path, n)
     block, block_pending = _iterated_state(m, (step,), n)
@@ -594,6 +602,27 @@ def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
     kept = max(len(out) - k, 0)
     assert after[:kept] == list(out[:kept])
     assert len(out) - k <= len(after) <= len(out) + k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_path_or_its_reverse_is_canonical_never_both(fixture_maps, data):
+    # so `nielsen_search` tests each path orbit once.  No reduced path
+    # equals its reverse, so `_precedes_reverse` never reaches its final
+    # `return True`: the middle step of an odd path would equal itself run
+    # backwards (x_l flips its sign, t and T swap), and the middle two
+    # steps of an even path would backtrack, the second along the first.
+    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
+    pres = m.presentation
+    start, steps = _draw_path(data, pres)
+    if start != BASE:  # normalised: a factor start leaves along 0
+        steps[0] = ("T", start[1], (0,) * pres.factor_rank(start[1]))
+    end = step_target(steps[-1])
+    back = _reverse_steps(pres, steps)
+    assert len(back) == len(steps)
+    assert _reverse_steps(pres, back) == tuple(steps)
+    assert _precedes_reverse(pres, start, steps, end) != \
+        _precedes_reverse(pres, end, back, start)
 
 
 def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
@@ -624,3 +653,97 @@ def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
     graph_maps._reverse_steps(
         m.presentation, spell(parse_word("x1 x2", m.presentation)))
     assert calls == ["image_steps", "image_state", "reverse"]
+
+
+def _twin_as_path(phi, witness):
+    """(path, n, g) of the factor-to-factor Nielsen path that a twin witness
+    ((u, i), (v, j), m, g) is: phi^m twins uA_iu^-1 and vA_jv^-1 by g
+    exactly when f^m carries the tree path between the vertices they fix,
+    u.v_i and v.v_j, to its g-translate.  Translating by u^-1 leaves the
+    pair (A_i, wA_jw^-1), w = u^-1 v, twinned by phi^m(u)^-1 g u; a
+    further translation by the leading A_i syllable a of w makes the path
+    leave v_i along decoration 0, and a trailing A_j syllable of w moves
+    no vertex."""
+    pres = phi.presentation
+    i, j, m = witness["factor_i"], witness["factor_j"], witness["power"]
+    u, g = witness["conj_u"], witness["element"]
+    w = multiply(u.inverse(), witness["conj_v"])
+    rest = double_coset_rep(i, w, j)  # a^-1 w with its A_j tail dropped
+    ua = multiply(u, _leading_factor_part(w, i))
+    g = multiply(multiply(apply_power(phi, m, ua).inverse(), g), ua)
+    steps = (("T", i, (0,) * pres.factor_rank(i)),) + spell(rest) \
+        + (("t", j),)
+    return EdgePath(pres, factor_vertex(i), steps), m, g
+
+
+def _moved_witnesses(phi, witness):
+    """The twin witness written three more ways, each with the same
+    translated path and element: with a trailing A_j syllable b on v (the
+    same subgroup), translated by a syllable t of A_i ((tu, i), (tv, j),
+    phi^m(t) g t^-1), and translated by utu^-1, which fixes uA_iu^-1 and so
+    moves only v."""
+    pres = phi.presentation
+    i, j, m = witness["factor_i"], witness["factor_j"], witness["power"]
+    u, v, g = witness["conj_u"], witness["conj_v"], witness["element"]
+
+    def syllable(k):
+        return Word(pres, (FactorSyllable(k, (1,) + (0,) * (
+            pres.factor_rank(k) - 1)),))
+
+    def moved(c, u):  # translated by c, whose first descriptor is (u, i)
+        image = apply_power(phi, m, c)
+        return {**witness, "conj_u": u, "conj_v": multiply(c, v),
+                "element": multiply(multiply(image, g), c.inverse())}
+    t = syllable(i)
+    return [{**witness, "conj_v": multiply(v, syllable(j))},
+            moved(t, multiply(t, u)),
+            moved(multiply(multiply(u, t), u.inverse()), u)]
+
+
+# Twins and factor-to-factor Nielsen paths are two searches for one
+# hypothesis of the paper, so each witness of one, translated, must pass the
+# other's re-verification (`verify`).  Bounds: `twins` at power M and
+# conj-len C tests every pair (A_i, wA_jw^-1) with w = u^-1 v, u and v of at
+# most C syllables and exponent mass each, m <= M; a factor-to-factor path
+# of L steps spells w between its first step (T_i 0) and its last (t_j),
+# each factor syllable of w taking two steps and each free letter one.
+# Paths of at most 3 steps spell w = 1 or one free letter, so `nielsen`
+# 3/N is covered by `twins` N/C for every C >= 1: a factor-to-factor path
+# it finds makes `twins` find a pair, and `twins` exhausted means no such
+# path.  The other way needs longer paths (the twist pair below is a
+# 4-step path), so it is checked witness by witness only.
+@pytest.mark.parametrize("name, twins, twin_path, paths", [
+    ("intro_anosov", (2, 2), (("T", 1, (0, 0)), ("t", 2)),
+     [(("T", 1, (0, 0)), ("t", 2))]),
+    ("mixed", (2, 2), (("T", 1, (0, 0)), ("x", 1, -1), ("t", 1)),
+     [(("T", 1, (0, 0)), ("x", 1, -1), ("t", 1))]),
+    ("toral_twist", (2, 2),
+     (("T", 1, (0, 0)), ("t", 2), ("T", 2, (-2, 0)), ("t", 1)),
+     [(("T", 1, (0, 0)), ("t", 2))]),
+    ("toral_p", (2, 1), None, [])])
+def test_twins_and_factor_nielsen_paths_check_each_other(request, name, twins,
+                                                          twin_path, paths):
+    phi = request.getfixturevalue(name)
+    if name == "mixed":
+        phi = phi[0]
+    pres = phi.presentation
+    rep = twin_search(phi, *twins)
+    found = [w for w in nielsen_search(build_standard_map(phi), 3, 2)
+             if w.path.start != BASE and w.path.end_vertex() != BASE]
+    assert [w.path.steps for w in found] == paths
+    for w in found:
+        verify.twinned_pair(phi, w.exponent, w.element,
+                            (Word(pres), w.path.start[1]),
+                            (w.path.word(), w.path.end_vertex()[1]))
+    # nielsen 3/2 is covered by twins 2/C: its paths make twins find a pair
+    assert rep.verdict == ("witness" if found else "exhausted")
+    if twin_path is None:
+        return
+    path, m, g = _twin_as_path(phi, rep.witness)
+    assert path.steps == twin_path
+    verify.nielsen_path(phi, path.word(), path.end_vertex()[1], m, g)
+    for other in _moved_witnesses(phi, rep.witness):
+        verify.twinned_pair(phi, m, other["element"],
+                            (other["conj_u"], other["factor_i"]),
+                            (other["conj_v"], other["factor_j"]))
+        assert _twin_as_path(phi, other) == (path, m, g)
