@@ -37,7 +37,7 @@ the new images with the same `_factor_data` and runs neither the inverse
 check nor the determinant check.  `power` multiplies by repeated squaring.
 `_apply_table` substitutes table entries and reads no side: it is the
 inverse check of `validate`, and `fpaut.verify` re-checks every witness
-with it (`periodic_class`, `twinned_pair`, `nielsen_path`, `conjugacy`).
+with it (`periodic_class`, `vertices`, `conjugacy`).
 """
 
 from __future__ import annotations

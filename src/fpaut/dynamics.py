@@ -459,8 +459,8 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     any choice of heads (h_m b, b in A_i, is one too).  Then g = h_m a u^-1,
     a the leading A_i syllable of c over that of u^-1 v.  g is unique: these
     are cosets of phi^m(H) and phi^m(K), distinct conjugates that meet
-    trivially, so they share at most one element.  `verify.twinned_pair`
-    re-checks both conjugation equations of g on factor generators.
+    trivially, so they share at most one element.  `verify.vertices`
+    re-checks that g moves both descriptors' tree vertices as phi^m does.
 
     Its root groups are runs of at most `_TWIN_RUN` pairs (k, l), k < l,
     with one first descriptor k at one power, walked power by power.
@@ -494,7 +494,7 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                 a = multiply(_leading_factor_part(c, i),
                              _leading_factor_part(w, i).inverse())
                 g = multiply(multiply(h, a), u_inv)
-                verify.twinned_pair(phi, m, g, (u, i), (v, j))
+                verify.vertices(phi, m, g, (u, i), (v, j))
                 yield ordinal, tested, {"factor_i": i, "conj_u": u,
                                         "factor_j": j, "conj_v": v,
                                         "power": m, "element": g}

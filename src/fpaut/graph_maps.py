@@ -571,7 +571,8 @@ def nielsen_search(m: GraphMap, len_bound: int,
     starting at a factor vertex are normalised to first decoration 0 (their
     translates realise every other choice), and a path is skipped when its
     reverse precedes it in (vertex_key, path_key) order.  Every witness is
-    re-verified at word level before being reported (`verify.nielsen_path`).
+    re-verified at word level before being reported: g must move both end
+    vertices as f^n does (`verify.vertices`).
 
     Tightening commutes with f, so [f^n(p.e)] = [[f^n(p)] . [f^n(e)]].  One
     depth-first loop walks an explicit stack whose frames hold the steps
@@ -708,16 +709,15 @@ def _nielsen_test(m: GraphMap, start, steps, images):
                 g = Word(pres)
         else:
             i = start[1]
-            if (len(image) == len(steps) and image and image[0][0] == "T"
-                    and image[1:] == steps[1:]):
+            if len(image) == len(steps) and image[1:] == steps[1:]:
                 h = tuple(a - b for a, b in zip(image[0][2], steps[0][2]))
                 shift = Word(pres, (FactorSyllable(i, h),)) if any(h) else Word(pres)
                 g = multiply(conjugator(i, n), shift)
         if g is None:
             continue
         path = EdgePath(pres, start, tuple(steps))
-        end = path.end_vertex()
-        verify.nielsen_path(phi, path.word(), None if end == BASE else end[1],
-                            n, g)
+        ends = (Word(pres), start), (path.word(), path.end_vertex())
+        verify.vertices(phi, n, g, *((u, None if v == BASE else v[1])
+                                     for u, v in ends))
         return NielsenWitness(path, n, g)
     return None

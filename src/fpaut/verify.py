@@ -1,7 +1,11 @@
-"""One re-verification per witness kind: each check computes phi^n by
-substituting phi's image table (`automorphisms._apply_table`) and reads none
-of the sides (`automorphisms._Side`) through which the searches found the
-witness.  A failed check raises `SelfCheckFailed`, a bug in this package."""
+"""One re-verification per fact a search claims: a periodic conjugacy class
+(`periodic_class`), tree vertices that an element moves as phi^n does
+(`vertices`, for twinned pairs and Nielsen paths) and a conjugacy
+(`conjugacy`).  Each check computes phi^n by substituting phi's image table
+(`automorphisms._apply_table`) and reads only the tables and presentation of
+an automorphism: none of the sides (`automorphisms._Side`) or the
+conjugators and matrices through which the searches found the witness.  A
+failed check raises `SelfCheckFailed`, a bug in this package."""
 
 from __future__ import annotations
 
@@ -27,30 +31,23 @@ def periodic_class(phi: Automorphism, g: Word, n: int) -> None:
     _require(conjugate_test(_image(phi, n, g), g), "periodic class")
 
 
-def twinned_pair(phi: Automorphism, m: int, g: Word, first, second) -> None:
-    """For each descriptor (u, i) of `first` and `second`, phi^m(u a u^-1)
-    lies in (gu) A_i (gu)^-1 for every generator a of A_i (`twin_search`)."""
+def vertices(phi: Automorphism, n: int, g: Word, *ends) -> None:
+    """g carries each Bass-Serre vertex u.v of `ends`, given as (u, i), to
+    its image under the lift of f^n: for i None, v is the base vertex, whose
+    lift f fixes, so phi^n(u) = g u; else v is the vertex of A_i, and
+    (gu)^-1 phi^n(u a u^-1) (gu) lies in A_i for every generator a of A_i
+    (`twin_search`, `nielsen_search`)."""
     pres = phi.presentation
-    for u, i in (first, second):
-        gu = multiply(g, u)
+    for u, i in ends:
+        gu, image = multiply(g, u), _image(phi, n, u)
+        if i is None:
+            _require(image == gu, "vertex")
+            continue
+        c = multiply(gu.inverse(), image)
         for r in range(1, pres.factor_rank(i) + 1):
-            x = multiply(multiply(u, generator_word(pres, f"a{i}.{r}")),
-                         u.inverse())
-            y = multiply(multiply(gu.inverse(), _image(phi, m, x)), gu)
-            _require(not double_coset_rep(i, y, i), "twin")
-
-
-def nielsen_path(phi: Automorphism, w: Word, end, n: int, g: Word) -> None:
-    """phi^n(w) h = g w a for some a in A_end, where w is the word of a path
-    ending at factor vertex `end` (None: at the base vertex, and a = 1)
-    and h_0 = 1, h_k = phi(h_{k-1}) g_end (`nielsen_search`)."""
-    h = Word(phi.presentation)
-    if end is not None:
-        for _ in range(n):
-            h = multiply(_image(phi, 1, h), phi.conjugator(end))
-    diff = multiply(multiply(g, w).inverse(), multiply(_image(phi, n, w), h))
-    _require(not (diff if end is None else double_coset_rep(end, diff, end)),
-             "nielsen")
+            a = _image(phi, n, generator_word(pres, f"a{i}.{r}"))
+            y = multiply(multiply(c, a), c.inverse())
+            _require(not double_coset_rep(i, y, i), "vertex")
 
 
 def conjugacy(phi1: Automorphism, phi2: Automorphism, psi: Automorphism,

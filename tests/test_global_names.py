@@ -17,7 +17,8 @@ any ``assert`` statement in the package: ``python -O`` strips them, so a
 self-check must raise ``SelfCheckFailed`` instead.  The fifth keeps witness
 checking in one place: only ``automorphisms`` and ``verify`` may refer to
 ``_apply_table``, and ``verify`` may refer to nothing that reads a side of
-an automorphism.  All five use only the standard library.
+an automorphism nor read an attribute that validation derives or the
+searches build.  All five use only the standard library.
 """
 
 import ast
@@ -52,6 +53,12 @@ ENTRY_POINTS = {
 SIDE_READERS = {("automorphisms", name) for name in (
     "apply", "apply_inverse", "apply_power", "compose", "inverse", "power",
     "conjugator_step", "_act", "_Side")}
+
+# the attributes of an `Automorphism` that validation derives or the searches
+# build; a witness check reads only its tables and presentation
+DERIVED_ATTRIBUTES = {
+    "conjugator", "conjugators", "factor_matrix", "factor_matrices",
+    "factor_permutation", "abelianized_matrix", "_forward", "_backward"}
 
 
 def _code_objects(code):
@@ -165,10 +172,14 @@ def test_no_assert_statement_in_the_package():
 
 
 def test_witnesses_are_checked_only_by_table_substitution():
+    trees = dict(_module_trees(Path(fpaut.__file__).parent))
     # module -> (module, name) of every definition it refers to
     refs = {module: _references(tree, module, _bindings(tree))
-            for module, tree in _module_trees(Path(fpaut.__file__).parent)}
+            for module, tree in trees.items()}
     substituting = sorted(module for module, found in refs.items()
                           if ("automorphisms", "_apply_table") in found)
     assert set(substituting) <= {"automorphisms", "verify"}, substituting
     assert not refs["verify"] & SIDE_READERS, sorted(refs["verify"] & SIDE_READERS)
+    derived = [f"verify.py:{n.lineno}: {n.attr}" for n in ast.walk(trees["verify"])
+               if isinstance(n, ast.Attribute) and n.attr in DERIVED_ATTRIBUTES]
+    assert not derived, derived

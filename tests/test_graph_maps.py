@@ -26,6 +26,7 @@ from fpaut.words import FactorSyllable
 
 from conftest import make_aut, random_word
 from test_action import PRESENTATIONS, automorphisms_of
+from test_verify import path_ends
 
 
 @pytest.fixture(scope="module")
@@ -726,24 +727,44 @@ def test_twins_and_factor_nielsen_paths_check_each_other(request, name, twins,
     phi = request.getfixturevalue(name)
     if name == "mixed":
         phi = phi[0]
-    pres = phi.presentation
     rep = twin_search(phi, *twins)
     found = [w for w in nielsen_search(build_standard_map(phi), 3, 2)
              if w.path.start != BASE and w.path.end_vertex() != BASE]
     assert [w.path.steps for w in found] == paths
     for w in found:
-        verify.twinned_pair(phi, w.exponent, w.element,
-                            (Word(pres), w.path.start[1]),
-                            (w.path.word(), w.path.end_vertex()[1]))
+        verify.vertices(phi, w.exponent, w.element, *path_ends(w.path))
     # nielsen 3/2 is covered by twins 2/C: its paths make twins find a pair
     assert rep.verdict == ("witness" if found else "exhausted")
     if twin_path is None:
         return
     path, m, g = _twin_as_path(phi, rep.witness)
     assert path.steps == twin_path
-    verify.nielsen_path(phi, path.word(), path.end_vertex()[1], m, g)
+    verify.vertices(phi, m, g, *path_ends(path))
     for other in _moved_witnesses(phi, rep.witness):
-        verify.twinned_pair(phi, m, other["element"],
-                            (other["conj_u"], other["factor_i"]),
-                            (other["conj_v"], other["factor_j"]))
+        verify.vertices(phi, m, other["element"],
+                        (other["conj_u"], other["factor_i"]),
+                        (other["conj_v"], other["factor_j"]))
         assert _twin_as_path(phi, other) == (path, m, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_short_factor_nielsen_paths_imply_twins(data):
+    # the bound translation above on random class-preserving phi: `nielsen`
+    # 3/N finding a factor-to-factor path makes `twins` N/1 find a pair,
+    # and each witness, as a pair of tree vertices, passes `verify.vertices`
+    pres = data.draw(st.sampled_from(
+        [p for p in PRESENTATIONS if p.num_factors]))
+    phi = data.draw(automorphisms_of(pres))
+    assume(phi.preserves_factor_classes)
+    n = data.draw(st.integers(1, 2))
+    found = [w for w in nielsen_search(build_standard_map(phi), 3, n)
+             if BASE not in (w.path.start, w.path.end_vertex())]
+    for w in found:
+        verify.vertices(phi, w.exponent, w.element, *path_ends(w.path))
+    rep = twin_search(phi, n, 1)
+    if found:
+        assert rep.verdict == "witness"
+    if rep.verdict == "witness":
+        path, m, g = _twin_as_path(phi, rep.witness)
+        verify.vertices(phi, m, g, *path_ends(path))

@@ -3,12 +3,12 @@ returns on a pinned fixture and raises `SelfCheckFailed` on a false one."""
 
 import pytest
 
-from fpaut import (atoroidal_search, build_standard_map, compose,
+from fpaut import (Word, atoroidal_search, build_standard_map, compose,
                    conjugacy_pipeline, inverse, multiply, nielsen_search,
                    twin_search, verify)
 from fpaut.automorphisms import generator_word
 from fpaut.errors import SelfCheckFailed
-from fpaut.graph_maps import BASE, factor_vertex
+from fpaut.graph_maps import BASE, EdgePath, factor_vertex
 
 from conftest import make_aut
 
@@ -22,30 +22,65 @@ def test_periodic_class(fibonacci):
         verify.periodic_class(fibonacci, x1, w["exponent"])
 
 
+def path_ends(path):
+    """The descriptors (u, i) of a path's start and end vertices."""
+    pres = path.presentation
+    return [(u, None if v == BASE else v[1]) for u, v in
+            ((Word(pres), path.start), (path.word(), path.end_vertex()))]
+
+
 def test_twinned_pair(intro_anosov):
     w = twin_search(intro_anosov, 2, 2).witness
     first, second = (w["conj_u"], w["factor_i"]), (w["conj_v"], w["factor_j"])
-    verify.twinned_pair(intro_anosov, w["power"], w["element"], first, second)
+    verify.vertices(intro_anosov, w["power"], w["element"], first, second)
     # a1.1 conjugates A_1 into itself but moves A_2 off phi(A_2) = A_2
     g = multiply(w["element"], generator_word(intro_anosov.presentation, "a1.1"))
     with pytest.raises(SelfCheckFailed):
-        verify.twinned_pair(intro_anosov, w["power"], g, first, second)
+        verify.vertices(intro_anosov, w["power"], g, first, second)
 
 
 def test_nielsen_path(intro_anosov):
     found = nielsen_search(build_standard_map(intro_anosov), 4, 2)
     assert len(found) == 3
     for w in found:
-        end = w.path.end_vertex()
-        end = None if end == BASE else end[1]
-        verify.nielsen_path(intro_anosov, w.path.word(), end, w.exponent,
-                            w.element)
+        verify.vertices(intro_anosov, w.exponent, w.element, *path_ends(w.path))
     # the path from factor vertex 1 to factor vertex 2: g a1.1 w differs
     # from phi(w) by a1.1^-1, which is not in A_2
     [w] = [w for w in found if w.path.start == factor_vertex(1)]
     g = multiply(w.element, generator_word(intro_anosov.presentation, "a1.1"))
     with pytest.raises(SelfCheckFailed):
-        verify.nielsen_path(intro_anosov, w.path.word(), 2, w.exponent, g)
+        verify.vertices(intro_anosov, w.exponent, g, path_ends(w.path)[1])
+
+
+def test_nielsen_path_start_vertex(toral_twist):
+    # twist fixes A_1 and conjugates A_2 by a1.1, so [T1 0, t2] is a Nielsen
+    # path with element a1.1; a1.1 a2.1 moves its end vertex as phi does
+    # but its start vertex, the vertex of A_1, off itself
+    pres = toral_twist.presentation
+    path = EdgePath(pres, factor_vertex(1), (("T", 1, (0, 0)), ("t", 2)))
+    [w] = [w for w in nielsen_search(build_standard_map(toral_twist), 2, 1)
+           if w.path == path]
+    a11 = generator_word(pres, "a1.1")
+    assert (w.exponent, w.element) == (1, a11)
+    start, end = path_ends(path)
+    verify.vertices(toral_twist, 1, a11, start, end)
+    g = multiply(a11, generator_word(pres, "a2.1"))
+    verify.vertices(toral_twist, 1, g, end)
+    with pytest.raises(SelfCheckFailed):
+        verify.vertices(toral_twist, 1, g, start, end)
+
+
+def test_nielsen_path_base_vertices(fibonacci):
+    # a base-to-base Nielsen path of fib^2: each end is the base vertex, so
+    # phi^2(u) = g u holds on the nose and a letter more on g breaks both
+    [w] = nielsen_search(build_standard_map(fibonacci), 4, 2)
+    ends = path_ends(w.path)
+    assert [i for _, i in ends] == [None, None] and w.path.word()
+    verify.vertices(fibonacci, w.exponent, w.element, *ends)
+    g = multiply(w.element, generator_word(fibonacci.presentation, "x1"))
+    for end in ends:
+        with pytest.raises(SelfCheckFailed):
+            verify.vertices(fibonacci, w.exponent, g, end)
 
 
 def test_conjugacy(monkeypatch, intro_anosov, z2z3):
