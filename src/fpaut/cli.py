@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain, zip_longest
 from pathlib import Path
 
 from . import __version__
@@ -105,15 +105,16 @@ def automorphism_to_dict(phi: Automorphism) -> dict:
 
 def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
-    """Shard (0, J) runs in the caller, each shard (s, J) with s > 0 in a
-    forked child that inherits φ; a child's exception is re-raised here
-    with its own type.  No child outlives this call.  Without `os.fork`
-    the search runs serially, which gives the same report."""
+    """The search of ``kind`` in J shards: each shard (s, J) with s > 0 runs
+    in a forked child that inherits φ (`_shard_child`), and the caller's
+    walk runs shard (0, J) inside the search and hands its records and the
+    children to `_merge_reports`, whose records the search folds.  No child
+    outlives this call.  Without `os.fork` the search runs serially, which
+    gives the same report."""
     search = COMMANDS[kind].search
     if jobs <= 1 or not hasattr(os, "fork"):
         return search(phi, bounds)
-    # imported here, so a serial run loads neither
-    import pickle
+    # imported here, so a serial run does not load it
     import signal
     children = {}  # shard -> (pid, read end of its pipe), until reaped
     try:
@@ -129,39 +130,33 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                 _shard_child(w, search, phi, bounds, (s, jobs))
             os.close(w)
             children[s] = pid, os.fdopen(r, "rb")
-        parts = [search(phi, bounds, (0, jobs))]
-        for s, (pid, pipe) in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[s]
-            if status or not data:
-                raise FpAutError(
-                    f"shard {s} of {jobs} ended without a result (exit "
-                    f"status {os.waitstatus_to_exitcode(status)})")
-            value = pickle.loads(data)
-            if isinstance(value, BaseException):
-                raise value
-            parts.append(value)
+        return search(phi, bounds, walk=lambda records: _merge_reports(
+            [list(records((0, jobs)))], children))
     finally:
         for pid, pipe in children.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return _merge_reports(parts)
 
 
 def _shard_child(fd: int, search: Callable, phi: Automorphism, bounds: dict,
                  shard: tuple) -> None:
-    """Body of a forked shard: write its pickled report, or the exception
-    its search raised, to ``fd`` and leave through `os._exit`, so the child
-    never returns into the caller's frames or flushes its buffers.  The
-    exit status is 0 only once the whole result is written."""
+    """Body of a forked shard: run the search with a walk that keeps the
+    shard's record list and hands the fold none, write the pickled list, or
+    the exception the search raised, to ``fd`` and leave through
+    `os._exit`, so the child never returns into the caller's frames or
+    flushes its buffers.  The exit status is 0 only once the whole result
+    is written."""
     import pickle
     code = 1
     try:
+        out = []
+
+        def walk(records):
+            out.extend(records(shard))
+            return ()  # the child's own fold reads nothing
         try:
-            out = search(phi, bounds, shard)
+            search(phi, bounds, walk=walk)
         except Exception as e:
             out = e
         data = pickle.dumps(out)
@@ -172,12 +167,35 @@ def _shard_child(fd: int, search: Callable, phi: Automorphism, bounds: dict,
         os._exit(code)
 
 
-def _merge_reports(parts: list[SearchReport]) -> SearchReport:
-    """The serial report: the shards' fold of all their records in ordinal
-    order.  The fold reads no record a shard left out: each shard stops
+def _merge_reports(parts: list[list], children: dict):
+    """The records of a search in J shards, in stream order, for its fold.
+    ``parts`` holds the record lists of shards 0, 1, ...; each child of
+    ``children`` (shard -> (pid, read end of its pipe)) adds the list it
+    sends, and is reaped and dropped from ``children``.  A child's
+    exception is re-raised with its own type; a child that ends without a
+    result is an `FpAutError`.
+
+    Shard s holds the records of the root groups s, s + J, ... up to where
+    it stopped, so the lists interleave round-robin in ascending group
+    order, ended lists padded with None, which is dropped (a record is a
+    nonempty tuple).  Only groups after a witness go missing: a shard stops
     only at its own first witness, the fold at the first of all."""
-    return parts[0].fold(sorted((r for p in parts for r in p.records),
-                                key=itemgetter(0)))
+    import pickle
+    jobs = len(parts) + len(children)
+    for s, (pid, pipe) in list(children.items()):
+        with pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        del children[s]
+        if status or not data:
+            raise FpAutError(
+                f"shard {s} of {jobs} ended without a result (exit "
+                f"status {os.waitstatus_to_exitcode(status)})")
+        value = pickle.loads(data)
+        if isinstance(value, BaseException):
+            raise value
+        parts.append(value)
+    return filter(None, chain.from_iterable(zip_longest(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +317,10 @@ class Command:
     phi2])`` returns the ``result`` block, ``bounds`` maps each bound flag
     (``max_len`` is ``--max-len``) to its default, ``inputs`` maps each
     input required besides ``--aut`` to its help.  Only the search commands
-    take ``--jobs``; they share ``_search``, and ``search(phi, bounds, shard)``
-    runs shard (s, J), by default (0, 1): the whole search.  ``strict`` marks
-    a command that can return ``undecided``; only those take ``--strict``."""
+    take ``--jobs``; they share ``_search``, and ``search(phi, bounds)`` runs
+    the whole search, ``search(phi, bounds, walk=walk)`` folds what ``walk``
+    returns (`dynamics.SearchReport`).  ``strict`` marks a command that can
+    return ``undecided``; only those take ``--strict``."""
 
     help: str
     runner: Callable
@@ -319,21 +338,21 @@ COMMANDS = {
     "atoroidal": Command(
         "bounded search for periodic classes", _search,
         {"max_len": 4, "max_exp": 2, "max_iter": 4},
-        search=lambda phi, b, shard=(0, 1): atoroidal_search(
-            phi, b["max_len"], b["max_exp"], b["max_iter"], shard=shard)),
+        search=lambda phi, b, **walk: atoroidal_search(
+            phi, b["max_len"], b["max_exp"], b["max_iter"], **walk)),
     "twins": Command(
         "bounded search for twinned subgroups "
         "(--max-exp bounds the power of the automorphism)", _search,
         {"max_exp": 2, "conj_len": 2},
-        search=lambda phi, b, shard=(0, 1): twin_search(
-            phi, b["max_exp"], b["conj_len"], shard=shard)),
+        search=lambda phi, b, **walk: twin_search(
+            phi, b["max_exp"], b["conj_len"], **walk)),
     "flare": Command(
         "empirical flare certification", _search,
         {"min_len": 2, "max_len": 3, "max_exp": 1, "max_iter": 6,
          "lambda_min": "1.1"},
-        search=lambda phi, b, shard=(0, 1): flare_certify(
+        search=lambda phi, b, **walk: flare_certify(
             phi, b["min_len"], b["max_len"], b["max_exp"], b["max_iter"],
-            b["lambda_min"], shard=shard)),
+            b["lambda_min"], **walk)),
     "traintrack": Command(
         "verify the train-track property", _traintrack, {"depth": 0},
         strict=True),

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import mul
 
 from . import verify
@@ -71,7 +71,8 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
                  min_len: int = 1, weight=None):
     """One iterator per root group of `enumerate_cyclic_words` (the classes
     of one syllable count, total mass and first syllable), in stream order,
-    empty ones included; a shard skips the iterators of other shards.
+    empty ones included; a shard skips the iterators of other shards
+    (`_owned`).
 
     A group yields (syllables, weight_sum) per class: the syllables of its
     representative and the sum of ``weight(s)`` over them, an int per
@@ -175,9 +176,14 @@ def _off_tracks(cands, t, t0):
 
 
 def _owned(groups, shard: tuple[int, int]):
-    """(ordinal, group) for the groups of shard (s, J), those whose ordinal
-    is s mod J: the one sharding rule.  The serial search is shard (0, 1)."""
-    return itertools.islice(enumerate(groups), shard[0], None, shard[1])
+    """The groups of shard (s, J), those whose ordinal is s mod J: the one
+    sharding rule.  The serial search is shard (0, 1)."""
+    return itertools.islice(groups, shard[0], None, shard[1])
+
+
+def _serial(records):
+    """The default walk of a search: every root group, in this process."""
+    return records((0, 1))
 
 
 def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
@@ -306,9 +312,14 @@ class SearchReport:
     Flare certification stores its certificate under ``certificate`` and its
     failing words under ``counterexamples``.
 
-    A search folds one record per root group it walks (`_owned`), in
-    ordinal order, with ``fold``; only a shard of J > 1 keeps them (a twin
-    search makes one per 64 pairs), for `cli._merge_reports` to fold.
+    A search makes one record per root group it walks, what the group
+    tested and its witness, and folds the records of all its groups, in
+    stream order, into the report (`witness_report`, `flare_report`).
+    ``records(shard)`` yields the records of one shard (`_owned`), and may
+    be called for any shards in any order; the search's ``walk`` decides
+    which shards run and where, and returns the records to fold.  The
+    default walk, ``records((0, 1))``, is the serial search;
+    `cli._run_sharded` passes one that runs the shards in forked children.
     """
 
     verdict: str
@@ -317,25 +328,19 @@ class SearchReport:
     certificate: dict | None = None
     tested: int = 0
     notes: str = ""
-    records: list = field(default_factory=list, repr=False)
-    fold: Callable | None = field(default=None, repr=False, compare=False)
 
 
-def witness_report(records, notes: str, keep: bool = False) -> SearchReport:
+def witness_report(records, notes: str) -> SearchReport:
     """The report of a search that stops at its first witness, from its
-    root-group records (ordinal, tested, witness or None) read lazily in
-    ordinal order: the witness is the ``tested``-th item tested, else
-    "exhausted" with ``notes``; the records are kept if ``keep``."""
-    fold, read, tested = partial(witness_report, notes=notes), [], 0
-    for record in records:
-        if keep:
-            read.append(record)
-        tested += record[1]
-        if record[2] is not None:
-            return SearchReport("witness", witness=record[2], tested=tested,
-                                records=read, fold=fold)
-    return SearchReport("exhausted", tested=tested, notes=notes,
-                        records=read, fold=fold)
+    root-group records (tested, witness or None) read lazily in stream
+    order: the witness is the ``tested``-th item tested, else "exhausted"
+    with ``notes``."""
+    tested = 0
+    for n, witness in records:
+        tested += n
+        if witness is not None:
+            return SearchReport("witness", witness=witness, tested=tested)
+    return SearchReport("exhausted", tested=tested, notes=notes)
 
 
 def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
@@ -399,23 +404,24 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
 
 
 def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
-                     max_iter: int,
-                     shard: tuple[int, int] = (0, 1)) -> SearchReport:
+                     max_iter: int, walk: Callable = _serial) -> SearchReport:
     """Search for a hyperbolic conjugacy class fixed by some phi^n, n <= N.
 
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
-    stated bounds, nothing more.  The shard walks its root groups of the
-    class stream (`_root_groups`) up to its first witness; the stream
-    carries the weight sums of `_abelian_prefilter`, and only a class that
-    passes it is built as a Word and imaged.
+    stated bounds, nothing more.  A shard walks its root groups of the
+    class stream (`_root_groups`) up to its first witness, one record
+    (tested, witness or None) per group; the stream carries the weight
+    sums of `_abelian_prefilter`, and only a class that passes it is built
+    as a Word and imaged.  ``walk(records)`` returns the records to fold
+    (`SearchReport`).
     """
     require_class_preserving(phi)
     pres = phi.presentation
     weight, passes = _abelian_prefilter(phi, max_len, max_exp, max_iter)
-    groups = _root_groups(pres, max_len, max_exp, weight=weight)
 
-    def records():
-        for ordinal, group in _owned(groups, shard):
+    def records(shard):
+        groups = _root_groups(pres, max_len, max_exp, weight=weight)
+        for group in _owned(groups, shard):
             tested = 0
             for tested, (key, acc) in enumerate(group, 1):
                 if not passes(acc):
@@ -427,11 +433,10 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                     cyc = cyclic_normal_form(w)
                     if len(cyc) == len(key) and cyc.canonical_rotation() == key:
                         verify.periodic_class(phi, g, n)
-                        yield ordinal, tested, {"element": g, "exponent": n}
+                        yield tested, {"element": g, "exponent": n}
                         return
-            yield ordinal, tested, None
-    return witness_report(records(), keep=shard[1] > 1,
-                          notes="atoroidal up to the stated bounds")
+            yield tested, None
+    return witness_report(walk(records), "atoroidal up to the stated bounds")
 
 
 def _subgroup_descriptors(pres: Presentation, conj_len: int):
@@ -445,7 +450,7 @@ def _subgroup_descriptors(pres: Presentation, conj_len: int):
 
 
 def twin_search(phi: Automorphism, max_power: int, conj_len: int,
-                shard: tuple[int, int] = (0, 1)) -> SearchReport:
+                walk: Callable = _serial) -> SearchReport:
     """Search for subgroups H = uA_iu^-1, K = vA_jv^-1 twinned by phi^m,
     m <= max_power, over the words u, v of at most conj_len syllables, each
     of exponent mass at most conj_len.
@@ -463,26 +468,26 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     re-checks that g moves both descriptors' tree vertices as phi^m does.
 
     Its root groups are runs of at most `_TWIN_RUN` pairs (k, l), k < l,
-    with one first descriptor k at one power, walked power by power.
+    with one first descriptor k at one power, walked power by power; a
+    shard walks its runs up to its first witness, one record (tested,
+    witness or None) per run, and ``walk(records)`` returns the records to
+    fold (`SearchReport`).
     """
     require_class_preserving(phi)
     descr = _subgroup_descriptors(phi.presentation, conj_len)
-    heads = [(0, u) for u, _ in descr]  # (m, h_m), for the last m reached
+    heads = [[u] for u, _ in descr]  # h_0, h_1, ... up to the m reached
 
     def head(k: int, m: int) -> Word:
-        n, h = heads[k]
-        if n < m:
-            for _ in range(m - n):
-                h = conjugator_step(phi, descr[k][1], h)
-            heads[k] = m, h
-        return h
+        hs = heads[k]
+        while len(hs) <= m:
+            hs.append(conjugator_step(phi, descr[k][1], hs[-1]))
+        return hs[m]
 
-    runs = ((m, k, range(lo, min(lo + _TWIN_RUN, len(descr))))
-            for m in range(1, max_power + 1) for k in range(len(descr) - 1)
-            for lo in range(k + 1, len(descr), _TWIN_RUN))
-
-    def records():
-        for ordinal, (m, k, run) in _owned(runs, shard):
+    def records(shard):
+        runs = ((m, k, range(lo, min(lo + _TWIN_RUN, len(descr))))
+                for m in range(1, max_power + 1) for k in range(len(descr) - 1)
+                for lo in range(k + 1, len(descr), _TWIN_RUN))
+        for m, k, run in _owned(runs, shard):
             (u, i), h = descr[k], head(k, m)
             u_inv, h_inv = u.inverse(), h.inverse()
             for tested, l in enumerate(run, 1):
@@ -495,13 +500,12 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
                              _leading_factor_part(w, i).inverse())
                 g = multiply(multiply(h, a), u_inv)
                 verify.vertices(phi, m, g, (u, i), (v, j))
-                yield ordinal, tested, {"factor_i": i, "conj_u": u,
-                                        "factor_j": j, "conj_v": v,
-                                        "power": m, "element": g}
+                yield tested, {"factor_i": i, "conj_u": u, "factor_j": j,
+                               "conj_v": v, "power": m, "element": g}
                 return
-            yield ordinal, len(run), None
-    return witness_report(records(), keep=shard[1] > 1,
-                          notes="no twinned pair up to the stated bounds")
+            yield len(run), None
+    return witness_report(walk(records),
+                          "no twinned pair up to the stated bounds")
 
 
 def _leading_factor_part(w: Word, i: int):
@@ -513,13 +517,16 @@ def _leading_factor_part(w: Word, i: int):
 
 def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
                   n_max: int, lambda_min,
-                  shard: tuple[int, int] = (0, 1)) -> SearchReport:
+                  walk: Callable = _serial) -> SearchReport:
     """Empirical flare certificate: lambda |g| <= max(|phi^N g|, |phi^-N g|).
 
     Quantifies over the enumerated conjugacy-class representatives with
     min_len <= cyclic syllable length <= max_len only; a returned
     certificate is empirical evidence, not a proof.  Lengths are cyclic
-    syllable lengths (the recorded |.|_H convention).
+    syllable lengths (the recorded |.|_H convention).  A shard walks all
+    its root groups of the class stream, one record (tested, held,
+    failures) per group, and ``walk(records)`` returns the records to fold
+    (`SearchReport`).
     """
     require_class_preserving(phi)
     lam = Fraction(str(lambda_min))
@@ -531,10 +538,10 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
               "n_max": n_max, "lambda_min": str(lam)}
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
     pres = phi.presentation
-    groups = _root_groups(pres, max_len, max_exp, min_len)
 
-    def records():
-        for ordinal, group in _owned(groups, shard):
+    def records(shard):
+        groups = _root_groups(pres, max_len, max_exp, min_len)
+        for group in _owned(groups, shard):
             # held[N-1]: the inequality holds at N for each class of group
             held, failures, tested = [True] * n_max, [], 0
             for tested, (syllables, _) in enumerate(group, 1):
@@ -549,19 +556,18 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
                         held[n - 1] = False
                         if n == n_max:
                             failures.append(g)
-            yield ordinal, tested, held, failures
-    return flare_report(bounds, records(), keep=shard[1] > 1)
+            yield tested, held, failures
+    return flare_report(bounds, walk(records))
 
 
-def flare_report(bounds: dict, records, keep: bool = False) -> SearchReport:
-    """The flare report from the records (ordinal, tested, held, failures)
-    of its root groups in ordinal order: a certificate at the least N at
-    which the inequality held for every class, else the classes failing
-    at n_max; it keeps the records only if ``keep``."""
-    fold, records = partial(flare_report, bounds), list(records)
-    tested, kept = sum(r[1] for r in records), records if keep else []
+def flare_report(bounds: dict, records) -> SearchReport:
+    """The flare report from the records (tested, held, failures) of its
+    root groups in stream order: a certificate at the least N at which the
+    inequality held for every class, else the classes failing at n_max."""
+    records = list(records)
+    tested = sum(r[0] for r in records)
     for n in range(1, bounds["n_max"] + 1):
-        if all(r[2][n - 1] for r in records):
+        if all(r[1][n - 1] for r in records):
             cert = {"lambda": bounds["lambda_min"], "exponent": n,
                     "min_len": bounds["min_len"], "max_len": bounds["max_len"],
                     "max_exp": bounds["max_exp"],
@@ -570,8 +576,8 @@ def flare_report(bounds: dict, records, keep: bool = False) -> SearchReport:
                     "empirical": True}
             return SearchReport("exhausted", certificate=cert,
                                 notes="empirical evidence, not a proof",
-                                tested=tested, records=kept, fold=fold)
+                                tested=tested)
     return SearchReport("witness",
-                        counterexamples=[w for r in records for w in r[3]],
+                        counterexamples=[w for r in records for w in r[2]],
                         notes="words failing the flare inequality at n_max",
-                        tested=tested, records=kept, fold=fold)
+                        tested=tested)

@@ -36,16 +36,21 @@ def vertices(phi: Automorphism, n: int, g: Word, *ends) -> None:
     its image under the lift of f^n: for i None, v is the base vertex, whose
     lift f fixes, so phi^n(u) = g u; else v is the vertex of A_i, and
     (gu)^-1 phi^n(u a u^-1) (gu) lies in A_i for every generator a of A_i
-    (`twin_search`, `nielsen_search`)."""
+    (`twin_search`, `nielsen_search`).  The images phi^n(a) of a factor are
+    computed once per call, though two ends may share the factor."""
     pres = phi.presentation
+    factor_images = {}  # i -> phi^n of the generators of A_i
     for u, i in ends:
         gu, image = multiply(g, u), _image(phi, n, u)
         if i is None:
             _require(image == gu, "vertex")
             continue
+        if i not in factor_images:
+            factor_images[i] = [
+                _image(phi, n, generator_word(pres, f"a{i}.{r}"))
+                for r in range(1, pres.factor_rank(i) + 1)]
         c = multiply(gu.inverse(), image)
-        for r in range(1, pres.factor_rank(i) + 1):
-            a = _image(phi, n, generator_word(pres, f"a{i}.{r}"))
+        for a in factor_images[i]:
             y = multiply(multiply(c, a), c.inverse())
             _require(not double_coset_rep(i, y, i), "vertex")
 

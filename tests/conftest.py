@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fpaut import Presentation, parse_word, validate
+from fpaut.cli import _merge_reports
 from fpaut.words import FactorSyllable, FreeSyllable, reduce_syllables
 
 
@@ -10,6 +11,19 @@ def make_aut(pres, images, inverse_images):
     return validate({k: parse_word(v, pres) for k, v in images.items()},
                     {k: parse_word(v, pres) for k, v in inverse_images.items()},
                     pres)
+
+
+def in_process_shards(shards, parts=None):
+    """A search walk that runs the shards (s, J), s < J, one after another
+    in this process, so J may exceed the CPU count, and folds their record
+    lists as `cli._merge_reports` merges those of forked shards; each list
+    is also appended to ``parts``."""
+    def walk(records):
+        lists = [list(records((s, shards))) for s in range(shards)]
+        if parts is not None:
+            parts.extend(lists)
+        return _merge_reports(lists, {})
+    return walk
 
 
 @pytest.fixture(scope="session")

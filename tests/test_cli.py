@@ -12,13 +12,12 @@ import pytest
 from fpaut import (Presentation, atoroidal_search, flare_certify, parse_word,
                    render_word, twin_search)
 from fpaut import cli, errors, verify
-from fpaut.cli import (COMMANDS, _merge_reports, canonical_json,
-                       config_from_args, exit_code, load_automorphism, main,
-                       run, run_with_cache)
+from fpaut.cli import (COMMANDS, canonical_json, config_from_args, exit_code,
+                       load_automorphism, main, run, run_with_cache)
 from fpaut.errors import (FpAutError, IndexOutOfRange, ParseError,
                           SelfCheckFailed)
 
-from conftest import make_aut
+from conftest import in_process_shards, make_aut
 
 FIB = {
     "group": {"abelian_factors": [], "free_rank": 2},
@@ -443,16 +442,18 @@ def shear_mixed():
 
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_shear_mixed_witness_needs_the_index_rebuild(shear_mixed, shards):
-    parts = [atoroidal_search(shear_mixed, 3, 1, 2, shard=(s, shards))
-             for s in range(shards)]
-    # a shard's last record is the group of its first witness
-    found = {s: p.records[-1][0] for s, p in enumerate(parts)
-             if p.verdict == "witness"}
+    parts = []
+    atoroidal_search(shear_mixed, 3, 1, 2,
+                     walk=in_process_shards(shards, parts))
+    # record i of shard s is that of root group s + i J; a shard's last
+    # record is the group of its first witness
+    found = {s: s + (len(p) - 1) * shards for s, p in enumerate(parts)
+             if p and p[-1][1] is not None}
     owner = min(found, key=found.get)
     assert owner != 0 and len(found) > 1
-    assert any(g < found[owner] and tested
+    assert any(s + i * shards < found[owner] and tested
                for s, p in enumerate(parts) if s != owner
-               for g, tested, _ in p.records)
+               for i, (tested, _) in enumerate(p))
 
 
 @pytest.mark.parametrize("kind, fixture, args", [
@@ -476,16 +477,17 @@ def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
     phi = phi[0] if isinstance(phi, tuple) else phi
     search = SEARCHES[kind]
     serial = search(phi, *args)
-    parts = [search(phi, *args, shard=(s, shards)) for s in range(shards)]
+    parts = []
+    merged = search(phi, *args, walk=in_process_shards(shards, parts))
+    assert len(parts) == shards
     if shards == 200 and (kind, fixture, args) != \
             ("twins", "intro_anosov", (2, 2)):
-        assert not all(p.records for p in parts)
-    merged = _merge_reports(parts)
+        assert not all(parts)
     for attr in ("verdict", "witness", "counterexamples", "certificate",
                  "tested", "notes"):
         assert getattr(merged, attr) == getattr(serial, attr), attr
-    # a serial report keeps no records: a twin search has one per 64 pairs
-    assert serial.records == merged.records == []
+    # a report keeps no records: a twin search makes one per 64 pairs
+    assert "records" not in vars(serial) and merged == serial
 
 
 def test_sharded_cli_run_exits_cleanly(fib_file):
@@ -500,14 +502,19 @@ def test_sharded_cli_run_exits_cleanly(fib_file):
 
 
 def _fail_shard(monkeypatch, failing_shard, fail):
-    """Make ``cli.atoroidal_search`` call ``fail()`` in shard
-    ``failing_shard`` and search as usual in every other shard."""
+    """Make ``cli.atoroidal_search`` call ``fail()`` when its walk asks for
+    the records of shard ``failing_shard``, and search as usual in every
+    other shard."""
     search = cli.atoroidal_search
 
-    def patched(phi, *args, shard=(0, 1)):
-        if shard == failing_shard:
-            fail()
-        return search(phi, *args, shard=shard)
+    def patched(phi, *args, walk):
+        def spied(records):
+            def shard_records(shard):
+                if shard == failing_shard:
+                    fail()
+                return records(shard)
+            return walk(shard_records)
+        return search(phi, *args, walk=spied)
     monkeypatch.setattr(cli, "atoroidal_search", patched)
 
 

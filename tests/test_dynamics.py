@@ -25,7 +25,7 @@ from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, abelianize,
                          double_coset_rep, reduce_syllables)
 
-from conftest import make_aut, random_word
+from conftest import in_process_shards, make_aut, random_word
 from test_action import PRESENTATIONS as ACTION_PRESENTATIONS
 from test_action import automorphisms_of
 
@@ -150,26 +150,29 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
 def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
                                            shards):
     assume(max_len * max_exp <= 6)
-    parts = [[(ordinal, list(group)) for ordinal, group in _owned(
+    stream = [list(group)
+              for group in _root_groups(pres, max_len, max_exp, min_len)]
+    parts = [[list(group) for group in _owned(
         _root_groups(pres, max_len, max_exp, min_len), (s, shards))]
         for s in range(shards)]
     # shard s owns the ordinals s mod J, so the shards are disjoint and
-    # together every root group; in ordinal order the groups are the stream
-    groups = sorted((pair for part in parts for pair in part),
-                    key=lambda pair: pair[0])
+    # together every root group; interleaved round-robin, as
+    # `_merge_reports` merges the shards' records, the groups are the stream
     for s, part in enumerate(parts):
-        assert [ordinal for ordinal, _ in part] == \
-            list(range(s, len(groups), shards))
+        assert part == stream[s::shards]
+    groups = [group for _, group in _merge_reports(
+        [[(s, group) for group in part] for s, part in enumerate(parts)], {})]
+    assert groups == stream
     # a group item is (syllables, weight sum); without a weight the sum is 0
-    classes = [Word(pres, syllables) for _, group in groups
+    classes = [Word(pres, syllables) for group in groups
                for syllables, _ in group]
     assert classes == list(
         enumerate_cyclic_words(pres, max_len, max_exp, min_len))
-    assert {acc for _, group in groups for _, acc in group} <= {0}
+    assert {acc for group in groups for _, acc in group} <= {0}
     # a root group: the classes of one syllable count, mass and first
     # syllable, no two groups sharing one
     keys = [{(len(syl), sum(s.mass for s in syl), syl[0]) for syl, _ in group}
-            for _, group in groups if group]
+            for group in groups if group]
     assert all(len(key) == 1 for key in keys)
     assert len(set().union(*keys)) == len(keys)
 
@@ -497,8 +500,7 @@ def test_twin_search_matches_table_reference(data):
     max_power = data.draw(st.integers(1, 3))
     expected = _reference_twins(phi, max_power, 1)
     assert _twin_summary(twin_search(phi, max_power, 1)) == expected
-    merged = _merge_reports([twin_search(phi, max_power, 1, shard=(s, 2))
-                             for s in range(2)])
+    merged = twin_search(phi, max_power, 1, walk=in_process_shards(2))
     assert _twin_summary(merged) == expected
 
 
@@ -712,10 +714,10 @@ def test_atoroidal_matches_brute_force(fixture_name, request):
 
 def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     """The search without the abelian prefilter: every class is imaged
-    under phi, phi^2, ... at word level.  The records (ordinal, classes
-    tested, witness) of the shard's root groups, up to its first witness."""
+    under phi, phi^2, ... at word level.  The records (classes tested,
+    witness) of the shard's root groups, up to its first witness."""
     pres, records = phi.presentation, []
-    for ordinal, group in _owned(_root_groups(pres, max_len, max_exp), shard):
+    for group in _owned(_root_groups(pres, max_len, max_exp), shard):
         tested = 0
         for syllables, _ in group:
             tested += 1
@@ -723,24 +725,33 @@ def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=(0, 1)):
             for n in range(1, max_iter + 1):
                 w = apply(phi, w)
                 if conjugate_test(w, g):
-                    records.append((ordinal, tested,
-                                    {"element": g, "exponent": n}))
+                    records.append((tested, {"element": g, "exponent": n}))
                     return records
-        records.append((ordinal, tested, None))
+        records.append((tested, None))
     return records
 
 
 def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=(0, 1)):
-    rep = atoroidal_search(phi, max_len, max_exp, max_iter, shard=shard)
+    read = []
+
+    def walk(records):
+        read.extend(records(shard))
+        return read
+    rep = atoroidal_search(phi, max_len, max_exp, max_iter, walk=walk)
     records = reference_atoroidal_search(phi, max_len, max_exp, max_iter,
                                          shard)
-    # only a shard of J > 1 keeps its records
-    assert rep.records == (records if shard[1] > 1 else [])
-    tested = sum(n for _, n, _ in records)
-    witness = records[-1][2] if records else None
-    assert (rep.verdict, rep.witness, rep.tested) == (
-        ("witness", witness, tested) if witness
-        else ("exhausted", None, tested))
+    # the shard's records are the reference's, and so is their fold, which
+    # for the shard (0, 1) is the serial search
+    assert read == records
+    tested = sum(n for n, _ in records)
+    witness = records[-1][1] if records else None
+    reports = [rep]
+    if shard == (0, 1):
+        reports.append(atoroidal_search(phi, max_len, max_exp, max_iter))
+    for report in reports:
+        assert (report.verdict, report.witness, report.tested) == (
+            ("witness", witness, tested) if witness
+            else ("exhausted", None, tested))
 
 
 @settings(max_examples=80, deadline=None)

@@ -83,6 +83,31 @@ def test_nielsen_path_base_vertices(fibonacci):
             verify.vertices(fibonacci, w.exponent, g, end)
 
 
+def test_vertices_images_a_factor_once(monkeypatch, mixed, toral_twist):
+    # a witness whose two ends lie at vertices of one factor images that
+    # factor's generators once: mixed twins A_1 with x1^-1 A_1 x1, and on
+    # twist a Nielsen path runs from the vertex of A_1 back to A_1's
+    phi, _ = mixed
+    twin = twin_search(phi, 2, 2).witness
+    assert twin["factor_i"] == twin["factor_j"] == 1
+    [path, *_] = [
+        w for w in nielsen_search(build_standard_map(toral_twist), 4, 3)
+        if [i for _, i in path_ends(w.path)] == [1, 1]]
+    named, word = [], verify.generator_word
+
+    def spy(pres, name):
+        named.append(name)
+        return word(pres, name)
+    monkeypatch.setattr(verify, "generator_word", spy)
+    verify.vertices(phi, twin["power"], twin["element"], (twin["conj_u"], 1),
+                    (twin["conj_v"], 1))
+    assert named == ["a1.1", "a1.2"]
+    named.clear()
+    verify.vertices(toral_twist, path.exponent, path.element,
+                    *path_ends(path.path))
+    assert named == ["a1.1", "a1.2"]
+
+
 def test_conjugacy(monkeypatch, intro_anosov, z2z3):
     # intro_sub: intro conjugated by the transvection a1.2 -> a1.1 a1.2
     names = z2z3.generator_names()
