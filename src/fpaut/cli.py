@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -103,22 +103,85 @@ def automorphism_to_dict(phi: Automorphism) -> dict:
 # ---------------------------------------------------------------------------
 # parallel sharding
 
+# seconds a --jobs walk runs in the caller alone before it forks: about four
+# times what forking and reaping the children cost a running process (2-3 ms
+# on 2 cores), so a search that ends sooner forks nothing, and a longer one
+# gives up at most half of it
+_FORK_AFTER_S = 0.010
+
+
 def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
-    """The search of ``kind`` in J shards: each shard (s, J) with s > 0 runs
-    in a forked child that inherits φ (`_shard_child`), and the caller's
-    walk runs shard (0, J) inside the search and hands its records and the
-    children to `_merge_reports`, whose records the search folds.  No child
-    outlives this call.  Without `os.fork` the search runs serially, which
-    gives the same report."""
+    """The search of ``kind`` at ``--jobs J``: serial for J = 1 or without
+    `os.fork`, which gives the same report, else walked by
+    `_merge_reports`."""
     search = COMMANDS[kind].search
     if jobs <= 1 or not hasattr(os, "fork"):
         return search(phi, bounds)
-    # imported here, so a serial run does not load it
+    return search(phi, bounds,
+                  walk=lambda records: _merge_reports(records, jobs))
+
+
+def _merge_reports(records: Callable, jobs: int) -> list:
+    """The ``--jobs J`` walk of a search: the records of its root groups
+    0, 1, ... in order, for its fold (`dynamics.SearchReport`).
+
+    The caller walks the groups itself from ordinal 0, and a search that
+    ends within `_FORK_AFTER_S` forks nothing.  Otherwise the walk forks
+    J - 1 children, which inherit φ, the search's setup and its live group
+    stream, and from then on every process claims the next unclaimed
+    ordinal (`_take`) each time it needs a group (`_ownership`).  When the
+    stream of any process ends, at its witness, at the end of the groups or
+    at an error, it sets the stop flag, and no process claims another
+    group.  So every group below the end or the first witness is walked
+    exactly once, and only groups claimed before the stop are walked past
+    it.
+
+    A child writes its (ordinal, record) pairs, or the exception it raised,
+    pickled to a pipe and leaves through `os._exit` (`_shard_child`); the
+    caller sorts its own pairs and theirs by ordinal.  A child's exception
+    is raised again in the caller with its own type, a child that ends
+    without a result is an `FpAutError`, and no child outlives this call.
+    """
+    shared = lock = None  # the claims (`_take`), from the fork on
+    out = []   # the records of groups 0, 1, ... before the fork
+    mine = []  # the ordinals this process claimed after it
+
+    def owned():
+        # every group until the fork, then those this process claims
+        while shared is None:
+            yield True
+        yield from _ownership(lambda: _take(shared, lock), mine, len(out))
+
+    it = records(owned())
+    start = time.perf_counter()
+    for record in it:
+        out.append(record)
+        if time.perf_counter() - start >= _FORK_AFTER_S:
+            break
+    else:
+        return out  # ended before the delay: nothing forked
+
+    def rest():
+        # this process's (ordinal, record) pairs from the fork on; when
+        # they end, the stop flag ends every claim
+        try:
+            walked = list(it)
+        finally:
+            shared[8] = 1
+        return list(zip(mine, walked))
+
+    # imported here, so a search that does not fork does not load them
+    import mmap
+    import pickle
     import signal
-    children = {}  # shard -> (pid, read end of its pipe), until reaped
+    shared = mmap.mmap(-1, 9)
+    shared[:8] = len(out).to_bytes(8, "little")
+    lock = os.pipe()
+    children = {}  # pid -> read end of its pipe, until reaped
     try:
-        for s in range(1, jobs):
+        os.write(lock[1], b"\0")
+        for _ in range(1, jobs):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -127,36 +190,75 @@ def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                 os.close(w)
                 raise
             if pid == 0:
-                _shard_child(w, search, phi, bounds, (s, jobs))
+                _shard_child(w, rest)
             os.close(w)
-            children[s] = pid, os.fdopen(r, "rb")
-        return search(phi, bounds, walk=lambda records: _merge_reports(
-            [list(records((0, jobs)))], children))
+            children[pid] = os.fdopen(r, "rb")
+        parts = [rest()]
+        for n, (pid, pipe) in enumerate(list(children.items()), 1):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status or not data:
+                raise FpAutError(
+                    f"shard {n} of {jobs} ended without a result (exit "
+                    f"status {os.waitstatus_to_exitcode(status)})")
+            value = pickle.loads(data)
+            if isinstance(value, BaseException):
+                raise value
+            parts.append(value)
     finally:
-        for pid, pipe in children.values():
+        for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(lock[0])
+        os.close(lock[1])
+        shared.close()
+    pairs = sorted(chain.from_iterable(parts), key=lambda pair: pair[0])
+    return out + [record for _, record in pairs]
 
 
-def _shard_child(fd: int, search: Callable, phi: Automorphism, bounds: dict,
-                 shard: tuple) -> None:
-    """Body of a forked shard: run the search with a walk that keeps the
-    shard's record list and hands the fold none, write the pickled list, or
-    the exception the search raised, to ``fd`` and leave through
-    `os._exit`, so the child never returns into the caller's frames or
-    flushes its buffers.  The exit status is 0 only once the whole result
-    is written."""
+def _ownership(claim: Callable, mine: list, k: int = 0):
+    """Whether a walk takes root group k, k + 1, ...: yes for each ordinal
+    that ``claim()`` hands it, ascending, which is appended to ``mine``, no
+    for those between, and no more once ``claim()`` returns None."""
+    for c in iter(claim, None):
+        for _ in range(k, c):
+            yield False
+        mine.append(c)
+        yield True
+        k = c + 1
+
+
+def _take(shared, lock: tuple) -> int | None:
+    """Claim the next root-group ordinal: ``shared``, an anonymous mmap
+    that forked processes share, holds it in bytes 0-7 and the stop flag
+    in byte 8.  None once the flag is set, else the ordinal, which is
+    advanced under ``lock``, a pipe (read end, write end) that holds one
+    byte while the lock is free."""
+    os.read(lock[0], 1)
+    try:
+        if shared[8]:
+            return None
+        k = int.from_bytes(shared[:8], "little")
+        shared[:8] = (k + 1).to_bytes(8, "little")
+        return k
+    finally:
+        os.write(lock[1], b"\0")
+
+
+def _shard_child(fd: int, rest: Callable) -> None:
+    """Body of a forked child: write the pickled result of ``rest()``, or
+    the exception it raised, to ``fd`` and leave through `os._exit`, so
+    the child never returns into the caller's frames or flushes its
+    buffers.  The exit status is 0 only once the whole result is
+    written."""
     import pickle
     code = 1
     try:
-        out = []
-
-        def walk(records):
-            out.extend(records(shard))
-            return ()  # the child's own fold reads nothing
         try:
-            search(phi, bounds, walk=walk)
+            out = rest()
         except Exception as e:
             out = e
         data = pickle.dumps(out)
@@ -165,37 +267,6 @@ def _shard_child(fd: int, search: Callable, phi: Automorphism, bounds: dict,
         code = 0
     finally:
         os._exit(code)
-
-
-def _merge_reports(parts: list[list], children: dict):
-    """The records of a search in J shards, in stream order, for its fold.
-    ``parts`` holds the record lists of shards 0, 1, ...; each child of
-    ``children`` (shard -> (pid, read end of its pipe)) adds the list it
-    sends, and is reaped and dropped from ``children``.  A child's
-    exception is re-raised with its own type; a child that ends without a
-    result is an `FpAutError`.
-
-    Shard s holds the records of the root groups s, s + J, ... up to where
-    it stopped, so the lists interleave round-robin in ascending group
-    order, ended lists padded with None, which is dropped (a record is a
-    nonempty tuple).  Only groups after a witness go missing: a shard stops
-    only at its own first witness, the fold at the first of all."""
-    import pickle
-    jobs = len(parts) + len(children)
-    for s, (pid, pipe) in list(children.items()):
-        with pipe:
-            data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        del children[s]
-        if status or not data:
-            raise FpAutError(
-                f"shard {s} of {jobs} ended without a result (exit "
-                f"status {os.waitstatus_to_exitcode(status)})")
-        value = pickle.loads(data)
-        if isinstance(value, BaseException):
-            raise value
-        parts.append(value)
-    return filter(None, chain.from_iterable(zip_longest(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +586,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{label}", required=True, help=text)
         if command.search:
             p.add_argument("--jobs", type=int, default=1,
-                           help="shards, one process each (at most the CPU "
-                                "count)")
+                           help="processes (at most the CPU count); a "
+                                "search forks the others only once it has "
+                                f"run {_FORK_AFTER_S * 1000:g} ms, then they "
+                                "claim root groups as they go")
         if command.strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 3 on undecided verdicts")

@@ -71,8 +71,8 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
                  min_len: int = 1, weight=None):
     """One iterator per root group of `enumerate_cyclic_words` (the classes
     of one syllable count, total mass and first syllable), in stream order,
-    empty ones included; a shard skips the iterators of other shards
-    (`_owned`).
+    empty ones included; a walk skips the iterators of the groups it does
+    not take (`_claimed`), which costs nothing until a group is walked.
 
     A group yields (syllables, weight_sum) per class: the syllables of its
     representative and the sum of ``weight(s)`` over them, an int per
@@ -175,15 +175,17 @@ def _off_tracks(cands, t, t0):
     return tuple(r for _, r, _ in kept), kept
 
 
-def _owned(groups, shard: tuple[int, int]):
-    """The groups of shard (s, J), those whose ordinal is s mod J: the one
-    sharding rule.  The serial search is shard (0, 1)."""
-    return itertools.islice(groups, shard[0], None, shard[1])
+def _claimed(groups, owned):
+    """The root groups a walk takes: every one when ``owned`` is None (the
+    serial search), else those whose ordinal ``owned`` accepts.  ``owned``
+    is that ownership predicate read ordinal by ordinal, an iterator of
+    bools for groups 0, 1, ...; its end ends the walk."""
+    return groups if owned is None else itertools.compress(groups, owned)
 
 
 def _serial(records):
     """The default walk of a search: every root group, in this process."""
-    return records((0, 1))
+    return records()
 
 
 def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
@@ -315,11 +317,13 @@ class SearchReport:
     A search makes one record per root group it walks, what the group
     tested and its witness, and folds the records of all its groups, in
     stream order, into the report (`witness_report`, `flare_report`).
-    ``records(shard)`` yields the records of one shard (`_owned`), and may
-    be called for any shards in any order; the search's ``walk`` decides
-    which shards run and where, and returns the records to fold.  The
-    default walk, ``records((0, 1))``, is the serial search;
-    `cli._run_sharded` passes one that runs the shards in forked children.
+    ``records(owned)`` yields the records of the groups that ``owned``
+    accepts (`_claimed`), and may be called any number of times, with any
+    ownership, in one process or in forked ones; the search's ``walk``
+    decides which groups are walked where, and returns the records to fold.
+    The default walk, ``records()``, is the serial search;
+    `cli._merge_reports` is the ``--jobs`` walk, whose processes claim
+    groups as they go.
     """
 
     verdict: str
@@ -408,20 +412,20 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     """Search for a hyperbolic conjugacy class fixed by some phi^n, n <= N.
 
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
-    stated bounds, nothing more.  A shard walks its root groups of the
-    class stream (`_root_groups`) up to its first witness, one record
-    (tested, witness or None) per group; the stream carries the weight
-    sums of `_abelian_prefilter`, and only a class that passes it is built
-    as a Word and imaged.  ``walk(records)`` returns the records to fold
-    (`SearchReport`).
+    stated bounds, nothing more.  ``records(owned)`` walks the root groups
+    it takes of the class stream (`_root_groups`) up to its first witness,
+    one record (tested, witness or None) per group; the stream carries the
+    weight sums of `_abelian_prefilter`, and only a class that passes it is
+    built as a Word and imaged.  ``walk(records)`` returns the records to
+    fold (`SearchReport`).
     """
     require_class_preserving(phi)
     pres = phi.presentation
     weight, passes = _abelian_prefilter(phi, max_len, max_exp, max_iter)
 
-    def records(shard):
+    def records(owned=None):
         groups = _root_groups(pres, max_len, max_exp, weight=weight)
-        for group in _owned(groups, shard):
+        for group in _claimed(groups, owned):
             tested = 0
             for tested, (key, acc) in enumerate(group, 1):
                 if not passes(acc):
@@ -468,10 +472,10 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     re-checks that g moves both descriptors' tree vertices as phi^m does.
 
     Its root groups are runs of at most `_TWIN_RUN` pairs (k, l), k < l,
-    with one first descriptor k at one power, walked power by power; a
-    shard walks its runs up to its first witness, one record (tested,
-    witness or None) per run, and ``walk(records)`` returns the records to
-    fold (`SearchReport`).
+    with one first descriptor k at one power, walked power by power;
+    ``records(owned)`` walks the runs it takes up to its first witness, one
+    record (tested, witness or None) per run, and ``walk(records)`` returns
+    the records to fold (`SearchReport`).
     """
     require_class_preserving(phi)
     descr = _subgroup_descriptors(phi.presentation, conj_len)
@@ -483,11 +487,11 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             hs.append(conjugator_step(phi, descr[k][1], hs[-1]))
         return hs[m]
 
-    def records(shard):
+    def records(owned=None):
         runs = ((m, k, range(lo, min(lo + _TWIN_RUN, len(descr))))
                 for m in range(1, max_power + 1) for k in range(len(descr) - 1)
                 for lo in range(k + 1, len(descr), _TWIN_RUN))
-        for m, k, run in _owned(runs, shard):
+        for m, k, run in _claimed(runs, owned):
             (u, i), h = descr[k], head(k, m)
             u_inv, h_inv = u.inverse(), h.inverse()
             for tested, l in enumerate(run, 1):
@@ -523,10 +527,10 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     Quantifies over the enumerated conjugacy-class representatives with
     min_len <= cyclic syllable length <= max_len only; a returned
     certificate is empirical evidence, not a proof.  Lengths are cyclic
-    syllable lengths (the recorded |.|_H convention).  A shard walks all
-    its root groups of the class stream, one record (tested, held,
-    failures) per group, and ``walk(records)`` returns the records to fold
-    (`SearchReport`).
+    syllable lengths (the recorded |.|_H convention).  ``records(owned)``
+    walks every root group it takes of the class stream, one record
+    (tested, held, failures) per group, and ``walk(records)`` returns the
+    records to fold (`SearchReport`).
     """
     require_class_preserving(phi)
     lam = Fraction(str(lambda_min))
@@ -539,9 +543,9 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m
     pres = phi.presentation
 
-    def records(shard):
+    def records(owned=None):
         groups = _root_groups(pres, max_len, max_exp, min_len)
-        for group in _owned(groups, shard):
+        for group in _claimed(groups, owned):
             # held[N-1]: the inequality holds at N for each class of group
             held, failures, tested = [True] * n_max, [], 0
             for tested, (syllables, _) in enumerate(group, 1):

@@ -1,9 +1,11 @@
+import itertools
+import os
 import random
 
 import pytest
 
-from fpaut import Presentation, parse_word, validate
-from fpaut.cli import _merge_reports
+from fpaut import Presentation, cli, parse_word, validate
+from fpaut.cli import _ownership
 from fpaut.words import FactorSyllable, FreeSyllable, reduce_syllables
 
 
@@ -13,17 +15,58 @@ def make_aut(pres, images, inverse_images):
                     pres)
 
 
-def in_process_shards(shards, parts=None):
-    """A search walk that runs the shards (s, J), s < J, one after another
-    in this process, so J may exceed the CPU count, and folds their record
-    lists as `cli._merge_reports` merges those of forked shards; each list
-    is also appended to ``parts``."""
+def in_process_claims(claimants, seed, parts=None):
+    """A search walk that hands root-group ordinals to ``claimants``
+    claimants in this process, so their count may exceed the CPU count, as
+    `cli._merge_reports` hands them to forked processes: each claimant walks
+    its own records stream, which claims the next unclaimed ordinal each
+    time it needs a group (`cli._ownership`), and when any claimant's
+    stream ends, no claimant claims another.  The claimant that makes the
+    next record is drawn at random from those still walking, seeded by
+    ``seed``.  The records are returned in ordinal order; each claimant's
+    (ordinal, record) pairs are also appended to ``parts``."""
     def walk(records):
-        lists = [list(records((s, shards))) for s in range(shards)]
+        rng, counter, stopped = random.Random(seed), itertools.count(), []
+
+        def claim():
+            return None if stopped else next(counter)
+        mines = [[] for _ in range(claimants)]
+        streams = [records(_ownership(claim, mine)) for mine in mines]
+        made = [[] for _ in range(claimants)]
+        walking = list(range(claimants))
+        while walking:
+            c = rng.choice(walking)
+            try:
+                made[c].append(next(streams[c]))
+            except StopIteration:
+                walking.remove(c)
+                stopped.append(c)
+        lists = [list(zip(mine, recs)) for mine, recs in zip(mines, made)]
         if parts is not None:
             parts.extend(lists)
-        return _merge_reports(lists, {})
+        return [record for _, record in sorted(
+            itertools.chain.from_iterable(lists), key=lambda pair: pair[0])]
     return walk
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """The calls of `os.fork` during the test, one None each."""
+    calls, fork = [], os.fork
+
+    def spy():
+        calls.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+@pytest.fixture
+def fork_at_once(monkeypatch, fork_calls):
+    """A --jobs walk forks after its first root group, however short the
+    search (`cli._FORK_AFTER_S` = 0); the `fork_calls` list."""
+    monkeypatch.setattr(cli, "_FORK_AFTER_S", 0)
+    return fork_calls
 
 
 @pytest.fixture(scope="session")

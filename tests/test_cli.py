@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +20,7 @@ from fpaut.cli import (COMMANDS, canonical_json, config_from_args, exit_code,
 from fpaut.errors import (FpAutError, IndexOutOfRange, ParseError,
                           SelfCheckFailed)
 
-from conftest import in_process_shards, make_aut
+from conftest import in_process_claims, make_aut
 
 FIB = {
     "group": {"abelian_factors": [], "free_rank": 2},
@@ -324,37 +327,54 @@ def test_only_cache_dir_turns_the_cache_on(fib_file, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fib.json"]
 
 
-def assert_jobs_match_serial(argv, jobs="2"):
+def assert_jobs_match_serial(argv, forks, jobs=2):
+    # ``forks``: the `fork_at_once` list, so the --jobs run forks after its
+    # first root group; jobs is set past the parser, which lowers it to the
+    # CPU count
     code, serial = run(config_from_args(argv))
-    code_j, parallel = run(config_from_args(argv + ["--jobs", jobs]))
+    code_j, parallel = run(dataclasses.replace(config_from_args(argv),
+                                               jobs=jobs))
+    assert len(forks) == jobs - 1
     assert (code_j, parallel["result"]) == (code, serial["result"])
     assert parallel["canonical_sha256"] == serial["canonical_sha256"]
+    assert_no_child_left()
 
 
-def test_jobs_match_serial(intro_file):
+def test_jobs_match_serial(intro_file, fork_at_once):
     assert_jobs_match_serial(
-        ["twins", "--aut", intro_file, "--max-exp", "2", "--conj-len", "2"])
+        ["twins", "--aut", intro_file, "--max-exp", "2", "--conj-len", "2"],
+        fork_at_once)
 
 
-def test_jobs_match_serial_flare(intro_file):
+def test_jobs_match_serial_flare(intro_file, fork_at_once):
     assert_jobs_match_serial(
         ["flare", "--aut", intro_file, "--min-len", "2", "--max-len", "2",
-         "--max-exp", "1", "--max-iter", "3", "--lambda-min", "1.1"], jobs="3")
+         "--max-exp", "1", "--max-iter", "3", "--lambda-min", "1.1"],
+        fork_at_once, jobs=3)
 
 
-def test_jobs_match_serial_flare_mixed(mixed_file):
-    # shards interleave the counterexamples; the merge restores their
-    # enumeration order
+def test_jobs_match_serial_flare_mixed(mixed_file, fork_at_once):
+    # processes claim groups in no fixed order; the walk sorts their
+    # records by ordinal, which restores the enumeration order of the
+    # counterexamples
     assert_jobs_match_serial(
         ["flare", "--aut", mixed_file, "--min-len", "2", "--max-len", "3",
-         "--max-exp", "2", "--max-iter", "6"])
+         "--max-exp", "2", "--max-iter", "6"], fork_at_once)
 
 
-def test_jobs_match_serial_atoroidal(fib_file):
+def test_jobs_match_serial_atoroidal(fib_file, fork_at_once):
     # the serial search stops at its first witness; `tested` counts up to it
     assert_jobs_match_serial(
         ["atoroidal", "--aut", fib_file, "--max-len", "5", "--max-exp", "3",
-         "--max-iter", "4"])
+         "--max-iter", "4"], fork_at_once)
+
+
+def test_short_search_forks_nothing(fib_file, fork_calls):
+    # far shorter than `_FORK_AFTER_S`: the --jobs walk runs it alone
+    cfg = config_from_args(["atoroidal", "--aut", fib_file, "--max-len", "2",
+                            "--max-exp", "1", "--max-iter", "1"])
+    assert run(dataclasses.replace(cfg, jobs=2)) == run(cfg)
+    assert fork_calls == []
 
 
 def _source_env():
@@ -377,9 +397,9 @@ def _loaded(names):
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 # probe code that sets jobs to 2 past the parser, so a run is sharded even
-# on one CPU
+# on one CPU, and forks after the first root group, however short the search
 JOBS_2 = ("import dataclasses, sys; from fpaut import cli; "
-          "parse = cli.config_from_args; "
+          "cli._FORK_AFTER_S = 0; parse = cli.config_from_args; "
           "cli.config_from_args = "
           "lambda argv: dataclasses.replace(parse(argv), jobs=2); ")
 
@@ -429,10 +449,8 @@ SEARCHES = {"atoroidal": atoroidal_search, "twins": twin_search,
 
 @pytest.fixture(scope="session")
 def shear_mixed():
-    # Z^2 * F_1, a shear on A_1 and x1 -> a1.1^-1 x1: at bounds 3/1/2, for 2,
-    # 3 and 5 shards, the first witness lies in a root group that shard 0
-    # does not own, groups of other shards come before it, and another
-    # shard finds a later witness
+    # Z^2 * F_1, a shear on A_1 and x1 -> a1.1^-1 x1: at bounds 3/1/2 the
+    # first witness lies in root group 7 of 18, and later groups hold more
     pres = Presentation((2,), 1)
     return make_aut(pres, {"a1.1": "a1.1", "a1.2": "a1.1 a1.2",
                            "x1": "a1.1^-1 x1"},
@@ -440,20 +458,38 @@ def shear_mixed():
                      "x1": "a1.1 x1"})
 
 
+def serial_records(search, phi, *args):
+    """The serial report and the records its walk folded: those of root
+    groups 0, 1, ... up to the end or the first witness."""
+    kept = []
+
+    def walk(records):
+        kept.extend(records())
+        return kept
+    return search(phi, *args, walk=walk), kept
+
+
 @pytest.mark.parametrize("shards", [2, 3, 5])
 def test_shear_mixed_witness_needs_the_index_rebuild(shear_mixed, shards):
-    parts = []
-    atoroidal_search(shear_mixed, 3, 1, 2,
-                     walk=in_process_shards(shards, parts))
-    # record i of shard s is that of root group s + i J; a shard's last
-    # record is the group of its first witness
-    found = {s: s + (len(p) - 1) * shards for s, p in enumerate(parts)
-             if p and p[-1][1] is not None}
-    owner = min(found, key=found.get)
-    assert owner != 0 and len(found) > 1
-    assert any(s + i * shards < found[owner] and tested
-               for s, p in enumerate(parts) if s != owner
-               for i, (tested, _) in enumerate(p))
+    # the fold takes the first witness by ordinal, not the first one found:
+    # for some claim orders the first witness lies in a group that claimant
+    # 0 does not walk, other claimants walk groups before it, and another
+    # claimant finds a later witness before claims stop
+    serial, _ = serial_records(atoroidal_search, shear_mixed, 3, 1, 2)
+    seen = 0
+    for seed in range(20):
+        parts = []
+        report = atoroidal_search(shear_mixed, 3, 1, 2,
+                                  walk=in_process_claims(shards, seed, parts))
+        assert report == serial
+        found = {c: p[-1][0] for c, p in enumerate(parts)
+                 if p and p[-1][1][1] is not None}
+        owner = min(found, key=found.get)
+        seen += owner != 0 and len(found) > 1 and any(
+            k < found[owner] and tested
+            for c, p in enumerate(parts) if c != owner
+            for k, (tested, _) in p)
+    assert seen
 
 
 @pytest.mark.parametrize("kind, fixture, args", [
@@ -464,30 +500,112 @@ def test_shear_mixed_witness_needs_the_index_rebuild(shear_mixed, shards):
     ("flare", "intro_anosov", (2, 2, 1, 3, "1.1")),
     ("flare", "mixed", (2, 3, 2, 6, "1.1")),         # counterexamples not
                                                      # in Word.sort_key order
-    ("atoroidal", "shear_mixed", (3, 1, 2)),         # see below
+    ("atoroidal", "shear_mixed", (3, 1, 2)),         # see above
     ("twins", "intro_anosov", (2, 1)),               # 22 root groups
     ("flare", "tribonacci", (2, 3, 1, 6, "1.1")),    # certificate at N = 3
 ])
-# 200 shards: more than the root groups of every case but twins intro 2/2,
-# so shards that own no group are covered for all three searches
+# 200 claimants: more than the root groups of every case but twins intro
+# 2/2, so claimants that walk no group are covered for all three searches
 @pytest.mark.parametrize("shards", [2, 3, 5, 200])
 def test_merge_reports_equal_serial(request, kind, fixture, args, shards):
-    # in-process shards, so shard counts above the CPU count are covered
+    # claimants in this process, so counts above the CPU count are covered
     phi = request.getfixturevalue(fixture)
     phi = phi[0] if isinstance(phi, tuple) else phi
     search = SEARCHES[kind]
-    serial = search(phi, *args)
-    parts = []
-    merged = search(phi, *args, walk=in_process_shards(shards, parts))
-    assert len(parts) == shards
-    if shards == 200 and (kind, fixture, args) != \
-            ("twins", "intro_anosov", (2, 2)):
-        assert not all(parts)
-    for attr in ("verdict", "witness", "counterexamples", "certificate",
-                 "tested", "notes"):
-        assert getattr(merged, attr) == getattr(serial, attr), attr
-    # a report keeps no records: a twin search makes one per 64 pairs
-    assert "records" not in vars(serial) and merged == serial
+    serial, kept = serial_records(search, phi, *args)
+    assert search(phi, *args) == serial
+    for seed in range(3):
+        parts = []
+        merged = search(phi, *args,
+                        walk=in_process_claims(shards, seed, parts))
+        assert len(parts) == shards
+        # every group up to the end or the first witness is walked once,
+        # and a group past the first witness at most once
+        walked = sorted(k for part in parts for k, _ in part)
+        assert walked[:len(kept)] == list(range(len(kept)))
+        assert len(set(walked)) == len(walked)
+        if shards == 200 and (kind, fixture, args) != \
+                ("twins", "intro_anosov", (2, 2)):
+            assert not all(parts)
+        for attr in ("verdict", "witness", "counterexamples", "certificate",
+                     "tested", "notes"):
+            assert getattr(merged, attr) == getattr(serial, attr), attr
+        # a report keeps no records: a twin search makes one per 64 pairs
+        assert "records" not in vars(serial) and merged == serial
+
+
+def test_fork_after_each_prefix_gives_the_serial_report(
+        shear_mixed, intro_anosov, fork_calls, monkeypatch):
+    # a clock that reads 0, 1, 2, ... seconds: with `_FORK_AFTER_S` = k the
+    # walk forks after the caller's first k root groups, or never when the
+    # search walks fewer; shear_mixed ends at the witness of its group 7,
+    # flare walks all 10 groups of intro
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        perf_counter=itertools.count().__next__))
+    for kind, phi, bounds in (
+            ("atoroidal", shear_mixed,
+             {"max_len": 3, "max_exp": 1, "max_iter": 2}),
+            ("flare", intro_anosov,
+             {"min_len": 2, "max_len": 2, "max_exp": 1, "max_iter": 3,
+              "lambda_min": "1.1"})):
+        serial, kept = serial_records(
+            lambda phi, **walk: COMMANDS[kind].search(phi, bounds, **walk),
+            phi)
+        for k in range(1, len(kept) + 2):
+            monkeypatch.setattr(cli, "_FORK_AFTER_S", k)
+            del fork_calls[:]
+            assert cli._run_sharded(kind, phi, bounds, 2) == serial, k
+            assert len(fork_calls) == (k <= len(kept)), k
+            assert_no_child_left()
+
+
+def claimed_stream(caller, ending):
+    """A search's ``records`` over root groups 0, 1, ..., one record
+    (ordinal, witness?) per group the walk takes.  ``ending`` "exhausted"
+    stops after 400 groups; "caller witness" and "child witness" never end
+    but at a witness, the first group that the caller (pid ``caller``)
+    walks after the fork or the first any child walks.  The caller sleeps
+    0.2 ms per group, so the children get their claims in."""
+    def records(owned=None):
+        groups = range(400) if ending == "exhausted" else itertools.count()
+        for k in itertools.compress(groups, owned):
+            in_caller = os.getpid() == caller
+            if in_caller:
+                time.sleep(0.0002)
+            if (ending == "caller witness" and in_caller and k) or \
+                    (ending == "child witness" and not in_caller):
+                yield k, True
+                return
+            yield k, False
+    return records
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("the --jobs walk hangs")
+
+
+@pytest.mark.parametrize("ending",
+                         ["exhausted", "caller witness", "child witness"])
+def test_claims_walk_each_group_once(fork_at_once, ending):
+    # 5 processes on fewer cores claim groups until one stream ends: the
+    # walk returns each record once, in ordinal order, without a gap up to
+    # the end or the first witness, which a lost update of the shared
+    # counter would break; it ends within a minute and leaves no child
+    handler = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(60)
+    try:
+        records = cli._merge_reports(claimed_stream(os.getpid(), ending), 5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert len(fork_at_once) == 4
+    assert_no_child_left()
+    ordinals = [k for k, _ in records]
+    assert ordinals == sorted(set(ordinals))
+    witnesses = [k for k, witness in records if witness]
+    end = witnesses[0] + 1 if witnesses else 400
+    assert ordinals[:end] == list(range(end))
+    assert bool(witnesses) == (ending != "exhausted")
 
 
 def test_sharded_cli_run_exits_cleanly(fib_file):
@@ -501,20 +619,24 @@ def test_sharded_cli_run_exits_cleanly(fib_file):
     assert json.loads(done.stdout)["result"]["verdict"] == "witness"
 
 
-def _fail_shard(monkeypatch, failing_shard, fail):
-    """Make ``cli.atoroidal_search`` call ``fail()`` when its walk asks for
-    the records of shard ``failing_shard``, and search as usual in every
-    other shard."""
-    search = cli.atoroidal_search
+def _fail_in(monkeypatch, process, fail):
+    """Make ``cli.atoroidal_search`` call ``fail()`` in ``process``,
+    "caller" or "child", when its walk asks after the fork whether it takes
+    a root group, before it claims one; with `_FORK_AFTER_S` = 0, set here,
+    the caller forks after its first group.  Every other process searches
+    as usual."""
+    search, caller = cli.atoroidal_search, os.getpid()
+    monkeypatch.setattr(cli, "_FORK_AFTER_S", 0)
+
+    def failing(owned):
+        for own in owned:
+            yield own
+            if (os.getpid() == caller) == (process == "caller"):
+                fail()
 
     def patched(phi, *args, walk):
-        def spied(records):
-            def shard_records(shard):
-                if shard == failing_shard:
-                    fail()
-                return records(shard)
-            return walk(shard_records)
-        return search(phi, *args, walk=spied)
+        return search(phi, *args, walk=lambda records: walk(
+            lambda owned: records(failing(owned))))
     monkeypatch.setattr(cli, "atoroidal_search", patched)
 
 
@@ -540,7 +662,7 @@ def assert_one_error_line(capsys, error):
 
 
 def test_forked_shard_error_keeps_its_type(fib_file, capsys, monkeypatch):
-    _fail_shard(monkeypatch, (1, 2), _raise_self_check)
+    _fail_in(monkeypatch, "child", _raise_self_check)
     _jobs_past_the_parser(monkeypatch, 2)
     assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
     assert_one_error_line(capsys, "SelfCheckFailed: shard self-check")
@@ -566,7 +688,7 @@ def _raise_parse_error():
 
 def test_forked_shard_parse_error_is_one_json_line(fib_file, capsys,
                                                    monkeypatch):
-    _fail_shard(monkeypatch, (1, 2), _raise_parse_error)
+    _fail_in(monkeypatch, "child", _raise_parse_error)
     _jobs_past_the_parser(monkeypatch, 2)
     assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
     assert_one_error_line(capsys, "ParseError: at position 3: bad")
@@ -575,8 +697,8 @@ def test_forked_shard_parse_error_is_one_json_line(fib_file, capsys,
 
 def test_failed_fork_closes_the_pipe_and_kills_the_shards(fib_file, capsys,
                                                           monkeypatch):
-    # the first fork starts shard 1, the second fails: shard 1 is killed and
-    # reaped, and the failed shard's pipe ends are closed
+    # the first fork starts child 1, the second fails: child 1 is killed and
+    # reaped, and the pipes are closed, the failed child's and the claims'
     fork, calls = os.fork, []
 
     def failing_fork():
@@ -585,6 +707,7 @@ def test_failed_fork_closes_the_pipe_and_kills_the_shards(fib_file, capsys,
             raise OSError("no fork")
         return fork()
     _jobs_past_the_parser(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_FORK_AFTER_S", 0)
     monkeypatch.setattr(os, "fork", failing_fork)
     fd_dir = "/proc/self/fd"
     before = set(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
@@ -603,7 +726,7 @@ def _raise_memory_error():
 def test_forked_shard_memory_error_is_one_json_line(fib_file, capsys,
                                                     monkeypatch):
     # running out of memory is an error, never the witness exit code 1
-    _fail_shard(monkeypatch, (1, 2), _raise_memory_error)
+    _fail_in(monkeypatch, "child", _raise_memory_error)
     _jobs_past_the_parser(monkeypatch, 2)
     assert main([*FIB_ATOROIDAL, "--aut", fib_file]) == 2
     assert_one_error_line(capsys, "MemoryError: atoroidal --max-len 5 "
@@ -633,7 +756,7 @@ def test_memory_error_exits_2(fib_file):
 
 
 def test_forked_shard_without_result_is_reported(fib_file, monkeypatch):
-    _fail_shard(monkeypatch, (1, 2), lambda: os._exit(3))
+    _fail_in(monkeypatch, "child", lambda: os._exit(3))
     cfg = config_from_args([*FIB_ATOROIDAL, "--aut", fib_file])
     with pytest.raises(FpAutError) as info:
         run(dataclasses.replace(cfg, jobs=2))
@@ -644,9 +767,9 @@ def test_forked_shard_without_result_is_reported(fib_file, monkeypatch):
 
 
 def test_caller_shard_error_kills_the_forked_shards(fib_file, monkeypatch):
-    # shard 1 sleeps far past the test: only a kill ends it in time
-    _fail_shard(monkeypatch, (1, 2), lambda: time.sleep(60))
-    _fail_shard(monkeypatch, (0, 2), _raise_self_check)
+    # the child sleeps far past the test: only a kill ends it in time
+    _fail_in(monkeypatch, "child", lambda: time.sleep(60))
+    _fail_in(monkeypatch, "caller", _raise_self_check)
     cfg = config_from_args([*FIB_ATOROIDAL, "--aut", fib_file])
     t0 = time.monotonic()
     with pytest.raises(SelfCheckFailed, match="shard self-check"):

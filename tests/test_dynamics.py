@@ -17,15 +17,14 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    validate)
 from fpaut import dynamics
 from fpaut.automorphisms import Automorphism
-from fpaut.cli import _merge_reports
-from fpaut.dynamics import (SearchReport, _owned, _ranked_syllables,
+from fpaut.dynamics import (SearchReport, _claimed, _ranked_syllables,
                             _root_groups, enumerate_words)
 from fpaut.errors import FactorsPermuted, SelfCheckFailed, TooShort
 from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, abelianize,
                          double_coset_rep, reduce_syllables)
 
-from conftest import in_process_shards, make_aut, random_word
+from conftest import in_process_claims, make_aut, random_word
 from test_action import PRESENTATIONS as ACTION_PRESENTATIONS
 from test_action import automorphisms_of
 
@@ -146,33 +145,40 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ACTION_PRESENTATIONS), st.integers(1, 4),
-       st.integers(1, 2), st.integers(1, 3), st.sampled_from([2, 3]))
+       st.integers(1, 2), st.integers(1, 3), st.sampled_from([2, 3]),
+       st.randoms(use_true_random=False))
 def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
-                                           shards):
+                                           shards, rng):
     assume(max_len * max_exp <= 6)
     stream = [list(group)
               for group in _root_groups(pres, max_len, max_exp, min_len)]
-    parts = [[list(group) for group in _owned(
-        _root_groups(pres, max_len, max_exp, min_len), (s, shards))]
-        for s in range(shards)]
-    # shard s owns the ordinals s mod J, so the shards are disjoint and
-    # together every root group; interleaved round-robin, as
-    # `_merge_reports` merges the shards' records, the groups are the stream
-    for s, part in enumerate(parts):
-        assert part == stream[s::shards]
-    groups = [group for _, group in _merge_reports(
-        [[(s, group) for group in part] for s, part in enumerate(parts)], {})]
-    assert groups == stream
+    # each root group goes to one of J claimants at random; a claimant's
+    # ownership stream says, ordinal by ordinal, whether it takes a group
+    owner = [rng.randrange(shards) for _ in stream]
+    parts = [[list(group) for group in _claimed(
+        _root_groups(pres, max_len, max_exp, min_len),
+        (o == c for o in owner))] for c in range(shards)]
+    # so the claimants are disjoint and together every root group
+    for c, part in enumerate(parts):
+        assert part == [g for g, o in zip(stream, owner) if o == c]
+    # no ownership is the whole stream, and an ownership stream that ends
+    # ends the walk
+    cut = rng.randrange(len(stream) + 1)
+    assert [list(g) for g in _claimed(
+        _root_groups(pres, max_len, max_exp, min_len), None)] == stream
+    assert [list(g) for g in _claimed(
+        _root_groups(pres, max_len, max_exp, min_len),
+        iter([True] * cut))] == stream[:cut]
     # a group item is (syllables, weight sum); without a weight the sum is 0
-    classes = [Word(pres, syllables) for group in groups
+    classes = [Word(pres, syllables) for group in stream
                for syllables, _ in group]
     assert classes == list(
         enumerate_cyclic_words(pres, max_len, max_exp, min_len))
-    assert {acc for group in groups for _, acc in group} <= {0}
+    assert {acc for group in stream for _, acc in group} <= {0}
     # a root group: the classes of one syllable count, mass and first
     # syllable, no two groups sharing one
     keys = [{(len(syl), sum(s.mass for s in syl), syl[0]) for syl, _ in group}
-            for group in groups if group]
+            for group in stream if group]
     assert all(len(key) == 1 for key in keys)
     assert len(set().union(*keys)) == len(keys)
 
@@ -500,7 +506,7 @@ def test_twin_search_matches_table_reference(data):
     max_power = data.draw(st.integers(1, 3))
     expected = _reference_twins(phi, max_power, 1)
     assert _twin_summary(twin_search(phi, max_power, 1)) == expected
-    merged = twin_search(phi, max_power, 1, walk=in_process_shards(2))
+    merged = twin_search(phi, max_power, 1, walk=in_process_claims(2, 0))
     assert _twin_summary(merged) == expected
 
 
@@ -712,12 +718,15 @@ def test_atoroidal_matches_brute_force(fixture_name, request):
             in oracle
 
 
-def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=(0, 1)):
+def reference_atoroidal_search(phi, max_len, max_exp, max_iter, owned=None):
     """The search without the abelian prefilter: every class is imaged
     under phi, phi^2, ... at word level.  The records (classes tested,
-    witness) of the shard's root groups, up to its first witness."""
+    witness) of the root groups whose ordinals lie in ``owned`` (all when
+    None), up to the first witness."""
     pres, records = phi.presentation, []
-    for group in _owned(_root_groups(pres, max_len, max_exp), shard):
+    for k, group in enumerate(_root_groups(pres, max_len, max_exp)):
+        if owned is not None and k not in owned:
+            continue
         tested = 0
         for syllables, _ in group:
             tested += 1
@@ -731,22 +740,23 @@ def reference_atoroidal_search(phi, max_len, max_exp, max_iter, shard=(0, 1)):
     return records
 
 
-def _assert_matches_reference(phi, max_len, max_exp, max_iter, shard=(0, 1)):
+def _assert_matches_reference(phi, max_len, max_exp, max_iter, owned=None):
     read = []
 
     def walk(records):
-        read.extend(records(shard))
+        read.extend(records(None if owned is None else (
+            k in owned for k in itertools.count())))
         return read
     rep = atoroidal_search(phi, max_len, max_exp, max_iter, walk=walk)
     records = reference_atoroidal_search(phi, max_len, max_exp, max_iter,
-                                         shard)
-    # the shard's records are the reference's, and so is their fold, which
-    # for the shard (0, 1) is the serial search
+                                         owned)
+    # the records of the owned groups are the reference's, and so is their
+    # fold, which for every group (None) is the serial search
     assert read == records
     tested = sum(n for n, _ in records)
     witness = records[-1][1] if records else None
     reports = [rep]
-    if shard == (0, 1):
+    if owned is None:
         reports.append(atoroidal_search(phi, max_len, max_exp, max_iter))
     for report in reports:
         assert (report.verdict, report.witness, report.tested) == (
@@ -760,11 +770,11 @@ def test_prefiltered_search_matches_reference(data):
     pres = data.draw(st.sampled_from(ACTION_PRESENTATIONS))
     phi = data.draw(automorphisms_of(pres))
     assume(phi.preserves_factor_classes)
-    shards = data.draw(st.integers(1, 2))
     _assert_matches_reference(phi, data.draw(st.integers(1, 3)),
                               data.draw(st.integers(1, 2)),
                               data.draw(st.integers(1, 4)),
-                              (data.draw(st.integers(0, shards - 1)), shards))
+                              data.draw(st.none() | st.sets(
+                                  st.integers(0, 60))))
 
 
 def test_abelian_prefilter_with_eigenvalue_1(toral_twist, mixed):
@@ -912,7 +922,8 @@ def test_prefiltered_search_matches_reference_with_eigenvalue_1(
         toral_twist, mixed, max_len, max_exp, max_iter):
     for phi in (toral_twist, mixed[0]):
         _assert_matches_reference(phi, max_len, max_exp, max_iter)
-        _assert_matches_reference(phi, max_len, max_exp, max_iter, (1, 2))
+        _assert_matches_reference(phi, max_len, max_exp, max_iter,
+                                  set(range(1, 200, 2)))
 
 
 def brute_force_twin_check(phi, m, i, j, u, v, g):

@@ -400,14 +400,17 @@ def test_classify_mass_verdict_equals_a_repeat_search(request, job):
 @pytest.mark.parametrize("job", ["twins Q --max-exp 2 --conj-len 2",
                                  "atoroidal Q --max-len 4 --max-exp 2 "
                                  "--max-iter 2"])
-def test_sharded_exhausted_searches_equal_the_pins(toral_q, tmp_path, job):
-    # no shard stops early, so the merge folds whole enumerations; jobs is
-    # set past the parser, so a shard is forked even on one CPU
+def test_sharded_exhausted_searches_equal_the_pins(toral_q, tmp_path, job,
+                                                  fork_at_once):
+    # no process stops early, so the walk folds whole enumerations; jobs is
+    # set past the parser and the walk forks after its first root group, so
+    # a child is forked even on one CPU
     path = tmp_path / "Q.json"
     path.write_text(json.dumps(automorphism_to_dict(toral_q)))
     command, _, *args = shlex.split(job)
     cfg = config_from_args([command, "--aut", str(path), *args])
     code, report = run(dataclasses.replace(cfg, jobs=2))
     assert (code, report["result"]["verdict"]) == (0, "exhausted")
+    assert len(fork_at_once) == 1
     result = canonical_json(report["result"])
     assert hashlib.sha256(result.encode()).hexdigest() == RESULT_DIGESTS[job]
