@@ -446,11 +446,18 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
 def _subgroup_descriptors(pres: Presentation, conj_len: int):
     """(u, i) with u a canonical coset representative of u A_i (u does not
     end in A_i), over the words u of at most conj_len syllables and
-    exponent mass, in (i, `Word.sort_key`) order."""
-    words = list(enumerate_words(pres, conj_len, conj_len))
-    return [(u, i) for i in range(1, pres.num_factors + 1) for u in words
+    exponent mass, in (i, `Word.sort_key`) order.  A generator: the words
+    are enumerated as factor 1's descriptors are taken, and kept for the
+    later factors."""
+    words, seen = enumerate_words(pres, conj_len, conj_len), []
+    for i in range(1, pres.num_factors + 1):
+        for u in words:
+            if i == 1:
+                seen.append(u)
             if not (u and isinstance(u.syllables[-1], FactorSyllable)
-                    and u.syllables[-1].factor == i)]
+                    and u.syllables[-1].factor == i):
+                yield u, i
+        words = seen
 
 
 def twin_search(phi: Automorphism, max_power: int, conj_len: int,
@@ -478,8 +485,15 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
     the records to fold (`SearchReport`).
     """
     require_class_preserving(phi)
-    descr = _subgroup_descriptors(phi.presentation, conj_len)
-    heads = [[u] for u, _ in descr]  # h_0, h_1, ... up to the m reached
+    stream = _subgroup_descriptors(phi.presentation, conj_len)
+    descr, heads = [], []  # heads[k]: h_0, h_1, ... up to the m reached
+
+    def known(k: int) -> bool:
+        # is there a descriptor k?  Takes them from the stream up to k.
+        for u, i in itertools.islice(stream, max(k + 1 - len(descr), 0)):
+            descr.append((u, i))
+            heads.append([u])
+        return k < len(descr)
 
     def head(k: int, m: int) -> Word:
         hs = heads[k]
@@ -487,11 +501,21 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             hs.append(conjugator_step(phi, descr[k][1], hs[-1]))
         return hs[m]
 
+    def runs():
+        # (m, k, run): every k below the last descriptor, its runs of l from
+        # k + 1 on, with descriptors taken as the runs reach them
+        for m in range(1, max_power + 1):
+            k = 0
+            while known(k + 1):
+                lo = k + 1
+                while known(lo):
+                    known(lo + _TWIN_RUN - 1)
+                    yield m, k, range(lo, min(lo + _TWIN_RUN, len(descr)))
+                    lo += _TWIN_RUN
+                k += 1
+
     def records(owned=None):
-        runs = ((m, k, range(lo, min(lo + _TWIN_RUN, len(descr))))
-                for m in range(1, max_power + 1) for k in range(len(descr) - 1)
-                for lo in range(k + 1, len(descr), _TWIN_RUN))
-        for m, k, run in _claimed(runs, owned):
+        for m, k, run in _claimed(runs(), owned):
             (u, i), h = descr[k], head(k, m)
             u_inv, h_inv = u.inverse(), h.inverse()
             for tested, l in enumerate(run, 1):

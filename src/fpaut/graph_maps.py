@@ -36,11 +36,11 @@ give the images of whole paths.
 Each pass of `_feed`'s loop takes one fed step and pops or appends at most
 one step, so feeding k steps onto ``out`` keeps out[:len(out) - k] and
 leaves a length within k of len(out): the cancellation at one junction is
-bounded by the block fed (Cooper, 1987).  Before joining the images of a
-leaf of length L, ``nielsen_search`` uses this to rule out each power n
-whose kept prefix already differs from the path, or whose length range
-misses L; a leaf is joined and tested only when some power survives, so
-every tested leaf still sees all N images.
+bounded by the block fed (Cooper, 1987).  ``nielsen_search`` uses this to
+decide all the leaves after a prefix at once, from the lengths of their
+blocks alone (`_leaf_bars`): a leaf is joined and tested only when some
+power n keeps a prefix that can still agree with the path and a length
+range that reaches it, so every tested leaf still sees all N images.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import ge
 
 from . import verify
 from .automorphisms import (Automorphism, conjugator_step,
@@ -180,11 +181,18 @@ def reduce_steps(steps) -> tuple:
     return tuple(out)
 
 
-def _feed(out: list, pending, steps):
+def _feed(out: list, pending, steps, reduced=False):
     """Continue the reduction of `out` (reduced, with `pending`, the
     (factor, vector) translation awaiting the next departure, or None) by
-    `steps`, one at a time; returns the new pending."""
-    for step in steps:
+    `steps`, one at a time; returns the new pending.
+
+    With ``reduced`` (no step of `steps` backtracks along the one before
+    it), the steps after the first one appended are appended in one slice:
+    that step is the fed one or, after a cancelled excursion, the fed T_i
+    with a merged decoration, and whether a step backtracks along T_i
+    depends only on i.
+    """
+    for pos, step in enumerate(steps):
         if pending is not None:
             i, vec = pending
             pending = None
@@ -197,6 +205,9 @@ def _feed(out: list, pending, steps):
                 pending = (prev[1], prev[2])
         else:
             out.append(step)
+            if reduced:
+                out += steps[pos + 1:]
+                return None
     return pending
 
 
@@ -210,9 +221,15 @@ def _pending_steps(pending) -> tuple:
 
 def _join(state, block):
     """The reduction state, (steps, pending), of a state followed by a
-    block of fed steps (a reduced image and its pending excursion)."""
+    block: the reduced steps of an image and the cancelled excursion its
+    pending stands for.  Only the junction and the excursion are fed step
+    by step (`_feed` with ``reduced``)."""
     out = list(state[0])
-    return out, _feed(out, state[1], block)
+    reduced, tail = block
+    pending = _feed(out, state[1], reduced, reduced=True)
+    if tail:
+        pending = _feed(out, pending, tail)
+    return out, pending
 
 
 def _back_step(pres: Presentation, steps, pos):
@@ -577,31 +594,44 @@ def nielsen_search(m: GraphMap, len_bound: int,
     Tightening commutes with f, so [f^n(p.e)] = [[f^n(p)] . [f^n(e)]].  One
     depth-first loop walks an explicit stack whose frames hold the steps
     still to try after a prefix and the reduction states (steps, pending)
-    of f^1..f^N of that prefix; a child's states are the junction joins of
-    its parent's with the blocks of its last step e, computed once per
-    distinct step: the steps a join feeds, f^n(e) reduced followed by its
-    pending excursion.  Non-canonical paths are walked too, as their children
-    may be canonical.  The walk must not recurse: F_1 has two reduced paths
-    of every length, so its depth reaches the length bound.
+    of f^1..f^N of that prefix; a child's states are the junction joins
+    (`_join`) of its parent's with the blocks of its last step e, computed
+    once per distinct step: f^n(e) reduced, then the cancelled excursion
+    its pending stands for.  A join feeds only the junction and that
+    excursion step by step and appends the rest of the block in one slice.
+    The steps to try after e, the departures from its target that do not
+    backtrack along it, are a table built once per distinct step.
+    Non-canonical paths are walked too, as their children may be
+    canonical.  The walk must not recurse: F_1 has two reduced paths of
+    every length, so its depth reaches the length bound.
 
-    A canonical leaf is neither joined nor tested when the junction bound
-    rules out every power (`_ruled_out`): joining a block of k fed steps
-    keeps all but the last k steps of the parent's image and moves its
-    length by at most k, since each fed step pops or appends at most one
-    step.
+    The leaves, the paths of len_bound steps, get no frame: their parent
+    decides them all at once from the lengths of their blocks
+    (`_leaf_bars`), as joining a block of b fed steps keeps all but the
+    last b steps of the parent's image and moves its length by at most b.
+    When no block in the table reaches a bar (the table keeps the longest
+    block per power) no leaf is looked at; otherwise a leaf is checked for
+    canonicity, joined and tested only when some power stays open for it.
+    A leaf ruled out closes for no power, so the tested paths, and the
+    images each one sees, are those of a walk that tests every canonical
+    path.
     """
+    if len_bound < 1:
+        raise ValueError("len_bound must be >= 1")
     pres = m.presentation
-    blocks = {}  # step -> [fed steps of f^n(step) for n = 1..exp_bound]
+    blocks = {}  # step -> ([(reduced, excursion) of f^n(step)], [lengths])
 
     def images_of(step):
         got = blocks.get(step)
         if got is None:
-            got, seq = [], (step,)
+            images, seq = [], (step,)
             for _ in range(exp_bound):
                 out, pending = m.image_state(seq)
-                seq = out + _pending_steps(pending)
-                got.append(seq)
-            blocks[step] = got
+                tail = _pending_steps(pending)
+                images.append((out, tail))
+                seq = out + tail
+            got = blocks[step] = images, [len(out) + len(tail)
+                                          for out, tail in images]
         return got
 
     # the departures from each vertex; a path leaves a factor start along 0
@@ -614,11 +644,48 @@ def nielsen_search(m: GraphMap, len_bound: int,
             v for mass in range(len_bound + 1)
             for v in _vectors_of_mass(dim, mass))]
 
+    def longest(candidates):
+        # per power, the longest block of the candidate steps
+        return [max(col) for col in zip(*(images_of(d)[1]
+                                          for d in candidates))]
+
+    tables = {}  # step -> (the departures after it, longest(those))
+
+    def table(step):
+        got = tables.get(step)
+        if got is None:
+            children = [d for d in later[step_target(step)]
+                        if not _degenerate(step, d)]
+            got = tables[step] = children, longest(children)
+        return got
+
+    def leaves(start, skip, steps, states, candidates, tops):
+        # the leaves after `steps`: decided by the junction bound, and the
+        # open ones tested if canonical
+        bars, exact = _leaf_bars(states, steps, skip)
+        if not exact and not any(map(ge, tops, bars)):
+            return
+        for step in candidates:
+            images, lengths = images_of(step)
+            if not _leaf_open(step, lengths, bars, exact):
+                continue
+            steps.append(step)
+            if _precedes_reverse(pres, start, steps, step_target(step)):
+                found = _nielsen_test(m, start, steps, [
+                    _join(s, b)[0] for s, b in zip(states, images)])
+                if found is not None:
+                    witnesses.append(found)
+            steps.pop()
+
     witnesses = []
     for start, departures in first.items():
         skip = 0 if start == BASE else 1  # a factor start may shift steps[0]
         steps = []  # the prefix of the top frame
-        stack = [(iter(departures), [((), None)] * exp_bound)]
+        root = [((), None)] * exp_bound
+        if len_bound == 1:
+            leaves(start, skip, steps, root, departures, longest(departures))
+            continue
+        stack = [(iter(departures), root)]
         while stack:
             todo, states = stack[-1]
             step = next(todo, None)
@@ -626,47 +693,58 @@ def nielsen_search(m: GraphMap, len_bound: int,
                 stack.pop()
                 del steps[-1:]  # the step into the frame; the root has none
                 continue
-            if steps and _degenerate(steps[-1], step):
-                continue
             steps.append(step)
             at = step_target(step)
-            canonical = _precedes_reverse(pres, start, steps, at)
-            leaf = len(steps) == len_bound
-            tested = canonical and not (leaf and _ruled_out(
-                states, images_of(step), steps, skip))
-            if tested or not leaf:  # an untested leaf needs no images
-                images = [_join(s, b) for s, b in zip(states, images_of(step))]
-            if tested:
+            images = [_join(s, b) for s, b in zip(states, images_of(step)[0])]
+            if _precedes_reverse(pres, start, steps, at):
                 found = _nielsen_test(m, start, steps,
                                       [out for out, _ in images])
                 if found is not None:
                     witnesses.append(found)
-            if leaf:
-                steps.pop()
+            if len(steps) + 1 < len_bound:
+                stack.append((iter(table(step)[0]), images))
             else:
-                stack.append((iter(later[at]), images))
+                leaves(start, skip, steps, images, *table(step))
+                steps.pop()
     witnesses.sort(key=lambda w: (len(w.path.steps), w.exponent,
                                   path_key(w.path.steps)))
     return witnesses
 
 
-def _ruled_out(states, blocks, steps, skip) -> bool:
-    """Does the junction bound rule out [f^n(steps)] = g . steps for every
-    n?  ``states[n-1]`` is the reduction state of f^n(steps[:-1]) and
-    ``blocks[n-1]`` the fed steps of f^n(steps[-1]); a witness needs an
-    image of len(steps) steps that agrees with ``steps`` past its first
-    ``skip``.  Joining a block of k fed steps keeps out[:len(out) - k] and
-    moves len(out) by at most k (module docstring).
+def _leaf_bars(states, prefix, skip):
+    """The junction bound for every leaf e after `prefix`, decided once:
+    (bars, exact) such that power n leaves [f^n(prefix . e)] = g . (prefix
+    . e) open exactly when the block of f^n(e) feeds b >= bars[n-1] steps,
+    or (n - 1, e, b) is in `exact` (`_leaf_open`).
+
+    ``states[n-1]`` is the reduction state of f^n(prefix); a witness needs
+    an image of L = len(prefix) + 1 steps that agrees with the leaf past its
+    first ``skip``.  Joining b fed steps keeps out[:len(out) - b] and moves
+    len(out) by at most b (module docstring), so with kept = len(out) - b
+    power n stays open when len(out) + b >= L and the kept prefix can
+    agree: kept <= common, where common (skip <= common <= L) is how far
+    out agrees with the prefix past skip, or kept == L with
+    common >= L - 1 and out[L - 1] == e.  The first two are b >= bar; the
+    last names one e.
     """
-    size = len(steps)
-    for (out, _), block in zip(states, blocks):
-        kept = len(out) - len(block)
-        if kept > size or len(out) + len(block) < size:
-            continue
-        kept = min(kept, size)
-        if kept <= skip or out[skip:kept] == steps[skip:kept]:
-            return False
-    return True
+    size = len(prefix) + 1
+    bars, exact = [], []
+    for n, (out, _) in enumerate(states):
+        length = len(out)
+        top, common = min(length, size - 1), skip
+        while common < top and out[common] == prefix[common]:
+            common += 1
+        bars.append(max(size - length, length - common))
+        if common >= size - 1 and length >= size:
+            exact.append((n, out[size - 1], length - size))
+    return bars, exact
+
+
+def _leaf_open(step, lengths, bars, exact) -> bool:
+    """Does some power stay open for the leaf `step`, whose blocks feed
+    ``lengths[n-1]`` steps (`_leaf_bars`)?"""
+    return any(map(ge, lengths, bars)) or any(
+        step == e and lengths[n] == b for n, e, b in exact)
 
 
 def _precedes_reverse(pres: Presentation, start, steps, end) -> bool:

@@ -238,7 +238,7 @@ def descriptor_bounds(draw):
 @example((Presentation((2, 3), 0), 2))
 @example((Presentation((2, 2), 1), 3))
 def test_subgroup_descriptors_match_the_graded_construction(bounds):
-    assert dynamics._subgroup_descriptors(*bounds) == \
+    assert list(dynamics._subgroup_descriptors(*bounds)) == \
         _graded_descriptors(*bounds)
 
 
@@ -457,7 +457,8 @@ def test_twin_search_images_each_descriptor_once_per_power(monkeypatch,
     rep = twin_search(toral_q, 2, 2)
     assert (rep.verdict, rep.tested) == ("exhausted", 21170)
     assert calls["compose"] == calls["power"] == 0
-    descriptors = len(dynamics._subgroup_descriptors(toral_q.presentation, 2))
+    descriptors = len(list(
+        dynamics._subgroup_descriptors(toral_q.presentation, 2)))
     assert calls["_act"] <= descriptors * 2
 
 
@@ -527,6 +528,28 @@ def test_twin_pairs_are_not_materialised(mixed):
         (1, 1, 1, 2)
     assert w["conj_u"] == Word(pres) and w["element"] == Word(pres)
     assert w["conj_v"] == parse_word("x1^-1", pres)
+
+
+def test_twin_search_takes_descriptors_as_its_runs_reach_them(monkeypatch,
+                                                               mixed):
+    # the witness at the third pair needs the 65 descriptors of the first
+    # run, not all 1,015 (4,639 words) that an exhausted search tests
+    phi, pres = mixed
+    words = []
+    enumerate_words = dynamics.enumerate_words
+
+    def counting(*args):
+        for w in enumerate_words(*args):
+            words.append(w)
+            yield w
+    monkeypatch.setattr(dynamics, "enumerate_words", counting)
+    rep = twin_search(phi, 6, 3)
+    assert (rep.verdict, rep.tested) == ("witness", 3)
+    assert 0 < len(words) <= 2 * dynamics._TWIN_RUN
+    # the counter sees the whole enumeration, so the guard is not vacuous
+    del words[:]
+    assert len(list(dynamics._subgroup_descriptors(pres, 3))) == 1015
+    assert len(words) == 4639
 
 
 # --- flare certification -----------------------------------------------------

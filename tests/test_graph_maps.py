@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -534,6 +535,13 @@ def test_nielsen_search_is_a_loop_not_a_recursion():
     assert len(found) == 300
 
 
+def test_nielsen_search_needs_a_positive_length_bound(fib_map):
+    # the leaves are the paths of len_bound steps, so below 1 there are none
+    # to stop the walk at
+    with pytest.raises(ValueError):
+        nielsen_search(fib_map, 0, 2)
+
+
 def test_involution_image_of_one_step_keeps_its_pending(involution):
     m = build_standard_map(involution)
     once = m.image_state((("t", 1),))
@@ -605,6 +613,107 @@ def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
     assert len(out) - k <= len(after) <= len(out) + k
 
 
+def _block(m, step, n):
+    """(reduced steps, cancelled excursion) of f^n(step), as
+    `nielsen_search` joins it."""
+    block, pending = _iterated_state(m, (step,), n)
+    return block, graph_maps._pending_steps(pending)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sliced_join_equals_feeding_every_step(fixture_maps, data):
+    # `_join` feeds only the junction and the trailing excursion step by
+    # step and appends the steps between in one slice
+    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
+    *path, step = _draw_path(data, m.presentation)[1]
+    n = data.draw(st.integers(1, 3))
+    state = _iterated_state(m, path, n)
+    block, tail = _block(m, step, n)
+    out = list(state[0])
+    pending = graph_maps._feed(out, state[1], block + tail)
+    assert graph_maps._join(state, (block, tail)) == (out, pending)
+
+
+@pytest.mark.parametrize("path", [
+    (), (("x", 1, 1),), (("x", 1, -1),), (("t", 1), ("T", 1, (1, 0))),
+    (("t", 1), ("T", 1, (-1, 0))), (("x", 1, 1), ("t", 1), ("T", 1, (0, 2)))])
+def test_sliced_join_feeds_a_trailing_excursion(involution, path):
+    # f^n of the edge toward the factor vertex ends in a cancelled
+    # excursion for n = 2 and 3, which the join must feed after the sliced
+    # steps
+    m = build_standard_map(involution)
+    for n in (1, 2, 3):
+        state = _iterated_state(m, path, n)
+        block, tail = _block(m, ("t", 1), n)
+        assert bool(tail) == (n > 1)
+        out = list(state[0])
+        pending = graph_maps._feed(out, state[1], block + tail)
+        assert graph_maps._join(state, (block, tail)) == (out, pending)
+
+
+def _junction_bound_rules_out(states, lengths, steps, skip):
+    """The junction bound leaf by leaf: does it rule out [f^n(steps)] =
+    g . steps for every n?  ``states[n-1]`` is the reduction state of
+    f^n(steps[:-1]) and ``lengths[n-1]`` the number of fed steps of
+    f^n(steps[-1]); a witness needs an image of len(steps) steps that
+    agrees with ``steps`` past its first ``skip``."""
+    size = len(steps)
+    for (out, _), k in zip(states, lengths):
+        kept = len(out) - k
+        if kept > size or len(out) + k < size:
+            continue
+        if kept <= skip or list(out[skip:kept]) == list(steps[skip:kept]):
+            return False
+    return True
+
+
+def _leaf_rule_agrees(states, lengths, steps, skip):
+    *prefix, leaf = steps
+    bars, exact = graph_maps._leaf_bars(states, prefix, skip)
+    return graph_maps._leaf_open(leaf, lengths, bars, exact) != \
+        _junction_bound_rules_out(states, lengths, steps, skip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leaf_bars_equal_the_junction_bound_on_images(fixture_maps, data):
+    # the frame-level rule of `nielsen_search` on the states and block
+    # lengths the search meets
+    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
+    start, steps = _draw_path(data, m.presentation)
+    exp_bound = data.draw(st.integers(1, 3))
+    states = [_iterated_state(m, steps[:-1], n)
+              for n in range(1, exp_bound + 1)]
+    lengths = [sum(map(len, _block(m, steps[-1], n)))
+               for n in range(1, exp_bound + 1)]
+    assert _leaf_rule_agrees(states, lengths, steps, 0 if start == BASE else 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_leaf_bars_equal_the_junction_bound(data):
+    # images that agree with the path for a drawn number of steps and then
+    # go on, with any block lengths, half of them the one that keeps
+    # exactly len(steps): the states where the bound leaves a power open,
+    # also by the leaf's own step, are common here
+    steps = data.draw(st.lists(st.sampled_from(
+        [("x", 1, 1), ("x", 1, -1), ("x", 2, 1)]), min_size=1, max_size=6))
+    other = ("x", 3, 1)
+    states, lengths = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        agree = data.draw(st.integers(0, len(steps)))
+        more = data.draw(st.lists(st.sampled_from(steps + [other]),
+                                  max_size=3))
+        out = steps[:agree] + more
+        states.append((out, None))
+        exact = max(len(out) - len(steps), 0)  # kept == len(steps)
+        lengths.append(data.draw(st.one_of(
+            st.just(exact), st.integers(0, len(out) + len(steps) + 1))))
+    skip = data.draw(st.integers(0, 1))
+    assert _leaf_rule_agrees(states, lengths, steps, skip)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_path_or_its_reverse_is_canonical_never_both(fixture_maps, data):
@@ -654,6 +763,61 @@ def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
     graph_maps._reverse_steps(
         m.presentation, spell(parse_word("x1 x2", m.presentation)))
     assert calls == ["image_steps", "image_state", "reverse"]
+
+
+def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
+                                                           tribonacci):
+    # on tribonacci 6/4 a leaf that the junction bound rules out reaches
+    # neither the canonicity check nor a join: the search checks the 4,686
+    # shorter paths and the leaves the bound leaves open, and joins the
+    # images of the shorter paths and of the open canonical leaves
+    m = build_standard_map(tribonacci)
+    pres = tribonacci.presentation
+    len_bound, exp_bound = 6, 4
+    lengths = {step: [sum(map(len, _block(m, step, n)))
+                      for n in range(1, exp_bound + 1)]
+               for step in base_directions(pres)}
+    inner, leaves, canonical, open_leaves, tested_leaves = 0, 0, 0, 0, 0
+    prefixes = [()]
+    while prefixes:
+        prefix = prefixes.pop()
+        states, seq = [], prefix
+        for _ in range(exp_bound):
+            states.append(m.image_state(seq))
+            seq = states[-1][0] + graph_maps._pending_steps(states[-1][1])
+        for step in base_directions(pres):
+            if prefix and _degenerate(prefix[-1], step):
+                continue
+            path = prefix + (step,)
+            if len(path) < len_bound:
+                inner += 1
+                prefixes.append(path)
+                continue
+            leaves += 1
+            is_canonical = _precedes_reverse(pres, BASE, path, BASE)
+            canonical += is_canonical
+            if not _junction_bound_rules_out(states, lengths[step], path, 0):
+                open_leaves += 1
+                tested_leaves += is_canonical
+    assert (inner, leaves, canonical) == (4686, 18750, 9375)
+    assert canonical - tested_leaves == 9263
+
+    calls = Counter()
+    for name in ("_precedes_reverse", "_join"):
+        real = getattr(graph_maps, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(graph_maps, name, counting)
+    assert nielsen_search(m, len_bound, exp_bound) == []
+    assert calls == {"_precedes_reverse": inner + open_leaves,
+                     "_join": exp_bound * (inner + tested_leaves)}
+    # the counters see both functions, so the guard is not vacuous
+    graph_maps._precedes_reverse(pres, BASE, (("x", 1, 1),), BASE)
+    graph_maps._join(((), None), ((("x", 1, 1),), ()))
+    assert calls == {"_precedes_reverse": inner + open_leaves + 1,
+                     "_join": exp_bound * (inner + tested_leaves) + 1}
 
 
 def _twin_as_path(phi, witness):
