@@ -181,18 +181,11 @@ def reduce_steps(steps) -> tuple:
     return tuple(out)
 
 
-def _feed(out: list, pending, steps, reduced=False):
+def _feed(out: list, pending, steps):
     """Continue the reduction of `out` (reduced, with `pending`, the
     (factor, vector) translation awaiting the next departure, or None) by
-    `steps`, one at a time; returns the new pending.
-
-    With ``reduced`` (no step of `steps` backtracks along the one before
-    it), the steps after the first one appended are appended in one slice:
-    that step is the fed one or, after a cancelled excursion, the fed T_i
-    with a merged decoration, and whether a step backtracks along T_i
-    depends only on i.
-    """
-    for pos, step in enumerate(steps):
+    `steps`, one at a time; returns the new pending."""
+    for step in steps:
         if pending is not None:
             i, vec = pending
             pending = None
@@ -205,9 +198,6 @@ def _feed(out: list, pending, steps, reduced=False):
                 pending = (prev[1], prev[2])
         else:
             out.append(step)
-            if reduced:
-                out += steps[pos + 1:]
-                return None
     return pending
 
 
@@ -221,15 +211,9 @@ def _pending_steps(pending) -> tuple:
 
 def _join(state, block):
     """The reduction state, (steps, pending), of a state followed by a
-    block: the reduced steps of an image and the cancelled excursion its
-    pending stands for.  Only the junction and the excursion are fed step
-    by step (`_feed` with ``reduced``)."""
+    block of fed steps (a reduced image and its pending excursion)."""
     out = list(state[0])
-    reduced, tail = block
-    pending = _feed(out, state[1], reduced, reduced=True)
-    if tail:
-        pending = _feed(out, pending, tail)
-    return out, pending
+    return out, _feed(out, state[1], block)
 
 
 def _back_step(pres: Presentation, steps, pos):
@@ -596,14 +580,13 @@ def nielsen_search(m: GraphMap, len_bound: int,
     still to try after a prefix and the reduction states (steps, pending)
     of f^1..f^N of that prefix; a child's states are the junction joins
     (`_join`) of its parent's with the blocks of its last step e, computed
-    once per distinct step: f^n(e) reduced, then the cancelled excursion
-    its pending stands for.  A join feeds only the junction and that
-    excursion step by step and appends the rest of the block in one slice.
-    The steps to try after e, the departures from its target that do not
-    backtrack along it, are a table built once per distinct step.
-    Non-canonical paths are walked too, as their children may be
-    canonical.  The walk must not recurse: F_1 has two reduced paths of
-    every length, so its depth reaches the length bound.
+    once per distinct step: the steps a join feeds, f^n(e) reduced
+    followed by its pending excursion.  The steps to try after e, the
+    departures from its target that do not backtrack along it, are a
+    table built once per distinct step.  Non-canonical paths are walked
+    too, as their children may be canonical.  The walk must not recurse:
+    F_1 has two reduced paths of every length, so its depth reaches the
+    length bound.
 
     The leaves, the paths of len_bound steps, get no frame: their parent
     decides them all at once from the lengths of their blocks
@@ -611,15 +594,15 @@ def nielsen_search(m: GraphMap, len_bound: int,
     last b steps of the parent's image and moves its length by at most b.
     When no block in the table reaches a bar (the table keeps the longest
     block per power) no leaf is looked at; otherwise a leaf is checked for
-    canonicity, joined and tested only when some power stays open for it.
-    A leaf ruled out closes for no power, so the tested paths, and the
-    images each one sees, are those of a walk that tests every canonical
-    path.
+    canonicity, joined and tested only when some power stays open for it
+    (`_leaf_open`).  A leaf ruled out closes for no power, so the tested
+    paths, and the images each one sees, are those of a walk that tests
+    every canonical path.
     """
     if len_bound < 1:
         raise ValueError("len_bound must be >= 1")
     pres = m.presentation
-    blocks = {}  # step -> ([(reduced, excursion) of f^n(step)], [lengths])
+    blocks = {}  # step -> ([fed steps of f^n(step)], [their lengths])
 
     def images_of(step):
         got = blocks.get(step)
@@ -627,11 +610,9 @@ def nielsen_search(m: GraphMap, len_bound: int,
             images, seq = [], (step,)
             for _ in range(exp_bound):
                 out, pending = m.image_state(seq)
-                tail = _pending_steps(pending)
-                images.append((out, tail))
-                seq = out + tail
-            got = blocks[step] = images, [len(out) + len(tail)
-                                          for out, tail in images]
+                seq = out + _pending_steps(pending)
+                images.append(seq)
+            got = blocks[step] = images, list(map(len, images))
         return got
 
     # the departures from each vertex; a path leaves a factor start along 0
@@ -661,7 +642,8 @@ def nielsen_search(m: GraphMap, len_bound: int,
 
     def leaves(start, skip, steps, states, candidates, tops):
         # the leaves after `steps`: decided by the junction bound, and the
-        # open ones tested if canonical
+        # open ones tested if canonical; most frames reach no bar even
+        # with their longest blocks and are skipped whole
         bars, exact = _leaf_bars(states, steps, skip)
         if not exact and not any(map(ge, tops, bars)):
             return

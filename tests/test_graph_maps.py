@@ -614,42 +614,10 @@ def test_feeding_a_block_moves_only_its_length_of_steps(fixture_maps, data):
 
 
 def _block(m, step, n):
-    """(reduced steps, cancelled excursion) of f^n(step), as
-    `nielsen_search` joins it."""
+    """The fed steps of f^n(step), as `nielsen_search` joins them: the
+    reduced image followed by its pending excursion."""
     block, pending = _iterated_state(m, (step,), n)
-    return block, graph_maps._pending_steps(pending)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_sliced_join_equals_feeding_every_step(fixture_maps, data):
-    # `_join` feeds only the junction and the trailing excursion step by
-    # step and appends the steps between in one slice
-    m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
-    *path, step = _draw_path(data, m.presentation)[1]
-    n = data.draw(st.integers(1, 3))
-    state = _iterated_state(m, path, n)
-    block, tail = _block(m, step, n)
-    out = list(state[0])
-    pending = graph_maps._feed(out, state[1], block + tail)
-    assert graph_maps._join(state, (block, tail)) == (out, pending)
-
-
-@pytest.mark.parametrize("path", [
-    (), (("x", 1, 1),), (("x", 1, -1),), (("t", 1), ("T", 1, (1, 0))),
-    (("t", 1), ("T", 1, (-1, 0))), (("x", 1, 1), ("t", 1), ("T", 1, (0, 2)))])
-def test_sliced_join_feeds_a_trailing_excursion(involution, path):
-    # f^n of the edge toward the factor vertex ends in a cancelled
-    # excursion for n = 2 and 3, which the join must feed after the sliced
-    # steps
-    m = build_standard_map(involution)
-    for n in (1, 2, 3):
-        state = _iterated_state(m, path, n)
-        block, tail = _block(m, ("t", 1), n)
-        assert bool(tail) == (n > 1)
-        out = list(state[0])
-        pending = graph_maps._feed(out, state[1], block + tail)
-        assert graph_maps._join(state, (block, tail)) == (out, pending)
+    return tuple(block) + graph_maps._pending_steps(pending)
 
 
 def _junction_bound_rules_out(states, lengths, steps, skip):
@@ -685,7 +653,7 @@ def test_leaf_bars_equal_the_junction_bound_on_images(fixture_maps, data):
     exp_bound = data.draw(st.integers(1, 3))
     states = [_iterated_state(m, steps[:-1], n)
               for n in range(1, exp_bound + 1)]
-    lengths = [sum(map(len, _block(m, steps[-1], n)))
+    lengths = [len(_block(m, steps[-1], n))
                for n in range(1, exp_bound + 1)]
     assert _leaf_rule_agrees(states, lengths, steps, 0 if start == BASE else 1)
 
@@ -770,14 +738,18 @@ def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
     # on tribonacci 6/4 a leaf that the junction bound rules out reaches
     # neither the canonicity check nor a join: the search checks the 4,686
     # shorter paths and the leaves the bound leaves open, and joins the
-    # images of the shorter paths and of the open canonical leaves
+    # images of the shorter paths and of the open canonical leaves; the
+    # leaves after most prefixes are not looked at one by one: only those
+    # after a prefix with an open leaf, or where the exact clause of the
+    # bound names a step (5 of the 59 such prefixes here)
     m = build_standard_map(tribonacci)
     pres = tribonacci.presentation
     len_bound, exp_bound = 6, 4
-    lengths = {step: [sum(map(len, _block(m, step, n)))
+    lengths = {step: [len(_block(m, step, n))
                       for n in range(1, exp_bound + 1)]
                for step in base_directions(pres)}
     inner, leaves, canonical, open_leaves, tested_leaves = 0, 0, 0, 0, 0
+    open_frames = set()  # the prefixes of the open leaves
     prefixes = [()]
     while prefixes:
         prefix = prefixes.pop()
@@ -799,11 +771,12 @@ def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
             if not _junction_bound_rules_out(states, lengths[step], path, 0):
                 open_leaves += 1
                 tested_leaves += is_canonical
+                open_frames.add(prefix)
     assert (inner, leaves, canonical) == (4686, 18750, 9375)
     assert canonical - tested_leaves == 9263
 
     calls = Counter()
-    for name in ("_precedes_reverse", "_join"):
+    for name in ("_precedes_reverse", "_join", "_leaf_open"):
         real = getattr(graph_maps, name)
 
         def counting(*args, real=real, name=name):
@@ -811,13 +784,18 @@ def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
             return real(*args)
         monkeypatch.setattr(graph_maps, name, counting)
     assert nielsen_search(m, len_bound, exp_bound) == []
+    children = len(base_directions(pres)) - 1  # all but the backtrack
+    looked_at = calls.pop("_leaf_open")
+    assert children * len(open_frames) <= looked_at < leaves // 50
     assert calls == {"_precedes_reverse": inner + open_leaves,
                      "_join": exp_bound * (inner + tested_leaves)}
-    # the counters see both functions, so the guard is not vacuous
+    # the counters see all three functions, so the guard is not vacuous
     graph_maps._precedes_reverse(pres, BASE, (("x", 1, 1),), BASE)
-    graph_maps._join(((), None), ((("x", 1, 1),), ()))
+    graph_maps._join(((), None), (("x", 1, 1),))
+    graph_maps._leaf_open(("x", 1, 1), [0], [1], [])
     assert calls == {"_precedes_reverse": inner + open_leaves + 1,
-                     "_join": exp_bound * (inner + tested_leaves) + 1}
+                     "_join": exp_bound * (inner + tested_leaves) + 1,
+                     "_leaf_open": 1}
 
 
 def _twin_as_path(phi, witness):
