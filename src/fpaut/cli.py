@@ -109,6 +109,8 @@ def automorphism_to_dict(phi: Automorphism) -> dict:
 # gives up at most half of it
 _FORK_AFTER_S = 0.010
 
+_STOP = b"\xff" * 8  # the claims token that ends every claim (`_take`)
+
 
 def _run_sharded(kind: str, phi: Automorphism, bounds: dict,
                  jobs: int) -> SearchReport:
@@ -132,10 +134,10 @@ def _merge_reports(records: Callable, jobs: int) -> list:
     stream, and from then on every process claims the next unclaimed
     ordinal (`_take`) each time it needs a group (`_ownership`).  When the
     stream of any process ends, at its witness, at the end of the groups or
-    at an error, it sets the stop flag, and no process claims another
-    group.  So every group below the end or the first witness is walked
-    exactly once, and only groups claimed before the stop are walked past
-    it.
+    at an error, it replaces the claims token by the stop value (`_stop`),
+    and no process claims another group.  So every group below the end or
+    the first witness is walked exactly once, and only groups claimed
+    before the stop are walked past it.
 
     A child writes its (ordinal, record) pairs, or the exception it raised,
     pickled to a pipe and leaves through `os._exit` (`_shard_child`); the
@@ -143,15 +145,15 @@ def _merge_reports(records: Callable, jobs: int) -> list:
     is raised again in the caller with its own type, a child that ends
     without a result is an `FpAutError`, and no child outlives this call.
     """
-    shared = lock = None  # the claims (`_take`), from the fork on
+    claims = None  # the pipe of the claims token (`_take`), from the fork on
     out = []   # the records of groups 0, 1, ... before the fork
     mine = []  # the ordinals this process claimed after it
 
     def owned():
         # every group until the fork, then those this process claims
-        while shared is None:
+        while claims is None:
             yield True
-        yield from _ownership(lambda: _take(shared, lock), mine, len(out))
+        yield from _ownership(lambda: _take(claims), mine, len(out))
 
     it = records(owned())
     start = time.perf_counter()
@@ -164,23 +166,20 @@ def _merge_reports(records: Callable, jobs: int) -> list:
 
     def rest():
         # this process's (ordinal, record) pairs from the fork on; when
-        # they end, the stop flag ends every claim
+        # they end, the stop value ends every claim
         try:
             walked = list(it)
         finally:
-            shared[8] = 1
+            _stop(claims)
         return list(zip(mine, walked))
 
     # imported here, so a search that does not fork does not load them
-    import mmap
     import pickle
     import signal
-    shared = mmap.mmap(-1, 9)
-    shared[:8] = len(out).to_bytes(8, "little")
-    lock = os.pipe()
+    claims = os.pipe()
     children = {}  # pid -> read end of its pipe, until reaped
     try:
-        os.write(lock[1], b"\0")
+        os.write(claims[1], len(out).to_bytes(8, "little"))
         for _ in range(1, jobs):
             r, w = os.pipe()
             try:
@@ -212,9 +211,8 @@ def _merge_reports(records: Callable, jobs: int) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        os.close(lock[0])
-        os.close(lock[1])
-        shared.close()
+        os.close(claims[0])
+        os.close(claims[1])
     pairs = sorted(chain.from_iterable(parts), key=lambda pair: pair[0])
     return out + [record for _, record in pairs]
 
@@ -231,21 +229,21 @@ def _ownership(claim: Callable, mine: list, k: int = 0):
         k = c + 1
 
 
-def _take(shared, lock: tuple) -> int | None:
-    """Claim the next root-group ordinal: ``shared``, an anonymous mmap
-    that forked processes share, holds it in bytes 0-7 and the stop flag
-    in byte 8.  None once the flag is set, else the ordinal, which is
-    advanced under ``lock``, a pipe (read end, write end) that holds one
-    byte while the lock is free."""
-    os.read(lock[0], 1)
-    try:
-        if shared[8]:
-            return None
-        k = int.from_bytes(shared[:8], "little")
-        shared[:8] = (k + 1).to_bytes(8, "little")
-        return k
-    finally:
-        os.write(lock[1], b"\0")
+def _take(claims: tuple) -> int | None:
+    """Claim the next root-group ordinal from ``claims``, a pipe (read end,
+    write end) shared by forked processes that holds one 8-byte token: the
+    next unclaimed ordinal k or `_STOP`.  Reading it is the lock; the claim
+    writes back k + 1 and returns k, or `_STOP` and returns None."""
+    token = os.read(claims[0], 8)
+    k = None if token == _STOP else int.from_bytes(token, "little")
+    os.write(claims[1], _STOP if k is None else (k + 1).to_bytes(8, "little"))
+    return k
+
+
+def _stop(claims: tuple) -> None:
+    """End every claim (`_take`): replace the token by `_STOP`."""
+    os.read(claims[0], 8)
+    os.write(claims[1], _STOP)
 
 
 def _shard_child(fd: int, rest: Callable) -> None:
@@ -612,8 +610,9 @@ def config_from_args(argv) -> JobConfig:
                 above_one = False
             if not above_one:
                 raise ParseError(0, "--lambda-min must be a fraction > 1")
-        elif key != "depth" and val < 1:
-            raise ParseError(0, f"--{key.replace('_', '-')} must be positive")
+        elif val < (key != "depth"):  # --depth 0 is the default depth
+            least = "non-negative" if key == "depth" else "positive"
+            raise ParseError(0, f"--{key.replace('_', '-')} must be {least}")
     if "min_len" in bounds and bounds["min_len"] > bounds["max_len"]:
         raise ParseError(0, "--min-len must not exceed --max-len")
     jobs = getattr(ns, "jobs", 1)

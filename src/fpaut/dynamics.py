@@ -32,9 +32,9 @@ from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
 R2_EXPONENTIAL = 0.999
-# pairs per root group of `twin_search`.  Whole rows (one root group per
-# first descriptor and power) delay an early witness at --jobs 2: on 2
-# cores, intro at --max-exp 2 --conj-len 2 took 3.5-3.9 ms, not 2.3-2.4 ms
+# pairs per root group of `twin_search`: runs split a long first row between
+# --jobs processes (twins intro 3/3 finds its witness 93,807 pairs into a row
+# of 131,031: 0.96-0.97 s at --jobs 2 on 2 cores, 1.6 s serial or by rows)
 _TWIN_RUN = 64
 
 

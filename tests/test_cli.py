@@ -608,6 +608,34 @@ def test_claims_walk_each_group_once(fork_at_once, ending):
     assert bool(witnesses) == (ending != "exhausted")
 
 
+def _token(claims):
+    """The whole content of the claims pipe, written back after reading, so
+    a lost token fails (the read end does not block) and a second one
+    shows."""
+    token = os.read(claims[0], 64)
+    os.write(claims[1], token)
+    return token
+
+
+def test_take_claims_the_token_until_a_stop():
+    # one process and a real pipe that holds the start value 7: claims hand
+    # out 7, 8, 9, ...; after a stop every claim returns None and leaves
+    # the stop value, and a second stop changes nothing
+    claims = os.pipe()
+    try:
+        os.set_blocking(claims[0], False)
+        os.write(claims[1], (7).to_bytes(8, "little"))
+        assert [cli._take(claims) for _ in range(3)] == [7, 8, 9]
+        assert _token(claims) == (10).to_bytes(8, "little")
+        for _ in range(2):
+            cli._stop(claims)
+            assert [cli._take(claims) for _ in range(3)] == [None] * 3
+            assert _token(claims) == cli._STOP
+    finally:
+        os.close(claims[0])
+        os.close(claims[1])
+
+
 def test_sharded_cli_run_exits_cleanly(fib_file):
     # a one-shot run that forks a shard: no hang, nothing on stderr
     probe = JOBS_2 + "sys.exit(cli.main(sys.argv[1:]))"
@@ -1075,6 +1103,17 @@ def test_main_exit_codes(fib_file, capsys, tmp_path):
 def test_zero_bound_rejected(fib_file, capsys):
     assert main(["atoroidal", "--aut", fib_file, "--max-len", "0"]) == 2
     assert "--max-len must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["traintrack", "--depth", "-2"],
+                                  ["constants", "--depth", "-1"]])
+def test_depth_below_zero_rejected(fib_file, argv, capsys):
+    # --depth 0 is the default depth 2(p+k)+4; below it the parser stops
+    argv = argv + ["--aut", fib_file]
+    with pytest.raises(ParseError, match="--depth"):
+        config_from_args(argv)
+    assert main(argv) == 2
+    assert "--depth must be non-negative" in capsys.readouterr().err
 
 
 def test_unknown_generator_rejected(tmp_path, capsys):

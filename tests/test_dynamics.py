@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -204,6 +205,63 @@ def test_graded_sequences_order_pinned(ranks, free, max_len, max_exp, cyclic,
         h.update((repr(w.syllables) + "\n").encode())
         n += 1
     assert (n, h.hexdigest()) == (count, digest)
+    if cyclic:
+        assert count == class_count(Presentation(ranks, free), max_len,
+                                    max_exp)
+
+
+def class_counts(pres, max_len, max_exp):
+    """[N(1), ..., N(max_len)]: N(m) is the number of hyperbolic classes of
+    m syllables, each of exponent mass at most max_exp, in closed form.
+
+    For m >= 2 a class is a necklace of m syllables whose cyclic neighbours
+    lie on different tracks (factors and letters).  Burnside's lemma over
+    the m rotations, with tr(A^d) closed walks of length d, gives
+    N(m) = (1/m) sum over d | m of tot(m/d) tr(A^d): tot is Euler's
+    totient, A[t][u] the number of syllables on track u for t != u and 0
+    on the diagonal.  N(1) is the number of free syllables, as the elliptic
+    classes (one factor syllable) are left out."""
+    box = range(-max_exp, max_exp + 1)
+    per_track = [sum(1 <= sum(map(abs, v)) <= max_exp
+                     for v in itertools.product(box, repeat=rank))
+                 for rank in pres.abelian_ranks]
+    per_track += [2 * max_exp] * pres.free_rank
+    a = [[0 if t == u else n for u, n in enumerate(per_track)]
+         for t in range(len(per_track))]
+    traces, power = [], a  # traces[d - 1] = tr(A^d)
+    for _ in range(max_len):
+        traces.append(sum(power[t][t] for t in range(len(a))))
+        power = [[sum(map(mul, row, col)) for col in zip(*a)]
+                 for row in power]
+
+    def totient(k):
+        return sum(math.gcd(r, k) == 1 for r in range(1, k + 1))
+    counts = [2 * max_exp * pres.free_rank]
+    for m in range(2, max_len + 1):
+        walks = sum(totient(m // d) * traces[d - 1]
+                    for d in range(1, m + 1) if m % d == 0)
+        assert walks % m == 0
+        counts.append(walks // m)
+    return counts
+
+
+def class_count(pres, max_len, max_exp, min_len=1):
+    """The hyperbolic classes of min_len..max_len syllables (`class_counts`):
+    what an exhausted `atoroidal_search` and every `flare_certify` test."""
+    return sum(class_counts(pres, max_len, max_exp)[max(min_len, 1) - 1:])
+
+
+# past the brute force's reach (4 syllables, and fewer on large alphabets);
+# one presentation has a single track and so no class at all
+@pytest.mark.parametrize("pres", ACTION_PRESENTATIONS, ids=repr)
+def test_root_groups_yield_the_closed_form_class_count(pres):
+    for max_len, max_exp in ((8, 1), (6, 1), (6, 2), (4, 2), (3, 3)):
+        if class_count(pres, max_len, max_exp) > 60_000:
+            continue  # keeps the enumerations to a few seconds
+        counts = Counter(len(syllables) for group in _root_groups(
+            pres, max_len, max_exp) for syllables, _ in group)
+        assert [counts[m] for m in range(1, max_len + 1)] == \
+            class_counts(pres, max_len, max_exp), (max_len, max_exp)
 
 
 def _graded_descriptors(pres, conj_len):

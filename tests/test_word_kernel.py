@@ -9,8 +9,10 @@ that the kernel leaves the reports of the word-layer commands byte-identical.
 import dataclasses
 import hashlib
 import json
+import math
 import shlex
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from fpaut.matrices import IntegerMatrix
 from fpaut.words import FactorSyllable, FreeSyllable, _track
 
 from test_action import raw_syllables
+from test_dynamics import class_count
 from test_graph_maps import FIXTURES
 
 # the five fixture presentations (F_2 is fib's), then Z^2
@@ -353,16 +356,36 @@ RESULT_DIGESTS = {
 }
 
 
-def _run_job(job, phi):
-    """The `result` block of one job, written as CLI arguments after the
-    fixture name."""
+def _job_config(job):
+    """The `JobConfig` of one job, written as CLI arguments after the fixture
+    name."""
     command, _, *args = shlex.split(job)
     flags = dict(zip(args[::2], args[1::2]))
     element = flags.pop("--element", None)
     bounds = {**COMMANDS[command].bounds,
               **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}}
-    cfg = JobConfig(command, bounds=bounds, element=element)
-    return to_jsonable(COMMANDS[command].runner(cfg, phi))
+    return JobConfig(command, bounds=bounds, element=element)
+
+
+def _run_job(job, phi):
+    """The `result` block of one job (`_job_config`)."""
+    cfg = _job_config(job)
+    return to_jsonable(COMMANDS[cfg.command].runner(cfg, phi))
+
+
+def assert_tested_is_counted(command, bounds, result, pres):
+    """`tested` of a search that walks every class or pair is a closed-form
+    count: `class_count` for `flare` (any verdict) and an exhausted
+    `atoroidal`, max_power C(n, 2) for an exhausted `twins` with n
+    descriptors."""
+    exhausted = result.get("verdict") == "exhausted"
+    if command == "flare" or (command == "atoroidal" and exhausted):
+        assert result["tested"] == class_count(
+            pres, bounds["max_len"], bounds["max_exp"],
+            bounds.get("min_len", 1))
+    if command == "twins" and exhausted:
+        n = len(list(dynamics._subgroup_descriptors(pres, bounds["conj_len"])))
+        assert result["tested"] == bounds["max_exp"] * math.comb(n, 2)
 
 
 @pytest.mark.parametrize("job", sorted(RESULT_DIGESTS))
@@ -371,8 +394,31 @@ def test_word_layer_reports_are_pinned(request, job):
     phi = request.getfixturevalue(FIXTURES[name])
     if name == "mixed":
         phi = phi[0]
-    digest = hashlib.sha256(canonical_json(_run_job(job, phi)).encode()).hexdigest()
+    result = _run_job(job, phi)
+    digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
     assert digest == RESULT_DIGESTS[job]
+    cfg = _job_config(job)
+    assert_tested_is_counted(cfg.command, cfg.bounds, result,
+                             phi.presentation)
+
+
+def test_bench_pins_test_the_closed_form_counts(request):
+    # every search pin of the benchmark whose `tested` is a count; its jobs
+    # name their input file after the fixture
+    pins = json.loads((Path(__file__).parents[1] / "bench" /
+                       "reference.json").read_text())["jobs"]
+    checked = 0
+    for job, pin in pins.items():
+        command, _, path, *args = shlex.split(job)
+        if command not in ("atoroidal", "twins", "flare"):
+            continue
+        phi = request.getfixturevalue(FIXTURES[path.removesuffix(".json")])
+        cfg = config_from_args([command, "--aut", path, *args])
+        assert_tested_is_counted(
+            command, cfg.bounds, pin,
+            (phi[0] if isinstance(phi, tuple) else phi).presentation)
+        checked += pin["verdict"] == "exhausted" or command == "flare"
+    assert checked
 
 
 @pytest.mark.parametrize("job", [
