@@ -48,7 +48,7 @@ from functools import cached_property
 from .errors import FactorsPermuted, NotAnAutomorphism, NotFactorPreserving
 from .matrices import IntegerMatrix, determinant, is_unimodular
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    _check_syllable, _join, abelianize,
+                    _check_syllable, _join, _product, abelianize,
                     cyclic_normal_form, multiply, reduce_syllables,
                     require_same_presentation)
 from .words import power as word_power
@@ -367,7 +367,7 @@ def require_class_preserving(phi: Automorphism) -> None:
 def conjugator_step(phi: Automorphism, i: int, h: Word) -> Word:
     """h' = phi(h) g_i, so phi(h A_i h^-1) = h' A_i h'^-1 when phi preserves
     factor classes; m steps from h = 1 give a conjugator of phi^m(A_i)."""
-    return multiply(apply(phi, h), phi.conjugator(i))
+    return _product(apply(phi, h), phi.conjugator(i))
 
 
 def is_toral(phi: Automorphism) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,8 +26,8 @@ from .automorphisms import (Automorphism, apply, apply_inverse,
 from .errors import TooShort
 from .matrices import IntegerMatrix, determinant
 from .words import (FactorSyllable, FreeSyllable, Presentation, Word,
-                    abelianize, cyclic_normal_form, double_coset_rep,
-                    least_rotation, multiply)
+                    _product, abelianize, cyclic_normal_form, double_coset_rep,
+                    multiply)
 
 # least r^2 of the log-linear fit for `classify_growth` to call a tail
 # exponential
@@ -72,44 +72,49 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
     """One iterator per root group of `enumerate_cyclic_words` (the classes
     of one syllable count, total mass and first syllable), in stream order,
     empty ones included; a walk skips the iterators of the groups it does
-    not take (`_claimed`), which costs nothing until a group is walked.
+    not take (`_claimed`), which costs at most one lookup until a group
+    is walked.
 
-    A group yields (syllables, weight_sum) per class: the syllables of its
-    representative and the sum of ``weight(s)`` over them, an int per
-    syllable s, 0 when ``weight`` is None (`_abelian_prefilter` makes one
-    whose sums its ``passes`` tests alone, without the class length).  Each
-    syllable's weight is computed once and carried in its candidate tuple,
-    and a class's sum is its prefix's plus one addition, so the sum costs
-    O(1) per class.
+    A group yields one item (head, acc, last, lo) per head: a class less
+    its last syllable.  The classes of the head are head + (s,) for the
+    syllables s of ``last.syllables[lo:]`` (a `_Last`), in order; `_classes`
+    spells them out.  So a walk can count the classes of a head without
+    building them.  acc is the sum of ``weight(s)`` over the head, an int
+    per syllable s, and the class with last syllable ``last.syllables[i]``
+    sums to acc + ``last.weights[i]``; all are 0 when ``weight`` is None
+    (`_abelian_prefilter` makes one whose sums its ``passes`` tests alone,
+    without the class length).  Each syllable's weight is computed once
+    and carried in its candidate tuple, and a head's sum is its prefix's
+    plus one addition.
 
     The syllables are in cyclic normal form (the last and first syllable lie
     in different factors as well) and are the least rotation of their class
     by syllable sort key.  The elliptic classes, one factor syllable each,
     are left out; a free syllable acts loxodromically on its loop edge, so
-    it counts as hyperbolic.  No syllable whose rank is below the first
-    syllable's is placed after it: the rotation starting there would be
-    smaller.  So a rotation can be smaller only where a later syllable ties
-    with the first; only those rank tuples go to `least_rotation`, the one
-    rule of the word layer, and a tuple is kept when its least rotation
-    starts at index 0.  A tie needs a syllable between two others, as the
+    it counts as hyperbolic: its group has the head () and the one class
+    of ``last``.  No syllable whose rank is below the first syllable's is
+    placed after it: the rotation starting there would be smaller.  So a
+    rotation can be smaller only where a later syllable of the head ties
+    with the first, and whether it is depends on the last rank only through
+    one threshold (`_first_last`): the kept last syllables are those from
+    one index lo on.  A tie needs a syllable between two others, as the
     neighbours of the first syllable lie in other factors.
 
     A candidate is a tuple (syllable, track id, rank, mass, weight) of the
     syllables of `_ranked_syllables`, so the inner loops compare ints.  The
     root loop picks the first syllable; the nested generator `fill` recurses
-    over the positions between it and the last; a flat loop fills the last.
-    This measured faster than an explicit stack, and it is safe: the
-    recursion is as deep as the tuple is long, and with two or more tracks
-    m syllables come only after 2^(m-2) shorter classes (with one, no tuple
-    has two), so only a min_len near the recursion limit reaches it.
+    over the positions between it and the last.  This measured faster than
+    an explicit stack, and it is safe: the recursion is as deep as the tuple
+    is long, and with two or more tracks m syllables come only after
+    2^(m-2) shorter classes (with one, no tuple has two), so only a min_len
+    near the recursion limit reaches it.
 
     The last syllable lies on neither the track t of the one before it nor
     the track t0 of the first, so its candidates are tabled per (t0, t,
     mass): those on the other tracks, with their ranks, which ascend within
-    one mass, so the loop starts at the first rank not below the first
-    syllable's (`bisect_left`).  With exactly two tracks the syllables
-    alternate between them, so a cycle of an odd count above one never
-    closes: those groups are empty without a head being built.
+    one mass.  With exactly two tracks the syllables alternate between
+    them, so a cycle of an odd count above one never closes: those groups
+    are empty without a head being built.
     """
     ranked = [(s, t, r, mass, weight(s) if weight else 0)
               for s, t, r, mass in _ranked_syllables(pres, max_exp)]
@@ -118,46 +123,47 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
     # spans[lo][hi]: the candidates of mass lo..hi, by mass then sort key
     spans = [[sum(cands[lo:hi + 1], ()) for hi in range(max_exp + 1)]
              for lo in range(max_exp + 1)]
-    # last[t0][t][mass]: (ranks, candidates) of that mass off tracks t, t0
+    # last[t0][t][mass]: the `_Last` of that mass off tracks t and t0
     n_tracks = pres.num_factors + pres.free_rank
     tracks = range(1, n_tracks + 1)
-    last = {t0: {t: [_off_tracks(c, t, t0) for c in cands] for t in tracks}
+    last = {t0: {t: [_Last(*_columns(c for c in cs if t != c[1] != t0))
+                     for cs in cands] for t in tracks}
             for t0 in tracks}
+    # alone[r]: the one class of the free syllable of rank r
+    alone = {r: _Last((s,), (r,), (w,))
+             for s, _, r, _, w in ranked if type(s) is FreeSyllable}
 
-    def fill(head, ranks, rem, left, t_prev, r0, acc):
-        # (head, ranks, rem, t_prev, acc) after each way to add `left`
-        # syllables before the last, r0 being the first rank; lo..hi leaves
-        # the rest a mass it can take
+    def fill(head, ranks, rem, left, t_prev, r0, acc, table, tied):
+        # the heads after each way to add `left` syllables to `head`, r0
+        # being the first rank, `tied` whether a later rank equals it, and
+        # table the first syllable's `last`; lo..hi leaves the rest a mass
+        # it can take
         lo, hi = max(1, rem - left * max_exp), min(max_exp, rem - left)
         for s, t, r, mass, w in spans[lo][hi]:
             if t == t_prev or r < r0:
                 continue
-            if left == 1:
-                yield head + (s,), ranks + (r,), rem - mass, t, acc + w
-            else:
+            if left > 1:
                 yield from fill(head + (s,), ranks + (r,), rem - mass,
-                                left - 1, t, r0, acc + w)
+                                left - 1, t, r0, acc + w, table,
+                                tied or r == r0)
+                continue
+            # the last syllable: one of mass exactly rem - mass
+            lst = table[t][rem - mass]
+            yield head + (s,), acc + w, lst, (
+                _first_last(ranks + (r,), lst.ranks) if tied or r == r0
+                else bisect_left(lst.ranks, r0))
 
     def group(m, rem, s0, t0, r0, w0):
-        # the classes of m syllables starting with s0, the other syllables
-        # of total mass rem
+        # the heads of the classes of m syllables starting with s0, the
+        # other syllables of total mass rem
         if m == 1:
-            if type(s0) is FreeSyllable:
-                yield (s0,), w0
-            return
+            return (((), 0, alone[r0], 0),) if r0 in alone else ()
         if n_tracks == 2 and m % 2:
-            return
-        heads = fill((s0,), (r0,), rem, m - 2, t0, r0, w0) if m > 2 \
-            else (((s0,), (r0,), rem, t0, w0),)
-        table = last[t0]
-        for head, ranks, rem, t, acc in heads:
-            # the last syllable: every one of mass exactly `rem`
-            tie = r0 in ranks[2:]
-            last_ranks, last_cands = table[t][rem]
-            for s, r2, w in last_cands[bisect_left(last_ranks, r0):]:
-                if tie and least_rotation(ranks + (r2,)):
-                    continue
-                yield head + (s,), acc + w
+            return ()
+        if m == 2:
+            lst = last[t0][t0][rem]
+            return (((s0,), w0, lst, bisect_left(lst.ranks, r0)),)
+        return fill((s0,), (r0,), rem, m - 2, t0, r0, w0, last[t0], False)
 
     for m in range(max(1, min_len), max_len + 1):
         for total in range(m, m * max_exp + 1):
@@ -168,11 +174,68 @@ def _root_groups(pres: Presentation, max_len: int, max_exp: int,
                 yield group(m, total - mass0, s0, t0, r0, w0)
 
 
-def _off_tracks(cands, t, t0):
-    """(ranks, (syllable, rank, weight) triples) of the candidates on
-    neither track t nor t0, in rank order."""
-    kept = tuple((s, r, w) for s, t2, r, _, w in cands if t2 != t and t2 != t0)
-    return tuple(r for _, r, _ in kept), kept
+class _Last:
+    """The candidates for the last syllable of a class on one table of
+    `_root_groups`, in rank order: their syllables, ranks and weights, and
+    on first use (`at_weight`) the places of each weight."""
+
+    __slots__ = ("syllables", "ranks", "weights", "_places")
+
+    def __init__(self, syllables, ranks, weights):
+        self.syllables, self.ranks, self.weights = syllables, ranks, weights
+        self._places = None
+
+    def at_weight(self, w: int) -> list:
+        """The indices, ascending, of the candidates of weight w."""
+        if self._places is None:
+            self._places = {}
+            for i, x in enumerate(self.weights):
+                self._places.setdefault(x, []).append(i)
+        return self._places.get(w, ())
+
+
+def _columns(cands):
+    """(syllables, ranks, weights) of candidates (syllable, track id, rank,
+    mass, weight)."""
+    cols = tuple(zip(*cands))
+    return (cols[0], cols[2], cols[4]) if cols else ((), (), ())
+
+
+def _first_last(ranks, last_ranks) -> int:
+    """The index in ``last_ranks`` (ascending) of the first last rank x for
+    which ranks + (x,) is its own least rotation; every later x is too.
+
+    ``ranks`` is a head (r0, ..., r_{n-1}) with r_i >= r0 and r1 != r0,
+    and x != r0, so only a rotation at a tie p >= 2, r_p = r0, can be
+    smaller than the one at 0.  Its first L = n - p (``cut``) ranks,
+    r_p..r_{n-1}, meet r0..r_{L-1}: where they differ, the head decides
+    every x alike.  Else x meets r_L, and a smaller x makes the rotation at
+    p smaller, a larger one the rotation at 0; at x = r_L the rest is the
+    head's again, r_{L+1}..r_{n-1}, r_L against r0..r_{p-1}, which keeps
+    x = r_L when not greater.  So each tie bounds x from below, strictly or
+    not, and the tightest bound (at least r0) decides.
+    """
+    r0, n = ranks[0], len(ranks)
+    bound = (r0, False)  # (rank, strict)
+    for p in range(2, n):
+        if ranks[p] != r0:
+            continue
+        cut = n - p
+        if ranks[:cut] > ranks[p:]:
+            return len(last_ranks)
+        if ranks[:cut] < ranks[p:]:
+            continue
+        bound = max(bound, (ranks[cut],
+                            ranks[cut + 1:] + (ranks[cut],) > ranks[:p]))
+    rank, strict = bound
+    return (bisect_right if strict else bisect_left)(last_ranks, rank)
+
+
+def _classes(group):
+    """(syllables, weight sum) of each class of a root group, in order."""
+    for head, acc, last, lo in group:
+        for s, w in zip(last.syllables[lo:], last.weights[lo:]):
+            yield head + (s,), acc + w
 
 
 def _claimed(groups, owned):
@@ -195,7 +258,7 @@ def enumerate_cyclic_words(pres: Presentation, max_len: int, max_exp: int,
     graded order: syllable count, then total exponent mass, then syllable
     by syllable (mass, sort key); the root groups one after another."""
     for group in _root_groups(pres, max_len, max_exp, min_len):
-        for syllables, _ in group:
+        for syllables, _ in _classes(group):
             yield Word(pres, syllables)
 
 
@@ -370,7 +433,13 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
     carrying.  ``passes(acc)`` adds 2^(w-1) to every field of the weight
     sum acc; a field reads 2^(w-1) exactly when row . v(g) = 0, so a class
     passes when every field of some block does.  A block without nonzero
-    rows (A^n = I) has no bits and passes every class.
+    rows (A^n = I) has no bits and passes every class, so then no field is
+    kept and every weight is 0.
+
+    With one block (or none), acc + 2^(w-1) in every field reads 2^(w-1)
+    in every field exactly when acc = 0, so ``passes`` is then `_zero_sum`,
+    and a walk can look up the last syllables of weight -acc
+    (`_passing`).
     """
     pres = phi.presentation
     a = phi.abelianized_matrix
@@ -394,9 +463,14 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
                 half += 1 << (shift + bits)
                 shift += bits + 1
         blocks.append((start, (1 << (shift - start)) - 1, half >> start))
+    if not all(mask for _, mask, _ in blocks):
+        packed = [0] * a.nrows
 
     def weight(s) -> int:
         return sum(map(mul, abelianize(Word(pres, (s,))), packed))
+
+    if len(blocks) == 1 or not any(packed):
+        return weight, _zero_sum
 
     def passes(acc: int) -> bool:
         acc += half
@@ -407,6 +481,41 @@ def _abelian_prefilter(phi: Automorphism, max_len: int, max_exp: int,
     return weight, passes
 
 
+def _zero_sum(acc: int) -> bool:
+    """``passes`` of an `_abelian_prefilter` of one block: the class passes
+    exactly when its weight sum is 0."""
+    return acc == 0
+
+
+def _passing(groups, passes):
+    """The classes of the root groups ``groups`` (`_root_groups`) that pass
+    the abelian prefilter ``passes``, counted in bulk: per group, (n,
+    syllables) for each, n the classes walked since the one before it was
+    yielded, itself included, then (n, None) for the classes after the
+    last.
+
+    A head of weight sum acc admits ``last.syllables[lo:]``.  With
+    ``passes`` `_zero_sum`, the ones that pass are those of weight -acc,
+    one lookup per head (`_Last.at_weight`); else each admitted weight sum
+    is tested.  Only the passing classes are built."""
+    one_block = passes is _zero_sum
+    for group in groups:
+        walked = 0  # classes walked since the last one yielded
+        for head, acc, last, lo in group:
+            if one_block:
+                places = last.at_weight(-acc)
+                hits = places[bisect_left(places, lo):] if places else ()
+            else:
+                weights = last.weights
+                hits = [i for i in range(lo, len(weights))
+                        if passes(acc + weights[i])]
+            for i in hits:
+                yield walked + i - lo + 1, head + (last.syllables[i],)
+                walked, lo = 0, i + 1
+            walked += len(last.weights) - lo
+        yield walked, None
+
+
 def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
                      max_iter: int, walk: Callable = _serial) -> SearchReport:
     """Search for a hyperbolic conjugacy class fixed by some phi^n, n <= N.
@@ -414,10 +523,11 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
     A witness disproves atoroidality; "exhausted" means atoroidal up to the
     stated bounds, nothing more.  ``records(owned)`` walks the root groups
     it takes of the class stream (`_root_groups`) up to its first witness,
-    one record (tested, witness or None) per group; the stream carries the
-    weight sums of `_abelian_prefilter`, and only a class that passes it is
-    built as a Word and imaged.  ``walk(records)`` returns the records to
-    fold (`SearchReport`).
+    one record (tested, witness or None) per group.  The stream carries
+    the weight sums of `_abelian_prefilter` per head; the classes a head
+    admits are counted in bulk, and only those that pass the prefilter are
+    built as Words and imaged (`_passing`).  ``walk(records)`` returns the
+    records to fold (`SearchReport`).
     """
     require_class_preserving(phi)
     pres = phi.presentation
@@ -425,21 +535,22 @@ def atoroidal_search(phi: Automorphism, max_len: int, max_exp: int,
 
     def records(owned=None):
         groups = _root_groups(pres, max_len, max_exp, weight=weight)
-        for group in _claimed(groups, owned):
-            tested = 0
-            for tested, (key, acc) in enumerate(group, 1):
-                if not passes(acc):
-                    continue
-                # key is in cyclic normal form and is its own least rotation
-                g = w = Word(pres, key)
-                for n in range(1, max_iter + 1):
-                    w = apply(phi, w)
-                    cyc = cyclic_normal_form(w)
-                    if len(cyc) == len(key) and cyc.canonical_rotation() == key:
-                        verify.periodic_class(phi, g, n)
-                        yield tested, {"element": g, "exponent": n}
-                        return
-            yield tested, None
+        tested = 0
+        for walked, key in _passing(_claimed(groups, owned), passes):
+            tested += walked
+            if key is None:  # the end of a group
+                yield tested, None
+                tested = 0
+                continue
+            # key is in cyclic normal form and is its own least rotation
+            g = w = Word(pres, key)
+            for n in range(1, max_iter + 1):
+                w = apply(phi, w)
+                cyc = cyclic_normal_form(w)
+                if len(cyc) == len(key) and cyc.canonical_rotation() == key:
+                    verify.periodic_class(phi, g, n)
+                    yield tested, {"element": g, "exponent": n}
+                    return
     return witness_report(walk(records), "atoroidal up to the stated bounds")
 
 
@@ -520,8 +631,8 @@ def twin_search(phi: Automorphism, max_power: int, conj_len: int,
             u_inv, h_inv = u.inverse(), h.inverse()
             for tested, l in enumerate(run, 1):
                 v, j = descr[l]
-                w = multiply(u_inv, v)
-                c = multiply(h_inv, head(l, m))
+                w = _product(u_inv, v)
+                c = _product(h_inv, head(l, m))
                 if double_coset_rep(i, c, j) != double_coset_rep(i, w, j):
                     continue
                 a = multiply(_leading_factor_part(c, i),
@@ -572,7 +683,7 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
         for group in _claimed(groups, owned):
             # held[N-1]: the inequality holds at N for each class of group
             held, failures, tested = [True] * n_max, [], 0
-            for tested, (syllables, _) in enumerate(group, 1):
+            for tested, (syllables, _) in enumerate(_classes(group), 1):
                 g, base = Word(pres, syllables), len(syllables)
                 fwd, bwd = g, g
                 for n in range(1, n_max + 1):

@@ -317,6 +317,15 @@ def multiply(u: Word, v: Word) -> Word:
                             u.presentation)
 
 
+def _product(u: Word, v: Word) -> Word:
+    """u v for normal-form words of one presentation, joined (`_join`)
+    without checking their syllables again: `multiply` for words the
+    caller built."""
+    out = list(u.syllables)
+    _join(out, v.syllables)
+    return Word(u.presentation, tuple(out))
+
+
 def power(u: Word, n: int) -> Word:
     """u**n, computed through the cyclic form so large n stays cheap."""
     if n == 0 or not u:

@@ -18,12 +18,12 @@ from fpaut import (Presentation, Word, apply, apply_power, atoroidal_search,
                    validate)
 from fpaut import dynamics
 from fpaut.automorphisms import Automorphism
-from fpaut.dynamics import (SearchReport, _claimed, _ranked_syllables,
-                            _root_groups, enumerate_words)
+from fpaut.dynamics import (SearchReport, _classes, _claimed,
+                            _ranked_syllables, _root_groups, enumerate_words)
 from fpaut.errors import FactorsPermuted, SelfCheckFailed, TooShort
 from fpaut.matrices import IntegerMatrix, determinant, kernel_vector
 from fpaut.words import (FactorSyllable, FreeSyllable, _track, abelianize,
-                         double_coset_rep, reduce_syllables)
+                         double_coset_rep, least_rotation, reduce_syllables)
 
 from conftest import in_process_claims, make_aut, random_word
 from test_action import PRESENTATIONS as ACTION_PRESENTATIONS
@@ -151,12 +151,12 @@ def test_enumerators_match_brute_force_at_length_4(ranks, free, max_len,
 def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
                                            shards, rng):
     assume(max_len * max_exp <= 6)
-    stream = [list(group)
+    stream = [list(_classes(group))
               for group in _root_groups(pres, max_len, max_exp, min_len)]
     # each root group goes to one of J claimants at random; a claimant's
     # ownership stream says, ordinal by ordinal, whether it takes a group
     owner = [rng.randrange(shards) for _ in stream]
-    parts = [[list(group) for group in _claimed(
+    parts = [[list(_classes(group)) for group in _claimed(
         _root_groups(pres, max_len, max_exp, min_len),
         (o == c for o in owner))] for c in range(shards)]
     # so the claimants are disjoint and together every root group
@@ -165,12 +165,13 @@ def test_shards_partition_the_class_stream(pres, max_len, max_exp, min_len,
     # no ownership is the whole stream, and an ownership stream that ends
     # ends the walk
     cut = rng.randrange(len(stream) + 1)
-    assert [list(g) for g in _claimed(
+    assert [list(_classes(g)) for g in _claimed(
         _root_groups(pres, max_len, max_exp, min_len), None)] == stream
-    assert [list(g) for g in _claimed(
+    assert [list(_classes(g)) for g in _claimed(
         _root_groups(pres, max_len, max_exp, min_len),
         iter([True] * cut))] == stream[:cut]
-    # a group item is (syllables, weight sum); without a weight the sum is 0
+    # a class (`_classes`) is (syllables, weight sum); without a weight the
+    # sum is 0
     classes = [Word(pres, syllables) for group in stream
                for syllables, _ in group]
     assert classes == list(
@@ -259,7 +260,7 @@ def test_root_groups_yield_the_closed_form_class_count(pres):
         if class_count(pres, max_len, max_exp) > 60_000:
             continue  # keeps the enumerations to a few seconds
         counts = Counter(len(syllables) for group in _root_groups(
-            pres, max_len, max_exp) for syllables, _ in group)
+            pres, max_len, max_exp) for syllables, _ in _classes(group))
         assert [counts[m] for m in range(1, max_len + 1)] == \
             class_counts(pres, max_len, max_exp), (max_len, max_exp)
 
@@ -300,18 +301,48 @@ def test_subgroup_descriptors_match_the_graded_construction(bounds):
         _graded_descriptors(*bounds)
 
 
-def test_rotation_check_runs_only_on_ties(tribonacci, monkeypatch):
-    # the enumerator builds only tuples whose first syllable has the least
-    # rank, so rotations are compared only on the tuples where a later rank
-    # ties with the first: 2,368 of them on trib 5/2, where 7,508 are kept
+def test_enumerator_compares_no_rotations(tribonacci, monkeypatch):
+    # the enumerator bounds the last rank of each head (`_first_last`)
+    # instead of comparing rotations: the 7,508 classes of trib 5/2 come
+    # without a call of `least_rotation`
     calls = []
-    real = dynamics.least_rotation
-    monkeypatch.setattr(dynamics, "least_rotation",
-                        lambda ranks: calls.append(ranks) or real(ranks))
+    monkeypatch.setattr(
+        "fpaut.words.least_rotation",
+        lambda keys: calls.append(keys) or least_rotation(keys))
     n = sum(1 for _ in enumerate_cyclic_words(tribonacci.presentation, 5, 2))
     assert n == 7508
-    assert all(ranks[0] in ranks[2:-1] for ranks in calls)
-    assert 0 < len(calls) <= 2368
+    assert calls == []
+    assert not hasattr(dynamics, "least_rotation")
+
+
+def _check_last_rank_bound(head, top):
+    # the last ranks x != r0 below top that `_first_last` admits are those
+    # whose tuple `least_rotation` starts at index 0
+    xs = [x for x in range(top) if x != head[0]]
+    admitted = xs[dynamics._first_last(tuple(head), xs):]
+    assert admitted == [x for x in xs
+                        if least_rotation(tuple(head) + (x,)) == 0], head
+
+
+def test_last_rank_bound_matches_least_rotation_exhaustively():
+    # every head the enumerator can build over 2..5 ranks, up to 6 long:
+    # the first rank is the least and the second differs from it
+    for top in range(2, 6):
+        for m in range(1, 7):
+            for head in itertools.product(range(top), repeat=m):
+                if min(head) == head[0] and head[1:2] != head[:1]:
+                    _check_last_rank_bound(head, top + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda top: st.tuples(
+    st.just(top), st.lists(st.integers(0, top), min_size=1, max_size=14))))
+def test_last_rank_bound_matches_least_rotation(case):
+    # longer heads over few ranks, so that ties come often and nest
+    top, tail = case
+    head = [0] + tail
+    assume(head[1:2] != [0])
+    _check_last_rank_bound(head, top + 2)
 
 
 # --- orbit growth ------------------------------------------------------------
@@ -809,7 +840,7 @@ def reference_atoroidal_search(phi, max_len, max_exp, max_iter, owned=None):
         if owned is not None and k not in owned:
             continue
         tested = 0
-        for syllables, _ in group:
+        for syllables, _ in _classes(group):
             tested += 1
             g = w = Word(pres, syllables)
             for n in range(1, max_iter + 1):
@@ -869,7 +900,7 @@ def test_abelian_prefilter_with_eigenvalue_1(toral_twist, mixed):
     twist_kept, mixed_kept = (
         [passes(acc)
          for group in _root_groups(phi.presentation, 4, 1, weight=weight)
-         for _, acc in group]
+         for _, acc in _classes(group)]
         for phi in (toral_twist, mixed[0])
         for weight, passes in [dynamics._abelian_prefilter(phi, 4, 1, 2)])
     assert all(twist_kept)
@@ -915,7 +946,7 @@ def _carried_filter_verdicts(phi, max_len, max_exp, max_iter):
     oracle = may_be_periodic_oracle(phi, max_iter)
     verdicts = []
     for group in _root_groups(pres, max_len, max_exp, weight=weight):
-        for syllables, acc in group:
+        for syllables, acc in _classes(group):
             verdict = passes(acc)
             assert verdict == oracle(Word(pres, syllables)), syllables
             verdicts.append(verdict)
@@ -995,6 +1026,69 @@ def test_prefilter_fields_hold_extreme_sums(request, fixture, max_iter,
             verdicts.append(verdict)
     # all of fib's and trib's A^n - I tried are nonsingular: no sum passes
     assert any(verdicts) == (fixture in ("fib_and_flip", "mixed"))
+
+
+def _counted_walk(phi, max_len, max_exp, max_iter):
+    """Per root group, what the search's walk (`dynamics._passing`) yields:
+    (classes walked, syllables) per class passing the prefilter, then
+    (classes walked, None) at the group's end."""
+    weight, passes = dynamics._abelian_prefilter(phi, max_len, max_exp,
+                                                 max_iter)
+    groups, group = [], []
+    for item in dynamics._passing(_root_groups(
+            phi.presentation, max_len, max_exp, weight=weight), passes):
+        group.append(item)
+        if item[1] is None:
+            groups.append(group)
+            group = []
+    return groups
+
+
+def _per_class_walk(phi, max_len, max_exp, max_iter):
+    """`_counted_walk` from the unfiltered enumeration, each class built as
+    a Word and tested by `may_be_periodic_oracle`."""
+    pres, oracle = phi.presentation, may_be_periodic_oracle(phi, max_iter)
+    groups = []
+    for group in _root_groups(pres, max_len, max_exp):
+        items, walked = [], 0
+        for syllables, _ in _classes(group):
+            walked += 1
+            if oracle(Word(pres, syllables)):
+                items.append((walked, syllables))
+                walked = 0
+        groups.append(items + [(walked, None)])
+    return groups
+
+
+@pytest.fixture(scope="module")
+def swap(free2):
+    # x1 <-> x2: A^2 = I, so at max_iter 3 the n = 2 block has no bits and
+    # the n = 3 block has some
+    return make_aut(free2, {"x1": "x2", "x2": "x1"}, {"x1": "x2", "x2": "x1"})
+
+
+# fib and trib: every A^n - I tried is nonsingular, one block of the rows
+# of I, looked up per head; mixed and fib_and_flip: several blocks, each
+# admitted class tested; twist (A = I) and swap: a block without bits, so
+# every class passes
+@pytest.mark.parametrize("fixture, max_iter, one_block", [
+    ("fibonacci", 4, True), ("tribonacci", 1, True), ("tribonacci", 3, True),
+    ("mixed", 3, False), ("mixed", 4, False), ("fib_and_flip", 4, False),
+    ("toral_twist", 1, True), ("toral_twist", 4, True), ("swap", 3, True)])
+def test_counted_walk_matches_the_per_class_walk(request, fixture, max_iter,
+                                                 one_block):
+    phi = request.getfixturevalue(fixture)
+    if fixture == "mixed":
+        phi = phi[0]
+    _, passes = dynamics._abelian_prefilter(phi, 4, 2, max_iter)
+    assert (passes is dynamics._zero_sum) == one_block
+    counted = _counted_walk(phi, 4, 2, max_iter)
+    # the kept classes, their order and the counts between them
+    assert counted == _per_class_walk(phi, 4, 2, max_iter)
+    kept = [key for group in counted for _, key in group[:-1]]
+    assert kept
+    assert (len(kept) == sum(n for group in counted for n, _ in group)) == \
+        (fixture in ("toral_twist", "swap"))
 
 
 @pytest.mark.parametrize("max_len, max_exp, max_iter", [
