@@ -673,6 +673,8 @@ def flare_certify(phi: Automorphism, min_len: int, max_len: int, max_exp: int,
         raise ValueError("lambda_min must be > 1")
     if min_len > max_len:
         raise ValueError("min_len must not exceed max_len: no class to test")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1: no power to test")
     bounds = {"min_len": min_len, "max_len": max_len, "max_exp": max_exp,
               "n_max": n_max, "lambda_min": str(lam)}
     p, q = lam.numerator, lam.denominator  # lambda |g| > m iff p |g| > q m

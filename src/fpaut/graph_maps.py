@@ -37,10 +37,11 @@ Each pass of `_feed`'s loop takes one fed step and pops or appends at most
 one step, so feeding k steps onto ``out`` keeps out[:len(out) - k] and
 leaves a length within k of len(out): the cancellation at one junction is
 bounded by the block fed (Cooper, 1987).  ``nielsen_search`` uses this to
-decide all the leaves after a prefix at once, from the lengths of their
-blocks alone (`_leaf_bars`): a leaf is joined and tested only when some
-power n keeps a prefix that can still agree with the path and a length
-range that reaches it, so every tested leaf still sees all N images.
+rule out all the leaves after a prefix at once: the prefix's images give one
+bar per power n (`_leaf_bars`), and a leaf whose block of f^n feeds fewer
+steps than bar n for every n cannot be a witness.  A prefix is skipped whole
+when even its longest blocks reach no bar; otherwise each of its canonical
+leaves is tested, with all N images.
 """
 
 from __future__ import annotations
@@ -589,20 +590,19 @@ def nielsen_search(m: GraphMap, len_bound: int,
     length bound.
 
     The leaves, the paths of len_bound steps, get no frame: their parent
-    decides them all at once from the lengths of their blocks
-    (`_leaf_bars`), as joining a block of b fed steps keeps all but the
-    last b steps of the parent's image and moves its length by at most b.
-    When no block in the table reaches a bar (the table keeps the longest
-    block per power) no leaf is looked at; otherwise a leaf is checked for
-    canonicity, joined and tested only when some power stays open for it
-    (`_leaf_open`).  A leaf ruled out closes for no power, so the tested
-    paths, and the images each one sees, are those of a walk that tests
-    every canonical path.
+    reads one bar per power from its images (`_leaf_bars`), as joining a
+    block of b fed steps keeps all but the last b steps of the parent's
+    image and moves its length by at most b.  When no block in the table
+    reaches its power's bar (the table keeps the longest block per power)
+    no leaf can be a witness and none is looked at; otherwise every leaf
+    is checked for canonicity, and the canonical ones are joined and
+    tested.  So the search reports the witnesses of a walk that tests
+    every canonical path, and each tested path sees all N images.
     """
     if len_bound < 1:
         raise ValueError("len_bound must be >= 1")
     pres = m.presentation
-    blocks = {}  # step -> ([fed steps of f^n(step)], [their lengths])
+    blocks = {}  # step -> [fed steps of f^n(step)]
 
     def images_of(step):
         got = blocks.get(step)
@@ -612,7 +612,7 @@ def nielsen_search(m: GraphMap, len_bound: int,
                 out, pending = m.image_state(seq)
                 seq = out + _pending_steps(pending)
                 images.append(seq)
-            got = blocks[step] = images, list(map(len, images))
+            got = blocks[step] = images
         return got
 
     # the departures from each vertex; a path leaves a factor start along 0
@@ -627,8 +627,8 @@ def nielsen_search(m: GraphMap, len_bound: int,
 
     def longest(candidates):
         # per power, the longest block of the candidate steps
-        return [max(col) for col in zip(*(images_of(d)[1]
-                                          for d in candidates))]
+        return [max(map(len, col))
+                for col in zip(*map(images_of, candidates))]
 
     tables = {}  # step -> (the departures after it, longest(those))
 
@@ -641,20 +641,15 @@ def nielsen_search(m: GraphMap, len_bound: int,
         return got
 
     def leaves(start, skip, steps, states, candidates, tops):
-        # the leaves after `steps`: decided by the junction bound, and the
-        # open ones tested if canonical; most frames reach no bar even
-        # with their longest blocks and are skipped whole
-        bars, exact = _leaf_bars(states, steps, skip)
-        if not exact and not any(map(ge, tops, bars)):
+        # the leaves after `steps`, tested if canonical; most frames reach
+        # no bar even with their longest blocks and are skipped whole
+        if not any(map(ge, tops, _leaf_bars(states, steps, skip))):
             return
         for step in candidates:
-            images, lengths = images_of(step)
-            if not _leaf_open(step, lengths, bars, exact):
-                continue
             steps.append(step)
             if _precedes_reverse(pres, start, steps, step_target(step)):
                 found = _nielsen_test(m, start, steps, [
-                    _join(s, b)[0] for s, b in zip(states, images)])
+                    _join(s, b)[0] for s, b in zip(states, images_of(step))])
                 if found is not None:
                     witnesses.append(found)
             steps.pop()
@@ -677,7 +672,7 @@ def nielsen_search(m: GraphMap, len_bound: int,
                 continue
             steps.append(step)
             at = step_target(step)
-            images = [_join(s, b) for s, b in zip(states, images_of(step)[0])]
+            images = [_join(s, b) for s, b in zip(states, images_of(step))]
             if _precedes_reverse(pres, start, steps, at):
                 found = _nielsen_test(m, start, steps,
                                       [out for out, _ in images])
@@ -694,10 +689,9 @@ def nielsen_search(m: GraphMap, len_bound: int,
 
 
 def _leaf_bars(states, prefix, skip):
-    """The junction bound for every leaf e after `prefix`, decided once:
-    (bars, exact) such that power n leaves [f^n(prefix . e)] = g . (prefix
-    . e) open exactly when the block of f^n(e) feeds b >= bars[n-1] steps,
-    or (n - 1, e, b) is in `exact` (`_leaf_open`).
+    """The junction bound for the leaves after `prefix`, one bar per power:
+    no leaf e has [f^n(prefix . e)] = g . (prefix . e) unless the block of
+    f^n(e) feeds b >= bars[n-1] steps.
 
     ``states[n-1]`` is the reduction state of f^n(prefix); a witness needs
     an image of L = len(prefix) + 1 steps that agrees with the leaf past its
@@ -706,27 +700,20 @@ def _leaf_bars(states, prefix, skip):
     power n stays open when len(out) + b >= L and the kept prefix can
     agree: kept <= common, where common (skip <= common <= L) is how far
     out agrees with the prefix past skip, or kept == L with
-    common >= L - 1 and out[L - 1] == e.  The first two are b >= bar; the
-    last names one e.
+    common >= L - 1 and out[L - 1] == e.  The first two are
+    b >= max(L - len(out), len(out) - common), a bar of at least 1; where
+    the last can hold the bar is 0, so the frame is never skipped.
     """
     size = len(prefix) + 1
-    bars, exact = [], []
-    for n, (out, _) in enumerate(states):
+    bars = []
+    for out, _ in states:
         length = len(out)
         top, common = min(length, size - 1), skip
         while common < top and out[common] == prefix[common]:
             common += 1
-        bars.append(max(size - length, length - common))
-        if common >= size - 1 and length >= size:
-            exact.append((n, out[size - 1], length - size))
-    return bars, exact
-
-
-def _leaf_open(step, lengths, bars, exact) -> bool:
-    """Does some power stay open for the leaf `step`, whose blocks feed
-    ``lengths[n-1]`` steps (`_leaf_bars`)?"""
-    return any(map(ge, lengths, bars)) or any(
-        step == e and lengths[n] == b for n, e, b in exact)
+        bars.append(0 if common >= size - 1 and length >= size
+                    else max(size - length, length - common))
+    return bars
 
 
 def _precedes_reverse(pres: Presentation, start, steps, end) -> bool:

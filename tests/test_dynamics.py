@@ -690,6 +690,14 @@ def test_flare_rejects_empty_length_range(mixed):
         flare_certify(mixed[0], 5, 3, 1, 2, "1.1")
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_flare_rejects_no_power(tribonacci, n_max):
+    # with no power to test, no class can hold and none can fail, so a
+    # witness would be reported for nothing
+    with pytest.raises(ValueError):
+        flare_certify(tribonacci, 2, 3, 1, n_max, "1.1")
+
+
 # --- implication check (a test oracle) ---------------------------------------
 
 def _fixed_vector(m: IntegerMatrix):

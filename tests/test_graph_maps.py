@@ -636,17 +636,30 @@ def _junction_bound_rules_out(states, lengths, steps, skip):
     return True
 
 
-def _leaf_rule_agrees(states, lengths, steps, skip):
-    *prefix, leaf = steps
-    bars, exact = graph_maps._leaf_bars(states, prefix, skip)
-    return graph_maps._leaf_open(leaf, lengths, bars, exact) != \
-        _junction_bound_rules_out(states, lengths, steps, skip)
+def _bars_agree(states, lengths, steps, skip):
+    """Is `_leaf_bars` the junction bound, power by power?  A bar above 0
+    is reached by exactly the block lengths the bound leaves open, whatever
+    the leaf; bar 0 only where the exact clause can hold: the bound leaves
+    open the leaf the image has at len(steps) - 1, with the block that
+    keeps len(steps) steps."""
+    prefix, size = steps[:-1], len(steps)
+    bars = graph_maps._leaf_bars(states, prefix, skip)
+    for state, k, bar in zip(states, lengths, bars, strict=True):
+        out = state[0]
+        if bar > 0:
+            if (k >= bar) == _junction_bound_rules_out([state], [k], steps,
+                                                       skip):
+                return False
+        elif len(out) < size or _junction_bound_rules_out(
+                [state], [len(out) - size], (*prefix, out[size - 1]), skip):
+            return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_leaf_bars_equal_the_junction_bound_on_images(fixture_maps, data):
-    # the frame-level rule of `nielsen_search` on the states and block
+    # the bars of `nielsen_search`'s frame skip on the states and block
     # lengths the search meets
     m = fixture_maps[data.draw(st.sampled_from(sorted(fixture_maps)))]
     start, steps = _draw_path(data, m.presentation)
@@ -655,7 +668,7 @@ def test_leaf_bars_equal_the_junction_bound_on_images(fixture_maps, data):
               for n in range(1, exp_bound + 1)]
     lengths = [len(_block(m, steps[-1], n))
                for n in range(1, exp_bound + 1)]
-    assert _leaf_rule_agrees(states, lengths, steps, 0 if start == BASE else 1)
+    assert _bars_agree(states, lengths, steps, 0 if start == BASE else 1)
 
 
 @settings(max_examples=500, deadline=None)
@@ -664,7 +677,7 @@ def test_leaf_bars_equal_the_junction_bound(data):
     # images that agree with the path for a drawn number of steps and then
     # go on, with any block lengths, half of them the one that keeps
     # exactly len(steps): the states where the bound leaves a power open,
-    # also by the leaf's own step, are common here
+    # also by the exact clause, are common here
     steps = data.draw(st.lists(st.sampled_from(
         [("x", 1, 1), ("x", 1, -1), ("x", 2, 1)]), min_size=1, max_size=6))
     other = ("x", 3, 1)
@@ -679,7 +692,7 @@ def test_leaf_bars_equal_the_junction_bound(data):
         lengths.append(data.draw(st.one_of(
             st.just(exact), st.integers(0, len(out) + len(steps) + 1))))
     skip = data.draw(st.integers(0, 1))
-    assert _leaf_rule_agrees(states, lengths, steps, skip)
+    assert _bars_agree(states, lengths, steps, skip)
 
 
 @settings(max_examples=300, deadline=None)
@@ -733,23 +746,39 @@ def test_nielsen_search_images_each_step_once(monkeypatch, tribonacci):
     assert calls == ["image_steps", "image_state", "reverse"]
 
 
-def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
-                                                           tribonacci):
-    # on tribonacci 6/4 a leaf that the junction bound rules out reaches
-    # neither the canonicity check nor a join: the search checks the 4,686
-    # shorter paths and the leaves the bound leaves open, and joins the
-    # images of the shorter paths and of the open canonical leaves; the
-    # leaves after most prefixes are not looked at one by one: only those
-    # after a prefix with an open leaf, or where the exact clause of the
-    # bound names a step (5 of the 59 such prefixes here)
+def _frame_kept(states, tops, steps, skip):
+    """Does the junction bound (`_junction_bound_rules_out`) keep the frame
+    of the leaves after steps[:-1], as `nielsen_search` skips frames: does
+    it leave some power open for the leaf steps[-1] with the longest block
+    ``tops[n-1]``, or for the leaf the image has at len(steps) - 1 with the
+    block that keeps len(steps) steps?"""
+    prefix, size = steps[:-1], len(steps)
+    for state, top in zip(states, tops):
+        out = state[0]
+        if not _junction_bound_rules_out([state], [top], steps, skip):
+            return True
+        if len(out) >= size and not _junction_bound_rules_out(
+                [state], [len(out) - size], (*prefix, out[size - 1]), skip):
+            return True
+    return False
+
+
+def test_nielsen_search_skips_ruled_out_frames_by_length(monkeypatch,
+                                                         tribonacci):
+    # on tribonacci 6/4 the leaves after a prefix reach neither the
+    # canonicity check nor a join unless the junction bound keeps the
+    # prefix's frame: the search reads the bars of each of the 3,750
+    # prefixes of 5 steps once, checks the 4,686 shorter paths and the
+    # leaves of the 59 kept frames, and joins the images of the shorter
+    # paths and of the canonical leaves of the kept frames
     m = build_standard_map(tribonacci)
     pres = tribonacci.presentation
     len_bound, exp_bound = 6, 4
     lengths = {step: [len(_block(m, step, n))
                       for n in range(1, exp_bound + 1)]
                for step in base_directions(pres)}
-    inner, leaves, canonical, open_leaves, tested_leaves = 0, 0, 0, 0, 0
-    open_frames = set()  # the prefixes of the open leaves
+    inner, leaves, canonical, tested_leaves = 0, 0, 0, 0
+    frames, kept = set(), set()  # the prefixes of the leaves
     prefixes = [()]
     while prefixes:
         prefix = prefixes.pop()
@@ -757,9 +786,10 @@ def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
         for _ in range(exp_bound):
             states.append(m.image_state(seq))
             seq = states[-1][0] + graph_maps._pending_steps(states[-1][1])
-        for step in base_directions(pres):
-            if prefix and _degenerate(prefix[-1], step):
-                continue
+        children = [step for step in base_directions(pres)
+                    if not (prefix and _degenerate(prefix[-1], step))]
+        tops = [max(col) for col in zip(*(lengths[d] for d in children))]
+        for step in children:
             path = prefix + (step,)
             if len(path) < len_bound:
                 inner += 1
@@ -768,15 +798,15 @@ def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
             leaves += 1
             is_canonical = _precedes_reverse(pres, BASE, path, BASE)
             canonical += is_canonical
-            if not _junction_bound_rules_out(states, lengths[step], path, 0):
-                open_leaves += 1
+            frames.add(prefix)
+            if _frame_kept(states, tops, path, 0):
+                kept.add(prefix)
                 tested_leaves += is_canonical
-                open_frames.add(prefix)
     assert (inner, leaves, canonical) == (4686, 18750, 9375)
-    assert canonical - tested_leaves == 9263
+    assert (len(frames), len(kept), tested_leaves) == (3750, 59, 167)
 
     calls = Counter()
-    for name in ("_precedes_reverse", "_join", "_leaf_open"):
+    for name in ("_precedes_reverse", "_join", "_leaf_bars"):
         real = getattr(graph_maps, name)
 
         def counting(*args, real=real, name=name):
@@ -785,17 +815,17 @@ def test_nielsen_search_decides_ruled_out_leaves_by_length(monkeypatch,
         monkeypatch.setattr(graph_maps, name, counting)
     assert nielsen_search(m, len_bound, exp_bound) == []
     children = len(base_directions(pres)) - 1  # all but the backtrack
-    looked_at = calls.pop("_leaf_open")
-    assert children * len(open_frames) <= looked_at < leaves // 50
-    assert calls == {"_precedes_reverse": inner + open_leaves,
-                     "_join": exp_bound * (inner + tested_leaves)}
+    looked_at = children * len(kept)
+    assert looked_at < leaves // 50
+    expected = {"_leaf_bars": len(frames),
+                "_precedes_reverse": inner + looked_at,
+                "_join": exp_bound * (inner + tested_leaves)}
+    assert calls == expected
     # the counters see all three functions, so the guard is not vacuous
     graph_maps._precedes_reverse(pres, BASE, (("x", 1, 1),), BASE)
     graph_maps._join(((), None), (("x", 1, 1),))
-    graph_maps._leaf_open(("x", 1, 1), [0], [1], [])
-    assert calls == {"_precedes_reverse": inner + open_leaves + 1,
-                     "_join": exp_bound * (inner + tested_leaves) + 1,
-                     "_leaf_open": 1}
+    graph_maps._leaf_bars([((), None)], [], 0)
+    assert calls == {name: count + 1 for name, count in expected.items()}
 
 
 def _twin_as_path(phi, witness):
